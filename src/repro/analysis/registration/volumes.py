@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 
 @dataclass(frozen=True)
@@ -94,6 +93,10 @@ class SyntheticVolumeGrid:
     """
 
     def __init__(self, spec: VolumeGridSpec) -> None:
+        # Imported here: scipy costs ~0.3 s and ~20 MiB, which importing
+        # the registration package alone should not pay.
+        from scipy import ndimage
+
         self.spec = spec
         rng = np.random.default_rng(spec.seed)
         gx, gy = spec.gx, spec.gy

@@ -217,13 +217,27 @@ class Event:
 
     def to_dict(self) -> dict:
         """Compact dict form: default-valued fields are dropped."""
+        # Spelled out, not looped over ``fields()``: this runs once per
+        # exported event.  Declaration order is the exported key order.
         out: dict = {"type": self.type, "t": self.t}
-        for f in fields(self):
-            if f.name in ("type", "t"):
-                continue
-            v = getattr(self, f.name)
-            if v != f.default:
-                out[f.name] = list(v) if f.name == "parents" else v
+        if self.proc != -1:
+            out["proc"] = self.proc
+        if self.task != -1:
+            out["task"] = self.task
+        if self.dst_proc != -1:
+            out["dst_proc"] = self.dst_proc
+        if self.dst_task != -1:
+            out["dst_task"] = self.dst_task
+        if self.dur != 0.0:
+            out["dur"] = self.dur
+        if self.category != "":
+            out["category"] = self.category
+        if self.nbytes != 0:
+            out["nbytes"] = self.nbytes
+        if self.label != "":
+            out["label"] = self.label
+        if self.parents != ():
+            out["parents"] = list(self.parents)
         return out
 
     @classmethod

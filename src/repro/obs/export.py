@@ -36,6 +36,9 @@ from repro.obs.events import (
 _NET_PID_OFFSET = 10_000
 #: Seconds -> Chrome microseconds.
 _US = 1e6
+#: One JSONL line's encoder (``json.dumps`` defaults, minus its per-call
+#: option checks).
+_encode = json.JSONEncoder().encode
 
 
 class ChromeTraceExporter(EventSink):
@@ -162,7 +165,7 @@ class JsonlExporter(EventSink):
     def emit(self, event: Event) -> None:
         if self._fp is None:
             raise ValueError(f"JsonlExporter({self.path!r}) is closed")
-        self._fp.write(json.dumps(event.to_dict()) + "\n")
+        self._fp.write(_encode(event.to_dict()) + "\n")
 
     def close(self) -> None:
         if self._fp is not None:

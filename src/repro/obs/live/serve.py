@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs.live.status import find_status, read_status
 
@@ -297,6 +296,10 @@ class LiveMetricsServer:
     """
 
     def __init__(self, path: str, addr: str = "127.0.0.1", port: int = 0):
+        # Imported here: ``import repro`` reaches this module, and only a
+        # server needs ``http.server`` (which drags ``email`` in).
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         status_path = path
 
         class Handler(BaseHTTPRequestHandler):

@@ -3,10 +3,13 @@
 Every other backend in :mod:`repro.runtimes` *simulates* parallelism on
 a discrete-event virtual clock inside one process.  This controller is
 the real thing: the same abstract ``TaskGraph``/``TaskMap`` program is
-executed by a :class:`concurrent.futures.ProcessPoolExecutor` (or a
-thread pool, or inline in the calling thread) on the host's actual
-cores, with payloads pickled through the executors' call/result queues
-on their way between worker processes.
+executed by worker processes (or threads, or inline in the calling
+thread) on the host's actual cores.  As in the paper, callbacks are
+registered once and tasks exchange only ids and payloads: a process-mode
+run pickles its callback table once, installs it once per worker, and
+each task message is ``(callback id, task id, payloads)``.  Workers are
+forked at the first process-mode run and kept warm for the next one
+(:func:`shutdown_workers` reaps them; ``atexit`` does too).
 
 The execution model is a dependency-driven coordinator, in the spirit of
 Parsl's DataFlowKernel: the coordinator owns the dataflow state (input
@@ -21,22 +24,21 @@ regardless of worker scheduling** — the cross-runtime conformance suite
 
 Three modes, one code path:
 
-* ``"process"`` — a real process pool; callbacks and payload data must
-  be picklable (module-level functions, plain data / numpy arrays).
+* ``"process"`` — real worker processes; callbacks and payload data
+  must be picklable (module-level functions, plain data / numpy arrays).
 * ``"thread"`` — a thread pool in the coordinator's process: no
   pickling, real concurrency for callbacks that release the GIL.
 * ``"inline"`` — a degenerate executor running each task at submission
   time in the calling thread: fully deterministic (serial-equivalent
   event order), the mode of choice for tests and debugging.
 
-Placement: with no task map the pool is a single shared work queue and
-any free worker slot takes the lowest ready task id.  With a task map
+Placement: every worker slot is one single-worker executor.  With no
+task map any free slot takes the lowest ready task id.  With a task map
 (including :func:`repro.sched.plan_placement`'s ``PlannedMap`` and
 :func:`repro.sched.locality_map`) shards are folded onto
-``min(n_workers, shard_count)`` *shard groups*, one single-worker
-executor per group, so placement decisions — locality, planned
-co-residency — hold on the real pool exactly as they do on the
-simulated clusters.
+``min(n_workers, shard_count)`` *shard groups*, one slot per group, so
+placement decisions — locality, planned co-residency — hold on the real
+pool exactly as they do on the simulated clusters.
 
 Fault tolerance composes: a :class:`~repro.faults.FaultPlan`'s transient
 task faults are injected into real attempts (the attempt runs, its
@@ -61,6 +63,7 @@ measured reality back into the planner — see
 
 from __future__ import annotations
 
+import atexit
 import heapq
 import multiprocessing
 import os
@@ -163,9 +166,7 @@ def _live_worker_init(channel, rank, hb_interval) -> None:
     """Pool initializer (process mode, live armed).
 
     Installs the worker->coordinator channel and starts the heartbeat
-    beacon thread.  ``rank`` is the shard group for pinned pools and -1
-    for the shared pool (the coordinator's drainer then assigns stable
-    per-pid pseudo-ranks).
+    beacon thread.  ``rank`` is the worker's slot.
     """
     global _LIVE_CHANNEL, _LIVE_RANK
     _LIVE_CHANNEL = channel
@@ -195,7 +196,6 @@ def _drain_live_channel(channel, bus, wall0, stop) -> None:
     the wall time of the run's t=0, so published events land on the
     same run-relative timeline as everything else.
     """
-    pseudo: dict[int, int] = {}
     while not stop.is_set():
         try:
             msg = channel.get(timeout=0.2)
@@ -207,8 +207,6 @@ def _drain_live_channel(channel, bus, wall0, stop) -> None:
             kind, tid, rank, pid, ts = msg
         except (TypeError, ValueError):
             continue
-        if rank < 0:
-            rank = pseudo.setdefault(pid, len(pseudo))
         t = max(0.0, ts - wall0)
         if kind == "start":
             bus.publish(Event(TASK_RUNNING, t, proc=rank, task=tid))
@@ -254,6 +252,16 @@ def _terminate_to_exception(enabled: bool):
         signal.signal(signal.SIGTERM, previous)
 
 
+#: Worker-side callback table of the run in flight (process mode).
+_TABLE: dict = {}
+
+
+def _install(blob) -> None:
+    """Install this worker's callback table (``None`` clears it)."""
+    global _TABLE
+    _TABLE = pickle.loads(blob) if blob is not None else {}
+
+
 def _pool_run(fn, payloads, cid, tid, n_outputs, fail):
     """One attempt, executed inside a worker (module-level: picklable).
 
@@ -262,8 +270,11 @@ def _pool_run(fn, payloads, cid, tid, n_outputs, fail):
     and discarded, mirroring the simulated controllers' "transient
     failure after full compute time" semantics — but returns no outputs.
     Output-arity validation happens worker-side so a misbehaving
-    callback is reported from the attempt that ran it.
+    callback is reported from the attempt that ran it.  ``fn=None``
+    (process mode) means the callback installed under ``cid``.
     """
+    if fn is None:
+        fn = _TABLE[cid]
     channel = _LIVE_CHANNEL
     if channel is not None:
         # Real-time start report: the retroactive task_started (emitted
@@ -278,6 +289,72 @@ def _pool_run(fn, payloads, cid, tid, n_outputs, fail):
     if fail:
         return None, elapsed, True
     return outputs, elapsed, False
+
+
+def _pickle_table(table: dict) -> bytes:
+    """The run's callbacks as one blob, pickled on the calling thread
+    (together, so state the callbacks share is pickled once)."""
+    try:
+        return pickle.dumps(table, pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        bad = []
+        for cid, fn in table.items():
+            try:
+                pickle.dumps(fn, pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                bad.append(cid)
+        raise ControllerError(
+            f"callback(s) {bad} cannot be sent to the worker processes: "
+            f"{exc}; in process mode callbacks must be picklable (see "
+            f"docs/runtimes.md)"
+        ) from exc
+
+
+#: Idle process-mode slot executors, one set per slot count.  A run
+#: borrows a set exclusively (pop) and hands it back only on success, so
+#: a broken, timed-out or terminated run never leaves workers here.
+_SPARE: dict[int, list] = {}
+_SPARE_LOCK = threading.Lock()
+# A forked child must not adopt executors whose manager threads it lacks.
+os.register_at_fork(after_in_child=_SPARE.clear)
+
+#: Seconds a worker process gets to exit at shutdown before it is
+#: killed.  All futures are resolved by then, so a healthy worker
+#: exits in milliseconds; only a wedged fork ever runs the clock.
+POOL_JOIN_TIMEOUT = 10.0
+
+
+def _reap(pools: list, timeout: float) -> None:
+    """Shut process executors down with a bounded join, then ``kill()``.
+
+    ``shutdown(wait=True)`` joins the workers; one wedged at fork time
+    (forked while a parent thread held a lock — rare, but real on busy
+    fork-start-method hosts) would hang the run, and a leaked non-daemon
+    worker hangs the interpreter at exit.
+    """
+    procs = []
+    for pool in pools:
+        procs.extend((getattr(pool, "_processes", None) or {}).values())
+        pool.shutdown(wait=False, cancel_futures=True)
+    deadline = time.monotonic() + timeout
+    for p in procs:
+        p.join(max(0.0, deadline - time.monotonic()))
+    stuck = [p for p in procs if p.is_alive()]
+    for p in stuck:
+        p.kill()
+    for p in stuck:
+        p.join(1.0)
+
+
+def shutdown_workers() -> None:
+    """Reap the worker processes kept warm between process-mode runs."""
+    with _SPARE_LOCK:
+        idle = [pool for pools in _SPARE.values() for pool in pools]
+        _SPARE.clear()
+    _reap(idle, POOL_JOIN_TIMEOUT)
+
+
+atexit.register(shutdown_workers)
 
 
 class _InlineExecutor:
@@ -403,28 +480,66 @@ class LocalPoolController(Controller):
             return tm.shard
         return lambda tid: tm.shard(tid) % n_groups
 
-    def _make_pools(
-        self, n_groups: int, pinned: bool, live=None, live_channel=None
-    ) -> list:
+    def _make_pools(self, n_slots: int, live=None, live_channel=None) -> list:
+        """One single-worker executor per slot: per-slot FIFO order and
+        real co-residency (the pool analogue of a rank), and in process
+        mode an addressable worker to install the callback table on."""
         if self.mode == "inline":
-            return [_InlineExecutor() for _ in range(n_groups if pinned else 1)]
-        cls = ThreadPoolExecutor if self.mode == "thread" else ProcessPoolExecutor
+            return [_InlineExecutor() for _ in range(n_slots)]
+        if self.mode == "thread":
+            return [ThreadPoolExecutor(max_workers=1) for _ in range(n_slots)]
+        if live_channel is None:
+            return [ProcessPoolExecutor(max_workers=1) for _ in range(n_slots)]
+        hb = live.config.heartbeat_interval
+        return [
+            ProcessPoolExecutor(
+                max_workers=1,
+                initializer=_live_worker_init,
+                initargs=(live_channel, slot, hb),
+            )
+            for slot in range(n_slots)
+        ]
 
-        def live_kw(rank: int) -> dict:
-            if live_channel is None:
-                return {}
-            return {
-                "initializer": _live_worker_init,
-                "initargs": (
-                    live_channel, rank, live.config.heartbeat_interval,
-                ),
-            }
+    def _broadcast(self, pools: list, blob) -> None:
+        """Set (``None``: clear) every worker's table and wait for all."""
+        for fut in [pool.submit(_install, blob) for pool in pools]:
+            fut.result(timeout=self.idle_timeout)
 
-        if not pinned:
-            return [cls(max_workers=self.n_workers, **live_kw(-1))]
-        # One single-worker executor per shard group: per-group FIFO
-        # order and real co-residency, the pool analogue of a rank.
-        return [cls(max_workers=1, **live_kw(g)) for g in range(n_groups)]
+    def _install_table(self, pools: list, reused: bool, blob: bytes) -> None:
+        """Install the run's callbacks on every slot's worker, once.
+
+        Reused workers were forked before this run: if one cannot
+        unpickle the table (callback module imported, or ``sys.path``
+        changed, since the fork) or died idle, fork fresh slots — in
+        place, so the caller's cleanup sees them — and install once
+        more.  A failure on fresh slots is the real error.
+        """
+        if reused:
+            try:
+                return self._broadcast(pools, blob)
+            except Exception:
+                _reap(pools, 1.0)
+                pools[:] = self._make_pools(len(pools))
+        try:
+            self._broadcast(pools, blob)
+        except Exception as exc:
+            raise ControllerError(
+                f"worker processes could not install the run's callbacks: "
+                f"{exc!r}"
+            ) from exc
+
+    def _release(self, pools: list) -> None:
+        """Hand a successful run's workers, tables cleared, to the spare
+        (at most one set per slot count; a concurrent run's set wins)."""
+        try:
+            self._broadcast(pools, None)
+        except Exception:
+            spare = None
+        else:
+            with _SPARE_LOCK:
+                spare = _SPARE.setdefault(len(pools), pools)
+        if spare is not pools:
+            _reap(pools, POOL_JOIN_TIMEOUT)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -463,6 +578,13 @@ class LocalPoolController(Controller):
         n_groups = min(self.n_workers, tm.shard_count) if pinned else 1
         n_slots = n_groups if pinned else self.n_workers
         group_of = self._group_of(tm, n_groups)
+        blob = None
+        if self.mode == "process":
+            # Before any worker is touched: an unpicklable callback is
+            # the caller's error, raised on the caller's thread.
+            blob = _pickle_table(
+                {cid: registry.resolve(cid) for cid in graph.callbacks()}
+            )
 
         # The live plane: None on unarmed runs (the zero-cost gate —
         # tests/test_obs_overhead.py poisons every live constructor).
@@ -481,7 +603,16 @@ class LocalPoolController(Controller):
             live_channel = multiprocessing.get_context().Queue()
         obs = ObsHub(run_sinks, bus=live.bus if live is not None else None)
         ctx = obs.wants_context if run_sinks else False
-        pools = self._make_pools(n_groups, pinned, live, live_channel)
+        # Warm workers are borrowed from the spare; a live-armed run's
+        # workers must inherit its channel at fork, so they are private.
+        pools = None
+        warm = blob is not None and live_channel is None
+        if warm:
+            with _SPARE_LOCK:
+                pools = _SPARE.pop(n_slots, None)
+        reused = pools is not None
+        if not reused:
+            pools = self._make_pools(n_slots, live, live_channel)
         self._live_drain_stop = None
         self._live_drain_thread = None
 
@@ -490,6 +621,8 @@ class LocalPoolController(Controller):
             with _terminate_to_exception(
                 enabled=flight is not None or live is not None
             ):
+                if blob is not None:
+                    self._install_table(pools, reused, blob)
                 self._run_pools(
                     graph, registry, inputs, pools, pinned, n_slots,
                     group_of, obs, ctx, metrics, result, t_task, t_queue,
@@ -501,7 +634,10 @@ class LocalPoolController(Controller):
             self._stop_live(live, live_channel, "aborted")
             self._shutdown_pools(pools, graceful=False)
             raise
-        self._shutdown_pools(pools, graceful=True)
+        if warm:
+            self._release(pools)
+        else:
+            self._shutdown_pools(pools, graceful=True)
         result.metrics = metrics.snapshot()
         self._stop_live(live, live_channel, "finished")
         return result
@@ -519,44 +655,19 @@ class LocalPoolController(Controller):
             live_channel.cancel_join_thread()
         live.close(state)
 
-    #: Seconds a worker process gets to exit at shutdown before it is
-    #: killed.  All futures are resolved by then, so a healthy worker
-    #: exits in milliseconds; only a wedged fork ever runs the clock.
-    POOL_JOIN_TIMEOUT = 10.0
-
     def _shutdown_pools(self, pools: list, *, graceful: bool) -> None:
         """Tear the executors down without ever hanging the coordinator.
 
-        ``shutdown(wait=True)`` on a process pool joins its workers; a
-        worker wedged at fork time (forked while a parent thread held a
-        lock — rare, but real on busy fork-start-method hosts) would
-        hang the run, and a leaked non-daemon worker hangs the
-        interpreter at exit.  Process pools therefore get a bounded
-        join: ask politely, then ``kill()`` whatever is left.  Thread
-        and inline pools keep the plain waiting shutdown (their workers
+        Process pools get :func:`_reap`'s bounded join.  Thread and
+        inline pools keep the plain waiting shutdown (their workers
         cannot be killed, and on the success path every future is
         already resolved).
         """
-        if self.mode != "process":
-            for pool in pools:
-                pool.shutdown(wait=graceful, cancel_futures=not graceful)
+        if self.mode == "process":
+            _reap(pools, POOL_JOIN_TIMEOUT if graceful else 1.0)
             return
-        procs = []
         for pool in pools:
-            live = getattr(pool, "_processes", None)
-            if live:
-                procs.extend(live.values())
-            pool.shutdown(wait=False, cancel_futures=True)
-        deadline = time.monotonic() + (
-            self.POOL_JOIN_TIMEOUT if graceful else 1.0
-        )
-        for p in procs:
-            p.join(max(0.0, deadline - time.monotonic()))
-        stuck = [p for p in procs if p.is_alive()]
-        for p in stuck:
-            p.kill()
-        for p in stuck:
-            p.join(1.0)
+            pool.shutdown(wait=graceful, cancel_futures=not graceful)
 
     def _run_pools(
         self,
@@ -581,6 +692,7 @@ class LocalPoolController(Controller):
         policy = self._policy
         self.retries = 0
         inline = self.mode == "inline"
+        process = self.mode == "process"
         fault_budget = (
             self._fault_plan.task_budget() if self._fault_plan else None
         )
@@ -672,7 +784,6 @@ class LocalPoolController(Controller):
             if fault_budget and fault_budget.get(tid, 0) > 0:
                 fault_budget[tid] -= 1
                 fail = True
-            fn = registry.resolve(task.callback)
             if tid in slots:  # first attempt: take the buffered inputs
                 remaining.pop(tid, None)
                 stash[tid] = slots.pop(tid)  # type: ignore[assignment]
@@ -684,8 +795,9 @@ class LocalPoolController(Controller):
                 # process mode the worker itself reports (see
                 # _pool_run), which also captures queueing delay.
                 bus.publish(Event(TASK_RUNNING, now(), proc=slot, task=tid))
-            pool = pools[slot] if pinned else pools[0]
-            fut = pool.submit(
+            # Process workers hold the run's table: ship the id, not fn.
+            fn = None if process else registry.resolve(task.callback)
+            fut = pools[slot].submit(
                 _pool_run, fn, payloads, task.callback, tid,
                 task.n_outputs, fail,
             )
@@ -911,7 +1023,7 @@ class LocalPoolController(Controller):
                 tc = now()
                 exc = fut.exception()
                 if exc is not None:
-                    fatal = self.mode == "process" and _is_transport_error(exc)
+                    fatal = process and _is_transport_error(exc)
                     retryable = (
                         self._retry_exceptions
                         and not fatal

@@ -5,6 +5,11 @@ hand-built controller bit-for-bit; unknown names fail with the full
 roster; deprecated kwargs warn on the way through.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -256,3 +261,25 @@ class TestWorkloadsAcceptNames:
         by_name = wl.run("charm", n_procs=4)
         hand = wl.run(repro.CharmController(4))
         assert by_name.makespan == hand.makespan
+
+
+def test_importing_the_package_skips_the_heavy_optional_modules():
+    """``scipy`` (only ``SyntheticVolumeGrid`` filters with it) and
+    ``http.server`` (only ``LiveMetricsServer`` serves with it) load on
+    first use, not on import."""
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    prior = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "PYTHONPATH": f"{src}{os.pathsep}{prior}" if prior else src,
+    }
+    code = (
+        "import sys, repro, repro.analysis.registration\n"
+        "print([m for m in ('scipy', 'http.server') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

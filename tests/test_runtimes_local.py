@@ -135,13 +135,6 @@ class TestFailFast:
             c.run({tid: Payload([1.0]) for tid in g.leaf_ids()})
         assert time.perf_counter() - t0 < 3.0
 
-    # CPython 3.11's executor management thread races terminate_broken
-    # against the submit-side pickling failure and re-sets an exception
-    # on the already-finished future (InvalidStateError in that thread).
-    # Harmless — the run already failed with the right error.
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-    )
     def test_process_mode_reports_unpicklable_callbacks(self):
         g = Reduction(4, 2)
         c = LocalPoolController(n_workers=2, mode="process")
