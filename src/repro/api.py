@@ -28,12 +28,13 @@ Every scheduling/fault/observability knob threads straight through:
 maps), ``cost_model``, ``fault_plan``/``retry_policy``, ``balancer``,
 and ``sinks``.
 
-Internally ``run()`` is a thin ``submit(...).result()`` over an inline
-(zero-worker) :class:`~repro.service.RunService`: the facade and the
-multi-tenant service execute the same code path, so results are
-bit-identical between the two entry points.  :func:`repro.submit` is
-the asynchronous form — it enqueues onto a shared process-wide worker
-service and returns a :class:`~repro.service.RunHandle` immediately.
+``run()`` is ``RunRequest(...).build().run(inputs)`` — Listing 1 in the
+calling thread, with nothing else behind it.  :func:`repro.submit` is
+the asynchronous form: it enqueues the same request onto a shared
+process-wide :class:`~repro.service.RunService`, which adds queueing,
+coalescing and caches around the same two calls (so results are
+bit-identical between the entry points) and returns a
+:class:`~repro.service.RunHandle` immediately.
 """
 
 from __future__ import annotations
@@ -49,37 +50,12 @@ from repro.obs.events import EventSink
 from repro.runtimes.controller import Controller, InitialInput
 from repro.runtimes.result import RunResult
 from repro.service.handle import RunHandle
-from repro.service.options import RunOptions
 from repro.service.request import RunRequest
 from repro.service.service import RunService
 
-# The facade's inline executor: zero workers (submissions execute
-# synchronously in the calling thread, so exceptions and warnings
-# surface exactly where they always did), no graph sharing (each call
-# materializes its own cached view, as the pre-service facade did), no
-# telemetry sketches, no status snapshots.  Process-wide caches
-# (PLAN_CACHE, fingerprint memos) behave identically either way.
-_INLINE: RunService | None = None
 #: The shared background service behind :func:`repro.submit`.
 _SHARED: RunService | None = None
 _SERVICE_LOCK = threading.Lock()
-
-
-def _inline_service() -> RunService:
-    global _INLINE
-    svc = _INLINE
-    if svc is None:
-        with _SERVICE_LOCK:
-            svc = _INLINE
-            if svc is None:
-                svc = _INLINE = RunService(
-                    workers=0,
-                    telemetry=False,
-                    share_graphs=False,
-                    status_dir=False,
-                    name="repro-inline",
-                )
-    return svc
 
 
 def default_service() -> RunService:
@@ -159,17 +135,16 @@ def run(
             suggests the closest valid one), or a callback/input
             mismatch.
     """
-    options = RunOptions.from_kwargs(task_map=task_map, **kwargs)
     request = RunRequest(
         graph,
         callbacks,
         inputs,
         runtime=runtime,
         n_procs=n_procs,
-        options=options,
+        options={"task_map": task_map, **kwargs},
         sinks=sinks,
     )
-    return _inline_service().submit(request).result()
+    return request.build().run(request.inputs)
 
 
 def submit(
@@ -200,7 +175,6 @@ def submit(
             (``reason`` is ``"tenant-quota"`` or ``"queue-full"``).
         ControllerError: unknown runtime or option name.
     """
-    options = RunOptions.from_kwargs(task_map=task_map, **kwargs)
     request = RunRequest(
         graph,
         callbacks,
@@ -208,7 +182,7 @@ def submit(
         runtime=runtime,
         n_procs=n_procs,
         tenant=tenant,
-        options=options,
+        options={"task_map": task_map, **kwargs},
         sinks=sinks,
     )
     svc = service if service is not None else default_service()

@@ -6,6 +6,8 @@ host applications can catch library failures with a single handler.
 
 from __future__ import annotations
 
+import difflib
+
 
 class BabelFlowError(Exception):
     """Base class of all library errors."""
@@ -44,3 +46,10 @@ class FaultError(BabelFlowError):
     """A fault plan is invalid (e.g. it kills every rank) or a run became
     unrecoverable (a task exhausted its retry budget, a message could not
     be delivered within the retransmission budget)."""
+
+
+def did_you_mean(name: object, candidates) -> str:
+    """``" (did you mean 'x'?)"`` for the candidate closest to ``name``,
+    or ``""`` — the suffix every unknown-name error appends."""
+    close = difflib.get_close_matches(str(name), sorted(candidates), n=1)
+    return f" (did you mean {close[0]!r}?)" if close else ""

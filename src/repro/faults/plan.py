@@ -18,9 +18,7 @@ Plans are deterministic by construction: :meth:`FaultPlan.random` draws
 from ``random.Random(seed)`` — never wall clock — so a seeded chaos run
 replays bit-identically.  A plan is *consumed per run*: controllers
 materialize a fresh budget from the immutable plan at the start of every
-``run()``, so running twice injects the same faults twice (the legacy
-``faults=`` kwarg shims onto this and keeps its reset-between-runs
-behaviour).
+``run()``, so running twice injects the same faults twice.
 """
 
 from __future__ import annotations

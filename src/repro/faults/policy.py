@@ -6,9 +6,8 @@ message.  Everything is deterministic: the "jitter" that spreads
 simultaneous retries apart is a fixed hash of ``(key, attempt)``, never a
 random draw, so a seeded run replays bit-identically.
 
-The legacy ``faults=`` / ``fault_retry_delay=`` controller kwargs map to
-:func:`legacy_policy`: unlimited attempts with a flat delay, exactly the
-pre-subsystem behaviour.
+:func:`legacy_policy` is the pre-subsystem behaviour — unlimited
+attempts with a flat delay — that the determinism goldens pin.
 """
 
 from __future__ import annotations
@@ -90,8 +89,8 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
 def legacy_policy(fault_retry_delay: float) -> RetryPolicy:
-    """The pre-subsystem semantics of ``faults=`` / ``fault_retry_delay=``:
-    unlimited attempts, flat delay, no timeout detection."""
+    """The pre-subsystem retry semantics: unlimited attempts, a flat
+    delay of ``fault_retry_delay`` virtual seconds, no timeout detection."""
     return RetryPolicy(
         max_attempts=None,
         backoff_base=fault_retry_delay,

@@ -15,9 +15,9 @@ diff / slo), including critical-path attribution
 (:mod:`repro.obs.timeline`), and trace diffing (:mod:`repro.obs.diff`).
 
 For production-scale capture there is a bounded-memory telemetry layer
-(:mod:`repro.obs.telemetry`): streaming quantile sketches, head+tail
-trace sampling (:class:`SamplingSink`), an always-on flight recorder,
-and a cross-run metrics ledger behind ``python -m repro.obs trends``.
+(:mod:`repro.obs.telemetry`): streaming quantile sketches, an
+always-on flight recorder, and a cross-run metrics ledger behind
+``python -m repro.obs trends``.
 
 Quick start::
 
@@ -96,7 +96,6 @@ from repro.obs.telemetry import (
     FlightRecorder,
     Ledger,
     QuantileSketch,
-    SamplingSink,
     TelemetryConfig,
     when,
 )
@@ -155,7 +154,6 @@ __all__ = [
     "RUN_STARTED",
     "RunDiff",
     "RunTimelines",
-    "SamplingSink",
     "StragglerDetector",
     "TASK_ENQUEUED",
     "TASK_FINISHED",

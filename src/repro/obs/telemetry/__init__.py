@@ -1,4 +1,4 @@
-"""Bounded-memory telemetry: sketches, sampling, flight recorder, ledger.
+"""Bounded-memory telemetry: sketches, triggers, flight recorder, ledger.
 
 The production-telemetry layer of :mod:`repro.obs`.  Where the base
 observability stack records *everything* (full event streams, complete
@@ -10,8 +10,6 @@ no matter how many runs or events flow through:
 * :mod:`~repro.obs.telemetry.triggers` — declarative "when condition"
   predicates (:func:`when`, :class:`FaultTrigger`,
   :class:`SloBreachTrigger`) that decide which runs deserve attention.
-* :class:`SamplingSink` — head + tail-based trace sampling under a byte
-  budget: triggered runs always kept, clean runs coin-flipped.
 * :class:`FlightRecorder` — an always-on ring buffer of recent events,
   dumped to disk only when a trigger fires or the run aborts.
 * :class:`Ledger` — a cross-run JSONL record of metric snapshots with
@@ -36,7 +34,6 @@ from repro.obs.telemetry.ledger import (
     metrics_from_snapshot,
     render_trends,
 )
-from repro.obs.telemetry.sampling import SamplingSink
 from repro.obs.telemetry.sketch import DEFAULT_REL_ERR, QuantileSketch
 from repro.obs.telemetry.triggers import (
     FaultTrigger,
@@ -58,7 +55,6 @@ __all__ = [
     "MetricTrigger",
     "QuantileSketch",
     "RunStreamStats",
-    "SamplingSink",
     "SloBreachTrigger",
     "TelemetryConfig",
     "Trigger",

@@ -1,10 +1,8 @@
 """Declarative triggers: "when condition, act" over a live event stream.
 
 DIVA-style reactive predicates decide *which* runs deserve attention:
-the tail sampler (:mod:`repro.obs.telemetry.sampling`) keeps every
-triggered trace, and the flight recorder
-(:mod:`repro.obs.telemetry.flight`) dumps its ring buffer when one
-fires.  Three shapes:
+the flight recorder (:mod:`repro.obs.telemetry.flight`) dumps its ring
+buffer when one fires.  Three shapes:
 
 * :class:`FaultTrigger` — any fault-layer event
   (:data:`~repro.obs.events.FAULT_VOCABULARY`) fired during the run.

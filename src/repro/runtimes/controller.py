@@ -39,6 +39,12 @@ InitialInput = Payload | Sequence[Payload]
 class Controller(ABC):
     """Common initialize / register / run protocol of every backend."""
 
+    #: Whether the last ``run()`` found its compiled plan in
+    #: :data:`~repro.sched.compile.PLAN_CACHE`; ``None`` when it never
+    #: consulted the cache (no ``compile=True``, a fallback, or a
+    #: backend without compiled plans).
+    plan_cache_hit: bool | None = None
+
     def __init__(self) -> None:
         self._graph: TaskGraph | None = None
         self._task_map: TaskMap | None = None

@@ -22,10 +22,9 @@ between simulated and real execution.
 
 from __future__ import annotations
 
-import difflib
 from typing import Mapping
 
-from repro.core.errors import ControllerError
+from repro.core.errors import ControllerError, did_you_mean
 from repro.runtimes.blocking import BlockingMPIController
 from repro.runtimes.charm import CharmController
 from repro.runtimes.controller import Controller
@@ -75,12 +74,9 @@ def resolve_runtime(runtime: str | type[Controller]) -> type[Controller]:
         return runtime
     cls = REGISTRY.get(runtime)  # type: ignore[arg-type]
     if cls is None:
-        names = sorted(REGISTRY)
-        close = difflib.get_close_matches(str(runtime), names, n=1)
-        hint = f" (did you mean {close[0]!r}?)" if close else ""
         raise ControllerError(
             f"unknown runtime {runtime!r}; valid names: "
-            f"{', '.join(names)}{hint}"
+            f"{', '.join(sorted(REGISTRY))}{did_you_mean(runtime, REGISTRY)}"
         )
     return cls
 
@@ -104,10 +100,7 @@ def _check_kwargs(cls: type[Controller], kwargs: dict, runtime) -> None:
     unknown = sorted(set(kwargs) - supported)
     if not unknown:
         return
-    parts = []
-    for k in unknown:
-        close = difflib.get_close_matches(k, sorted(supported), n=1)
-        parts.append(f"{k!r} (did you mean {close[0]!r}?)" if close else repr(k))
+    parts = [f"{k!r}{did_you_mean(k, supported)}" for k in unknown]
     raise ControllerError(
         f"runtime {_runtime_name(runtime)!r} does not support "
         f"{', '.join(parts)}; supported kwargs: "

@@ -26,7 +26,6 @@ results *and* the same virtual timings.
 from __future__ import annotations
 
 import time
-import warnings
 from collections import deque
 from typing import TYPE_CHECKING, Sequence
 
@@ -37,7 +36,7 @@ from repro.core.ids import EXTERNAL, TNULL, TaskId
 from repro.core.payload import Payload
 from repro.core.task import Task
 from repro.faults.plan import FaultPlan
-from repro.faults.policy import DEFAULT_RETRY_POLICY, RetryPolicy, legacy_policy
+from repro.faults.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.obs.events import (
     FAULT_INJECTED,
     OVERHEAD,
@@ -163,25 +162,15 @@ class SimController(Controller):
         collect_trace: keep a full span trace on the result (debugging).
         procs_per_node: how many procs share a node; defaults to
             ``cores_per_node // cores_per_proc``.
-        faults: **deprecated** transient-fault shim (emits a
-            ``DeprecationWarning``): ``{task_id: n}`` makes the first
-            ``n`` attempts of that task fail after consuming their full
-            compute time; the controller then re-executes it — safe
-            because tasks are idempotent by contract (the property the
-            paper leans on).  Use the bit-exact replacement
-            ``fault_plan=FaultPlan(task_faults=faults)`` with
-            :func:`~repro.faults.policy.legacy_policy`.  Wasted attempt
-            time lands in the ``wasted`` stats category.
-        fault_retry_delay: **deprecated** shim (emits a
-            ``DeprecationWarning``): virtual seconds between a failed
-            attempt and the re-enqueue; use
-            ``retry_policy=legacy_policy(delay)`` instead.
         fault_plan: full fault schedule (transient task faults, permanent
             rank deaths, link degradation/drops) — see
-            :mod:`repro.faults`.  A plan is consumed *per run*: each
-            ``run()`` materializes a fresh budget from the immutable
-            plan, so running twice injects the same faults twice.
-            Mutually exclusive with ``faults``.
+            :mod:`repro.faults`.  A transient fault makes an attempt fail
+            after consuming its full compute time (the ``wasted`` stats
+            category); the controller re-executes it — safe because
+            tasks are idempotent by contract (the property the paper
+            leans on).  A plan is consumed *per run*: each ``run()``
+            materializes a fresh budget from the immutable plan, so
+            running twice injects the same faults twice.
         retry_policy: reaction to failed attempts and dropped messages
             (backoff, attempt budget, timeout detection); defaults to
             :data:`~repro.faults.policy.DEFAULT_RETRY_POLICY` when a
@@ -232,8 +221,6 @@ class SimController(Controller):
         costs: RuntimeCosts = DEFAULT_COSTS,
         collect_trace: bool = False,
         procs_per_node: int | None = None,
-        faults: dict[TaskId, int] | None = None,
-        fault_retry_delay: float = 0.0,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
         balancer: "Balancer | None" = None,
@@ -258,26 +245,6 @@ class SimController(Controller):
         self.costs = costs
         self.collect_trace = collect_trace
         self.procs_per_node = procs_per_node
-        self.faults = dict(faults) if faults else {}
-        self.fault_retry_delay = fault_retry_delay
-        if faults is not None or fault_retry_delay != 0.0:
-            warnings.warn(
-                "the faults=/fault_retry_delay= kwargs are deprecated; use "
-                "fault_plan=FaultPlan(task_faults=...) with "
-                "retry_policy=legacy_policy(delay) for bit-exact semantics",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if faults and fault_plan is not None:
-            raise ControllerError(
-                "pass either the legacy faults= dict or fault_plan=, not both"
-            )
-        if faults:
-            # Compatibility shim: the legacy kwargs become a plan plus the
-            # flat-delay/unlimited-attempts policy they always implied.
-            fault_plan = FaultPlan(task_faults=self.faults)
-            if retry_policy is None:
-                retry_policy = legacy_policy(fault_retry_delay)
         if fault_plan is not None:
             fault_plan.validate(n_procs)
             if retry_policy is None:
@@ -368,6 +335,7 @@ class SimController(Controller):
             graph, self._task_map, self.machine, self.n_procs, ppn
         )
         plan = PLAN_CACHE.get(key)
+        self.plan_cache_hit = plan is not None
         if plan is None:
             plan = compile_plan(
                 graph,
@@ -494,7 +462,7 @@ class SimController(Controller):
         self._registry_run = registry
         self._ptasks = {}
         # The plan's budget is materialized fresh per run (per-run
-        # consumption semantics; the legacy faults= dict behaved the same).
+        # consumption semantics).
         self._fault_budget = plan.task_budget() if plan is not None else {}
         self._policy = self.retry_policy
         self._timeout_raw = (
@@ -707,13 +675,6 @@ class SimController(Controller):
     # Input deposit
     # ------------------------------------------------------------------ #
 
-    def _ptask(self, tid: TaskId) -> _PhysicalTask:
-        pt = self._ptasks.get(tid)
-        if pt is None:
-            pt = _PhysicalTask(self._graph_run.task(tid))
-            self._ptasks[tid] = pt
-        return pt
-
     def _deposit_initial(
         self, items: list[tuple[TaskId, list[Payload]]]
     ) -> None:
@@ -725,10 +686,6 @@ class SimController(Controller):
         for tid, payloads in items:
             for payload in payloads:
                 deposit(tid, EXTERNAL, payload)
-
-    def _deposit_external(self, tid: TaskId, payloads: list[Payload]) -> None:
-        for payload in payloads:
-            self._deposit(tid, EXTERNAL, payload)
 
     def _deposit(self, tid: TaskId, producer: TaskId, payload: Payload) -> None:
         if tid in self._done:

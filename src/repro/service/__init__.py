@@ -21,9 +21,9 @@ Quickstart::
         ]
         results = [h.result() for h in handles]   # one execution, 8 fan-backs
 
-:func:`repro.run` itself is a thin ``submit(...).result()`` over an
-inline zero-worker service, so both entry points execute the same code
-path bit-identically.
+:func:`repro.run` is ``RunRequest(...).build().run(inputs)``; the
+service wraps the same two calls, so both entry points produce
+bit-identical results.
 """
 
 from repro.service.admission import FairShareQueue, TenantQuota

@@ -1,10 +1,10 @@
 """Future-like handles and the service's admission/cancellation errors.
 
 :meth:`RunService.submit` returns a :class:`RunHandle` immediately; the
-execution happens on a controller slot (or inline, for a zero-worker
-service).  Handles are thread-safe: many threads may call ``result()``
-on the same handle, and several handles may resolve from one coalesced
-execution — each waiter gets the *same* :class:`~repro.runtimes.result.RunResult`
+execution happens on a controller slot.  Handles are thread-safe: many
+threads may call ``result()`` on the same handle, and several handles
+may resolve from one coalesced execution — each waiter gets the *same*
+:class:`~repro.runtimes.result.RunResult`
 object, which is what makes dedup fan-back bit-identical by
 construction.
 """

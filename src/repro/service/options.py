@@ -8,22 +8,13 @@ the same ``coerce`` normalization pattern as
 :class:`~repro.obs.telemetry.TelemetryConfig` /
 :class:`~repro.obs.live.LiveConfig` and a did-you-mean rejection of
 unknown names (mirroring :func:`repro.runtimes.resolve_runtime`).
-
-The legacy PR-5 fault kwargs finish their migration here: passing
-``faults=`` / ``fault_retry_delay=`` through :class:`RunOptions` (and
-therefore through :func:`repro.run` / ``RunRequest``) warns once with
-the exact replacement spelled out, then converts to the modern
-``fault_plan=`` / ``retry_policy=`` pair bit-exactly — downstream
-controllers only ever see the modern spelling.
 """
 
 from __future__ import annotations
 
-import difflib
-import warnings
 from dataclasses import dataclass, fields
 
-from repro.core.errors import ControllerError
+from repro.core.errors import ControllerError, did_you_mean
 
 __all__ = ["RunOptions"]
 
@@ -125,72 +116,20 @@ class RunOptions:
 
         Unknown names raise :class:`~repro.core.errors.ControllerError`
         with a did-you-mean suggestion — the typed replacement for the
-        bare ``TypeError`` controller constructors used to throw.  The
-        deprecated ``faults=`` / ``fault_retry_delay=`` names are
-        accepted, warn once with the exact modern spelling, and convert
-        bit-exactly to ``fault_plan=`` / ``retry_policy=``.
+        bare ``TypeError`` controller constructors used to throw.
         """
         kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        kwargs = cls._convert_legacy(kwargs)
-        known = set(cls.names())
-        unknown = sorted(set(kwargs) - known)
+        known = cls.names()
+        unknown = sorted(set(kwargs) - set(known))
         if unknown:
-            hints = []
-            for name in unknown:
-                close = difflib.get_close_matches(name, sorted(known), n=1)
-                if close:
-                    hints.append(f" (did you mean {close[0]!r}?)")
-                else:
-                    hints.append("")
             detail = ", ".join(
-                f"{name!r}{hint}" for name, hint in zip(unknown, hints)
+                f"{name!r}{did_you_mean(name, known)}" for name in unknown
             )
             raise ControllerError(
                 f"unknown run option(s) {detail}; supported options: "
                 f"{', '.join(cls.names())}"
             )
         return cls(**kwargs)
-
-    @staticmethod
-    def _convert_legacy(kwargs: dict) -> dict:
-        """The PR-5 deprecation sweep: legacy fault kwargs, finished.
-
-        Mirrors the bit-exact shim in
-        :class:`~repro.runtimes.simbase.SimController` but converts
-        *before* the controller is built, so exactly one warning fires
-        and it spells out the replacement.
-        """
-        faults = kwargs.pop("faults", None)
-        delay = kwargs.pop("fault_retry_delay", None)
-        # Mirror the simbase shim's warning condition exactly: an
-        # explicit fault_retry_delay=0.0 alone is the historical
-        # default and passes silently.
-        if faults is None and not delay:
-            return kwargs
-        replacement = (
-            "fault_plan=FaultPlan(task_faults=faults) with "
-            f"retry_policy=legacy_policy({delay if delay is not None else 0.0})"
-        )
-        warnings.warn(
-            f"the faults=/fault_retry_delay= options are deprecated; pass "
-            f"{replacement} for bit-exact semantics "
-            f"(see docs/fault_tolerance.md)",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-        if faults:
-            if kwargs.get("fault_plan") is not None:
-                raise ControllerError(
-                    "pass either the legacy faults= dict or fault_plan=, "
-                    "not both"
-                )
-            from repro.faults.plan import FaultPlan
-            from repro.faults.policy import legacy_policy
-
-            kwargs["fault_plan"] = FaultPlan(task_faults=dict(faults))
-            if kwargs.get("retry_policy") is None:
-                kwargs["retry_policy"] = legacy_policy(delay or 0.0)
-        return kwargs
 
     # ------------------------------------------------------------------ #
     # Consumption

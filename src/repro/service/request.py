@@ -25,6 +25,7 @@ from repro.core.graph import TaskGraph
 from repro.core.payload import Payload
 from repro.obs.events import EventSink
 from repro.runtimes.controller import Controller
+from repro.runtimes.registry import make_controller
 from repro.service.options import RunOptions
 
 __all__ = ["RunRequest", "request_key"]
@@ -64,6 +65,27 @@ class RunRequest:
         object.__setattr__(self, "sinks", tuple(self.sinks))
         object.__setattr__(self, "callbacks", dict(self.callbacks))
         object.__setattr__(self, "inputs", dict(self.inputs))
+
+    def build(self, graph: TaskGraph | None = None) -> Controller:
+        """The paper's Listing 1 for this request: construct the
+        controller, ``initialize``, ``register_callback`` per task type.
+
+        ``graph`` substitutes an equivalent (shared, already
+        materialized) view of :attr:`graph`; the caller finishes with
+        ``.run(request.inputs)``.
+        """
+        controller = make_controller(
+            self.runtime,
+            n_procs=self.n_procs,
+            sinks=self.sinks,
+            **self.options.to_kwargs(),
+        )
+        controller.initialize(
+            graph if graph is not None else self.graph, self.options.task_map
+        )
+        for cid, fn in self.callbacks.items():
+            controller.register_callback(cid, fn)
+        return controller
 
     @property
     def coalescible(self) -> bool:

@@ -24,9 +24,9 @@ PRs built:
   (:data:`~repro.obs.events.SERVICE_VOCABULARY`), and live snapshots
   for ``python -m repro.obs watch`` / ``serve``.
 
-A ``workers=0`` service executes inline in the submitting thread — no
-threads, no queue, no instrumentation beyond counters — which is how
-:func:`repro.run` stays a thin, bit-identical facade over ``submit()``.
+Each execution is the same two calls :func:`repro.run` makes —
+``request.build(shared_graph).run(request.inputs)`` — so a handle
+resolves to exactly what the synchronous facade would have returned.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.obs.events import (
     SERVICE_SUBMITTED,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.runtimes.registry import make_controller, resolve_runtime
 from repro.service.admission import FairShareQueue, TenantQuota
 from repro.service.handle import (
     CANCELLED,
@@ -66,7 +65,7 @@ DEFAULT_WORKERS = 4
 #: Quantiles surfaced as ``<sketch>_pNN`` SLO metrics.
 _QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 
-#: Latency sketches the service feeds (telemetry-enabled services only).
+#: Latency sketches the service feeds.
 _SKETCHES = ("submit_to_done_seconds", "queue_wait_seconds", "run_seconds")
 
 #: Counter names pre-registered so snapshots show explicit zeros.
@@ -116,9 +115,7 @@ class RunService:
     """A persistent, multi-tenant front end over the runtime registry.
 
     Args:
-        workers: controller slots (worker threads).  ``0`` means inline
-            execution in the submitting thread — the :func:`repro.run`
-            facade mode; dedup/fairness need ``workers >= 1``.
+        workers: controller slots (worker threads), at least 1.
         max_queue: bound on queued (not yet running) requests; beyond
             it submissions are rejected with reason ``"queue-full"``.
         quota: default per-tenant outstanding bound (int or
@@ -129,16 +126,9 @@ class RunService:
             (``max_<metric>`` / ``min_<metric>``) over
             :meth:`slo_metrics` names; breaches are counted, alerted,
             and reported by :meth:`slo_violations`.  Validated eagerly.
-        share_graphs: materialize each structurally-distinct graph once
-            and share the cached view across tenants (relies on the
-            :meth:`~repro.core.graph.TaskGraph.cached` immutability
-            contract).
-        telemetry: feed p50/p95/p99 latency sketches (costs a few
-            sketch allocations; the inline facade service turns it off
-            to preserve the zero-cost contract).
         status_dir: directory for live service snapshots
             (``live-service-<pid>.json``).  ``None`` falls back to
-            ``$REPRO_LIVE_DIR``; ``False`` disables snapshots entirely.
+            ``$REPRO_LIVE_DIR``; with neither set no snapshot is written.
         status_interval: seconds between snapshots.
         sinks: service-level event sinks receiving
             :data:`~repro.obs.events.SERVICE_VOCABULARY` events.
@@ -153,18 +143,15 @@ class RunService:
         quota: "TenantQuota | int | None" = None,
         quotas: dict | None = None,
         slo: dict | None = None,
-        share_graphs: bool = True,
-        telemetry: bool = True,
-        status_dir: "str | None | bool" = None,
+        status_dir: str | None = None,
         status_interval: float = 0.5,
         sinks=(),
         name: str = "repro-service",
     ) -> None:
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.name = name
-        self.share_graphs = share_graphs
         self._sinks = list(sinks)
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
@@ -181,9 +168,7 @@ class RunService:
         self.metrics = MetricsRegistry()
         for cname in _COUNTERS:
             self.metrics.counter(cname)
-        self._sketches = None
-        if telemetry:
-            self._sketches = {s: self.metrics.sketch(s) for s in _SKETCHES}
+        self._sketches = {s: self.metrics.sketch(s) for s in _SKETCHES}
         self._slo = dict(slo) if slo else None
         self._slo_seen: set[str] = set()
         if self._slo:
@@ -197,15 +182,14 @@ class RunService:
         for t in self._threads:
             t.start()
         self._status_writer = None
-        if status_dir is not False:
-            resolved = status_dir or os.environ.get("REPRO_LIVE_DIR") or None
-            if resolved:
-                self._status_writer = ServiceStatusWriter(
-                    service_status_path(resolved),
-                    self.snapshot,
-                    interval=status_interval,
-                )
-                self._status_writer.start()
+        status_dir = status_dir or os.environ.get("REPRO_LIVE_DIR")
+        if status_dir:
+            self._status_writer = ServiceStatusWriter(
+                service_status_path(status_dir),
+                self.snapshot,
+                interval=status_interval,
+            )
+            self._status_writer.start()
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -225,14 +209,13 @@ class RunService:
                 f"submit() takes a RunRequest, got {type(request).__name__}"
             )
         handle = RunHandle(request, self)
-        inline = self.workers == 0
         with self._lock:
             if self._closed:
                 raise ServiceClosed("submit() on a closed RunService")
             self.metrics.counter("submitted").inc()
             self._tenant_stat(request.tenant, "submitted")
             self._emit(SERVICE_SUBMITTED, tenant=request.tenant)
-            key = None if inline else request_key(request)
+            key = request_key(request)
             if key is not None:
                 twin = self._inflight.get(key)
                 if twin is not None and twin.state != "resolved":
@@ -263,17 +246,11 @@ class RunService:
             entry = _Entry(request, key, handle)
             handle._entry = entry
             self.metrics.counter("admitted").inc()
-            if inline:
-                entry.state = "running"
-                handle._mark_running(time.monotonic())
-            else:
-                self._queue.push(entry)
-                if key is not None:
-                    self._inflight[key] = entry
-                self._gauge_queue()
-                self._wakeup.notify()
-        if inline:
-            self._execute(entry, inline=True)
+            self._queue.push(entry)
+            if key is not None:
+                self._inflight[key] = entry
+            self._gauge_queue()
+            self._wakeup.notify()
         return handle
 
     # ------------------------------------------------------------------ #
@@ -296,27 +273,18 @@ class RunService:
                     h._mark_running(now)
                 self._running += 1
                 self._gauge_queue()
-            self._execute(entry, inline=False)
+            self._execute(entry)
 
-    def _execute(self, entry: _Entry, *, inline: bool) -> None:
+    def _execute(self, entry: _Entry) -> None:
         req = entry.request
         t_started = time.monotonic()
         queue_wait = t_started - entry.enqueue_ts
-        plan_state = self._plan_cache_probe(req)
         self._emit(SERVICE_RUN_STARTED, tenant=req.tenant)
         result = None
+        controller = None
         exc: BaseException | None = None
         try:
-            graph = self._shared_graph(req.graph)
-            controller = make_controller(
-                req.runtime,
-                n_procs=req.n_procs,
-                sinks=req.sinks,
-                **req.options.to_kwargs(),
-            )
-            controller.initialize(graph, req.options.task_map)
-            for cid, fn in req.callbacks.items():
-                controller.register_callback(cid, fn)
+            controller = req.build(self._shared_graph(req.graph))
             result = controller.run(req.inputs)
         except Exception as e:
             exc = e
@@ -325,26 +293,27 @@ class RunService:
             entry.state = "resolved"
             if entry.key is not None and self._inflight.get(entry.key) is entry:
                 del self._inflight[entry.key]
-            if not inline:
-                self._queue.release(entry.tenant)
-                self._running -= 1
-                self._gauge_queue()
+            self._queue.release(entry.tenant)
+            self._running -= 1
+            self._gauge_queue()
             waiters = [h for h in entry.waiters if h.status != CANCELLED]
             self.metrics.counter("runs_executed").inc()
             kind = "errors" if exc is not None else "completed"
             self.metrics.counter(kind).inc(len(waiters))
             for h in waiters:
                 self._tenant_stat(h.tenant, kind)
-            if plan_state is not None:
-                self.metrics.counter(f"plan_cache_{plan_state}").inc()
-            if self._sketches is not None:
-                self._sketches["queue_wait_seconds"].observe(
-                    max(0.0, queue_wait)
-                )
-                self._sketches["run_seconds"].observe(finished - t_started)
-                lat = self._sketches["submit_to_done_seconds"]
-                for h in waiters:
-                    lat.observe(max(0.0, finished - h.submitted_ts))
+            # What the controller itself saw in PLAN_CACHE; None (a
+            # fallback, compile off, a failed build) counts neither way.
+            plan_hit = None if controller is None else controller.plan_cache_hit
+            if plan_hit is not None:
+                self.metrics.counter(
+                    "plan_cache_hits" if plan_hit else "plan_cache_misses"
+                ).inc()
+            self._sketches["queue_wait_seconds"].observe(max(0.0, queue_wait))
+            self._sketches["run_seconds"].observe(finished - t_started)
+            lat = self._sketches["submit_to_done_seconds"]
+            for h in waiters:
+                lat.observe(max(0.0, finished - h.submitted_ts))
             self._emit(
                 SERVICE_RUN_FINISHED,
                 tenant=req.tenant,
@@ -390,8 +359,6 @@ class RunService:
 
     def _shared_graph(self, graph):
         """The shared materialized view of ``graph`` (or ``graph``)."""
-        if not self.share_graphs:
-            return graph
         from repro.sched.compile import graph_fingerprint
 
         try:
@@ -411,38 +378,6 @@ class RunService:
             while len(self._graphs) > self._graphs_max:
                 self._graphs.popitem(last=False)
         return shared
-
-    def _plan_cache_probe(self, req: RunRequest) -> str | None:
-        """``"hits"`` / ``"misses"`` when this request will consult the
-        compiled-plan cache, else ``None`` (mirrors the controller's
-        own fallback logic, so the counters measure real cache use)."""
-        opts = req.options
-        if not opts.compile or opts.task_map is None:
-            return None
-        if (
-            opts.fault_plan is not None
-            or opts.balancer is not None
-            or opts.telemetry is not None
-        ):
-            return None
-        try:
-            cls = resolve_runtime(req.runtime)
-            if not getattr(cls, "_compiled_placement", False):
-                return None
-            from repro.sched.compile import PLAN_CACHE, run_plan_key
-            from repro.sim.machine import SHAHEEN_II
-
-            machine = opts.machine if opts.machine is not None else SHAHEEN_II
-            ppn = opts.procs_per_node
-            if ppn is None:
-                cpp = opts.cores_per_proc or 1
-                ppn = max(1, machine.cores_per_node // cpp)
-            key = run_plan_key(
-                req.graph, opts.task_map, machine, req.n_procs, ppn
-            )
-            return "hits" if key in PLAN_CACHE else "misses"
-        except Exception:
-            return None
 
     # ------------------------------------------------------------------ #
     # Observability
@@ -497,10 +432,9 @@ class RunService:
         )
         dedup_base = c("dedup_hits") + c("runs_executed")
         out["dedup_rate"] = c("dedup_hits") / max(1, dedup_base)
-        if self._sketches is not None:
-            for name, sketch in self._sketches.items():
-                for suffix, q in _QUANTILES:
-                    out[f"{name}_{suffix}"] = sketch.quantile(q)
+        for name, sketch in self._sketches.items():
+            for suffix, q in _QUANTILES:
+                out[f"{name}_{suffix}"] = sketch.quantile(q)
         return out
 
     def _validate_slo(self, spec: dict) -> None:

@@ -200,12 +200,13 @@ class TestFacadeKnobs:
                   sinks=[sink])
         assert sink.events and sink.events[0].type == "run_started"
 
-    def test_legacy_fault_kwargs_warn_through_the_facade(self):
-        g, callbacks, inputs, probe, expected = reduction_spec()
-        with pytest.warns(DeprecationWarning, match="fault_plan="):
-            r = repro.run(g, callbacks, inputs, runtime="mpi", n_procs=4,
-                          faults={0: 1})
-        assert r.output(probe).data == expected
+    def test_legacy_fault_kwargs_are_rejected(self):
+        g, callbacks, inputs, _, _ = reduction_spec()
+        with pytest.raises(ControllerError, match="did you mean 'fault_plan'"):
+            repro.run(g, callbacks, inputs, runtime="mpi", n_procs=4,
+                      faults={0: 1})
+        with pytest.raises(TypeError, match="faults"):
+            REGISTRY["mpi"](4, faults={0: 1})
 
 
 class TestQuickstartExports:

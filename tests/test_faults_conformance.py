@@ -14,14 +14,14 @@ the behaviours the fault subsystem (:mod:`repro.faults`) guarantees:
   onto survivors (``task.migrated``), replays lost lineage, and still
   produces bit-identical outputs;
 * per-run consumption — a plan's budget is materialized fresh each
-  ``run()``, and the legacy ``faults=`` shim keeps those semantics.
+  ``run()``, under ``legacy_policy`` too.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import ControllerError, FaultError
+from repro.core.errors import FaultError
 from repro.core.payload import Payload
 from repro.faults import (
     FaultPlan,
@@ -202,38 +202,24 @@ class TestRetryConformance:
         assert r2.output(g.root_id).data == LEAVES
 
 
-class TestLegacyShim:
-    """``faults=`` / ``fault_retry_delay=`` map onto the subsystem (and
-    warn: the spelling is deprecated in favor of ``fault_plan=`` /
-    ``retry_policy=``)."""
+class TestLegacyPolicy:
+    """``legacy_policy`` — flat delay, unlimited attempts — is the one
+    spelling of the pre-subsystem fault semantics."""
 
-    def test_shim_equals_explicit_plan(self):
-        with pytest.warns(DeprecationWarning, match="fault_plan="):
-            g1, c1 = build(MPIController, faults={0: 2, 7: 1},
-                           fault_retry_delay=0.003)
-        g2, c2 = build(
-            MPIController,
-            fault_plan=FaultPlan(task_faults={0: 2, 7: 1}),
-            retry_policy=legacy_policy(0.003),
-        )
-        r1, r2 = run(c1, g1), run(c2, g2)
-        assert r1.makespan == r2.makespan
-        assert dict(r1.stats.category_time) == dict(r2.stats.category_time)
-        assert c1.retries == c2.retries == 3
-
-    def test_shim_budget_resets_between_runs(self):
-        # The documented per-run consumption semantics of the shim
-        # (mirrors test_runtimes_faults.py::test_fault_budget_resets...).
-        with pytest.warns(DeprecationWarning, match="fault_plan="):
-            g, c = build(MPIController, faults={0: 1})
+    def test_budget_resets_between_runs(self):
+        # Per-run consumption (mirrors
+        # test_runtimes_faults.py::test_fault_budget_resets_between_runs).
+        g, c = build(MPIController, fault_plan=FaultPlan(task_faults={0: 1}),
+                     retry_policy=legacy_policy(0.003))
         run(c, g)
         run(c, g)
         assert c.retries == 1
 
-    def test_shim_and_plan_are_mutually_exclusive(self):
-        with pytest.warns(DeprecationWarning, match="fault_plan="):
-            with pytest.raises(ControllerError, match="not both"):
-                MPIController(2, faults={0: 1}, fault_plan=FaultPlan())
+    def test_legacy_kwargs_are_gone(self):
+        with pytest.raises(TypeError, match="faults"):
+            MPIController(2, faults={0: 1})
+        with pytest.raises(TypeError, match="fault_retry_delay"):
+            MPIController(2, fault_retry_delay=0.1)
 
 
 class TestLinkFaults:

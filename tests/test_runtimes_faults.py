@@ -1,40 +1,35 @@
 """Fault injection: idempotent tasks survive transient re-execution.
 
-Exercises the *deprecated* ``faults=``/``fault_retry_delay=`` spelling on
-purpose — the shim must stay bit-exact (and warn) until it is removed;
-``tests/test_faults_conformance.py`` covers the modern ``fault_plan=``
-API.
+Transient task faults under the flat-delay ``legacy_policy``;
+``tests/test_faults_conformance.py`` covers the rest of the
+``fault_plan=`` API.
 """
 
-import contextlib
-
 import numpy as np
-import pytest
 
 from repro.core.payload import Payload
+from repro.faults import FaultPlan, legacy_policy
 from repro.graphs import Reduction
 from repro.runtimes import CharmController, MPIController
 from repro.runtimes.costs import CallableCost
 
 
-def deprecated_kwargs():
-    return pytest.warns(DeprecationWarning, match="fault_plan=")
+def fault_kwargs(faults, retry_delay=0.0):
+    if faults is None:
+        return {}
+    return {
+        "fault_plan": FaultPlan(task_faults=faults),
+        "retry_policy": legacy_policy(retry_delay),
+    }
 
 
 def run(ctor, faults=None, retry_delay=0.0, leaves=8):
     g = Reduction(leaves, 2)
-    expect_warning = (
-        deprecated_kwargs()
-        if faults is not None or retry_delay != 0.0
-        else contextlib.nullcontext()
+    c = ctor(
+        4,
+        cost_model=CallableCost(lambda t, i: 0.05),
+        **fault_kwargs(faults, retry_delay),
     )
-    with expect_warning:
-        c = ctor(
-            4,
-            cost_model=CallableCost(lambda t, i: 0.05),
-            faults=faults,
-            fault_retry_delay=retry_delay,
-        )
     c.initialize(g)
     c.register_callback(g.LEAF, lambda ins, tid: [ins[0]])
     add = lambda ins, tid: [Payload(sum(p.data for p in ins))]
@@ -82,8 +77,7 @@ class TestFaultInjection:
 
         wl = MergeTreeWorkload(small_field, 8, 0.5, valence=2)
         some_tasks = list(wl.graph.task_ids())[::5]
-        with deprecated_kwargs():
-            c = MPIController(4, faults={t: 1 for t in some_tasks})
+        c = MPIController(4, **fault_kwargs({t: 1 for t in some_tasks}))
         seg = wl.assemble(wl.run(c))
         assert np.array_equal(seg, reference_segmentation(small_field, 0.5))
         assert c.retries == len(some_tasks)

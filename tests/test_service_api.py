@@ -3,8 +3,8 @@ did-you-mean option/kwarg validation across every entry point.
 
 The api_redesign contract: unknown option names fail with a suggestion
 and the full roster (never a bare TypeError from a constructor's guts),
-the legacy fault kwargs warn once with their exact replacement, and the
-request fingerprinting that drives dedup keys structurally-identical
+the removed legacy fault kwargs are unknown options like any other, and
+the request fingerprinting that drives dedup keys structurally-identical
 submissions equal.
 """
 
@@ -75,46 +75,32 @@ class TestRunOptionsCoerce:
         assert "supported options" in str(err.value)
 
 
-class TestLegacyFaultOptions:
-    def test_faults_warns_with_exact_replacement(self):
-        with pytest.warns(DeprecationWarning, match="fault_plan="):
-            opts = RunOptions.from_kwargs(faults={3: 1}, fault_retry_delay=0.5)
-        assert isinstance(opts.fault_plan, FaultPlan)
-        assert opts.fault_plan.task_faults == {3: 1}
-        assert opts.retry_policy.backoff_base == 0.5
-        assert opts.retry_policy.max_attempts is None
+class TestLegacyFaultOptionsRemoved:
+    def test_faults_is_an_unknown_option(self):
+        with pytest.raises(ControllerError) as err:
+            RunOptions.from_kwargs(faults={3: 1})
+        assert "unknown run option(s) 'faults'" in str(err.value)
+        assert "did you mean 'fault_plan'?" in str(err.value)
 
-    def test_explicit_zero_delay_alone_is_silent(self):
-        # fault_retry_delay=0.0 is the historical default; the simbase
-        # shim never warned on it and neither does the typed path.
-        opts = RunOptions.from_kwargs(fault_retry_delay=0.0)
-        assert opts == RunOptions()
+    def test_fault_retry_delay_is_an_unknown_option(self):
+        with pytest.raises(ControllerError, match="'fault_retry_delay'"):
+            RunOptions.from_kwargs(fault_retry_delay=0.5)
 
-    def test_both_spellings_conflict(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ControllerError, match="not both"):
-                RunOptions.from_kwargs(
-                    faults={0: 1}, fault_plan=FaultPlan(task_faults={0: 1})
-                )
+    def test_facade_rejects_the_legacy_spelling(self):
+        g, callbacks, inputs, _, _ = reduction_spec()
+        with pytest.raises(ControllerError, match="did you mean 'fault_plan'"):
+            repro.run(g, callbacks, inputs, runtime="mpi", n_procs=4,
+                      faults={0: 1}, fault_retry_delay=0.25)
 
-    def test_facade_warns_once_and_matches_modern_spelling(self):
+    def test_modern_spelling_runs(self):
         g, callbacks, inputs, probe, expected = reduction_spec()
-        with pytest.warns(DeprecationWarning) as rec:
-            legacy = repro.run(
-                g, callbacks, inputs, runtime="mpi", n_procs=4,
-                faults={0: 1}, fault_retry_delay=0.25,
-            )
-        assert len(rec) == 1  # converted before the controller: no echo
-        modern = repro.run(
+        r = repro.run(
             g, callbacks, inputs, runtime="mpi", n_procs=4,
             fault_plan=FaultPlan(task_faults={0: 1}),
             retry_policy=legacy_policy(0.25),
         )
-        assert legacy.output(probe).data == expected
-        assert legacy.makespan == modern.makespan
-        assert dict(legacy.stats.category_time) == dict(
-            modern.stats.category_time
-        )
+        assert r.output(probe).data == expected
+        assert r.metrics.counters["retries"] == 1
 
 
 class TestRegistryKwargErrors:

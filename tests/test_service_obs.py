@@ -2,6 +2,7 @@
 accounting, SLO enforcement, live snapshots, and Prometheus export.
 """
 
+import threading
 import time
 
 import pytest
@@ -47,6 +48,25 @@ class TestCacheAccounting:
         assert snap["cache"]["plan_misses"] == 1
         assert snap["cache"]["plan_hits"] == 2
         assert snap["cache"]["plan_cache"]["hits"] >= 2
+
+    def test_counters_follow_what_each_run_saw_in_the_cache(self):
+        # The service reads Controller.plan_cache_hit after the run, not
+        # a prediction made beforehand: cold = one miss, warm = one hit,
+        # a compile=True run that falls back (telemetry) = neither.
+        PLAN_CACHE.clear()
+        g, cb, ins = reduction_spec()
+        options = {"task_map": ModuloMap(4, g.size()), "compile": True}
+        mk = lambda **extra: RunRequest(
+            g, cb, ins, runtime="mpi", n_procs=4,
+            options={**options, **extra},
+        )
+        with RunService(workers=1) as svc:
+            seen = []
+            for req in (mk(), mk(), mk(telemetry=True)):
+                svc.submit(req).result(30)
+                cache = svc.snapshot()["cache"]
+                seen.append((cache["plan_misses"], cache["plan_hits"]))
+        assert seen == [(1, 0), (1, 1), (1, 1)]
 
     def test_plan_probe_skips_non_compiled_requests(self):
         g, cb, ins = reduction_spec()
@@ -106,7 +126,7 @@ class TestServiceSLO:
 
     def test_unknown_slo_metric_fails_at_construction(self):
         with pytest.raises(ValueError, match="unknown SLO metric"):
-            RunService(workers=0, slo={"max_frobnication": 1})
+            RunService(workers=1, slo={"max_frobnication": 1})
 
     def test_eval_spec_is_the_public_engine(self):
         assert eval_spec({"x": 2.0}, {"max_x": 3.0}) == []
@@ -158,8 +178,8 @@ class TestLiveSnapshots:
         run_status = {"run": "r", "pid": 1, "progress": 0.5, "total": 4,
                       "done": 2}
         g, cb, ins = reduction_spec()
-        with RunService(workers=0, telemetry=False) as svc:
-            svc.submit(RunRequest(g, cb, ins, runtime="serial")).result()
+        with RunService(workers=1) as svc:
+            svc.submit(RunRequest(g, cb, ins, runtime="serial")).result(30)
             text = prometheus_text([run_status, svc.snapshot()])
         assert "repro_run_progress_ratio" in text
         assert "repro_service_submitted_total" in text
@@ -182,32 +202,39 @@ class TestServiceEvents:
         # The zero-cost idiom: _emit returns before Event() when the
         # sink list is empty (same contract the controllers honor).
         g, cb, ins = reduction_spec()
-        with RunService(workers=0, telemetry=False) as svc:
-            svc.submit(RunRequest(g, cb, ins, runtime="serial")).result()
+        with RunService(workers=1) as svc:
+            svc.submit(RunRequest(g, cb, ins, runtime="serial")).result(30)
             assert svc._sinks == []
 
 
-class TestInlineFacadeService:
-    def test_facade_service_has_no_sketches(self):
-        from repro.api import _inline_service
+class TestFacadeIsNotAService:
+    def test_zero_workers_is_rejected(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            RunService(workers=0)
+
+    def test_run_starts_no_thread_and_no_service(self):
+        import repro.api
 
         g, cb, ins = reduction_spec()
+        threads, shared = threading.active_count(), repro.api._SHARED
         repro.run(g, cb, ins, runtime="serial")
-        svc = _inline_service()
-        assert svc.metrics.snapshot().sketches == {}
-        assert svc._status_writer is None
+        assert threading.active_count() == threads
+        assert repro.api._SHARED is shared
+        assert not hasattr(repro.api, "_INLINE")
 
-    def test_facade_counts_submissions(self):
-        from repro.api import _inline_service
+    def test_callback_exception_is_reraised_as_the_same_object(self):
+        boom = RuntimeError("boom")
+
+        def fail(ins, tid):
+            raise boom
 
         g, cb, ins = reduction_spec()
-        before = _inline_service().metrics.counter("submitted").value
-        repro.run(g, cb, ins, runtime="serial")
-        after = _inline_service().metrics.counter("submitted").value
-        assert after == before + 1
+        with pytest.raises(RuntimeError) as err:
+            repro.run(g, {**cb, g.ROOT: fail}, ins, runtime="serial")
+        assert err.value is boom
 
     def test_closed_service_context_manager(self):
-        svc = RunService(workers=0)
+        svc = RunService(workers=1)
         with svc:
             pass
         assert svc.closed
