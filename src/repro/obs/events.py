@@ -20,7 +20,7 @@ consumers that need chronology should sort by ``t``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 #: A task entered a proc's ready queue (all inputs present).
 TASK_ENQUEUED = "task_enqueued"
@@ -174,9 +174,15 @@ CORE_VOCABULARY = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """One structured observation of a controller run.
+
+    A named tuple — immutable, hashable, equal by value, picklable —
+    because one is built per emitted event: a frozen dataclass pays one
+    ``object.__setattr__`` per field in ``__init__``, four times the
+    cost.  Construct it by calling the class, never through ``_make``:
+    the zero-allocation guard of ``tests/test_obs_overhead.py`` poisons
+    ``__init__``.
 
     Attributes:
         type: one of the module-level event-type constants.
@@ -243,12 +249,15 @@ class Event:
     @classmethod
     def from_dict(cls, d: dict) -> "Event":
         """Inverse of :meth:`to_dict` (ignores unknown keys)."""
-        known = {f.name for f in fields(cls)}
-        kw = {k: v for k, v in d.items() if k in known}
+        kw = {k: v for k, v in d.items() if k in _FIELDS}
         if "parents" in kw:
             # JSON has no tuples; restore the canonical immutable form.
             kw["parents"] = tuple(kw["parents"])
         return cls(**kw)
+
+
+#: ``Event``'s field names, for :meth:`Event.from_dict`'s key filter.
+_FIELDS = frozenset(Event._fields)
 
 
 class EventSink:

@@ -11,7 +11,8 @@ Two on-disk formats:
   round-trips losslessly back into :class:`~repro.obs.events.Event`
   objects via :func:`load_events`.
 * **JSONL** (:class:`JsonlExporter`) — one compact JSON object per
-  event, streamed as emitted (crash-safe, grep-able).
+  event, streamed as emitted and flushed at every ``run_finished``
+  (a finished run survives a later crash; grep-able).
 
 Both formats are recognised by :func:`load_events`, which the
 ``python -m repro.obs`` CLI and the critical-path analyzer build on.
@@ -20,6 +21,7 @@ Both formats are recognised by :func:`load_events`, which the
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _str
 from typing import IO, Iterable, Iterator
 
 from repro.obs.events import (
@@ -36,9 +38,51 @@ from repro.obs.events import (
 _NET_PID_OFFSET = 10_000
 #: Seconds -> Chrome microseconds.
 _US = 1e6
-#: One JSONL line's encoder (``json.dumps`` defaults, minus its per-call
-#: option checks).
+#: ``json.dumps`` with its defaults, for the values :func:`_jsonl_line`
+#: does not format itself.
 _encode = json.JSONEncoder().encode
+_float = float.__repr__
+
+
+def _jsonl_line(ev: Event) -> str:
+    """``json.dumps(ev.to_dict()) + "\\n"``, byte for byte.
+
+    Runs once per exported event, so it formats the fields itself — in
+    declaration order, defaults dropped exactly as :meth:`Event.to_dict`
+    drops them — instead of building the dict and setting up a generic
+    encoder for it.  Only finite ``float`` times take the fast path
+    (``x - x`` is ``nan`` for ``nan`` and ``±inf``, which JSON spells
+    differently from ``repr``); anything else, and ``parents``, goes
+    through the generic encoder.
+    """
+    (type_, t, proc, task, dst_proc, dst_task, dur, category, nbytes, label,
+     parents) = ev  # fmt: skip
+    out = '{"type": ' + _str(type_) + ', "t": ' + (
+        _float(t) if type(t) is float and t - t == 0.0 else _encode(t)
+    )
+    if proc != -1:
+        out += ', "proc": %d' % proc
+    if task != -1:
+        out += ', "task": %d' % task
+    if dst_proc != -1:
+        out += ', "dst_proc": %d' % dst_proc
+    if dst_task != -1:
+        out += ', "dst_task": %d' % dst_task
+    if dur != 0.0:
+        out += ', "dur": ' + (
+            _float(dur)
+            if type(dur) is float and dur - dur == 0.0
+            else _encode(dur)
+        )
+    if category != "":
+        out += ', "category": ' + _str(category)
+    if nbytes != 0:
+        out += ', "nbytes": %d' % nbytes
+    if label != "":
+        out += ', "label": ' + _str(label)
+    if parents != ():
+        out += ', "parents": ' + _encode(list(parents))
+    return out + "}\n"
 
 
 class ChromeTraceExporter(EventSink):
@@ -163,9 +207,14 @@ class JsonlExporter(EventSink):
         self._fp: IO[str] | None = open(path, "w")
 
     def emit(self, event: Event) -> None:
-        if self._fp is None:
+        fp = self._fp
+        if fp is None:
             raise ValueError(f"JsonlExporter({self.path!r}) is closed")
-        self._fp.write(_encode(event.to_dict()) + "\n")
+        fp.write(_jsonl_line(event))
+        if event.type == RUN_FINISHED:
+            # One syscall per run: the log of a finished run is on disk
+            # even if the process dies before ``close()``.
+            fp.flush()
 
     def close(self) -> None:
         if self._fp is not None:

@@ -739,9 +739,7 @@ class SimController(Controller):
             pt.enq_t = self._engine._now
         obs = self._obs
         if obs is not None:
-            obs.emit(
-                Event(TASK_ENQUEUED, self._engine._now, proc=proc, task=tid)
-            )
+            obs.emit(Event(TASK_ENQUEUED, self._engine._now, proc, tid))
         self._pump(proc)
 
     def _pump(self, proc: int) -> None:
@@ -944,37 +942,26 @@ class SimController(Controller):
         cstart = min(start + ovh, end)
         label = _task_label(tid, suffix)
         category = "wasted" if suffix else self._pre_cat
-        obs.emit(
-            Event(OVERHEAD, cstart, proc=proc, task=tid, dur=ovh, category=category)
-        )
-        if self._ctx:
-            # Every attempt starts with a *complete* input multiset (a
-            # rebuilt task is fully re-fed before it re-enters a queue),
-            # so the parents stamped here are exactly the producers that
-            # fed this attempt — the causal edge set of the span.
-            arr = self._ptasks[tid].arrived
-            obs.emit(
-                Event(
-                    TASK_STARTED,
-                    cstart,
-                    proc=proc,
-                    task=tid,
-                    label=label,
-                    parents=tuple(arr) if arr else (),
-                )
-            )
-        else:
-            obs.emit(
-                Event(TASK_STARTED, cstart, proc=proc, task=tid, label=label)
-            )
-        obs.emit(
+        # Positional, in field order (type, t, proc, task, dst_proc,
+        # dst_task, dur, category, nbytes, label, parents): three events
+        # per task attempt.
+        emit = obs.emit
+        emit(Event(OVERHEAD, cstart, proc, tid, -1, -1, ovh, category))
+        # Every attempt starts with a *complete* input multiset (a
+        # rebuilt task is fully re-fed before it re-enters a queue), so
+        # the parents stamped here are exactly the producers that fed
+        # this attempt — the causal edge set of the span.
+        arr = self._ptasks[tid].arrived if self._ctx else None
+        emit(
             Event(
-                TASK_FINISHED,
-                end,
-                proc=proc,
-                task=tid,
-                dur=end - cstart,
-                label=label,
+                TASK_STARTED, cstart, proc, tid, -1, -1, 0.0, "", 0, label,
+                tuple(arr) if arr else (),
+            )
+        )
+        emit(
+            Event(
+                TASK_FINISHED, end, proc, tid, -1, -1, end - cstart, "", 0,
+                label,
             )
         )
 
@@ -1078,16 +1065,13 @@ class SimController(Controller):
             )
             obs = self._obs
             if obs is not None:
+                # Positional (proc, task, dst_proc, dst_task, dur,
+                # category, nbytes, label): once per remote edge.
                 obs.emit(
                     Event(
-                        OVERHEAD,
-                        end,
-                        proc=sproc,
-                        task=producer,
-                        dst_task=dst,
-                        dur=end - start,
-                        category=self._comm_cat,
-                        label=f"ser t{producer}->t{dst}",
+                        OVERHEAD, end, sproc, producer, -1, dst,
+                        end - start, self._comm_cat, 0,
+                        f"ser t{producer}->t{dst}",
                     )
                 )
         else:

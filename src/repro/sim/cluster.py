@@ -311,17 +311,20 @@ class Cluster:
         dst_task: int,
     ) -> None:
         label = label or _edge_label(src_task, dst_task, dst)
-        common = dict(
-            proc=src,
-            dst_proc=dst,
-            task=src_task,
-            dst_task=dst_task,
-            nbytes=nbytes,
-            label=label,
+        emit = self.obs.emit
+        # Positional, in field order (type, t, proc, task, dst_proc,
+        # dst_task, dur, category, nbytes, label): twice per message.
+        emit(
+            Event(
+                MESSAGE_SENT, start, src, src_task, dst, dst_task,
+                0.0, "", nbytes, label,
+            )
         )
-        self.obs.emit(Event(MESSAGE_SENT, start, **common))
-        self.obs.emit(
-            Event(MESSAGE_DELIVERED, deliver, dur=deliver - start, **common)
+        emit(
+            Event(
+                MESSAGE_DELIVERED, deliver, src, src_task, dst, dst_task,
+                deliver - start, "", nbytes, label,
+            )
         )
 
     # ------------------------------------------------------------------ #

@@ -60,14 +60,13 @@ class TestEvent:
     def test_to_dict_matches_the_fields_loop_reference(self):
         """``to_dict`` spells its field tests out; the generic loop it
         replaced stays here as the reference (values *and* key order)."""
-        from dataclasses import fields
 
         def reference(ev):
             out = {"type": ev.type, "t": ev.t}
-            for f in fields(ev):
-                v = getattr(ev, f.name)
-                if f.name not in ("type", "t") and v != f.default:
-                    out[f.name] = list(v) if f.name == "parents" else v
+            for name in Event._fields[2:]:
+                v = getattr(ev, name)
+                if v != Event._field_defaults[name]:
+                    out[name] = list(v) if name == "parents" else v
             return out
 
         full = dict(
@@ -79,6 +78,37 @@ class TestEvent:
         for kw in cases:
             ev = Event("task_started", 1.5, **kw)
             assert list(ev.to_dict().items()) == list(reference(ev).items())
+
+    def test_fields_and_defaults_are_the_public_contract(self):
+        assert Event._fields == (
+            "type", "t", "proc", "task", "dst_proc", "dst_task", "dur",
+            "category", "nbytes", "label", "parents",
+        )
+        assert Event._field_defaults == dict(
+            proc=-1, task=-1, dst_proc=-1, dst_task=-1, dur=0.0,
+            category="", nbytes=0, label="", parents=(),
+        )
+
+    def test_is_an_immutable_hashable_value(self):
+        import pickle
+
+        kw = dict(proc=1, task=3, dur=0.5, label="t3", parents=(1, 2))
+        ev = Event("task_started", 1.5, **kw)
+        with pytest.raises(AttributeError):
+            ev.t = 2.0
+        with pytest.raises(AttributeError):
+            ev.extra = 1  # no instance dict either
+        twin = Event("task_started", 1.5, **kw)
+        assert ev == twin and ev is not twin
+        assert hash(ev) == hash(twin) and len({ev, twin}) == 1
+        assert ev != Event("task_started", 1.5, **{**kw, "task": 4})
+        # Positional and keyword construction build the same record.
+        assert ev == Event(
+            "task_started", 1.5, 1, 3, -1, -1, 0.5, "", 0, "t3", (1, 2)
+        )
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(ev, proto))
+            assert type(back) is Event and back == ev
 
     def test_round_trip(self):
         ev = Event(

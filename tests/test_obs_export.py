@@ -4,6 +4,8 @@ timestamp-consistent, and round-trip the exact event stream."""
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.payload import Payload
 from repro.graphs import Reduction
@@ -16,7 +18,7 @@ from repro.obs import (
     load_events,
     split_runs,
 )
-from repro.obs.export import iter_events, iter_runs
+from repro.obs.export import _jsonl_line, iter_events, iter_runs
 from repro.runtimes import MPIController
 
 
@@ -137,6 +139,68 @@ class TestJsonl:
         exp.close()  # idempotent
         with pytest.raises(ValueError):
             exp.emit(Event("overhead", 0.0))
+
+    def test_finished_run_is_on_disk_before_close(self, tmp_path):
+        """What a process that dies after its run leaves behind: the
+        exporter flushes at ``run_finished``, so the log is whole even
+        though nobody called ``close()``."""
+        path = tmp_path / "unclosed.jsonl"
+        exp, sink = JsonlExporter(str(path)), ListSink()
+        c = MPIController(4)
+        c.add_sink(exp)
+        c.add_sink(sink)
+        run_reduction(c)
+        try:
+            assert path.read_text().endswith("}\n")
+            assert load_events(str(path)) == sink.events
+        finally:
+            exp.close()
+
+
+def _or_default(default, values):
+    return st.one_of(st.just(default), values)
+
+
+_times = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-9, -1.5, 1e22, 1e16]),
+)
+_events = st.builds(
+    Event,
+    type=st.text(),
+    t=_times,
+    proc=_or_default(-1, st.integers()),
+    task=_or_default(-1, st.integers()),
+    dst_proc=_or_default(-1, st.integers()),
+    dst_task=_or_default(-1, st.integers()),
+    dur=_or_default(0.0, _times),
+    category=_or_default("", st.text()),
+    nbytes=_or_default(0, st.integers()),
+    label=_or_default("", st.text()),
+    parents=_or_default((), st.lists(st.integers()).map(tuple)),
+)
+
+
+class TestJsonlLineWriter:
+    """The exporter formats each line itself; ``json.dumps`` of the
+    public dict form is the reference it must equal byte for byte."""
+
+    @given(_events)
+    @example(Event("", 0.0))  # every default dropped
+    @example(Event("task_started", 7, proc=0, task=0, parents=(3, 3, 3)))
+    @example(Event("overhead", float("nan"), dur=float("-inf")))
+    @example(
+        Event(
+            "caf\u00e9 \u2603 \U0001f600", -2.5, dur=5e-324,
+            category='q"uote\\back', label="ctl\x00\x1f\n\t\x7f",
+        )
+    )
+    def test_line_equals_json_dumps_of_to_dict(self, ev):
+        line = _jsonl_line(ev)
+        assert line == json.dumps(ev.to_dict()) + "\n"
+        if ev.t == ev.t and ev.dur == ev.dur:  # nan != nan
+            assert Event.from_dict(json.loads(line)) == ev
 
 
 class TestFaultVocabularyRoundTrip:

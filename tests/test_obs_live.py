@@ -520,6 +520,37 @@ class TestEndToEndLocal:
         assert doc["done"] == g.size() and doc["state"] == "finished"
 
 
+@pytest.mark.parallel
+@pytest.mark.parametrize(
+    "ctor",
+    [
+        lambda cfg: MPIController(4, live=cfg),
+        lambda cfg: LocalPoolController(2, mode="process", live=cfg),
+    ],
+    ids=["mpi", "local-process"],
+)
+def test_bus_and_sinks_are_handed_the_same_records(ctor):
+    """``ObsHub.emit`` gives one ``Event`` to the sinks and to the bus, so
+    a subscriber's stream minus the live-only vocabulary *is* the
+    recorded stream; what the process pool's worker->coordinator channel
+    adds are ordinary ``Event`` records too."""
+    bus = LiveBus()
+    sub = bus.subscribe(maxlen=100_000)
+    sink = ListSink()
+    g, _ = _run_reduction(
+        ctor(LiveConfig(bus=bus, heartbeat_interval=0.05)), sink=sink
+    )
+    live = sub.drain()
+    assert sub.dropped == 0
+    assert all(type(e) is Event for e in live)
+    assert [e for e in live if e.type not in LIVE_VOCABULARY] == sink.events
+    assert {e.type for e in sink.events}.isdisjoint(LIVE_VOCABULARY)
+    for e in live:
+        if e.type == TASK_RUNNING:
+            assert e == Event(TASK_RUNNING, e.t, proc=e.proc, task=e.task)
+            assert 0 <= e.task < g.size()
+
+
 # ---------------------------------------------------------------------- #
 # SIGTERM: the flight ring and the live snapshot survive a kill
 # ---------------------------------------------------------------------- #

@@ -73,6 +73,19 @@ def test_poison_actually_fires_when_observed(poisoned):
         run_reduction(c)
 
 
+@pytest.mark.parametrize("ctor", ALL, ids=IDS)
+def test_event_poison_sees_every_observed_backend(ctor, poisoned):
+    """``Event`` is a named tuple, built in ``__new__``: the ``__init__``
+    poison fires only because emission sites *call the class* (a site
+    switched to ``Event._make`` or ``tuple.__new__`` would slip past
+    it).  Every backend's observed run must trip it, or the unobserved
+    checks above have gone blind."""
+    c = ctor()
+    c.add_sink(ListSink())
+    with pytest.raises(AssertionError, match="unobserved run"):
+        run_reduction(c)
+
+
 def test_collect_trace_allocates_spans_only_when_asked():
     c = MPIController(4, collect_trace=True)
     _, result = run_reduction(c)
