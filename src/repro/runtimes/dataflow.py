@@ -1,0 +1,522 @@
+"""What every backend shares: the run scaffolding and the dataflow kernel.
+
+Section IV of the paper: all controllers derive from one base class and
+differ only in *where and when* a ready task runs.  This module is the
+part that is the same, in two halves that know nothing of each other.
+
+**Run scaffolding** (:class:`RunScaffold`) has no dataflow semantics: it
+builds, once per run, everything the run is observed through — sinks,
+span trace, metrics registry, the opt-in telemetry sketches and flight
+recorder, the opt-in live plane, the hub and its two gates — and owns
+the events and metrics that read the same on every backend: the
+``run_started`` / ``sched.planned`` / ``plan.fallback`` prologue, the
+overhead / started / finished triple of one attempt, and the counter and
+gauge epilogue.  Every controller uses it, the serial reference included.
+
+**The dataflow kernel** (:class:`DataflowKernel`) is the state machine of
+a run: one :class:`TaskRecord` per live task, input deposit, output
+routing, and attempt accounting.  It answers two questions — *what is
+ready* (:meth:`~DataflowKernel.deposit` returns True when a task's last
+slot filled) and *who receives this output*
+(:meth:`~DataflowKernel.route` hands each ``(consumer, payload)`` to the
+driver) — and never *when* or *where*: clocks, queues, cores, processes
+and placement belong to the driver.  Two drivers sit on it, the
+virtual-time :class:`~repro.runtimes.simbase.SimController` and the pool
+:class:`~repro.runtimes.local.LocalPoolController`.  The serial
+controller deliberately does not: it keeps a naive slot store of its own
+as the oracle the kernel is tested against.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+from repro.core.errors import FaultError
+from repro.core.graph import TaskGraph
+from repro.core.ids import TNULL, TaskId
+from repro.core.payload import Payload
+from repro.core.task import Task
+from repro.faults.plan import FaultPlan
+from repro.faults.policy import RetryPolicy
+from repro.obs.events import (
+    FAULT_INJECTED,
+    OVERHEAD,
+    PLAN_FALLBACK,
+    RUN_FINISHED,
+    RUN_STARTED,
+    SCHED_PLANNED,
+    TASK_ENQUEUED,
+    TASK_FINISHED,
+    TASK_RETRY,
+    TASK_STARTED,
+    Event,
+)
+from repro.obs.hub import ObsHub
+from repro.obs.live import attach_live
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import FlightRecorder
+from repro.runtimes.result import RunResult
+from repro.sim.trace import Trace
+
+
+def _task_label(tid: TaskId, suffix: str = "") -> str:
+    """Task-attempt label; only built when a sink observes the run."""
+    return f"t{tid}{suffix}"
+
+
+# ---------------------------------------------------------------------- #
+# Run scaffolding
+# ---------------------------------------------------------------------- #
+
+
+class RunScaffold:
+    """Everything one run is observed through, built once per run.
+
+    ``controller`` supplies ``_sinks``, ``collect_trace`` and
+    ``telemetry``; ``n_ranks`` is the rank count of the live plane and
+    ``None`` on a backend without one (the serial reference), which then
+    never consults ``live=`` or ``$REPRO_LIVE_DIR``.
+
+    Everything optional is ``None`` when off, so emission sites guard
+    with one identity test and an unobserved run allocates no event,
+    label, sketch, flight ring or live object (enforced by
+    ``tests/test_obs_overhead.py``): ``obs`` is the hub when a sink or
+    the live bus listens, ``ctx`` is True when a sink asked for causal
+    parents, ``t_task`` / ``t_queue`` / ``t_msg`` are the telemetry
+    sketches.
+    """
+
+    __slots__ = (
+        "name", "result", "metrics", "flight", "live", "hub", "obs", "ctx",
+        "t_task", "t_queue", "t_msg", "m_task_seconds", "m_message_bytes",
+    )
+
+    def __init__(self, controller, graph: TaskGraph, n_ranks: int | None = None):
+        self.name = type(controller).__name__
+        sinks = list(controller._sinks)
+        trace = None
+        if controller.collect_trace:
+            # Span tracing is an event sink like any other consumer.
+            trace = Trace()
+            sinks.append(trace)
+        self.result = RunResult(trace=trace)
+        metrics = self.metrics = MetricsRegistry()
+        tel = controller.telemetry
+        self.flight = None
+        if tel is None:
+            self.t_task = self.t_queue = self.t_msg = None
+        else:
+            self.t_task = metrics.sketch("task_seconds", tel.rel_err)
+            self.t_queue = metrics.sketch("queue_wait_seconds", tel.rel_err)
+            self.t_msg = metrics.sketch("message_seconds", tel.rel_err)
+            if tel.flight_dir:
+                self.flight = FlightRecorder(
+                    tel.flight_dir,
+                    capacity=tel.flight_capacity,
+                    triggers=tel.triggers,
+                    rel_err=tel.rel_err,
+                )
+                sinks.append(self.flight)
+        live = None
+        if n_ranks is not None:
+            live = attach_live(
+                controller.live,
+                total=graph.size(),
+                runtime=self.name,
+                n_ranks=n_ranks,
+                graph=graph,
+                metrics=metrics,
+            )
+        self.live = live
+        hub = self.hub = ObsHub(sinks, bus=live.bus if live is not None else None)
+        # `None` rather than an empty hub when unobserved: the hot-path
+        # guards become a C-level identity test instead of calling
+        # ObsHub.__bool__ tens of thousands of times per run.
+        self.obs = hub if (sinks or live is not None) else None
+        # Causal-parent tracking is a second opt-in on top of the sink
+        # gate (exporters ask for it); plain sinks keep the exact
+        # historical event shapes.
+        self.ctx = hub.wants_context if sinks else False
+        self.m_task_seconds = metrics.histogram("task_compute_seconds")
+        self.m_message_bytes = metrics.histogram("message_nbytes")
+
+    def begin(self, task_map=None) -> None:
+        """``run_started``, then ``sched.planned`` when ``task_map`` came
+        out of the planner (plain maps emit nothing)."""
+        obs = self.obs
+        if obs is None:
+            return
+        obs.emit(Event(RUN_STARTED, 0.0, label=self.name))
+        if getattr(task_map, "plan_seconds", None) is not None:
+            obs.emit(
+                Event(
+                    SCHED_PLANNED,
+                    0.0,
+                    dur=getattr(task_map, "est_makespan", 0.0),
+                    category=getattr(task_map, "strategy", "planned"),
+                    label=f"planned placement ({task_map.strategy})",
+                )
+            )
+
+    def plan_fallback(self, reason: str, label: str | None = None) -> None:
+        """Narrate a requested feature the run executes without."""
+        if self.obs is not None:
+            self.obs.emit(
+                Event(
+                    PLAN_FALLBACK,
+                    0.0,
+                    category=reason,
+                    label=label or f"compiled plan unavailable: {reason}",
+                )
+            )
+
+    def emit_attempt(
+        self,
+        proc: int,
+        tid: TaskId,
+        start: float,
+        end: float,
+        dur: float,
+        overhead: float = 0.0,
+        category: str = "dispatch",
+        suffix: str = "",
+        arrived: "list[TaskId] | None" = None,
+    ) -> None:
+        """The overhead / started / finished triple of one attempt.
+
+        Call only on an observed run.  ``start`` is where compute began
+        (the ``overhead`` seconds of ``category`` end there), ``arrived``
+        the producers that fed the attempt when context is tracked.
+        """
+        emit = self.hub.emit
+        label = _task_label(tid, suffix)
+        # Positional, in field order (type, t, proc, task, dst_proc,
+        # dst_task, dur, category, nbytes, label, parents).
+        emit(Event(OVERHEAD, start, proc, tid, -1, -1, overhead, category))
+        emit(
+            Event(
+                TASK_STARTED, start, proc, tid, -1, -1, 0.0, "", 0, label,
+                tuple(arrived) if arrived else (),
+            )
+        )
+        emit(Event(TASK_FINISHED, end, proc, tid, -1, -1, dur, "", 0, label))
+
+    def abort(self, exc: BaseException) -> None:
+        """The run died mid-stream: dump the flight recorder's ring (the
+        moments before the failure) and stamp the live snapshot."""
+        if self.flight is not None:
+            self.flight.abort(exc)
+        if self.live is not None:
+            self.live.close("aborted")
+
+    def finish(
+        self,
+        retries: int,
+        queue_peaks: "list[int]",
+        utilization: "list[float]",
+        task_map=None,
+    ) -> None:
+        """``run_finished`` plus the counters and load gauges every
+        backend reports, read off ``result.stats``.  ``utilization`` is
+        the busy fraction per rank, empty when the run took no time."""
+        stats = self.result.stats
+        if self.obs is not None:
+            self.obs.emit(
+                Event(
+                    RUN_FINISHED, stats.makespan, dur=stats.makespan,
+                    label=self.name,
+                )
+            )
+        m = self.metrics
+        m.counter("tasks_executed").inc(stats.tasks_executed)
+        m.counter("messages_sent").inc(stats.messages)
+        m.counter("bytes_sent").inc(stats.bytes_sent)
+        m.counter("retries").inc(retries)
+        plan_seconds = getattr(task_map, "plan_seconds", None)
+        if plan_seconds is not None:
+            # Scheduler metrics exist only when the feature is opted into,
+            # so clean runs keep their exact metric set (and goldens).
+            m.gauge("placement_plan_seconds").set(plan_seconds)
+        m.gauge("queue_depth_peak").set(float(max(queue_peaks, default=0)))
+        m.gauge("queue_depth_peak_mean").set(
+            sum(queue_peaks) / len(queue_peaks) if queue_peaks else 0.0
+        )
+        if utilization:
+            mean = sum(utilization) / len(utilization)
+            m.gauge("utilization_mean").set(mean)
+            m.gauge("utilization_max").set(max(utilization))
+            m.gauge("utilization_min").set(min(utilization))
+            if mean > 0:
+                m.gauge("imbalance").set(max(utilization) / mean)
+
+
+# ---------------------------------------------------------------------- #
+# The dataflow kernel
+# ---------------------------------------------------------------------- #
+
+#: Causal-parent accumulator; only called when a context-requesting sink
+#: observes the run (poisoned by tests/test_obs_overhead.py).
+_parent_list = list
+
+
+def slot_map_of(task: Task) -> dict[TaskId, list[int]]:
+    """``producer id -> input slot indices``, ascending, EXTERNAL included.
+
+    Built in one pass over the inputs (``Task.input_slots_from`` scans
+    all of them per producer, and this feeds the message hot path).
+    """
+    slot_map: dict[TaskId, list[int]] = {}
+    for i, src in enumerate(task.incoming):
+        lst = slot_map.get(src)
+        if lst is None:
+            slot_map[src] = [i]
+        else:
+            lst.append(i)
+    return slot_map
+
+
+class TaskRecord:
+    """Runtime state of one task instance."""
+
+    __slots__ = (
+        "task", "slots", "remaining", "cursor", "queued", "slot_map",
+        "attempt", "attempts", "arrived", "enq_t",
+    )
+
+    def __init__(
+        self,
+        task: Task,
+        n_inputs: int | None = None,
+        slot_map: "dict[TaskId, list[int]] | None" = None,
+    ) -> None:
+        """``n_inputs`` and ``slot_map`` come from a compiled plan's
+        template (derived once, the dict shared read-only across runs);
+        without them both are derived from ``task``."""
+        if slot_map is None:
+            n_inputs = task.n_inputs
+            slot_map = slot_map_of(task)
+        self.task = task
+        self.slots: list[Payload | None] = [None] * n_inputs
+        self.remaining = n_inputs
+        self.slot_map = slot_map
+        # Next slot to fill per producer id (EXTERNAL included), so
+        # multiple channels between the same pair fill slots in order.
+        self.cursor: dict[TaskId, int] = {}
+        self.queued = False  # guards double enqueue
+        self.attempts = 0  # failed attempts so far (retry-budget input)
+        # Last enqueue timestamp; only written on telemetry-enabled runs
+        # (feeds the queue-wait sketch).
+        self.enq_t = 0.0
+        # Producer task id of each deposited payload, in arrival order.
+        # Allocated lazily, and only when span context is requested.
+        self.arrived: list[TaskId] | None = None
+        # Driver scratch: what a first dispatch keeps for its retries.
+        self.attempt = None
+
+
+class DataflowKernel:
+    """Input slots, routing and attempt accounting of one run.
+
+    Args:
+        graph: the run's (cached) task graph.
+        run: the run's scaffolding (events, sketches, result).
+        error: exception class of dataflow-contract violations and of
+            the stall diagnostic (``SimulationError`` on the simulated
+            drivers, ``ControllerError`` on the pool).
+        fault_plan: its transient task faults are materialized into a
+            fresh per-run budget (running twice injects them twice).
+        policy: retry budget and backoff of failed attempts.
+    """
+
+    __slots__ = (
+        "records", "done", "total", "budget", "policy", "retries",
+        "_task", "_outputs", "_observe_bytes", "_error",
+        "_obs", "_ctx", "_track_wait",
+    )
+
+    def __init__(
+        self,
+        graph: TaskGraph,
+        run: RunScaffold,
+        error: type[Exception],
+        fault_plan: FaultPlan | None = None,
+        policy: RetryPolicy | None = None,
+    ) -> None:
+        self.records: dict[TaskId, TaskRecord] = {}
+        self.done: set[TaskId] = set()
+        self.total = graph.size()
+        self.budget = fault_plan.task_budget() if fault_plan is not None else {}
+        self.policy = policy
+        #: failed attempts so far (each is also one injected fault).
+        self.retries = 0
+        self._task = graph.task
+        self._outputs = run.result.outputs
+        self._observe_bytes = run.m_message_bytes.observe
+        self._error = error
+        self._obs = run.obs
+        self._ctx = run.ctx
+        self._track_wait = run.t_queue is not None
+
+    # -- records ------------------------------------------------------- #
+
+    def reset(self, tid: TaskId) -> TaskRecord:
+        """A fresh record for ``tid``: whatever it had buffered is lost
+        (records otherwise materialize on their first deposit)."""
+        rec = self.records[tid] = TaskRecord(self._task(tid))
+        return rec
+
+    def stamp(self, tasks, n_inputs, slot_maps) -> None:
+        """Preload every record from a compiled plan's templates (no
+        per-task slot-map derivation or task materialization)."""
+        records = self.records
+        for tid, task in enumerate(tasks):
+            records[tid] = TaskRecord(task, n_inputs[tid], slot_maps[tid])
+
+    # -- what is ready ------------------------------------------------- #
+
+    def deposit(self, tid: TaskId, producer: TaskId, payload: Payload) -> bool:
+        """Fill the next slot ``producer`` feeds on ``tid``; True when
+        that was the last empty one (the task is ready)."""
+        if tid in self.done:
+            raise self._error(
+                f"task {tid} received a message from {producer} after it "
+                f"already completed (producer sends more messages than "
+                f"the consumer has slots)"
+            )
+        rec = self.records.get(tid)
+        if rec is None:
+            rec = self.records[tid] = TaskRecord(self._task(tid))
+        slot_list = rec.slot_map.get(producer)
+        idx = rec.cursor.get(producer, 0)
+        if slot_list is None or idx >= len(slot_list):
+            raise self._error(
+                f"task {tid} received more messages from {producer} than "
+                f"it has slots"
+            )
+        rec.cursor[producer] = idx + 1
+        rec.slots[slot_list[idx]] = payload
+        if self._ctx and producer >= 0:  # is_real_task, inlined
+            arr = rec.arrived
+            if arr is None:
+                arr = rec.arrived = _parent_list()
+            arr.append(producer)
+        rec.remaining -= 1
+        return rec.remaining == 0
+
+    def enqueued(self, tid: TaskId, proc: int, now: float) -> None:
+        """``tid`` entered a driver's run queue (first time or retry):
+        guard against a double entry, stamp the wait clock, announce."""
+        rec = self.records.get(tid)
+        if rec is None:  # a task without inputs: nothing deposited yet
+            rec = self.reset(tid)
+        if rec.queued:
+            raise self._error(f"task {tid} enqueued twice")
+        rec.queued = True
+        if self._track_wait:
+            rec.enq_t = now
+        if self._obs is not None:
+            self._obs.emit(Event(TASK_ENQUEUED, now, proc, tid))
+
+    def stalled(self) -> Exception:
+        """The diagnostic of a run that ended with tasks still waiting."""
+        stuck = sorted(t for t, r in self.records.items() if r.remaining > 0)
+        return self._error(
+            f"dataflow stalled: executed {len(self.done)} of {self.total} "
+            f"tasks; waiting tasks include {stuck[:8]}"
+        )
+
+    # -- who receives this output -------------------------------------- #
+
+    def route(
+        self,
+        tid: TaskId,
+        outputs: list[Payload],
+        origin: int,
+        deliver: Callable[[int, TaskId, TaskId, Payload], None],
+        only: "set[TaskId] | None" = None,
+    ) -> None:
+        """``tid`` completed: retire its record, collect sink channels
+        into the result and hand every dataflow edge to the driver's
+        transport — ``deliver(origin, tid, consumer, payload)`` — in
+        channel order.  The kernel keeps no reference to its driver.
+
+        ``only`` restricts delivery to those consumers and collects
+        nothing — a lineage replay re-feeds just the tasks that lost this
+        producer's payloads; the result already has the first completion.
+        """
+        self.done.add(tid)
+        task = self.records.pop(tid).task
+        observe = self._observe_bytes
+        if only is not None:
+            for channel, payload in zip(task.outgoing, outputs):
+                for dst in channel:
+                    if dst >= 0 and dst in only:
+                        observe(payload.nbytes)
+                        deliver(origin, tid, dst, payload)
+            return
+        for ch, (channel, payload) in enumerate(zip(task.outgoing, outputs)):
+            if not channel or TNULL in channel:
+                self._outputs.setdefault(tid, {})[ch] = payload
+            for dst in channel:
+                if dst >= 0:  # is_real_task, inlined
+                    observe(payload.nbytes)
+                    deliver(origin, tid, dst, payload)
+
+    # -- attempt accounting -------------------------------------------- #
+
+    def take_fault(self, tid: TaskId) -> bool:
+        """Consume one planned transient fault of ``tid``, if any is left."""
+        if self.budget.get(tid, 0) > 0:
+            self.budget[tid] -= 1
+            return True
+        return False
+
+    def fail(self, tid: TaskId, proc: int, start: float, kind: str) -> None:
+        """Book one failed attempt (``kind``: ``task`` for an injected
+        fault, ``timeout``, ``error`` for a real exception) that began
+        at ``start``; follow with the attempt's triple, then
+        :meth:`retry` once the attempt's time is spent."""
+        self.retries += 1
+        self.records[tid].attempts += 1
+        if self._obs is not None:
+            self._obs.emit(
+                Event(
+                    FAULT_INJECTED,
+                    start,
+                    proc=proc,
+                    task=tid,
+                    category=kind,
+                    label=_task_label(
+                        tid, " timeout" if kind == "timeout" else " fault"
+                    ),
+                )
+            )
+
+    def retry(self, tid: TaskId, proc: int, now: float) -> float:
+        """The backoff before ``tid``'s next attempt on ``proc``; the
+        driver re-enqueues it after that long (:meth:`enqueued` again).
+
+        Raises:
+            FaultError: the task used up ``policy.max_attempts``.
+        """
+        rec = self.records[tid]
+        rec.queued = False
+        policy = self.policy
+        if not policy.allows_attempt(rec.attempts):
+            raise FaultError(
+                f"task {tid} failed {rec.attempts} attempts "
+                f"(RetryPolicy.max_attempts={policy.max_attempts})"
+            )
+        delay = policy.delay(tid, rec.attempts)
+        if self._obs is not None:
+            self._obs.emit(
+                Event(
+                    TASK_RETRY,
+                    now,
+                    proc=proc,
+                    task=tid,
+                    dur=delay,
+                    label=_task_label(tid, f" retry #{rec.attempts}"),
+                )
+            )
+        return delay

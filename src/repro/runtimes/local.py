@@ -12,14 +12,15 @@ forked at the first process-mode run and kept warm for the next one
 (:func:`shutdown_workers` reaps them; ``atexit`` does too).
 
 The execution model is a dependency-driven coordinator, in the spirit of
-Parsl's DataFlowKernel: the coordinator owns the dataflow state (input
-slots, readiness, routing cursors — the exact bookkeeping of the serial
-reference), dispatches each task the moment its inputs are complete, and
-routes returned payloads to consumer slots.  Because callbacks are pure
-functions of their inputs and slot filling is determined by graph
-structure alone (per-``(producer, consumer)`` cursors fill slots in
-channel order), **outputs are bit-identical to the serial reference
-regardless of worker scheduling** — the cross-runtime conformance suite
+Parsl's DataFlowKernel split between one dependency tracker and
+pluggable executors: the dataflow state is the same
+:class:`~repro.runtimes.dataflow.DataflowKernel` the simulated backends
+run on, and this module is its *pool driver* — it dispatches each task
+the kernel reports ready to an executor slot and feeds returned payloads
+back through the kernel's routing.  Because callbacks are pure functions
+of their inputs and slot filling is determined by graph structure alone,
+**outputs are bit-identical to the serial reference regardless of worker
+scheduling** — the cross-runtime conformance suite
 (``tests/test_runtime_conformance.py``) proves it.
 
 Three modes, one code path:
@@ -84,37 +85,25 @@ from queue import Empty
 from typing import Sequence
 
 from repro.core.callbacks import CallbackRegistry, validate_outputs
-from repro.core.errors import ControllerError, FaultError
+from repro.core.errors import ControllerError
 from repro.core.graph import TaskGraph
-from repro.core.ids import TNULL, TaskId, is_real_task
+from repro.core.ids import EXTERNAL, TaskId
 from repro.core.payload import Payload
 from repro.core.taskmap import TaskMap
 from repro.faults import DEFAULT_RETRY_POLICY, FaultPlan, RetryPolicy
 from repro.obs.events import (
-    FAULT_INJECTED,
     MESSAGE_DELIVERED,
     MESSAGE_SENT,
-    OVERHEAD,
-    PLAN_FALLBACK,
-    RUN_FINISHED,
-    RUN_STARTED,
-    SCHED_PLANNED,
-    TASK_ENQUEUED,
-    TASK_FINISHED,
-    TASK_RETRY,
     TASK_RUNNING,
-    TASK_STARTED,
     WORKER_HEARTBEAT,
     Event,
     EventSink,
 )
-from repro.obs.hub import ObsHub
-from repro.obs.live import LiveConfig, attach_live
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import FlightRecorder, TelemetryConfig
+from repro.obs.live import LiveConfig
+from repro.obs.telemetry import TelemetryConfig
 from repro.runtimes.controller import Controller
+from repro.runtimes.dataflow import DataflowKernel, RunScaffold
 from repro.runtimes.result import RunResult
-from repro.sim.trace import Trace
 
 #: Execution modes, cheapest-to-debug first.
 MODES = ("inline", "thread", "process")
@@ -123,10 +112,6 @@ MODES = ("inline", "thread", "process")
 #: generous for real work, small enough that a deadlocked pool fails the
 #: suite instead of hanging it.
 DEFAULT_IDLE_TIMEOUT = 120.0
-
-#: Causal-parent accumulator, gated like the serial controller's (only
-#: called when a context-requesting sink observes the run).
-_parent_list = list
 
 
 def _is_transport_error(exc: BaseException) -> bool:
@@ -332,11 +317,18 @@ def _reap(pools: list, timeout: float) -> None:
     fork-start-method hosts) would hang the run, and a leaked non-daemon
     worker hangs the interpreter at exit.
     """
-    procs = []
+    procs, managers = [], []
     for pool in pools:
         procs.extend((getattr(pool, "_processes", None) or {}).values())
+        managers.append(getattr(pool, "_executor_manager_thread", None))
         pool.shutdown(wait=False, cancel_futures=True)
     deadline = time.monotonic() + timeout
+    # Each executor's manager thread reaps its worker too, and the loser
+    # of that race sees the dead worker as alive until the winner has
+    # booked its exit code: let the managers finish first.
+    for thread in managers:
+        if thread is not None:
+            thread.join(max(0.0, deadline - time.monotonic()))
     for p in procs:
         p.join(max(0.0, deadline - time.monotonic()))
     stuck = [p for p in procs if p.is_alive()]
@@ -551,28 +543,6 @@ class LocalPoolController(Controller):
         registry: CallbackRegistry,
         inputs: dict[TaskId, list[Payload]],
     ) -> RunResult:
-        run_sinks = list(self._sinks)
-        trace = None
-        if self.collect_trace:
-            trace = Trace()
-            run_sinks.append(trace)
-        metrics = MetricsRegistry()
-        tel = self.telemetry
-        flight = None
-        if tel is None:
-            t_task = t_queue = t_msg = None
-        else:
-            t_task = metrics.sketch("task_seconds", tel.rel_err)
-            t_queue = metrics.sketch("queue_wait_seconds", tel.rel_err)
-            t_msg = metrics.sketch("message_seconds", tel.rel_err)
-            if tel.flight_dir:
-                flight = FlightRecorder(
-                    tel.flight_dir,
-                    capacity=tel.flight_capacity,
-                    triggers=tel.triggers,
-                    rel_err=tel.rel_err,
-                )
-                run_sinks.append(flight)
         tm = self._task_map
         pinned = tm is not None
         n_groups = min(self.n_workers, tm.shard_count) if pinned else 1
@@ -580,29 +550,19 @@ class LocalPoolController(Controller):
         group_of = self._group_of(tm, n_groups)
         blob = None
         if self.mode == "process":
-            # Before any worker is touched: an unpicklable callback is
-            # the caller's error, raised on the caller's thread.
+            # Before anything is armed or any worker is touched: an
+            # unpicklable callback is the caller's error, raised on the
+            # caller's thread.
             blob = _pickle_table(
                 {cid: registry.resolve(cid) for cid in graph.callbacks()}
             )
-
-        # The live plane: None on unarmed runs (the zero-cost gate —
-        # tests/test_obs_overhead.py poisons every live constructor).
-        live = attach_live(
-            self.live,
-            total=graph.size(),
-            runtime=type(self).__name__,
-            n_ranks=n_slots,
-            graph=graph,
-            metrics=metrics,
-        )
+        run = RunScaffold(self, graph, n_slots)
+        live = run.live
         live_channel = None
         if live is not None and self.mode == "process":
             # Worker->coordinator side channel for real-time task
             # starts and heartbeats, installed via pool initializer.
             live_channel = multiprocessing.get_context().Queue()
-        obs = ObsHub(run_sinks, bus=live.bus if live is not None else None)
-        ctx = obs.wants_context if run_sinks else False
         # Warm workers are borrowed from the spare; a live-armed run's
         # workers must inherit its channel at fork, so they are private.
         pools = None
@@ -616,36 +576,34 @@ class LocalPoolController(Controller):
         self._live_drain_stop = None
         self._live_drain_thread = None
 
-        result = RunResult(trace=trace)
         try:
             with _terminate_to_exception(
-                enabled=flight is not None or live is not None
+                enabled=run.flight is not None or live is not None
             ):
                 if blob is not None:
                     self._install_table(pools, reused, blob)
                 self._run_pools(
-                    graph, registry, inputs, pools, pinned, n_slots,
-                    group_of, obs, ctx, metrics, result, t_task, t_queue,
-                    t_msg, flight, live, live_channel,
+                    graph, registry, inputs, pools, n_slots, group_of, run,
+                    live_channel,
                 )
         except BaseException as exc:
-            if flight is not None:
-                flight.abort(exc)
-            self._stop_live(live, live_channel, "aborted")
+            self._stop_drain(live_channel)
+            run.abort(exc)
             self._shutdown_pools(pools, graceful=False)
             raise
         if warm:
             self._release(pools)
         else:
             self._shutdown_pools(pools, graceful=True)
-        result.metrics = metrics.snapshot()
-        self._stop_live(live, live_channel, "finished")
-        return result
+        run.result.metrics = run.metrics.snapshot()
+        self._stop_drain(live_channel)
+        if live is not None:
+            live.close("finished")
+        return run.result
 
-    def _stop_live(self, live, live_channel, state: str) -> None:
-        """Tear the live plane down; the final snapshot carries ``state``."""
-        if live is None:
-            return
+    def _stop_drain(self, live_channel) -> None:
+        """Stop relaying worker reports and drop their channel (before
+        the live plane's final snapshot)."""
         stop = self._live_drain_stop
         if stop is not None:
             stop.set()
@@ -653,7 +611,6 @@ class LocalPoolController(Controller):
         if live_channel is not None:
             live_channel.close()
             live_channel.cancel_join_thread()
-        live.close(state)
 
     def _shutdown_pools(self, pools: list, *, graceful: bool) -> None:
         """Tear the executors down without ever hanging the coordinator.
@@ -675,29 +632,19 @@ class LocalPoolController(Controller):
         registry: CallbackRegistry,
         inputs: dict[TaskId, list[Payload]],
         pools: list,
-        pinned: bool,
         n_slots: int,
         group_of,
-        obs: ObsHub,
-        ctx: bool,
-        metrics: MetricsRegistry,
-        result: RunResult,
-        t_task,
-        t_queue,
-        t_msg,
-        flight,
-        live=None,
+        run: RunScaffold,
         live_channel=None,
     ) -> None:
-        policy = self._policy
         self.retries = 0
         inline = self.mode == "inline"
         process = self.mode == "process"
-        fault_budget = (
-            self._fault_plan.task_budget() if self._fault_plan else None
-        )
-        m_task_seconds = metrics.histogram("task_compute_seconds")
-        m_message_bytes = metrics.histogram("message_nbytes")
+        obs, ctx, live, result = run.obs, run.ctx, run.live, run.result
+        t_task, t_queue, t_msg = run.t_task, run.t_queue, run.t_msg
+        # Event rank of a task before it has a slot: its pinned group, or
+        # -1 when any free slot may take it.
+        where = group_of if group_of is not None else (lambda tid: -1)
 
         t0 = time.perf_counter()
         now = lambda: time.perf_counter() - t0
@@ -719,19 +666,6 @@ class LocalPoolController(Controller):
                 )
                 self._live_drain_thread.start()
 
-        slots: dict[TaskId, list[Payload | None]] = {}
-        remaining: dict[TaskId, int] = {}
-        arrived: dict[TaskId, list[TaskId]] = {}
-        enq_at: dict[TaskId, float] = {}
-        attempts: dict[TaskId, int] = {}
-        # Inputs of in-flight tasks, kept so a failed attempt can retry
-        # from the same payloads (tasks are idempotent by contract).
-        stash: dict[TaskId, list[Payload]] = {}
-        # Per (producer, consumer) pair, the next slot index to fill, so
-        # multi-channel edges between the same pair stay ordered — the
-        # invariant that makes outputs placement- and schedule-invariant.
-        cursor: dict[tuple[TaskId, TaskId], int] = {}
-
         ready: list[TaskId] = []  # heap of dispatchable task ids
         delayed: list[tuple[float, TaskId]] = []  # retry backoff heap
         pending: dict[Future, tuple[int, TaskId, int]] = {}  # fut -> (seq, tid, slot)
@@ -739,55 +673,52 @@ class LocalPoolController(Controller):
         heapq.heapify(free)
         seq = 0
         executed = 0
-        retries = 0
-        faults_injected = 0
         queue_peak = 0
         busy = [0.0] * n_slots  # per-slot compute seconds (utilization)
         compute_total = 0.0
         wasted_total = 0.0
-        total = graph.size()
 
-        def ensure(tid: TaskId) -> None:
-            if tid not in slots:
-                t = graph.task(tid)
-                slots[tid] = [None] * t.n_inputs
-                remaining[tid] = t.n_inputs
+        kernel = DataflowKernel(
+            graph, run, ControllerError, self._fault_plan, self._policy
+        )
+        total = kernel.total
 
-        def deposit(tid: TaskId, slot: int, payload: Payload) -> None:
+        def enqueue(tid: TaskId) -> None:
+            """A ready task, or a retry whose backoff ran out, becomes
+            dispatchable."""
             nonlocal queue_peak
-            ensure(tid)
-            if slots[tid][slot] is not None:
-                raise ControllerError(
-                    f"task {tid} input slot {slot} filled twice"
+            heapq.heappush(ready, tid)
+            depth = len(ready) + len(pending)
+            if depth > queue_peak:
+                queue_peak = depth
+            kernel.enqueued(tid, where(tid), now())
+
+        def deliver(slot: int, tid: TaskId, dst: TaskId, payload: Payload) -> None:
+            """Coordinator handoff: the payload is available to the
+            consumer the instant it is routed."""
+            if obs:
+                tnow = now()
+                edge = dict(
+                    proc=slot, dst_proc=where(dst), task=tid, dst_task=dst,
+                    nbytes=payload.nbytes, label=f"t{tid}->t{dst}",
                 )
-            slots[tid][slot] = payload
-            remaining[tid] -= 1
-            if remaining[tid] == 0:
-                heapq.heappush(ready, tid)
-                depth = len(ready) + len(pending)
-                if depth > queue_peak:
-                    queue_peak = depth
-                if t_queue is not None:
-                    enq_at[tid] = now()
-                if obs:
-                    obs.emit(
-                        Event(
-                            TASK_ENQUEUED, now(),
-                            proc=group_of(tid) if pinned else -1, task=tid,
-                        )
-                    )
+                obs.emit(Event(MESSAGE_SENT, tnow, **edge))
+                obs.emit(Event(MESSAGE_DELIVERED, tnow, **edge))
+            if kernel.deposit(dst, tid, payload):
+                enqueue(dst)
+            if t_msg is not None:
+                t_msg.observe(0.0)
+            result.stats.messages += 1
+            result.stats.bytes_sent += payload.nbytes
 
         def submit(tid: TaskId, slot: int) -> None:
             nonlocal seq
-            task = graph.task(tid)
-            fail = False
-            if fault_budget and fault_budget.get(tid, 0) > 0:
-                fault_budget[tid] -= 1
-                fail = True
-            if tid in slots:  # first attempt: take the buffered inputs
-                remaining.pop(tid, None)
-                stash[tid] = slots.pop(tid)  # type: ignore[assignment]
-            payloads = stash[tid]
+            # Inputs stay on the record until the task completes, so a
+            # failed attempt retries from the same payloads (tasks are
+            # idempotent by contract).
+            rec = kernel.records[tid]
+            task = rec.task
+            fail = kernel.take_fault(tid)
             if bus is not None and live_channel is None:
                 # Thread/inline pools share the coordinator's process:
                 # submission *is* (or immediately precedes) the real
@@ -798,162 +729,32 @@ class LocalPoolController(Controller):
             # Process workers hold the run's table: ship the id, not fn.
             fn = None if process else registry.resolve(task.callback)
             fut = pools[slot].submit(
-                _pool_run, fn, payloads, task.callback, tid,
+                _pool_run, fn, rec.slots, task.callback, tid,
                 task.n_outputs, fail,
             )
             pending[fut] = (seq, tid, slot)
             seq += 1
 
-        def emit_attempt(
-            tid: TaskId, slot: int, tc: float, elapsed: float, suffix: str = ""
-        ) -> None:
-            """The overhead / started / finished triple of one attempt."""
-            start = max(0.0, tc - elapsed)
-            label = f"t{tid}{suffix}"
-            category = "wasted" if suffix else "dispatch"
-            obs.emit(
-                Event(OVERHEAD, start, proc=slot, task=tid, category=category)
-            )
-            if ctx:
-                arr = arrived.get(tid)
-                obs.emit(
-                    Event(
-                        TASK_STARTED, start, proc=slot, task=tid, label=label,
-                        parents=tuple(arr) if arr else (),
-                    )
-                )
-            else:
-                obs.emit(
-                    Event(TASK_STARTED, start, proc=slot, task=tid, label=label)
-                )
-            obs.emit(
-                Event(
-                    TASK_FINISHED, tc, proc=slot, task=tid, dur=elapsed,
-                    label=label,
-                )
-            )
-
-        def fail_attempt(
-            tid: TaskId, slot: int, tc: float, elapsed: float,
-            category: str, suffix: str,
-        ) -> None:
-            """Account one failed attempt and schedule (or refuse) a retry."""
-            nonlocal retries, faults_injected, wasted_total
-            retries += 1
-            faults_injected += 1
-            attempts[tid] = attempts.get(tid, 0) + 1
-            wasted_total += elapsed
-            busy[slot] += elapsed
-            if obs:
-                obs.emit(
-                    Event(
-                        FAULT_INJECTED, max(0.0, tc - elapsed), proc=slot,
-                        task=tid, category=category, label=f"t{tid} fault",
-                    )
-                )
-                emit_attempt(tid, slot, tc, elapsed, suffix)
-            if not policy.allows_attempt(attempts[tid]):
-                raise FaultError(
-                    f"task {tid} failed {attempts[tid]} attempts "
-                    f"(RetryPolicy.max_attempts={policy.max_attempts})"
-                )
-            delay = policy.delay(tid, attempts[tid])
-            if obs:
-                obs.emit(
-                    Event(
-                        TASK_RETRY, tc,
-                        proc=group_of(tid) if pinned else -1, task=tid,
-                        dur=delay, label=f"t{tid} retry #{attempts[tid]}",
-                    )
-                )
-            heapq.heappush(delayed, (tc + delay, tid))
-
-        def route(tid: TaskId, slot: int, outputs: list[Payload]) -> None:
-            task = graph.task(tid)
-            for ch, (channel, payload) in enumerate(
-                zip(task.outgoing, outputs)
-            ):
-                if not channel or TNULL in channel:
-                    result.outputs.setdefault(tid, {})[ch] = payload
-                for dst in channel:
-                    if not is_real_task(dst):
-                        continue
-                    ensure(dst)
-                    key = (tid, dst)
-                    dst_task = graph.task(dst)
-                    slot_list = dst_task.input_slots_from(tid)
-                    idx = cursor.get(key, 0)
-                    if idx >= len(slot_list):
-                        raise ControllerError(
-                            f"task {tid} sent more messages to {dst} "
-                            f"than it has slots"
-                        )
-                    cursor[key] = idx + 1
-                    if ctx:
-                        arr = arrived.get(dst)
-                        if arr is None:
-                            arr = arrived[dst] = _parent_list()
-                        arr.append(tid)
-                    if obs:
-                        tnow = now()
-                        edge = dict(
-                            proc=slot,
-                            dst_proc=group_of(dst) if pinned else -1,
-                            task=tid, dst_task=dst, nbytes=payload.nbytes,
-                            label=f"t{tid}->t{dst}",
-                        )
-                        obs.emit(Event(MESSAGE_SENT, tnow, **edge))
-                        obs.emit(Event(MESSAGE_DELIVERED, tnow, **edge))
-                    deposit(dst, slot_list[idx], payload)
-                    m_message_bytes.observe(payload.nbytes)
-                    if t_msg is not None:
-                        # Coordinator handoff: the payload is available
-                        # to the consumer the instant it is routed.
-                        t_msg.observe(0.0)
-                    result.stats.messages += 1
-                    result.stats.bytes_sent += payload.nbytes
-
         # -------------------------------------------------------------- #
 
-        if obs:
-            obs.emit(Event(RUN_STARTED, 0.0, label=type(self).__name__))
-            tm = self._task_map
-            plan_seconds = getattr(tm, "plan_seconds", None)
-            if plan_seconds is not None:
-                obs.emit(
-                    Event(
-                        SCHED_PLANNED, 0.0,
-                        dur=getattr(tm, "est_makespan", 0.0),
-                        category=getattr(tm, "strategy", "planned"),
-                        label=f"planned placement ({tm.strategy})",
-                    )
-                )
-            if self.compile:
-                obs.emit(
-                    Event(
-                        PLAN_FALLBACK, 0.0, category="backend",
-                        label="compiled plan unavailable: backend",
-                    )
-                )
-            if self.balancer is not None:
-                obs.emit(
-                    Event(
-                        PLAN_FALLBACK, 0.0, category="balancer",
-                        label="balancer inapplicable: pool dispatch is "
-                        "already dynamic",
-                    )
-                )
+        run.begin(self._task_map)
+        if self.compile:
+            run.plan_fallback("backend")
+        if self.balancer is not None:
+            run.plan_fallback(
+                "balancer",
+                "balancer inapplicable: pool dispatch is already dynamic",
+            )
         for tid, payloads in sorted(inputs.items()):
-            task = graph.task(tid)
-            for slot, payload in zip(task.external_inputs(), payloads):
-                deposit(tid, slot, payload)
+            for payload in payloads:
+                if kernel.deposit(tid, EXTERNAL, payload):
+                    enqueue(tid)
 
         last_progress = time.perf_counter()
         while executed < total:
             tnow = now()
             while delayed and delayed[0][0] <= tnow:
-                _, tid = heapq.heappop(delayed)
-                heapq.heappush(ready, tid)
+                enqueue(heapq.heappop(delayed)[1])
             # Dispatch: lowest ready id to the lowest free slot (pinned
             # tasks wait for their own group's slot).  Inline mode has no
             # real slots — work runs in the calling thread at submission —
@@ -962,8 +763,8 @@ class LocalPoolController(Controller):
             if inline:
                 while ready:
                     tid = heapq.heappop(ready)
-                    submit(tid, group_of(tid) if pinned else 0)
-            elif pinned:
+                    submit(tid, group_of(tid) if group_of is not None else 0)
+            elif group_of is not None:
                 if ready and free:
                     held: list[TaskId] = []
                     free_set = {s for s in free}
@@ -988,11 +789,7 @@ class LocalPoolController(Controller):
                     if pause:
                         time.sleep(min(pause, 0.05))
                     continue
-                stuck = sorted(t for t, r in remaining.items() if r > 0)[:8]
-                raise ControllerError(
-                    f"dataflow stalled: executed {executed} of {total} "
-                    f"tasks; waiting tasks include {stuck}"
-                )
+                raise kernel.stalled()
             timeout = self.idle_timeout
             if delayed:
                 pause = max(0.0, delayed[0][0] - now())
@@ -1015,6 +812,7 @@ class LocalPoolController(Controller):
             # (routing, readiness) deterministic for a given arrival set.
             for fut in sorted(done, key=lambda f: pending[f][0]):
                 _, tid, slot = pending.pop(fut)
+                rec = kernel.records[tid]
                 # One completion frees exactly one slot (pinned groups
                 # never hold more than one attempt in flight; inline mode
                 # never consumed one).
@@ -1038,30 +836,38 @@ class LocalPoolController(Controller):
                                 f"docs/runtimes.md)"
                             ) from exc
                         raise exc
-                    fail_attempt(
-                        tid, slot, tc, 0.0, "error", " (failed attempt)"
-                    )
-                    continue
-                outputs, elapsed, faulted = fut.result()
-                m_task_seconds.observe(elapsed)
-                if t_task is not None:
-                    t_task.observe(elapsed)
-                    t_queue.observe(
-                        max(0.0, (tc - elapsed) - enq_at.pop(tid, tc - elapsed))
-                    )
-                if faulted:
-                    fail_attempt(
-                        tid, slot, tc, elapsed, "task", " (failed attempt)"
-                    )
+                    elapsed, kind = 0.0, "error"
+                else:
+                    outputs, elapsed, faulted = fut.result()
+                    kind = "task" if faulted else None
+                    run.m_task_seconds.observe(elapsed)
+                    if t_task is not None:
+                        t_task.observe(elapsed)
+                        t_queue.observe(max(0.0, tc - elapsed - rec.enq_t))
+                start = max(0.0, tc - elapsed)
+                busy[slot] += elapsed
+                arrived = rec.arrived if ctx else None
+                if kind is not None:
+                    # A failed attempt: its time is wasted, and the task
+                    # re-enters the ready heap once its backoff ran out.
+                    wasted_total += elapsed
+                    kernel.fail(tid, slot, start, kind)
+                    if obs:
+                        run.emit_attempt(
+                            slot, tid, start, tc, elapsed, 0.0, "wasted",
+                            " (failed attempt)", arrived,
+                        )
+                    delay = kernel.retry(tid, where(tid), tc)
+                    heapq.heappush(delayed, (tc + delay, tid))
                     continue
                 executed += 1
-                stash.pop(tid, None)
-                busy[slot] += elapsed
                 compute_total += elapsed
-                result.stats.add_callback(graph.task(tid).callback, elapsed)
+                result.stats.add_callback(rec.task.callback, elapsed)
                 if obs:
-                    emit_attempt(tid, slot, tc, elapsed)
-                route(tid, slot, outputs)
+                    run.emit_attempt(
+                        slot, tid, start, tc, elapsed, arrived=arrived
+                    )
+                kernel.route(tid, outputs, slot, deliver)
 
         makespan = now()
         result.stats.tasks_executed = executed
@@ -1069,32 +875,13 @@ class LocalPoolController(Controller):
         result.stats.add("compute", compute_total)
         if wasted_total:
             result.stats.add("wasted", wasted_total)
-        self.retries = retries
-        if obs:
-            obs.emit(
-                Event(
-                    RUN_FINISHED, makespan, dur=makespan,
-                    label=type(self).__name__,
-                )
-            )
-        metrics.counter("tasks_executed").inc(executed)
-        metrics.counter("messages_sent").inc(result.stats.messages)
-        metrics.counter("bytes_sent").inc(result.stats.bytes_sent)
-        metrics.counter("retries").inc(retries)
+        self.retries = kernel.retries
+        run.finish(
+            kernel.retries,
+            [queue_peak],
+            [b / makespan for b in busy] if makespan > 0 else [],
+            self._task_map,
+        )
         if self._fault_plan is not None or self._retry_exceptions:
-            metrics.counter("faults_injected").inc(faults_injected)
-        plan_seconds = getattr(self._task_map, "plan_seconds", None)
-        if plan_seconds is not None:
-            metrics.gauge("placement_plan_seconds").set(plan_seconds)
-        metrics.gauge("queue_depth_peak").set(float(queue_peak))
-        metrics.gauge("queue_depth_peak_mean").set(float(queue_peak))
-        metrics.gauge("pool_workers").set(float(self.n_workers))
-        if makespan > 0 and n_slots > 0:
-            util = [b / makespan for b in busy]
-            mean = sum(util) / n_slots
-            metrics.gauge("utilization_mean").set(mean)
-            metrics.gauge("utilization_max").set(max(util))
-            metrics.gauge("utilization_min").set(min(util))
-            metrics.gauge("imbalance").set(
-                (max(util) / mean) if mean > 0 else 1.0
-            )
+            run.metrics.counter("faults_injected").inc(kernel.retries)
+        run.metrics.gauge("pool_workers").set(float(self.n_workers))

@@ -136,11 +136,9 @@ def make_controller(
     cls = resolve_runtime(runtime)
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
     if cls is SerialController:
-        unsupported = sorted(
-            set(kwargs) - _SERIAL_IGNORED - {"sinks", "collect_trace"}
-        )
+        supported = sorted(cls.supported_kwargs())
+        unsupported = sorted(set(kwargs) - _SERIAL_IGNORED - set(supported))
         if unsupported:
-            supported = sorted(cls.supported_kwargs() or ())
             raise ControllerError(
                 f"the serial runtime does not support {unsupported} "
                 f"(it has no simulated cluster); pick a simulated "

@@ -7,6 +7,16 @@ form: a deterministic readiness-queue execution with no simulated cluster
 at all.  It is the reference every other backend is regression-tested
 against, and the easiest place to debug a new dataflow.
 
+It is also the *oracle*: every other backend executes through the one
+:class:`~repro.runtimes.dataflow.DataflowKernel`, and this controller
+deliberately does not.  Its slot store and ready loop below are the
+naive, obviously-correct spelling of the dataflow contract, and the
+conformance, random-DAG, local-property and golden suites compare the
+kernel's drivers against it — a bug in the kernel cannot hide in both.
+From :mod:`repro.runtimes.dataflow` it takes only the
+:class:`~repro.runtimes.dataflow.RunScaffold`, which has no dataflow
+semantics.
+
 Observability: the serial controller speaks the same event vocabulary as
 the distributed backends (see :mod:`repro.obs.events`), with everything
 on proc 0 of a wall-clock timeline.  Runtime overhead is genuinely zero
@@ -28,21 +38,14 @@ from repro.core.payload import Payload
 from repro.obs.events import (
     MESSAGE_DELIVERED,
     MESSAGE_SENT,
-    OVERHEAD,
-    RUN_FINISHED,
-    RUN_STARTED,
     TASK_ENQUEUED,
-    TASK_FINISHED,
-    TASK_STARTED,
     Event,
     EventSink,
 )
-from repro.obs.hub import ObsHub
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import FlightRecorder, TelemetryConfig
+from repro.obs.telemetry import TelemetryConfig
 from repro.runtimes.controller import Controller
+from repro.runtimes.dataflow import RunScaffold
 from repro.runtimes.result import RunResult
-from repro.sim.trace import Trace
 
 #: Causal-parent accumulator; only called when a context-requesting sink
 #: observes the run (poisoned by tests/test_obs_overhead.py).
@@ -83,42 +86,17 @@ class SerialController(Controller):
         registry: CallbackRegistry,
         inputs: dict[TaskId, list[Payload]],
     ) -> RunResult:
-        run_sinks = list(self._sinks)
-        trace = None
-        if self.collect_trace:
-            trace = Trace()
-            run_sinks.append(trace)
-        metrics = MetricsRegistry()
-        # Telemetry is strictly opt-in: sketches / the flight recorder
-        # only exist when asked for (tests/test_obs_overhead.py poisons
-        # their constructors on the default path).
-        tel = self.telemetry
-        flight = None
-        if tel is None:
-            t_task = t_queue = t_msg = None
-        else:
-            t_task = metrics.sketch("task_seconds", tel.rel_err)
-            t_queue = metrics.sketch("queue_wait_seconds", tel.rel_err)
-            t_msg = metrics.sketch("message_seconds", tel.rel_err)
-            if tel.flight_dir:
-                flight = FlightRecorder(
-                    tel.flight_dir,
-                    capacity=tel.flight_capacity,
-                    triggers=tel.triggers,
-                    rel_err=tel.rel_err,
-                )
-                run_sinks.append(flight)
-        obs = ObsHub(run_sinks)
-        # Causal-parent tracking is opt-in per sink (exporters ask for
-        # it); plain sinks keep the exact historical event shapes.
-        ctx = obs.wants_context if run_sinks else False
+        # No rank count: the reference has no live plane.
+        run = RunScaffold(self, graph)
+        obs, ctx = run.obs, run.ctx
+        t_task, t_queue, t_msg = run.t_task, run.t_queue, run.t_msg
         arrived: dict[TaskId, list[TaskId]] = {}
-        m_task_seconds = metrics.histogram("task_compute_seconds")
-        m_message_bytes = metrics.histogram("message_nbytes")
+        m_task_seconds = run.m_task_seconds
+        m_message_bytes = run.m_message_bytes
         queue_peak = 0
         enq_at: dict[TaskId, float] = {}
 
-        result = RunResult(trace=trace)
+        result = run.result
         slots: dict[TaskId, list[Payload | None]] = {}
         remaining: dict[TaskId, int] = {}
         ready: deque[TaskId] = deque()
@@ -150,8 +128,7 @@ class SerialController(Controller):
                         Event(TASK_ENQUEUED, wall_total, proc=0, task=tid)
                     )
 
-        if obs:
-            obs.emit(Event(RUN_STARTED, 0.0, label=type(self).__name__))
+        run.begin()
         for tid, payloads in sorted(inputs.items()):
             task = graph.task(tid)
             for slot, payload in zip(task.external_inputs(), payloads):
@@ -176,8 +153,7 @@ class SerialController(Controller):
                         task.n_outputs,
                     )
                 except BaseException as exc:
-                    if flight is not None:
-                        flight.abort(exc)
+                    run.abort(exc)
                     raise
                 elapsed = time.perf_counter() - t0
                 wall_total += elapsed
@@ -190,33 +166,9 @@ class SerialController(Controller):
                 result.stats.add_callback(task.callback, elapsed)
                 executed += 1
                 if obs:
-                    obs.emit(
-                        Event(
-                            OVERHEAD, t_start, proc=0, task=tid,
-                            category="dispatch",
-                        )
-                    )
-                    if ctx:
-                        arr = arrived.get(tid)
-                        obs.emit(
-                            Event(
-                                TASK_STARTED, t_start, proc=0, task=tid,
-                                label=f"t{tid}",
-                                parents=tuple(arr) if arr else (),
-                            )
-                        )
-                    else:
-                        obs.emit(
-                            Event(
-                                TASK_STARTED, t_start, proc=0, task=tid,
-                                label=f"t{tid}",
-                            )
-                        )
-                    obs.emit(
-                        Event(
-                            TASK_FINISHED, wall_total, proc=0, task=tid,
-                            dur=elapsed, label=f"t{tid}",
-                        )
+                    run.emit_attempt(
+                        0, tid, t_start, wall_total, elapsed,
+                        arrived=arrived.get(tid) if ctx else None,
                     )
                 for ch, (channel, payload) in enumerate(
                     zip(task.outgoing, outputs)
@@ -266,28 +218,11 @@ class SerialController(Controller):
                 f"dataflow stalled: executed {executed} of {graph.size()} "
                 f"tasks; waiting tasks include {stuck}"
             )
-            if flight is not None:
-                flight.abort(err)
+            run.abort(err)
             raise err
         result.stats.tasks_executed = executed
         result.stats.makespan = wall_total
         result.stats.add("compute", wall_total)
-        if obs:
-            obs.emit(
-                Event(
-                    RUN_FINISHED, wall_total, dur=wall_total,
-                    label=type(self).__name__,
-                )
-            )
-        metrics.counter("tasks_executed").inc(executed)
-        metrics.counter("messages_sent").inc(result.stats.messages)
-        metrics.counter("bytes_sent").inc(result.stats.bytes_sent)
-        metrics.counter("retries")
-        metrics.gauge("queue_depth_peak").set(float(queue_peak))
-        metrics.gauge("queue_depth_peak_mean").set(float(queue_peak))
-        if wall_total > 0:
-            for name in ("utilization_mean", "utilization_max", "utilization_min"):
-                metrics.gauge(name).set(1.0)
-            metrics.gauge("imbalance").set(1.0)
-        result.metrics = metrics.snapshot()
+        run.finish(0, [queue_peak], [1.0] if wall_total > 0 else [])
+        result.metrics = run.metrics.snapshot()
         return result

@@ -1,22 +1,24 @@
-"""Shared machinery of the simulator-backed controllers.
+"""The virtual-time driver of the simulator-backed controllers.
 
-Every distributed backend (MPI, Charm++, Legion SPMD, Legion index-launch)
-follows the same physical-task life cycle:
+The dataflow itself — input slots, readiness, routing, attempt
+accounting — is :class:`~repro.runtimes.dataflow.DataflowKernel`, and
+what a run is observed through is
+:class:`~repro.runtimes.dataflow.RunScaffold`.  :class:`SimController`
+answers the two questions the kernel leaves open, *when* and *where*, on
+a discrete-event cluster (:mod:`repro.sim`):
 
-1. a logical task is materialized lazily on the proc that owns it;
-2. payloads *deposit* into its input slots (initial inputs at time zero,
+1. payloads *deposit* into the kernel (initial inputs at time zero,
    dataflow messages on delivery);
-3. when the last slot fills, the task becomes *ready* and enters its
-   proc's run queue (backends may interpose extra steps, e.g. Legion's
-   launcher);
-4. a free core *dispatches* it: the callback runs for real, the configured
+2. a task the kernel reports *ready* enters its proc's run queue
+   (backends may interpose extra steps, e.g. Legion's launcher);
+3. a free core *dispatches* it: the callback runs for real, the configured
    :class:`~repro.runtimes.costs.CostModel` converts it to virtual
    seconds, and the core is occupied for overhead + compute;
-5. on (virtual) completion its outputs are *routed*: sink channels are
-   collected into the result, dataflow channels are serialized / shipped /
-   deserialized according to the backend's cost hooks.
+4. on (virtual) completion the kernel *routes* its outputs and every
+   dataflow edge is serialized / shipped / deserialized according to the
+   backend's cost hooks.
 
-:class:`SimController` implements this cycle once; the concrete backends
+The concrete backends (MPI, Charm++, Legion SPMD, Legion index-launch)
 override the placement and cost hooks.  All scheduling decisions are
 deterministic — FIFO queues, ``(time, seq)``-ordered events — so a given
 (graph, inputs, backend, parameters) tuple always produces the same
@@ -32,119 +34,32 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.callbacks import CallbackRegistry
 from repro.core.errors import ControllerError, FaultError, SimulationError
 from repro.core.graph import TaskGraph
-from repro.core.ids import EXTERNAL, TNULL, TaskId
+from repro.core.ids import EXTERNAL, TaskId
 from repro.core.payload import Payload
-from repro.core.task import Task
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.obs.events import (
-    FAULT_INJECTED,
     OVERHEAD,
-    PLAN_FALLBACK,
     RANK_DEAD,
-    RUN_FINISHED,
-    RUN_STARTED,
     SCHED_MIGRATED,
-    SCHED_PLANNED,
-    TASK_ENQUEUED,
-    TASK_FINISHED,
     TASK_MIGRATED,
-    TASK_RETRY,
-    TASK_STARTED,
     Event,
     EventSink,
 )
-from repro.obs.hub import ObsHub
-from repro.obs.live import LiveConfig, attach_live
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import FlightRecorder, TelemetryConfig
+from repro.obs.live import LiveConfig
+from repro.obs.telemetry import TelemetryConfig
+from repro.runtimes import dataflow  # _task_label via the module: poisonable
 from repro.runtimes.controller import Controller
 from repro.runtimes.costs import DEFAULT_COSTS, CostModel, NullCost, RuntimeCosts
+from repro.runtimes.dataflow import DataflowKernel, RunScaffold, TaskRecord
 from repro.runtimes.result import RunResult
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine
 from repro.sim.machine import SHAHEEN_II, MachineSpec
-from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.sched imports us)
     from repro.sched.balance import Balancer
     from repro.sched.compile import CompiledPlan
-
-
-def _task_label(tid: TaskId, suffix: str = "") -> str:
-    """Task-attempt label; only built when a sink observes the run."""
-    return f"t{tid}{suffix}"
-
-
-#: Causal-parent accumulator; only called when a context-requesting sink
-#: observes the run (poisoned by tests/test_obs_overhead.py).
-_parent_list = list
-
-
-class _PhysicalTask:
-    """Runtime state of one task instance."""
-
-    __slots__ = (
-        "task", "slots", "remaining", "cursor", "queued", "slot_map",
-        "attempt", "attempts", "arrived", "enq_t",
-    )
-
-    def __init__(self, task: Task) -> None:
-        self.task = task
-        # Last enqueue timestamp; only written on telemetry-enabled runs
-        # (feeds the queue-wait sketch in _start_task).
-        self.enq_t = 0.0
-        n = task.n_inputs
-        self.slots: list[Payload | None] = [None] * n
-        self.remaining = n
-        self.attempts = 0  # failed attempts so far (retry-budget input)
-        # Producer task id of each deposited payload, in arrival order.
-        # Allocated lazily, and only when span context is requested.
-        self.arrived: list[TaskId] | None = None
-        # Next slot to fill per producer id (EXTERNAL included), so
-        # multiple channels between the same pair fill slots in order.
-        self.cursor: dict[TaskId, int] = {}
-        self.queued = False  # guards double enqueue
-        # producer id -> slot indices, built in one pass over the inputs
-        # (the per-producer Task.input_slots_from scan is O(n_inputs)
-        # per producer and this is the message hot path).
-        slot_map: dict[TaskId, list[int]] = {}
-        for i, src in enumerate(task.incoming):
-            lst = slot_map.get(src)
-            if lst is None:
-                slot_map[src] = [i]
-            else:
-                lst.append(i)
-        self.slot_map = slot_map
-        # (outputs, compute, overhead) of the first dispatch; reused by
-        # fault retries so inputs can be released at first dispatch.
-        self.attempt: tuple[list[Payload], float, float] | None = None
-
-    @classmethod
-    def from_template(
-        cls,
-        task: Task,
-        n_inputs: int,
-        slot_map: dict[TaskId, list[int]],
-    ) -> "_PhysicalTask":
-        """Stamp a physical task from a compiled plan's template.
-
-        Field-for-field identical to ``__init__`` but skips re-deriving
-        ``n_inputs`` and the slot map — the plan computed them once and
-        the dict is shared read-only across runs.
-        """
-        pt = cls.__new__(cls)
-        pt.task = task
-        pt.enq_t = 0.0
-        pt.slots = [None] * n_inputs
-        pt.remaining = n_inputs
-        pt.attempts = 0
-        pt.arrived = None
-        pt.cursor = {}
-        pt.queued = False
-        pt.slot_map = slot_map
-        pt.attempt = None
-        return pt
 
 
 class SimController(Controller):
@@ -265,7 +180,9 @@ class SimController(Controller):
         self._result: RunResult
         self._registry_run: CallbackRegistry
         self._graph_run: TaskGraph
-        self._ptasks: dict[TaskId, _PhysicalTask]
+        self._run: RunScaffold
+        self._kernel: DataflowKernel
+        self._ptasks: dict[TaskId, TaskRecord]  # the kernel's records
         self._ready: list[deque[TaskId]]
         self._busy: list[int]
         self._executed: int
@@ -386,56 +303,16 @@ class SimController(Controller):
         inputs: dict[TaskId, list[Payload]],
     ) -> RunResult:
         self._engine = Engine()
-        sinks = list(self._sinks)
-        trace = None
-        if self.collect_trace:
-            # Span tracing is an event sink like any other consumer.
-            trace = Trace()
-            sinks.append(trace)
-        metrics = self._metrics = MetricsRegistry()
-        # Telemetry is strictly opt-in: on the default path no sketch,
-        # ring buffer, or trigger object is ever constructed (enforced
-        # by tests/test_obs_overhead.py) and the metric snapshot keeps
-        # its exact historical shape.
-        tel = self.telemetry
-        self._tel_flight = None
-        if tel is None:
-            self._t_task = self._t_queue = None
-            msg_sketch = None
-        else:
-            self._t_task = metrics.sketch("task_seconds", tel.rel_err)
-            self._t_queue = metrics.sketch("queue_wait_seconds", tel.rel_err)
-            msg_sketch = metrics.sketch("message_seconds", tel.rel_err)
-            if tel.flight_dir:
-                self._tel_flight = FlightRecorder(
-                    tel.flight_dir,
-                    capacity=tel.flight_capacity,
-                    triggers=tel.triggers,
-                    rel_err=tel.rel_err,
-                )
-                sinks.append(self._tel_flight)
-        # The live plane: None on unarmed runs (zero-cost gate).  The
-        # writer's clock is left unset, so "now" is the freshest event's
-        # virtual timestamp — the only meaningful clock in a simulation.
-        live = self._live_run = attach_live(
-            self.live,
-            total=graph.size(),
-            runtime=type(self).__name__,
-            n_ranks=self.n_procs,
-            graph=graph,
-            metrics=metrics,
-        )
-        hub = ObsHub(sinks, bus=live.bus if live is not None else None)
-        # `None` rather than an empty hub when unobserved: the hot-path
-        # guards become a C-level identity test instead of calling
-        # ObsHub.__bool__ tens of thousands of times per run.
-        obs = self._obs = hub if (sinks or live is not None) else None
-        # Span-context threading is a second opt-in gate on top of the
-        # sink gate: only pay the per-deposit parent tracking when some
-        # sink (an exporter, typically) asked for causal context.
-        self._ctx = hub.wants_context if sinks else False
-        self._m_task_seconds = metrics.histogram("task_compute_seconds")
-        self._m_message_bytes = metrics.histogram("message_nbytes")
+        # On a live-armed run the writer's clock is left unset, so "now"
+        # is the freshest event's virtual timestamp — the only
+        # meaningful clock in a simulation.
+        run = self._run = RunScaffold(self, graph, self.n_procs)
+        self._metrics = run.metrics
+        self._t_task = run.t_task
+        self._t_queue = run.t_queue
+        self._obs = run.obs
+        self._ctx = run.ctx
+        self._m_task_seconds = run.m_task_seconds
         self._queue_peak = [0] * self.n_procs
         plan = self.fault_plan
         self._cluster = Cluster(
@@ -444,12 +321,12 @@ class SimController(Controller):
             self.n_procs,
             self.cores_per_proc,
             procs_per_node=self.procs_per_node,
-            obs=hub,
+            obs=run.hub,
             link_faults=plan.link_table() if plan is not None else None,
             retry=self.retry_policy,
-            latency_sketch=msg_sketch,
+            latency_sketch=run.t_msg,
         )
-        self._result = RunResult(trace=trace)
+        self._result = run.result
         # Per-run hot-path caches: the category hooks return constants
         # for every shipped backend, and binding the stats dicts once
         # turns each accounting call into a plain ``dict[k] += v``.
@@ -460,18 +337,21 @@ class SimController(Controller):
         self._needs_wall = self.cost_model.needs_wall_time
         self._graph_run = graph
         self._registry_run = registry
-        self._ptasks = {}
-        # The plan's budget is materialized fresh per run (per-run
-        # consumption semantics).
-        self._fault_budget = plan.task_budget() if plan is not None else {}
-        self._policy = self.retry_policy
+        kernel = self._kernel = DataflowKernel(
+            graph, run, SimulationError, plan, self.retry_policy
+        )
+        # Bound once per run: the kernel's state under the names the
+        # backends and balancers read, its hot methods as plain attributes.
+        self._ptasks = kernel.records
+        self._done = kernel.done
+        self._fault_budget = kernel.budget
+        self._kernel_deposit = kernel.deposit
         self._timeout_raw = (
-            self._policy.task_timeout * self.machine.core_speed
-            if self._policy is not None
+            self.retry_policy.task_timeout * self.machine.core_speed
+            if self.retry_policy is not None
             else float("inf")
         )
         self.retries = 0
-        self._done: set[TaskId] = set()
         # Rank-death recovery state.  All empty/None on the clean path,
         # so the hot-path guards are single truthiness tests.
         self._dead_procs: set[int] = set()
@@ -482,47 +362,25 @@ class SimController(Controller):
         self._inflight: dict[TaskId, tuple] | None = {} if track_deaths else None
         self._initial_inputs = inputs
         self._initial_deposited = False
-        self._faults_injected = 0
         self._tasks_replayed = 0
         self._tasks_migrated = 0
         self._first_fault_time: float | None = None
         self._ready = [deque() for _ in range(self.n_procs)]
         self._busy = [0] * self.n_procs
         self._executed = 0
-        self._total = graph.size()
+        self._total = kernel.total
         self._finish_time = 0.0
         self._lb_migrations = 0
 
-        if obs:
-            obs.emit(Event(RUN_STARTED, 0.0, label=type(self).__name__))
-            tm = self._task_map
-            plan_seconds = getattr(tm, "plan_seconds", None)
-            if plan_seconds is not None:
-                # A planned map (repro.sched.plan) narrates its provenance;
-                # plain maps emit nothing (golden streams unchanged).
-                obs.emit(
-                    Event(
-                        SCHED_PLANNED,
-                        0.0,
-                        dur=getattr(tm, "est_makespan", 0.0),
-                        category=getattr(tm, "strategy", "planned"),
-                        label=f"planned placement ({tm.strategy})",
-                    )
-                )
+        # A planned map (repro.sched.plan) narrates its provenance.
+        run.begin(self._task_map)
         cplan = None
         if self.compile:
             cplan, fallback = self._resolve_compiled_plan(graph)
-            if cplan is None and obs:
-                # Narrate the fallback only when compilation was asked
-                # for, so clean streams keep their exact shape.
-                obs.emit(
-                    Event(
-                        PLAN_FALLBACK,
-                        0.0,
-                        category=fallback,
-                        label=f"compiled plan unavailable: {fallback}",
-                    )
-                )
+            if cplan is None:
+                # Narrated only when compilation was asked for, so clean
+                # streams keep their exact shape.
+                run.plan_fallback(fallback)
         self._prepare_run()
         bal = self.balancer
         if bal is not None:
@@ -534,18 +392,9 @@ class SimController(Controller):
             for death in plan.rank_deaths:
                 self._engine.call_at(death.at, self._rank_death, death.proc)
         if cplan is not None:
-            # Stamp every physical task from the plan's templates (no
-            # per-task slot-map derivation or Task materialization) and
-            # hand the backend its placement table.
-            ptasks = self._ptasks
-            from_template = _PhysicalTask.from_template
-            tpl_tasks = cplan.tasks
-            tpl_inputs = cplan.n_inputs
-            tpl_maps = cplan.slot_maps
-            for tid in range(cplan.n):
-                ptasks[tid] = from_template(
-                    tpl_tasks[tid], tpl_inputs[tid], tpl_maps[tid]
-                )
+            # Every record comes from the plan's templates, and the
+            # backend gets its placement table.
+            kernel.stamp(cplan.tasks, cplan.n_inputs, cplan.slot_maps)
             self._install_compiled_placement(cplan)
         if inputs:
             if cplan is not None:
@@ -578,57 +427,39 @@ class SimController(Controller):
         try:
             self._engine.run()
             if len(self._done) != self._total:
-                stuck = [
-                    t for t, pt in self._ptasks.items() if pt.remaining > 0
-                ][:8]
-                raise SimulationError(
-                    f"{type(self).__name__}: dataflow stalled after "
-                    f"{len(self._done)}/{self._total} tasks "
-                    f"(waiting tasks include {stuck})"
-                )
+                raise kernel.stalled()
         except BaseException as exc:
-            # The run died mid-stream: the flight recorder's ring holds
-            # the moments leading up to the failure — dump it before
-            # propagating so the post-mortem survives the crash.
-            if self._tel_flight is not None:
-                self._tel_flight.abort(exc)
-            if live is not None:
-                live.close("aborted")
+            run.abort(exc)
             raise
+        finally:
+            self.retries = kernel.retries
         stats = self._result.stats
         stats.makespan = self._finish_time
         stats.tasks_executed = self._executed
         stats.messages = self._cluster.messages_sent
         stats.bytes_sent = self._cluster.bytes_sent
-        if obs:
-            obs.emit(
-                Event(
-                    RUN_FINISHED,
-                    self._finish_time,
-                    dur=self._finish_time,
-                    label=type(self).__name__,
-                )
-            )
         self._result.metrics = self._snapshot_metrics()
-        if live is not None:
+        if run.live is not None:
             # After the metric snapshot, so the terminal status file
             # carries the finalized counters/gauges.
-            live.close("finished")
+            run.live.close("finished")
         return self._result
 
     def _snapshot_metrics(self):
         """Finalize counters/gauges and freeze the registry."""
-        m = self._metrics
-        m.counter("tasks_executed").inc(self._executed)
-        m.counter("messages_sent").inc(self._cluster.messages_sent)
-        m.counter("bytes_sent").inc(self._cluster.bytes_sent)
-        m.counter("retries").inc(self.retries)
         makespan = self._finish_time
-        plan_seconds = getattr(self._task_map, "plan_seconds", None)
-        if plan_seconds is not None:
-            # Scheduler metrics exist only when the feature is opted into,
-            # so clean runs keep their exact metric set (and goldens).
-            m.gauge("placement_plan_seconds").set(plan_seconds)
+        self._run.finish(
+            self.retries,
+            self._queue_peak,
+            [
+                self._cluster.core_busy_time(p) / (makespan * self.cores_per_proc)
+                for p in range(self.n_procs)
+            ]
+            if makespan > 0
+            else [],
+            self._task_map,
+        )
+        m = self._metrics
         bal = self.balancer
         if bal is not None and not self._balancer_builtin:
             m.counter("lb_rounds").inc(bal.rounds())
@@ -637,7 +468,10 @@ class SimController(Controller):
         if self.fault_plan is not None:
             # Fault/recovery metrics exist only when a plan is installed,
             # so clean runs keep their exact metric set (and goldens).
-            m.counter("faults_injected").inc(self._faults_injected)
+            # Every failed attempt and every rank death is one fault.
+            m.counter("faults_injected").inc(
+                self.retries + len(self._dead_procs)
+            )
             m.counter("rank_deaths").inc(len(self._dead_procs))
             m.counter("tasks_replayed").inc(self._tasks_replayed)
             m.counter("tasks_migrated").inc(self._tasks_migrated)
@@ -653,22 +487,6 @@ class SimController(Controller):
                 m.gauge("recovery_tail_seconds").set(
                     max(0.0, makespan - first)
                 )
-        peaks = self._queue_peak
-        m.gauge("queue_depth_peak").set(float(max(peaks, default=0)))
-        m.gauge("queue_depth_peak_mean").set(
-            sum(peaks) / len(peaks) if peaks else 0.0
-        )
-        if makespan > 0:
-            busy = [
-                self._cluster.core_busy_time(p) / (makespan * self.cores_per_proc)
-                for p in range(self.n_procs)
-            ]
-            mean = sum(busy) / len(busy)
-            m.gauge("utilization_mean").set(mean)
-            m.gauge("utilization_max").set(max(busy))
-            m.gauge("utilization_min").set(min(busy))
-            if mean > 0:
-                m.gauge("imbalance").set(max(busy) / mean)
         return m.snapshot()
 
     # ------------------------------------------------------------------ #
@@ -682,39 +500,14 @@ class SimController(Controller):
         # whether its external inputs were already delivered (and lost)
         # or are still on their way in this very batch.
         self._initial_deposited = True
-        deposit = self._deposit
+        deposit, on_ready = self._kernel_deposit, self._on_ready
         for tid, payloads in items:
             for payload in payloads:
-                deposit(tid, EXTERNAL, payload)
+                if deposit(tid, EXTERNAL, payload):
+                    on_ready(tid)
 
     def _deposit(self, tid: TaskId, producer: TaskId, payload: Payload) -> None:
-        if tid in self._done:
-            raise SimulationError(
-                f"task {tid} received a message from {producer} after it "
-                f"already completed (producer sends more messages than "
-                f"the consumer has slots)"
-            )
-        pt = self._ptasks.get(tid)
-        if pt is None:
-            pt = _PhysicalTask(self._graph_run.task(tid))
-            self._ptasks[tid] = pt
-        slot_list = pt.slot_map.get(producer)
-        idx = pt.cursor.get(producer, 0)
-        if slot_list is None or idx >= len(slot_list):
-            raise SimulationError(
-                f"task {tid} received more messages from {producer} than "
-                f"it has slots"
-            )
-        pt.cursor[producer] = idx + 1
-        slot = slot_list[idx]
-        pt.slots[slot] = payload
-        if self._ctx and producer >= 0:  # is_real_task, inlined
-            arr = pt.arrived
-            if arr is None:
-                arr = pt.arrived = _parent_list()
-            arr.append(producer)
-        pt.remaining -= 1
-        if pt.remaining == 0:
+        if self._kernel_deposit(tid, producer, payload):
             self._on_ready(tid)
 
     # ------------------------------------------------------------------ #
@@ -724,22 +517,11 @@ class SimController(Controller):
     def _enqueue(self, proc: int, tid: TaskId) -> None:
         if self._dead_procs and proc in self._dead_procs:
             return  # stale enqueue onto a dead rank; recovery re-placed it
-        pt = self._ptasks.get(tid)
-        if pt is None:
-            pt = _PhysicalTask(self._graph_run.task(tid))
-            self._ptasks[tid] = pt
-        if pt.queued:
-            raise SimulationError(f"task {tid} enqueued twice")
-        pt.queued = True
+        self._kernel.enqueued(tid, proc, self._engine._now)
         ready = self._ready[proc]
         ready.append(tid)
         if len(ready) > self._queue_peak[proc]:
             self._queue_peak[proc] = len(ready)
-        if self._t_queue is not None:
-            pt.enq_t = self._engine._now
-        obs = self._obs
-        if obs is not None:
-            obs.emit(Event(TASK_ENQUEUED, self._engine._now, proc, tid))
         self._pump(proc)
 
     def _pump(self, proc: int) -> None:
@@ -786,7 +568,7 @@ class SimController(Controller):
                     dst_proc=dst,
                     task=tid,
                     nbytes=nbytes,
-                    label=_task_label(tid, f" -> p{dst}"),
+                    label=dataflow._task_label(tid, f" -> p{dst}"),
                 )
             )
         self._cluster.send(
@@ -796,7 +578,7 @@ class SimController(Controller):
             self._arrive_balanced,
             dst,
             tid,
-            label=_task_label(tid, " balance") if obs else "",
+            label=dataflow._task_label(tid, " balance") if obs else "",
             src_task=tid,
         )
 
@@ -843,13 +625,19 @@ class SimController(Controller):
         self._m_task_seconds.observe(compute)
         if self._t_task is not None:
             self._t_task.observe(compute)
-        if self._fault_budget and self._fault_budget.get(tid, 0) > 0:
+        kind = None
+        if self._fault_budget and self._kernel.take_fault(tid):
             # Transient failure: the attempt consumes its full time but
             # its outputs are discarded; the task retries (idempotence).
-            self._fault_budget[tid] -= 1
-            self.retries += 1
-            pt.attempts += 1
-            self._faults_injected += 1
+            kind, suffix = "task", " (failed attempt)"
+        elif overhead + compute > self._timeout_raw:
+            # Timeout detection: the attempt is aborted at the policy's
+            # per-task deadline and handled as a fault.  A task whose
+            # compute always exceeds the timeout burns its whole attempt
+            # budget and raises FaultError in _attempt_failed.
+            kind, suffix = "timeout", " (timed out)"
+            compute, overhead = self._timeout_raw, 0.0
+        if kind is not None:
             cat_time["wasted"] += overhead + compute
             start, end = self._cluster.compute(
                 proc, overhead + compute, self._attempt_failed, proc, tid
@@ -858,53 +646,9 @@ class SimController(Controller):
                 self._first_fault_time = start
             if self._inflight is not None:
                 self._inflight[tid] = (proc, start, end, compute, overhead, None)
+            self._kernel.fail(tid, proc, start, kind)
             if self._obs is not None:
-                self._obs.emit(
-                    Event(
-                        FAULT_INJECTED,
-                        start,
-                        proc=proc,
-                        task=tid,
-                        category="task",
-                        label=_task_label(tid, " fault"),
-                    )
-                )
-                self._emit_task(
-                    proc, tid, start, end, overhead, " (failed attempt)"
-                )
-            return
-        if overhead + compute > self._timeout_raw:
-            # Timeout detection: the attempt is aborted at the policy's
-            # per-task deadline and handled as a fault.  A task whose
-            # compute always exceeds the timeout burns its whole attempt
-            # budget and raises FaultError in _attempt_failed.
-            self.retries += 1
-            pt.attempts += 1
-            self._faults_injected += 1
-            cat_time["wasted"] += self._timeout_raw
-            start, end = self._cluster.compute(
-                proc, self._timeout_raw, self._attempt_failed, proc, tid
-            )
-            if self._first_fault_time is None:
-                self._first_fault_time = start
-            if self._inflight is not None:
-                self._inflight[tid] = (
-                    proc, start, end, self._timeout_raw, 0.0, None
-                )
-            if self._obs is not None:
-                self._obs.emit(
-                    Event(
-                        FAULT_INJECTED,
-                        start,
-                        proc=proc,
-                        task=tid,
-                        category="timeout",
-                        label=_task_label(tid, " timeout"),
-                    )
-                )
-                self._emit_task(
-                    proc, tid, start, end, 0.0, " (timed out)"
-                )
+                self._emit_task(proc, tid, start, end, overhead, suffix)
             return
         cat_time[self._pre_cat] += overhead
         cat_time["compute"] += compute
@@ -929,40 +673,22 @@ class SimController(Controller):
         overhead: float,
         suffix: str = "",
     ) -> None:
-        """Emit the overhead / started / finished triple of one attempt.
+        """Emit one attempt's event triple (observed runs only).
 
         ``start``/``end`` are the core occupancy returned by the cluster
         (already scaled by ``core_speed``); the raw ``overhead`` is
         rescaled the same way so the compute interval excludes it.
         """
-        obs = self._obs
-        if not obs:
-            return
         ovh = overhead / self.machine.core_speed
         cstart = min(start + ovh, end)
-        label = _task_label(tid, suffix)
-        category = "wasted" if suffix else self._pre_cat
-        # Positional, in field order (type, t, proc, task, dst_proc,
-        # dst_task, dur, category, nbytes, label, parents): three events
-        # per task attempt.
-        emit = obs.emit
-        emit(Event(OVERHEAD, cstart, proc, tid, -1, -1, ovh, category))
         # Every attempt starts with a *complete* input multiset (a
         # rebuilt task is fully re-fed before it re-enters a queue), so
         # the parents stamped here are exactly the producers that fed
         # this attempt — the causal edge set of the span.
-        arr = self._ptasks[tid].arrived if self._ctx else None
-        emit(
-            Event(
-                TASK_STARTED, cstart, proc, tid, -1, -1, 0.0, "", 0, label,
-                tuple(arr) if arr else (),
-            )
-        )
-        emit(
-            Event(
-                TASK_FINISHED, end, proc, tid, -1, -1, end - cstart, "", 0,
-                label,
-            )
+        self._run.emit_attempt(
+            proc, tid, cstart, end, end - cstart, ovh,
+            "wasted" if suffix else self._pre_cat, suffix,
+            self._ptasks[tid].arrived if self._ctx else None,
         )
 
     def _attempt_failed(self, proc: int, tid: TaskId) -> None:
@@ -971,28 +697,9 @@ class SimController(Controller):
         self._busy[proc] -= 1
         if self._inflight is not None:
             self._inflight.pop(tid, None)
-        pt = self._ptasks[tid]
-        pt.queued = False
         self._pump(proc)
-        policy = self._policy
-        if not policy.allows_attempt(pt.attempts):
-            raise FaultError(
-                f"task {tid} failed {pt.attempts} attempts "
-                f"(RetryPolicy.max_attempts={policy.max_attempts})"
-            )
-        delay = policy.delay(tid, pt.attempts)
         target = self._target_proc(tid)
-        if self._obs is not None:
-            self._obs.emit(
-                Event(
-                    TASK_RETRY,
-                    self._engine._now,
-                    proc=target,
-                    task=tid,
-                    dur=delay,
-                    label=_task_label(tid, f" retry #{pt.attempts}"),
-                )
-            )
+        delay = self._kernel.retry(tid, target, self._engine._now)
         self._engine.call_after(delay, self._enqueue, target, tid)
 
     def _task_done(self, proc: int, tid: TaskId, outputs: list[Payload]) -> None:
@@ -1004,14 +711,18 @@ class SimController(Controller):
         if self._replaying and tid in self._replaying:
             self._replaying.discard(tid)
             replay = True
-        self._done.add(tid)
         if self._inflight is not None:
             self._inflight.pop(tid, None)
         now = self._engine._now
         if now > self._finish_time:
             self._finish_time = now
-        self._route_outputs(proc, tid, outputs)
-        del self._ptasks[tid]
+        # A lineage replay re-feeds only the consumers that lost this
+        # producer's payloads: everyone else already received them (or
+        # has them in flight).  Each edge comes back through _send.
+        self._kernel.route(
+            tid, outputs, proc, self._send,
+            self._replay_targets.pop(tid, None) if self._replay_targets else None,
+        )
         self._pump(proc)
         if not replay:
             # Round/barrier bookkeeping already saw the first completion;
@@ -1021,36 +732,6 @@ class SimController(Controller):
     # ------------------------------------------------------------------ #
     # Output routing
     # ------------------------------------------------------------------ #
-
-    def _route_outputs(
-        self, proc: int, tid: TaskId, outputs: list[Payload]
-    ) -> None:
-        # The physical task is still registered here (it is removed by
-        # _task_done right after routing), so reuse its materialization.
-        task = self._ptasks[tid].task
-        observe = self._m_message_bytes.observe
-        send = self._send
-        targets = (
-            self._replay_targets.pop(tid, None) if self._replay_targets else None
-        )
-        if targets is not None:
-            # Lineage replay: re-feed only the consumers that lost this
-            # producer's payloads.  Everyone else already received them
-            # (or has them in flight), and the sink outputs were already
-            # collected from the first completion.
-            for channel, payload in zip(task.outgoing, outputs):
-                for dst in channel:
-                    if dst >= 0 and dst in targets:
-                        observe(payload.nbytes)
-                        send(proc, tid, dst, payload)
-            return
-        for ch, (channel, payload) in enumerate(zip(task.outgoing, outputs)):
-            if not channel or TNULL in channel:
-                self._result.outputs.setdefault(tid, {})[ch] = payload
-            for dst in channel:
-                if dst >= 0:  # is_real_task, inlined
-                    observe(payload.nbytes)
-                    send(proc, tid, dst, payload)
 
     def _send(
         self, sproc: int, producer: TaskId, dst: TaskId, payload: Payload
@@ -1138,8 +819,8 @@ class SimController(Controller):
                         label=f"deser t{producer}->t{dst}",
                     )
                 )
-        else:
-            self._deposit(dst, producer, payload)
+        elif self._kernel_deposit(dst, producer, payload):
+            self._on_ready(dst)
 
     def _deposit_recv(
         self, dproc: int, dst: TaskId, producer: TaskId, payload: Payload
@@ -1188,7 +869,7 @@ class SimController(Controller):
                     self._engine._now,
                     proc=new_proc,
                     task=tid,
-                    label=_task_label(tid, f" -> p{new_proc}"),
+                    label=dataflow._task_label(tid, f" -> p{new_proc}"),
                 )
             )
 
@@ -1203,7 +884,6 @@ class SimController(Controller):
         ]
         if not self._survivors:
             raise FaultError("every rank is dead; nothing left to recover on")
-        self._faults_injected += 1
         if self._first_fault_time is None:
             self._first_fault_time = now
         if self._obs is not None:
@@ -1271,8 +951,7 @@ class SimController(Controller):
         must have this consumer merged into its replay-target set, or its
         replayed outputs would route only to the first failure's victims.
         """
-        pt = _PhysicalTask(self._graph_run.task(tid))
-        self._ptasks[tid] = pt
+        pt = self._kernel.reset(tid)
         for producer in dict.fromkeys(pt.task.incoming):
             if producer == EXTERNAL:
                 if self._initial_deposited:

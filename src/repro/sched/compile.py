@@ -35,6 +35,7 @@ from repro.core.graph import CachedGraph, TaskGraph
 from repro.core.ids import EXTERNAL, TaskId
 from repro.core.taskmap import BlockMap, ModuloMap, RangeMap, TaskMap
 from repro.runtimes.costs import DEFAULT_COSTS, RuntimeCosts
+from repro.runtimes.dataflow import slot_map_of
 from repro.sim.machine import SHAHEEN_II, MachineSpec
 
 if TYPE_CHECKING:
@@ -353,19 +354,8 @@ def compile_plan(
     task = graph.task
     tasks = [task(t) for t in range(n)]
     n_inputs = [t.n_inputs for t in tasks]
-    slot_maps: list[dict[TaskId, list[int]]] = []
-    sources: list[TaskId] = []
-    for t in tasks:
-        slot_map: dict[TaskId, list[int]] = {}
-        for i, src in enumerate(t.incoming):
-            lst = slot_map.get(src)
-            if lst is None:
-                slot_map[src] = [i]
-            else:
-                lst.append(i)
-        slot_maps.append(slot_map)
-        if EXTERNAL in slot_map:
-            sources.append(t.id)
+    slot_maps = [slot_map_of(t) for t in tasks]
+    sources = [t.id for t, m in zip(tasks, slot_maps) if EXTERNAL in m]
     proc = [task_map.shard(t) for t in range(n)]
     ready_order = [t for rnd in graph.rounds() for t in rnd]
     if procs_per_node is None:

@@ -141,6 +141,26 @@ class TestRegistry:
         with pytest.raises(ControllerError, match="serial"):
             make_controller("serial", fault_plan=FaultPlan())
 
+    def test_serial_takes_every_kwarg_its_constructor_takes(self):
+        # The allow-list is SerialController.supported_kwargs(), the
+        # roster the refusal prints: telemetry= used to be refused while
+        # being named as supported.
+        g, callbacks, inputs, probe, expected = reduction_spec()
+        r = repro.run(g, callbacks, inputs, runtime="serial", telemetry=True)
+        assert r.output(probe).data == expected
+        assert "task_seconds" in r.metrics.sketches
+        from repro.faults import RetryPolicy
+        from repro.runtimes import SerialController
+
+        assert SerialController.supported_kwargs() == {
+            "sinks", "collect_trace", "telemetry",
+        }
+        for bad in ({"retry_policy": RetryPolicy()}, {"balancer": object()}):
+            with pytest.raises(ControllerError) as exc:
+                make_controller("serial", **bad)
+            assert f"does not support {sorted(bad)}" in str(exc.value)
+            assert "collect_trace, sinks, telemetry" in str(exc.value)
+
     def test_none_valued_kwargs_are_not_given(self):
         # The facade forwards every knob as None when unset; that must
         # not trip the serial controller's unsupported-kwarg check.

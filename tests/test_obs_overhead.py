@@ -100,13 +100,13 @@ def poisoned_labels(monkeypatch):
     cannot see them; poisoning the label builders proves the hot path
     does not even *format* a label when nobody is observing.
     """
-    import repro.runtimes.simbase as simbase
+    import repro.runtimes.dataflow as dataflow
     import repro.sim.cluster as cluster
 
     def boom(*a, **k):
         raise AssertionError("label built on an unobserved run")
 
-    monkeypatch.setattr(simbase, "_task_label", boom)
+    monkeypatch.setattr(dataflow, "_task_label", boom)
     monkeypatch.setattr(cluster, "_edge_label", boom)
 
 
@@ -131,13 +131,13 @@ def poisoned_parents(monkeypatch):
     (``wants_context``); these poisons prove the per-deposit parent
     tracking never runs unless a sink explicitly asked for it.
     """
+    import repro.runtimes.dataflow as dataflow
     import repro.runtimes.serial as serial
-    import repro.runtimes.simbase as simbase
 
     def boom(*a, **k):
         raise AssertionError("parent list built without a context sink")
 
-    monkeypatch.setattr(simbase, "_parent_list", boom)
+    monkeypatch.setattr(dataflow, "_parent_list", boom)
     monkeypatch.setattr(serial, "_parent_list", boom)
 
 
