@@ -2,7 +2,9 @@
 
 Runs the hot-path suite, writes ``BENCH_simcore.json`` at the repo root
 (or ``--output``), and with ``--check BASELINE`` exits 1 on a wall-clock
-regression beyond the threshold or any determinism drift.
+regression beyond the threshold or any determinism drift.  A ``--check``
+run writes its report only where ``--output`` says — nowhere by default,
+so checking the committed baseline never overwrites it.
 
 ``--trace-dir DIR`` captures a JSONL event trace per traceable benchmark
 (CI uploads them as artifacts).  On a ``--check`` failure the traces are
@@ -108,8 +110,9 @@ def main(argv: list[str] | None = None) -> int:
         help="repetitions per benchmark; best (minimum) wall time is kept",
     )
     parser.add_argument(
-        "--output", type=Path, default=DEFAULT_OUTPUT,
-        help=f"where to write the report (default: {DEFAULT_OUTPUT})",
+        "--output", type=Path,
+        help=f"where to write the report (default: {DEFAULT_OUTPUT}; "
+        "with --check, nowhere)",
     )
     parser.add_argument(
         "--only", action="append", choices=sorted(BENCHMARKS),
@@ -143,8 +146,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     report = run_suite(reps=args.reps, only=args.only)
-    write_report(report, args.output)
-    print(f"[perf] report written to {args.output}")
+    output = args.output
+    if output is None and args.check is None:
+        output = DEFAULT_OUTPUT
+    if output is None:
+        print("[perf] report not written (--check without --output)")
+    else:
+        write_report(report, output)
+        print(f"[perf] report written to {output}")
     if args.ledger is not None:
         _append_ledger(args.ledger, report)
 

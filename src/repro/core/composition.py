@@ -77,7 +77,7 @@ class ComposedGraph(TaskGraph):
         part = _Part(name, graph, id_base, cb_base)
         self._parts.append(part)
         self._by_name[name] = part
-        self._links_by_src = self._links_by_dst = None
+        self._structure_changed()
         return self
 
     def link(
@@ -135,8 +135,14 @@ class ComposedGraph(TaskGraph):
                     f"input slot {dst_slot} of {dst_part}:{dst_tid} already linked"
                 )
         self._links.append(link)
-        self._links_by_src = self._links_by_dst = None
+        self._structure_changed()
         return self
+
+    def _structure_changed(self) -> None:
+        # Both mutators land here: tables, fingerprint and planner
+        # arrays of the old structure go, and so do the link indexes.
+        super()._structure_changed()
+        self._links_by_src = self._links_by_dst = None
 
     # ------------------------------------------------------------------ #
     # Id conversion

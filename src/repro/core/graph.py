@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.errors import GraphError
 from repro.core.ids import EXTERNAL, TNULL, CallbackId, ShardId, TaskId, is_real_task
+from repro.core.tables import GraphTables
 from repro.core.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -272,25 +273,58 @@ class TaskGraph(ABC):
         return graph_to_dot(self, subset=subset)
 
     # ------------------------------------------------------------------ #
-    # Caching
+    # Lowering and caching
     # ------------------------------------------------------------------ #
+
+    def _memo(self) -> dict:
+        """Everything derived from this instance's structure (lowered
+        tables, fingerprint, planner arrays) in one dict, so one hook
+        drops it all and one rule keeps it out of pickles."""
+        memo = self.__dict__.get("_repro_memo")
+        if memo is None:  # setdefault: racing first calls agree on one
+            memo = self.__dict__.setdefault("_repro_memo", {})
+        return memo
+
+    def _structure_changed(self) -> None:
+        """What a graph that mutates in place must call: forget
+        everything derived from the old structure."""
+        self.__dict__.pop("_repro_memo", None)
+
+    def __getstate__(self) -> dict:
+        # Derived state never travels: a bound-method callback drags its
+        # graph to every pool worker, which can rebuild what it needs.
+        state = self.__dict__.copy()
+        state.pop("_repro_memo", None)
+        return state
+
+    def tables(self) -> GraphTables:
+        """This graph lowered into flat tables, built on first use and
+        shared by every run of this instance from then on.  Concurrent
+        first calls may each build a copy; the copies are equal and the
+        last store wins, so there is no lock."""
+        memo = self._memo()
+        tables = memo.get("tables")
+        if tables is None:
+            tables = memo["tables"] = GraphTables(self)
+        return tables
 
     def cached(self, maxsize: int | None = None) -> "TaskGraph":
         """A view of this graph that memoizes :meth:`task` materializations.
 
-        Procedural graphs rebuild a :class:`~repro.core.task.Task` on
-        every ``task(tid)`` call; the controllers query each task several
-        times per run (input deposit, output routing, placement), so they
-        execute against a cached view.  **Caching contract:** the graph
-        must be a pure function of ``tid`` — ``task(tid)`` always returns
-        an equivalent task, and the structure does not change while a
-        cached view is alive.  All shipped graphs satisfy this; graphs
-        mutated in place must not be wrapped.
+        **Caching contract — per graph instance, immutable after first
+        use:** the unbounded view reads the instance's :meth:`tables`,
+        which materialize every task once, on the first query, and then
+        serve every view, run, controller and service worker of that
+        instance.  The graph must be a pure function of ``tid``, and one
+        that changes in place (:class:`~repro.core.composition.
+        ComposedGraph` under ``add`` / ``link``) must call
+        :meth:`_structure_changed`.  All shipped graphs satisfy this.
 
         Args:
-            maxsize: LRU capacity; ``None`` (default) caches without
-                bound — the right choice for a single run, where every
-                task materializes exactly once anyway.
+            maxsize: ``None`` (default) is the shared view above.  A
+                number gives a private LRU of that capacity, which
+                re-materializes evicted tasks and never touches the
+                tables — for walking a graph too large to pin.
         """
         return CachedGraph(self, maxsize)
 
@@ -301,11 +335,10 @@ class TaskGraph(ABC):
 class CachedGraph(TaskGraph):
     """Memoizing view of another graph (see :meth:`TaskGraph.cached`).
 
-    ``task`` is backed by :func:`functools.lru_cache`; the full-graph
-    structure queries (``rounds``, ``boundary_ids``, ``callbacks``,
-    ``size``) are computed once and reused, de-duplicating the repeated
-    scans controllers and validators would otherwise pay.  Unknown
-    attributes delegate to the wrapped graph, so graph-specific helpers
+    ``task`` reads the base graph's tables (a private
+    :func:`functools.lru_cache` on a bounded view); ``rounds`` and
+    ``callbacks`` are computed once per view.  Unknown attributes
+    delegate to the wrapped graph, so graph-specific helpers
     (``leaf_ids()``, ``describe()``, ...) keep working on the view.
     """
 
@@ -313,24 +346,33 @@ class CachedGraph(TaskGraph):
         while isinstance(base, CachedGraph):  # never stack caches
             base = base._base
         self._base = base
-        # Instance attribute shadows the class method: lookups go
-        # straight to the C-implemented lru_cache wrapper.
-        self.task = lru_cache(maxsize=maxsize)(base.task)
-        self._size: int | None = None
+        self._bounded = maxsize is not None
+        if self._bounded:
+            # Instance attribute shadows the class method: lookups go
+            # straight to the C-implemented lru_cache wrapper.
+            self.task = lru_cache(maxsize=maxsize)(base.task)
         self._callbacks: list[CallbackId] | None = None
         self._rounds: list[list[TaskId]] | None = None
-        self._boundary: tuple[list[TaskId], list[TaskId]] | None = None
 
     def size(self) -> int:
-        if self._size is None:
-            self._size = self._base.size()
-        return self._size
+        return self._base.size()
 
-    def task(self, tid: TaskId) -> Task:  # shadowed by the instance attr
-        return self._base.task(tid)  # pragma: no cover
+    def task(self, tid: TaskId) -> Task:  # shadowed on a bounded view
+        if tid >= 0:
+            try:
+                return self._base.tables().tasks[tid]
+            except LookupError:
+                pass
+        return self._base.task(tid)  # not a task: the graph's own error
 
     def task_ids(self) -> Iterator[TaskId]:
         return self._base.task_ids()
+
+    def tables(self) -> GraphTables:
+        return self._base.tables()
+
+    def _memo(self) -> dict:
+        return self._base._memo()
 
     def callbacks(self) -> list[CallbackId]:
         if self._callbacks is None:
@@ -342,18 +384,14 @@ class CachedGraph(TaskGraph):
             self._rounds = super().rounds()
         return self._rounds
 
-    def boundary_ids(self) -> tuple[list[TaskId], list[TaskId]]:
-        if self._boundary is None:
-            self._boundary = super().boundary_ids()
-        return self._boundary
-
     def cached(self, maxsize: int | None = None) -> "TaskGraph":
-        """Already cached; returns itself (unbounded) or a resized view."""
-        if maxsize is None:
-            return self
-        return CachedGraph(self._base, maxsize)
+        """Already cached; returns itself or a view of the other kind."""
+        unbounded = maxsize is None and not self._bounded
+        return self if unbounded else CachedGraph(self._base, maxsize)
 
     def __getattr__(self, name: str):
         # Only called when normal lookup fails: delegate graph-specific
         # attributes (callback-id constants, id helpers, ...).
+        if name == "_base":  # a half-built view (unpickling): no base yet
+            raise AttributeError(name)
         return getattr(self._base, name)

@@ -31,7 +31,9 @@ class BlockingMPIController(MPIController):
     communication with computation.
     """
 
-    def _send(self, sproc: int, producer: TaskId, dst: TaskId, payload: Payload) -> None:
+    def _send(
+        self, sproc: int, producer: TaskId, dst: TaskId, slot: int, payload: Payload
+    ) -> None:
         dproc = self._proc_of(dst)
         ser = self._serialize_cost(sproc, dproc, payload)
         inject, latency = self._cluster.message_time(sproc, dproc, payload.nbytes)
@@ -44,7 +46,8 @@ class BlockingMPIController(MPIController):
         obs = self._obs
         if wait > 0.0:
             start, end = self._cluster.compute(
-                sproc, wait, self._receive, sproc, dproc, producer, dst, payload
+                sproc, wait, self._receive, sproc, dproc, producer, dst, slot,
+                payload,
             )
             if obs:
                 # The send bypasses the NIC (the core blocks through the
@@ -90,7 +93,7 @@ class BlockingMPIController(MPIController):
                 )
                 obs.emit(Event(MESSAGE_SENT, now, **edge))
                 obs.emit(Event(MESSAGE_DELIVERED, now, **edge))
-            self._receive(sproc, dproc, producer, dst, payload)
+            self._receive(sproc, dproc, producer, dst, slot, payload)
 
     def _prepare_run(self) -> None:
         super()._prepare_run()

@@ -101,12 +101,14 @@ class CharmController(SimController):
 
     def _migrate_queued(self, tid: TaskId, src: int, dst: int) -> None:
         """Move a queued chare (inputs already buffered) to another PE."""
-        pt = self._ptasks[tid]
-        pt.queued = False
+        self._kernel.dequeued(tid)
         self._chare_owner[tid] = dst
         self._migrations += 1
         self._lb_migrations += 1
-        nbytes = sum(p.nbytes for p in pt.slots if p is not None)
+        # (A retry waits with its inputs already released: nothing moves.)
+        nbytes = sum(
+            p.nbytes for p in self._kernel.inputs(tid) if p is not None
+        )
         self._result.stats.add("migrate", self.costs.charm_migration_cost)
         if self._obs:
             self._obs.emit(

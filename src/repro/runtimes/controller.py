@@ -27,6 +27,7 @@ from repro.core.errors import ControllerError
 from repro.core.graph import TaskGraph
 from repro.core.ids import CallbackId, TaskId
 from repro.core.payload import Payload
+from repro.core.tables import GraphTables
 from repro.core.taskmap import TaskMap
 from repro.obs.events import EventSink
 from repro.runtimes.result import RunResult
@@ -140,11 +141,12 @@ class Controller(ABC):
                 callback is missing, or inputs do not match the graph.
         """
         graph, registry = self._require_ready()
-        # Per-run task-materialization memo: input validation and the
-        # backend each query every task, so one run materializes each
-        # task at most once (procedural graphs rebuild tasks per call).
+        # The graph's lowered tables are built by the first run of this
+        # instance and read by every later one: input validation and the
+        # backend both work off them, so tasks materialize once per
+        # graph, not once per run (procedural graphs rebuild per call).
         graph = graph.cached()
-        normalized = self._normalize_inputs(graph, initial_inputs)
+        normalized = self._normalize_inputs(graph.tables(), initial_inputs)
         return self._execute(graph, registry, normalized)
 
     @abstractmethod
@@ -172,22 +174,19 @@ class Controller(ABC):
 
     @staticmethod
     def _normalize_inputs(
-        graph: TaskGraph, initial_inputs: Mapping[TaskId, InitialInput]
+        tables: GraphTables, initial_inputs: Mapping[TaskId, InitialInput]
     ) -> dict[TaskId, list[Payload]]:
-        """Validate and normalize to one payload list per source task."""
+        """Validate and normalize to one payload list per source task,
+        in the tables' (ascending) source order."""
         out: dict[TaskId, list[Payload]] = {}
-        provided = set(initial_inputs)
-        for tid in graph.task_ids():
-            task = graph.task(tid)
-            ext_slots = task.external_inputs()
-            if not ext_slots:
-                continue
+        ext_start = tables.ext_start
+        for j, tid in enumerate(tables.sources):
+            n_ext = ext_start[j + 1] - ext_start[j]
             if tid not in initial_inputs:
                 raise ControllerError(
-                    f"task {tid} expects {len(ext_slots)} external input(s) "
+                    f"task {tid} expects {n_ext} external input(s) "
                     f"but none were provided"
                 )
-            provided.discard(tid)
             value = initial_inputs[tid]
             payloads: list[Payload]
             if isinstance(value, Payload):
@@ -200,15 +199,15 @@ class Controller(ABC):
                             f"initial input for task {tid} contains a "
                             f"{type(p).__name__}, expected Payload"
                         )
-            if len(payloads) != len(ext_slots):
+            if len(payloads) != n_ext:
                 raise ControllerError(
-                    f"task {tid} expects {len(ext_slots)} external input(s), "
+                    f"task {tid} expects {n_ext} external input(s), "
                     f"got {len(payloads)}"
                 )
             out[tid] = payloads
-        if provided:
+        if len(out) != len(initial_inputs):
             raise ControllerError(
                 f"initial inputs provided for tasks without external "
-                f"slots: {sorted(provided)[:5]}"
+                f"slots: {sorted(set(initial_inputs) - out.keys())[:5]}"
             )
         return out

@@ -14,7 +14,8 @@ overhead / started / finished triple of one attempt, and the counter and
 gauge epilogue.  Every controller uses it, the serial reference included.
 
 **The dataflow kernel** (:class:`DataflowKernel`) is the state machine of
-a run: one :class:`TaskRecord` per live task, input deposit, output
+a run: flat per-task state preallocated from the graph's lowered tables
+(:class:`~repro.core.tables.GraphTables`), input deposit, output
 routing, and attempt accounting.  It answers two questions — *what is
 ready* (:meth:`~DataflowKernel.deposit` returns True when a task's last
 slot filled) and *who receives this output*
@@ -33,7 +34,7 @@ from typing import Callable
 
 from repro.core.errors import FaultError
 from repro.core.graph import TaskGraph
-from repro.core.ids import TNULL, TaskId
+from repro.core.ids import TaskId
 from repro.core.payload import Payload
 from repro.core.task import Task
 from repro.faults.plan import FaultPlan
@@ -259,66 +260,22 @@ class RunScaffold:
 _parent_list = list
 
 
-def slot_map_of(task: Task) -> dict[TaskId, list[int]]:
-    """``producer id -> input slot indices``, ascending, EXTERNAL included.
-
-    Built in one pass over the inputs (``Task.input_slots_from`` scans
-    all of them per producer, and this feeds the message hot path).
-    """
-    slot_map: dict[TaskId, list[int]] = {}
-    for i, src in enumerate(task.incoming):
-        lst = slot_map.get(src)
-        if lst is None:
-            slot_map[src] = [i]
-        else:
-            lst.append(i)
-    return slot_map
-
-
-class TaskRecord:
-    """Runtime state of one task instance."""
-
-    __slots__ = (
-        "task", "slots", "remaining", "cursor", "queued", "slot_map",
-        "attempt", "attempts", "arrived", "enq_t",
-    )
-
-    def __init__(
-        self,
-        task: Task,
-        n_inputs: int | None = None,
-        slot_map: "dict[TaskId, list[int]] | None" = None,
-    ) -> None:
-        """``n_inputs`` and ``slot_map`` come from a compiled plan's
-        template (derived once, the dict shared read-only across runs);
-        without them both are derived from ``task``."""
-        if slot_map is None:
-            n_inputs = task.n_inputs
-            slot_map = slot_map_of(task)
-        self.task = task
-        self.slots: list[Payload | None] = [None] * n_inputs
-        self.remaining = n_inputs
-        self.slot_map = slot_map
-        # Next slot to fill per producer id (EXTERNAL included), so
-        # multiple channels between the same pair fill slots in order.
-        self.cursor: dict[TaskId, int] = {}
-        self.queued = False  # guards double enqueue
-        self.attempts = 0  # failed attempts so far (retry-budget input)
-        # Last enqueue timestamp; only written on telemetry-enabled runs
-        # (feeds the queue-wait sketch).
-        self.enq_t = 0.0
-        # Producer task id of each deposited payload, in arrival order.
-        # Allocated lazily, and only when span context is requested.
-        self.arrived: list[TaskId] | None = None
-        # Driver scratch: what a first dispatch keeps for its retries.
-        self.attempt = None
+#: ``DataflowKernel.remaining`` past zero: the task sits in (or runs off)
+#: a run queue, and it completed.  Zero itself is "ready".
+_QUEUED, _DONE = -1, -2
 
 
 class DataflowKernel:
     """Input slots, routing and attempt accounting of one run.
 
+    The graph's :class:`~repro.core.tables.GraphTables` say, per edge,
+    which slot it fills; the kernel keeps what changes during a run,
+    preallocated from the tables — one flat input-slot list for the whole
+    graph and one counter per task.  What only some runs or some tasks
+    need (failed-attempt counts, wait stamps, causal parents) is sparse.
+
     Args:
-        graph: the run's (cached) task graph.
+        graph: the run's task graph.
         run: the run's scaffolding (events, sketches, result).
         error: exception class of dataflow-contract violations and of
             the stall diagnostic (``SimulationError`` on the simulated
@@ -329,9 +286,9 @@ class DataflowKernel:
     """
 
     __slots__ = (
-        "records", "done", "total", "budget", "policy", "retries",
-        "_task", "_outputs", "_observe_bytes", "_error",
-        "_obs", "_ctx", "_track_wait",
+        "tables", "slots", "remaining", "attempts", "enq_t", "arrived",
+        "done", "total", "budget", "policy", "retries",
+        "_outputs", "_observe_bytes", "_error", "_obs", "_ctx", "_track_wait",
     )
 
     def __init__(
@@ -342,14 +299,25 @@ class DataflowKernel:
         fault_plan: FaultPlan | None = None,
         policy: RetryPolicy | None = None,
     ) -> None:
-        self.records: dict[TaskId, TaskRecord] = {}
+        tables = self.tables = graph.tables()
+        #: every input slot of the graph, laid out as ``tables.slot_start``.
+        self.slots: list[Payload | None] = [None] * tables.n_slots
+        #: per task id: its empty slots, then 0 (ready), queued, done.
+        self.remaining = tables.n_inputs.copy()
+        #: failed attempts so far, of the tasks that had any.
+        self.attempts: dict[TaskId, int] = {}
+        #: last enqueue timestamp per task; telemetry-enabled runs only
+        #: (feeds the queue-wait sketch).
+        self.enq_t: dict[TaskId, float] = {}
+        #: producer of each deposited payload, in arrival order, per
+        #: task; filled only when span context is requested.
+        self.arrived: dict[TaskId, list[TaskId]] = {}
         self.done: set[TaskId] = set()
-        self.total = graph.size()
+        self.total = tables.n
         self.budget = fault_plan.task_budget() if fault_plan is not None else {}
         self.policy = policy
         #: failed attempts so far (each is also one injected fault).
         self.retries = 0
-        self._task = graph.task
         self._outputs = run.result.outputs
         self._observe_bytes = run.m_message_bytes.observe
         self._error = error
@@ -357,69 +325,91 @@ class DataflowKernel:
         self._ctx = run.ctx
         self._track_wait = run.t_queue is not None
 
-    # -- records ------------------------------------------------------- #
+    # -- per-task state ------------------------------------------------ #
 
-    def reset(self, tid: TaskId) -> TaskRecord:
-        """A fresh record for ``tid``: whatever it had buffered is lost
-        (records otherwise materialize on their first deposit)."""
-        rec = self.records[tid] = TaskRecord(self._task(tid))
-        return rec
+    def inputs(self, tid: TaskId, release: bool = False) -> list[Payload]:
+        """The payloads deposited on ``tid``, in slot order; ``release``
+        empties the slots (the caller keeps what a retry needs)."""
+        a = self.tables.slot_start[tid]
+        b = a + self.tables.n_inputs[tid]
+        inputs = self.slots[a:b]
+        if release:
+            self.slots[a:b] = [None] * (b - a)
+        return inputs  # type: ignore[return-value]
 
-    def stamp(self, tasks, n_inputs, slot_maps) -> None:
-        """Preload every record from a compiled plan's templates (no
-        per-task slot-map derivation or task materialization)."""
-        records = self.records
-        for tid, task in enumerate(tasks):
-            records[tid] = TaskRecord(task, n_inputs[tid], slot_maps[tid])
+    def reset(self, tid: TaskId) -> Task:
+        """Forget everything ``tid`` had buffered or booked (its rank
+        died, or it replays): all its slots are empty again."""
+        self.inputs(tid, release=True)
+        self.remaining[tid] = self.tables.n_inputs[tid]
+        self.attempts.pop(tid, None)
+        self.arrived.pop(tid, None)
+        self.done.discard(tid)
+        return self.tables.tasks[tid]
 
     # -- what is ready ------------------------------------------------- #
 
-    def deposit(self, tid: TaskId, producer: TaskId, payload: Payload) -> bool:
-        """Fill the next slot ``producer`` feeds on ``tid``; True when
-        that was the last empty one (the task is ready)."""
-        if tid in self.done:
-            raise self._error(
-                f"task {tid} received a message from {producer} after it "
-                f"already completed (producer sends more messages than "
-                f"the consumer has slots)"
-            )
-        rec = self.records.get(tid)
-        if rec is None:
-            rec = self.records[tid] = TaskRecord(self._task(tid))
-        slot_list = rec.slot_map.get(producer)
-        idx = rec.cursor.get(producer, 0)
-        if slot_list is None or idx >= len(slot_list):
+    def external(self, inputs: dict[TaskId, list[Payload]]):
+        """The run's initial deposits as ``(task, slot, payload)``, in
+        ascending task order (a source ``inputs`` lacks gets nothing)."""
+        tables = self.tables
+        ext_start, ext_slot = tables.ext_start, tables.ext_slot
+        for j, tid in enumerate(tables.sources):
+            a = ext_start[j]
+            for payload in inputs.get(tid, ()):
+                yield tid, ext_slot[a], payload
+                a += 1
+
+    def deposit(
+        self, tid: TaskId, slot: int, payload: Payload, producer: TaskId
+    ) -> bool:
+        """Fill flat slot ``slot`` of ``tid`` — the one the tables
+        resolved for this edge, whatever order its messages arrive in;
+        True when that was the last empty one (the task is ready)."""
+        left = self.remaining[tid]
+        slots = self.slots
+        if left <= 0 or slot < 0 or slots[slot] is not None:
+            if left == _DONE:
+                raise self._error(
+                    f"task {tid} received a message from {producer} after "
+                    f"it already completed (producer sends more messages "
+                    f"than the consumer has slots)"
+                )
             raise self._error(
                 f"task {tid} received more messages from {producer} than "
                 f"it has slots"
             )
-        rec.cursor[producer] = idx + 1
-        rec.slots[slot_list[idx]] = payload
+        slots[slot] = payload
         if self._ctx and producer >= 0:  # is_real_task, inlined
-            arr = rec.arrived
+            arr = self.arrived.get(tid)
             if arr is None:
-                arr = rec.arrived = _parent_list()
+                arr = self.arrived[tid] = _parent_list()
             arr.append(producer)
-        rec.remaining -= 1
-        return rec.remaining == 0
+        self.remaining[tid] = left - 1
+        return left == 1
 
     def enqueued(self, tid: TaskId, proc: int, now: float) -> None:
         """``tid`` entered a driver's run queue (first time or retry):
         guard against a double entry, stamp the wait clock, announce."""
-        rec = self.records.get(tid)
-        if rec is None:  # a task without inputs: nothing deposited yet
-            rec = self.reset(tid)
-        if rec.queued:
+        if self.remaining[tid] < 0:
             raise self._error(f"task {tid} enqueued twice")
-        rec.queued = True
+        self.remaining[tid] = _QUEUED
         if self._track_wait:
-            rec.enq_t = now
+            self.enq_t[tid] = now
         if self._obs is not None:
             self._obs.emit(Event(TASK_ENQUEUED, now, proc, tid))
 
+    def dequeued(self, tid: TaskId) -> None:
+        """``tid`` left a run queue without completing (it migrates, or
+        its attempt failed): it is ready, and may be enqueued again."""
+        self.remaining[tid] = 0
+
     def stalled(self) -> Exception:
         """The diagnostic of a run that ended with tasks still waiting."""
-        stuck = sorted(t for t, r in self.records.items() if r.remaining > 0)
+        remaining, n_inputs = self.remaining, self.tables.n_inputs
+        stuck = [
+            tid for tid in self.tables.ids if 0 < remaining[tid] < n_inputs[tid]
+        ]
         return self._error(
             f"dataflow stalled: executed {len(self.done)} of {self.total} "
             f"tasks; waiting tasks include {stuck[:8]}"
@@ -432,35 +422,36 @@ class DataflowKernel:
         tid: TaskId,
         outputs: list[Payload],
         origin: int,
-        deliver: Callable[[int, TaskId, TaskId, Payload], None],
+        deliver: Callable[[int, TaskId, TaskId, int, Payload], None],
         only: "set[TaskId] | None" = None,
     ) -> None:
-        """``tid`` completed: retire its record, collect sink channels
-        into the result and hand every dataflow edge to the driver's
-        transport — ``deliver(origin, tid, consumer, payload)`` — in
-        channel order.  The kernel keeps no reference to its driver.
+        """``tid`` completed: retire it, collect sink channels into the
+        result and hand every dataflow edge to the driver's transport —
+        ``deliver(origin, tid, consumer, slot, payload)`` — in channel
+        order, ``slot`` being what :meth:`deposit` takes.  The kernel
+        keeps no reference to its driver.
 
         ``only`` restricts delivery to those consumers and collects
         nothing — a lineage replay re-feeds just the tasks that lost this
         producer's payloads; the result already has the first completion.
         """
+        tables = self.tables
         self.done.add(tid)
-        task = self.records.pop(tid).task
-        observe = self._observe_bytes
-        if only is not None:
-            for channel, payload in zip(task.outgoing, outputs):
-                for dst in channel:
-                    if dst >= 0 and dst in only:
-                        observe(payload.nbytes)
-                        deliver(origin, tid, dst, payload)
-            return
-        for ch, (channel, payload) in enumerate(zip(task.outgoing, outputs)):
-            if not channel or TNULL in channel:
-                self._outputs.setdefault(tid, {})[ch] = payload
-            for dst in channel:
-                if dst >= 0:  # is_real_task, inlined
+        self.remaining[tid] = _DONE
+        if self._ctx:
+            self.arrived.pop(tid, None)
+        edge_ch, edge_dst = tables.edge_ch, tables.edge_dst
+        edge_slot, observe = tables.edge_slot, self._observe_bytes
+        first = tables.edge_start[tid]
+        for e in range(first, first + tables.n_edges[tid]):
+            dst = edge_dst[e]
+            payload = outputs[edge_ch[e]]
+            if dst >= 0:  # is_real_task, inlined
+                if only is None or dst in only:
                     observe(payload.nbytes)
-                    deliver(origin, tid, dst, payload)
+                    deliver(origin, tid, dst, edge_slot[e], payload)
+            elif only is None:
+                self._outputs.setdefault(tid, {})[edge_ch[e]] = payload
 
     # -- attempt accounting -------------------------------------------- #
 
@@ -477,7 +468,7 @@ class DataflowKernel:
         at ``start``; follow with the attempt's triple, then
         :meth:`retry` once the attempt's time is spent."""
         self.retries += 1
-        self.records[tid].attempts += 1
+        self.attempts[tid] = self.attempts.get(tid, 0) + 1
         if self._obs is not None:
             self._obs.emit(
                 Event(
@@ -499,15 +490,15 @@ class DataflowKernel:
         Raises:
             FaultError: the task used up ``policy.max_attempts``.
         """
-        rec = self.records[tid]
-        rec.queued = False
+        self.dequeued(tid)
+        attempts = self.attempts[tid]
         policy = self.policy
-        if not policy.allows_attempt(rec.attempts):
+        if not policy.allows_attempt(attempts):
             raise FaultError(
-                f"task {tid} failed {rec.attempts} attempts "
+                f"task {tid} failed {attempts} attempts "
                 f"(RetryPolicy.max_attempts={policy.max_attempts})"
             )
-        delay = policy.delay(tid, rec.attempts)
+        delay = policy.delay(tid, attempts)
         if self._obs is not None:
             self._obs.emit(
                 Event(
@@ -516,7 +507,7 @@ class DataflowKernel:
                     proc=proc,
                     task=tid,
                     dur=delay,
-                    label=_task_label(tid, f" retry #{rec.attempts}"),
+                    label=_task_label(tid, f" retry #{attempts}"),
                 )
             )
         return delay

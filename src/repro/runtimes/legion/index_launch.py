@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from repro.core.ids import TaskId
 from repro.core.payload import Payload
+from repro.core.task import Task
 from repro.obs.events import OVERHEAD, Event
 from repro.runtimes.simbase import SimController
 from repro.sim.resource import Resource
@@ -152,11 +153,11 @@ class LegionIndexController(SimController):
     # Costs (regions as in the SPMD controller, no phase barriers)
     # ------------------------------------------------------------------ #
 
-    def _pre_compute_overhead(self, proc: int, tid: TaskId) -> float:
-        pt = self._ptasks[tid]
-        task = pt.task
+    def _pre_compute_overhead(
+        self, proc: int, task: Task, inputs: list[Payload]
+    ) -> float:
         regions = task.n_inputs + task.n_outputs
-        in_bytes = sum(p.nbytes for p in pt.slots if p is not None)
+        in_bytes = sum(p.nbytes for p in inputs)
         return (
             regions * self.costs.legion_staging_per_region
             + in_bytes / self.costs.legion_staging_bandwidth

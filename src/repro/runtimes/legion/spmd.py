@@ -27,10 +27,9 @@ controller uses").
 
 from __future__ import annotations
 
-from repro.core.errors import ControllerError
 from repro.core.ids import TaskId
 from repro.core.payload import Payload
-from repro.core.taskmap import ModuloMap
+from repro.core.task import Task
 from repro.obs.events import OVERHEAD, Event
 from repro.runtimes.simbase import SimController
 from repro.sim.resource import Resource
@@ -39,46 +38,18 @@ from repro.sim.resource import Resource
 class LegionSPMDController(SimController):
     """Task-graph execution on the simulated Legion runtime, SPMD style."""
 
-    # Placement is a static task map: compiled run plans apply (the
-    # launcher pipeline stays dynamic either way).
+    # Placement is a static task map, which the base class defaults,
+    # checks and flattens per run (recovery re-shards a task by
+    # re-pinning its entry, so later launches go through the surviving
+    # shard's launcher and cores): compiled run plans apply, the
+    # launcher pipeline stays dynamic.
     _compiled_placement = True
-
-    def _post_initialize(self) -> None:
-        assert self._graph is not None
-        if self._task_map is None:
-            self._task_map = ModuloMap(self.n_procs, self._graph.size())
-        if self._task_map.shard_count > self.n_procs:
-            raise ControllerError(
-                f"task map targets {self._task_map.shard_count} shards but "
-                f"controller has {self.n_procs}"
-            )
-
-    def _proc_of(self, tid: TaskId) -> int:
-        # Static placement: memoize shard() per task id (hot path).
-        cache = self._shard_cache
-        proc = cache.get(tid)
-        if proc is None:
-            assert self._task_map is not None
-            proc = self._task_map.shard(tid)
-            cache[tid] = proc
-        return proc
-
-    def _set_placement(self, tid: TaskId, proc: int) -> None:
-        # Recovery re-shards the task: later launches go through the
-        # surviving shard's launcher and cores.
-        self._shard_cache[tid] = proc
-
-    def _install_compiled_placement(self, plan) -> None:
-        # The plan already flattened the task map: prefill the memo so
-        # _proc_of never consults the map during the run.
-        self._shard_cache = dict(enumerate(plan.proc))
 
     # ------------------------------------------------------------------ #
     # Launch pipeline
     # ------------------------------------------------------------------ #
 
     def _prepare_run(self) -> None:
-        self._shard_cache: dict[TaskId, int] = {}
         # One serial launcher per shard: the shard task issues its single
         # task launchers one after the other.
         self._launchers = [
@@ -127,11 +98,11 @@ class LegionSPMDController(SimController):
     # Costs
     # ------------------------------------------------------------------ #
 
-    def _pre_compute_overhead(self, proc: int, tid: TaskId) -> float:
-        pt = self._ptasks[tid]
-        task = pt.task
+    def _pre_compute_overhead(
+        self, proc: int, task: Task, inputs: list[Payload]
+    ) -> float:
         regions = task.n_inputs + task.n_outputs
-        in_bytes = sum(p.nbytes for p in pt.slots if p is not None)
+        in_bytes = sum(p.nbytes for p in inputs)
         return (
             regions * self.costs.legion_staging_per_region
             + in_bytes / self.costs.legion_staging_bandwidth

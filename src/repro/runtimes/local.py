@@ -668,7 +668,9 @@ class LocalPoolController(Controller):
 
         ready: list[TaskId] = []  # heap of dispatchable task ids
         delayed: list[tuple[float, TaskId]] = []  # retry backoff heap
-        pending: dict[Future, tuple[int, TaskId, int]] = {}  # fut -> (seq, tid, slot)
+        # fut -> (seq, tid, worker slot, the attempt's inputs)
+        pending: dict[Future, tuple[int, TaskId, int, list]] = {}
+        retry_inputs: dict[TaskId, list[Payload]] = {}  # of failed attempts
         free = list(range(n_slots))  # free worker slots, lowest-first
         heapq.heapify(free)
         seq = 0
@@ -681,7 +683,7 @@ class LocalPoolController(Controller):
         kernel = DataflowKernel(
             graph, run, ControllerError, self._fault_plan, self._policy
         )
-        total = kernel.total
+        total, tasks = kernel.total, kernel.tables.tasks
 
         def enqueue(tid: TaskId) -> None:
             """A ready task, or a retry whose backoff ran out, becomes
@@ -693,18 +695,20 @@ class LocalPoolController(Controller):
                 queue_peak = depth
             kernel.enqueued(tid, where(tid), now())
 
-        def deliver(slot: int, tid: TaskId, dst: TaskId, payload: Payload) -> None:
+        def deliver(
+            worker: int, tid: TaskId, dst: TaskId, slot: int, payload: Payload
+        ) -> None:
             """Coordinator handoff: the payload is available to the
             consumer the instant it is routed."""
             if obs:
                 tnow = now()
                 edge = dict(
-                    proc=slot, dst_proc=where(dst), task=tid, dst_task=dst,
+                    proc=worker, dst_proc=where(dst), task=tid, dst_task=dst,
                     nbytes=payload.nbytes, label=f"t{tid}->t{dst}",
                 )
                 obs.emit(Event(MESSAGE_SENT, tnow, **edge))
                 obs.emit(Event(MESSAGE_DELIVERED, tnow, **edge))
-            if kernel.deposit(dst, tid, payload):
+            if kernel.deposit(dst, slot, payload, tid):
                 enqueue(dst)
             if t_msg is not None:
                 t_msg.observe(0.0)
@@ -713,11 +717,13 @@ class LocalPoolController(Controller):
 
         def submit(tid: TaskId, slot: int) -> None:
             nonlocal seq
-            # Inputs stay on the record until the task completes, so a
-            # failed attempt retries from the same payloads (tasks are
-            # idempotent by contract).
-            rec = kernel.records[tid]
-            task = rec.task
+            # The kernel releases the inputs at the first dispatch; a
+            # failed attempt holds on to them, so its retry runs from
+            # the same payloads (tasks are idempotent by contract).
+            task_inputs = retry_inputs.pop(tid, None)
+            if task_inputs is None:
+                task_inputs = kernel.inputs(tid, release=True)
+            task = tasks[tid]
             fail = kernel.take_fault(tid)
             if bus is not None and live_channel is None:
                 # Thread/inline pools share the coordinator's process:
@@ -729,10 +735,10 @@ class LocalPoolController(Controller):
             # Process workers hold the run's table: ship the id, not fn.
             fn = None if process else registry.resolve(task.callback)
             fut = pools[slot].submit(
-                _pool_run, fn, rec.slots, task.callback, tid,
+                _pool_run, fn, task_inputs, task.callback, tid,
                 task.n_outputs, fail,
             )
-            pending[fut] = (seq, tid, slot)
+            pending[fut] = (seq, tid, slot, task_inputs)
             seq += 1
 
         # -------------------------------------------------------------- #
@@ -745,10 +751,9 @@ class LocalPoolController(Controller):
                 "balancer",
                 "balancer inapplicable: pool dispatch is already dynamic",
             )
-        for tid, payloads in sorted(inputs.items()):
-            for payload in payloads:
-                if kernel.deposit(tid, EXTERNAL, payload):
-                    enqueue(tid)
+        for tid, slot, payload in kernel.external(inputs):
+            if kernel.deposit(tid, slot, payload, EXTERNAL):
+                enqueue(tid)
 
         last_progress = time.perf_counter()
         while executed < total:
@@ -811,8 +816,7 @@ class LocalPoolController(Controller):
             # submission order keeps the coordinator's own bookkeeping
             # (routing, readiness) deterministic for a given arrival set.
             for fut in sorted(done, key=lambda f: pending[f][0]):
-                _, tid, slot = pending.pop(fut)
-                rec = kernel.records[tid]
+                _, tid, slot, task_inputs = pending.pop(fut)
                 # One completion frees exactly one slot (pinned groups
                 # never hold more than one attempt in flight; inline mode
                 # never consumed one).
@@ -843,13 +847,16 @@ class LocalPoolController(Controller):
                     run.m_task_seconds.observe(elapsed)
                     if t_task is not None:
                         t_task.observe(elapsed)
-                        t_queue.observe(max(0.0, tc - elapsed - rec.enq_t))
+                        t_queue.observe(
+                            max(0.0, tc - elapsed - kernel.enq_t[tid])
+                        )
                 start = max(0.0, tc - elapsed)
                 busy[slot] += elapsed
-                arrived = rec.arrived if ctx else None
+                arrived = kernel.arrived.get(tid) if ctx else None
                 if kind is not None:
                     # A failed attempt: its time is wasted, and the task
                     # re-enters the ready heap once its backoff ran out.
+                    retry_inputs[tid] = task_inputs
                     wasted_total += elapsed
                     kernel.fail(tid, slot, start, kind)
                     if obs:
@@ -862,7 +869,7 @@ class LocalPoolController(Controller):
                     continue
                 executed += 1
                 compute_total += elapsed
-                result.stats.add_callback(rec.task.callback, elapsed)
+                result.stats.add_callback(tasks[tid].callback, elapsed)
                 if obs:
                     run.emit_attempt(
                         slot, tid, start, tc, elapsed, arrived=arrived

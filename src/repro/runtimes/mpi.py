@@ -17,10 +17,7 @@ Model highlights, matching the paper's description:
 
 from __future__ import annotations
 
-from repro.core.errors import ControllerError
-from repro.core.ids import TaskId
 from repro.core.payload import Payload
-from repro.core.taskmap import ModuloMap
 from repro.runtimes.simbase import SimController
 
 
@@ -32,43 +29,10 @@ class MPIController(SimController):
     (the paper's default round-robin allocation).
     """
 
-    # Placement is a static task map: compiled run plans apply.
+    # Placement is a static task map, which the base class defaults,
+    # checks and flattens per run (recovery re-pins entries of that
+    # table): compiled run plans apply.
     _compiled_placement = True
-
-    def _post_initialize(self) -> None:
-        assert self._graph is not None
-        if self._task_map is None:
-            self._task_map = ModuloMap(self.n_procs, self._graph.size())
-        if self._task_map.shard_count > self.n_procs:
-            raise ControllerError(
-                f"task map targets {self._task_map.shard_count} ranks but "
-                f"controller has {self.n_procs}"
-            )
-
-    def _prepare_run(self) -> None:
-        # Placement is static for the whole run, so shard() — called once
-        # per message on the hot path — is memoized per task id.
-        self._shard_cache: dict[TaskId, int] = {}
-        super()._prepare_run()
-
-    def _proc_of(self, tid: TaskId) -> int:
-        cache = self._shard_cache
-        proc = cache.get(tid)
-        if proc is None:
-            assert self._task_map is not None
-            proc = self._task_map.shard(tid)
-            cache[tid] = proc
-        return proc
-
-    def _set_placement(self, tid: TaskId, proc: int) -> None:
-        # Static re-map: recovery pins the task's shard over the task map
-        # (the cache is authoritative on every later shard() lookup).
-        self._shard_cache[tid] = proc
-
-    def _install_compiled_placement(self, plan) -> None:
-        # The plan already flattened the task map: prefill the memo so
-        # _proc_of never consults the map during the run.
-        self._shard_cache = dict(enumerate(plan.proc))
 
     def _serialize_cost(self, sproc: int, dproc: int, payload: Payload) -> float:
         if sproc == dproc and self.costs.mpi_in_memory:

@@ -36,6 +36,8 @@ from repro.core.errors import ControllerError, FaultError, SimulationError
 from repro.core.graph import TaskGraph
 from repro.core.ids import EXTERNAL, TaskId
 from repro.core.payload import Payload
+from repro.core.task import Task
+from repro.core.taskmap import ModuloMap
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.obs.events import (
@@ -51,7 +53,7 @@ from repro.obs.telemetry import TelemetryConfig
 from repro.runtimes import dataflow  # _task_label via the module: poisonable
 from repro.runtimes.controller import Controller
 from repro.runtimes.costs import DEFAULT_COSTS, CostModel, NullCost, RuntimeCosts
-from repro.runtimes.dataflow import DataflowKernel, RunScaffold, TaskRecord
+from repro.runtimes.dataflow import DataflowKernel, RunScaffold
 from repro.runtimes.result import RunResult
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine
@@ -110,9 +112,9 @@ class SimController(Controller):
         compile: opt into the ahead-of-time run plan (see
             :mod:`repro.sched.compile`): static-placement backends lower
             the (graph, task map, machine) into a cached
-            :class:`~repro.sched.compile.CompiledPlan` — preallocated
-            physical-task templates, placement table, replayed initial
-            deposits — reused across runs via the process-wide
+            :class:`~repro.sched.compile.CompiledPlan` — the placement
+            table flattened once, initial deposits replayed as a static
+            schedule — reused across runs via the process-wide
             :data:`~repro.sched.compile.PLAN_CACHE`.  Results are
             bit-identical to the interpreted path.  Runs that need
             dynamic behavior (``fault_plan=``, ``balancer=``,
@@ -121,10 +123,13 @@ class SimController(Controller):
             observed.
     """
 
-    #: True on backends whose placement is a static task map the compiled
-    #: plan can prefill (MPI-style ``_shard_cache``); dynamic-placement
-    #: backends (Charm++, Legion index-launch) keep it False and always
-    #: fall back.
+    #: True on backends whose placement is a static task map (MPI, Legion
+    #: SPMD): ``initialize`` defaults it to the paper's round-robin
+    #: :class:`~repro.core.taskmap.ModuloMap`, and each run flattens it
+    #: into ``_proc`` — or copies a compiled plan's table.
+    #: Dynamic-placement backends (Charm++, Legion index-launch) keep it
+    #: False, override the placement hooks and never take the compiled
+    #: path.
     _compiled_placement = False
 
     def __init__(
@@ -182,7 +187,6 @@ class SimController(Controller):
         self._graph_run: TaskGraph
         self._run: RunScaffold
         self._kernel: DataflowKernel
-        self._ptasks: dict[TaskId, TaskRecord]  # the kernel's records
         self._ready: list[deque[TaskId]]
         self._busy: list[int]
         self._executed: int
@@ -193,20 +197,24 @@ class SimController(Controller):
     # Backend hooks
     # ------------------------------------------------------------------ #
 
+    def _post_initialize(self) -> None:
+        if not type(self)._compiled_placement:
+            return
+        if self._task_map is None:
+            self._task_map = ModuloMap(self.n_procs, self._graph.size())
+        if self._task_map.shard_count > self.n_procs:
+            raise ControllerError(
+                f"task map targets {self._task_map.shard_count} shards but "
+                f"controller has {self.n_procs} ranks"
+            )
+
     def _proc_of(self, tid: TaskId) -> int:
-        """Proc currently owning task ``tid``."""
-        raise NotImplementedError
+        """Proc currently owning task ``tid`` (default: the run's flat
+        table of a static task map)."""
+        return self._proc[tid]
 
     def _prepare_run(self) -> None:
         """Called once per run before initial inputs are deposited."""
-
-    def _install_compiled_placement(self, plan: "CompiledPlan") -> None:
-        """Prefill the backend's placement state from a compiled plan.
-
-        Only called on backends with ``_compiled_placement = True``,
-        after :meth:`_prepare_run`.
-        """
-        raise NotImplementedError  # pragma: no cover - backends override
 
     # ------------------------------------------------------------------ #
     # Compiled fast path (opt-in via compile=True)
@@ -272,7 +280,9 @@ class SimController(Controller):
     def _on_task_done(self, proc: int, tid: TaskId) -> None:
         """Called after a task completed and its outputs were routed."""
 
-    def _pre_compute_overhead(self, proc: int, tid: TaskId) -> float:
+    def _pre_compute_overhead(
+        self, proc: int, task: Task, inputs: list[Payload]
+    ) -> float:
         """Per-task overhead charged on the core before compute."""
         return self.costs.dispatch_overhead
 
@@ -342,10 +352,11 @@ class SimController(Controller):
         )
         # Bound once per run: the kernel's state under the names the
         # backends and balancers read, its hot methods as plain attributes.
-        self._ptasks = kernel.records
         self._done = kernel.done
         self._fault_budget = kernel.budget
         self._kernel_deposit = kernel.deposit
+        #: what a failed first dispatch keeps for its retries.
+        self._stash: dict[TaskId, tuple] = {}
         self._timeout_raw = (
             self.retry_policy.task_timeout * self.machine.core_speed
             if self.retry_policy is not None
@@ -382,6 +393,13 @@ class SimController(Controller):
                 # streams keep their exact shape.
                 run.plan_fallback(fallback)
         self._prepare_run()
+        if cplan is not None:
+            self._proc = cplan.proc.copy()
+        elif type(self)._compiled_placement:
+            # Placement is static for the whole run (recovery re-pins
+            # single entries), so it is resolved once, not per message.
+            tables = kernel.tables
+            self._proc = tables.by_id(list(map(self._task_map.shard, tables.ids)))
         bal = self.balancer
         if bal is not None:
             bal.install(self)
@@ -391,11 +409,6 @@ class SimController(Controller):
         if plan is not None:
             for death in plan.rank_deaths:
                 self._engine.call_at(death.at, self._rank_death, death.proc)
-        if cplan is not None:
-            # Every record comes from the plan's templates, and the
-            # backend gets its placement table.
-            kernel.stamp(cplan.tasks, cplan.n_inputs, cplan.slot_maps)
-            self._install_compiled_placement(cplan)
         if inputs:
             if cplan is not None:
                 # The compiled path replays the deposits through the
@@ -405,20 +418,18 @@ class SimController(Controller):
                 # event — is identical to the batched event below.
                 self._initial_deposited = True
                 deposit = self._deposit
-                entries = [
-                    (0.0, deposit, (tid, EXTERNAL, payload))
-                    for tid in cplan.sources
-                    for payload in inputs[tid]
-                ]
-                self._engine.replay(entries)
+                self._engine.replay(
+                    [
+                        (0.0, deposit, (tid, slot, payload, EXTERNAL))
+                        for tid, slot, payload in kernel.external(inputs)
+                    ]
+                )
             else:
                 # One batched time-zero event instead of one per source
-                # task: the deposits run in the same (sorted) order, so
-                # every downstream event keeps its relative (time, seq)
-                # position.
-                self._engine.call_at(
-                    0.0, self._deposit_initial, sorted(inputs.items())
-                )
+                # task: the deposits run in the same (ascending) order,
+                # so every downstream event keeps its relative
+                # (time, seq) position.
+                self._engine.call_at(0.0, self._deposit_initial, inputs)
         if self._idle_hook is not None:
             # Scheduled after the initial deposits: procs the task map
             # left without any work would otherwise never be pumped, so
@@ -493,21 +504,20 @@ class SimController(Controller):
     # Input deposit
     # ------------------------------------------------------------------ #
 
-    def _deposit_initial(
-        self, items: list[tuple[TaskId, list[Payload]]]
-    ) -> None:
+    def _deposit_initial(self, inputs: dict[TaskId, list[Payload]]) -> None:
         # Flag first: a task rebuilt after a later rank death must know
         # whether its external inputs were already delivered (and lost)
         # or are still on their way in this very batch.
         self._initial_deposited = True
         deposit, on_ready = self._kernel_deposit, self._on_ready
-        for tid, payloads in items:
-            for payload in payloads:
-                if deposit(tid, EXTERNAL, payload):
-                    on_ready(tid)
+        for tid, slot, payload in self._kernel.external(inputs):
+            if deposit(tid, slot, payload, EXTERNAL):
+                on_ready(tid)
 
-    def _deposit(self, tid: TaskId, producer: TaskId, payload: Payload) -> None:
-        if self._kernel_deposit(tid, producer, payload):
+    def _deposit(
+        self, tid: TaskId, slot: int, payload: Payload, producer: TaskId
+    ) -> None:
+        if self._kernel_deposit(tid, slot, payload, producer):
             self._on_ready(tid)
 
     # ------------------------------------------------------------------ #
@@ -553,11 +563,13 @@ class SimController(Controller):
         queue at the destination on arrival.  Backends with richer
         migration semantics (Charm++'s chare migration) override this.
         """
-        pt = self._ptasks[tid]
-        pt.queued = False
+        self._kernel.dequeued(tid)
         self._set_placement(tid, dst)
         self._lb_migrations += 1
-        nbytes = sum(p.nbytes for p in pt.slots if p is not None)
+        # (A retry waits with its inputs already released: nothing moves.)
+        nbytes = sum(
+            p.nbytes for p in self._kernel.inputs(tid) if p is not None
+        )
         obs = self._obs
         if obs is not None:
             obs.emit(
@@ -590,16 +602,20 @@ class SimController(Controller):
         self._enqueue(dst, tid)
 
     def _start_task(self, proc: int, tid: TaskId) -> None:
-        pt = self._ptasks[tid]
+        kernel = self._kernel
         self._busy[proc] += 1
         if self._t_queue is not None:
             self._t_queue.observe(
-                max(0.0, self._engine._now - pt.enq_t)
+                max(0.0, self._engine._now - kernel.enq_t[tid])
             )
-        stash = pt.attempt
+        task = kernel.tables.tasks[tid]
+        stash = self._stash.pop(tid, None) if self._stash else None
         if stash is None:
-            task = pt.task
-            task_inputs: list[Payload] = pt.slots  # type: ignore[assignment]
+            # Inputs are released at the *first* dispatch, failed or not;
+            # retries reuse the stashed outputs below (tasks are
+            # idempotent by contract), so the buffered payloads need not
+            # stay pinned through fault/retry cycles.
+            task_inputs = kernel.inputs(tid, release=True)
             if self._needs_wall:
                 t0 = time.perf_counter()
                 outputs = self._registry_run.invoke(
@@ -612,13 +628,7 @@ class SimController(Controller):
                 )
                 wall = 0.0
             compute = self.cost_model.duration(task, task_inputs, wall)
-            overhead = self._pre_compute_overhead(proc, tid)
-            # Inputs are released at the *first* dispatch, failed or not;
-            # retries reuse the stashed outputs below (tasks are
-            # idempotent by contract), so the buffered payloads need not
-            # stay pinned through fault/retry cycles.
-            pt.slots = []
-            pt.attempt = (outputs, compute, overhead)
+            overhead = self._pre_compute_overhead(proc, task, task_inputs)
         else:
             outputs, compute, overhead = stash
         cat_time = self._cat_time
@@ -626,7 +636,7 @@ class SimController(Controller):
         if self._t_task is not None:
             self._t_task.observe(compute)
         kind = None
-        if self._fault_budget and self._kernel.take_fault(tid):
+        if self._fault_budget and kernel.take_fault(tid):
             # Transient failure: the attempt consumes its full time but
             # its outputs are discarded; the task retries (idempotence).
             kind, suffix = "task", " (failed attempt)"
@@ -636,8 +646,10 @@ class SimController(Controller):
             # compute always exceeds the timeout burns its whole attempt
             # budget and raises FaultError in _attempt_failed.
             kind, suffix = "timeout", " (timed out)"
-            compute, overhead = self._timeout_raw, 0.0
         if kind is not None:
+            self._stash[tid] = (outputs, compute, overhead)
+            if kind == "timeout":
+                compute, overhead = self._timeout_raw, 0.0
             cat_time["wasted"] += overhead + compute
             start, end = self._cluster.compute(
                 proc, overhead + compute, self._attempt_failed, proc, tid
@@ -646,20 +658,19 @@ class SimController(Controller):
                 self._first_fault_time = start
             if self._inflight is not None:
                 self._inflight[tid] = (proc, start, end, compute, overhead, None)
-            self._kernel.fail(tid, proc, start, kind)
+            kernel.fail(tid, proc, start, kind)
             if self._obs is not None:
                 self._emit_task(proc, tid, start, end, overhead, suffix)
             return
         cat_time[self._pre_cat] += overhead
         cat_time["compute"] += compute
-        self._cb_time[pt.task.callback] += compute
-        pt.attempt = None  # drop the output reference once dispatched
+        self._cb_time[task.callback] += compute
         start, end = self._cluster.compute(
             proc, overhead + compute, self._task_done, proc, tid, outputs
         )
         if self._inflight is not None:
             self._inflight[tid] = (
-                proc, start, end, compute, overhead, pt.task.callback
+                proc, start, end, compute, overhead, task.callback
             )
         if self._obs is not None:
             self._emit_task(proc, tid, start, end, overhead)
@@ -688,7 +699,7 @@ class SimController(Controller):
         self._run.emit_attempt(
             proc, tid, cstart, end, end - cstart, ovh,
             "wasted" if suffix else self._pre_cat, suffix,
-            self._ptasks[tid].arrived if self._ctx else None,
+            self._kernel.arrived.get(tid) if self._ctx else None,
         )
 
     def _attempt_failed(self, proc: int, tid: TaskId) -> None:
@@ -734,7 +745,7 @@ class SimController(Controller):
     # ------------------------------------------------------------------ #
 
     def _send(
-        self, sproc: int, producer: TaskId, dst: TaskId, payload: Payload
+        self, sproc: int, producer: TaskId, dst: TaskId, slot: int, payload: Payload
     ) -> None:
         dproc = self._proc_of(dst)
         ser = self._serialize_cost(sproc, dproc, payload)
@@ -742,7 +753,8 @@ class SimController(Controller):
             self._cat_time[self._comm_cat] += ser
             # Serialization occupies a sender core before injection.
             start, end = self._cluster.compute(
-                sproc, ser, self._inject, sproc, dproc, producer, dst, payload
+                sproc, ser, self._inject, sproc, dproc, producer, dst, slot,
+                payload,
             )
             obs = self._obs
             if obs is not None:
@@ -756,7 +768,7 @@ class SimController(Controller):
                     )
                 )
         else:
-            self._inject(sproc, dproc, producer, dst, payload)
+            self._inject(sproc, dproc, producer, dst, slot, payload)
 
     def _inject(
         self,
@@ -764,6 +776,7 @@ class SimController(Controller):
         dproc: int,
         producer: TaskId,
         dst: TaskId,
+        slot: int,
         payload: Payload,
     ) -> None:
         # No explicit label: Cluster derives "t{producer}->t{dst}" lazily
@@ -777,6 +790,7 @@ class SimController(Controller):
             dproc,
             producer,
             dst,
+            slot,
             payload,
             src_task=producer,
             dst_task=dst,
@@ -788,6 +802,7 @@ class SimController(Controller):
         dproc: int,
         producer: TaskId,
         dst: TaskId,
+        slot: int,
         payload: Payload,
     ) -> None:
         if self._dead_procs and dproc in self._dead_procs:
@@ -797,14 +812,14 @@ class SimController(Controller):
             self._cat_time[self._comm_cat] += deser
             if self._inflight is None:
                 start, end = self._cluster.compute(
-                    dproc, deser, self._deposit, dst, producer, payload
+                    dproc, deser, self._deposit, dst, slot, payload, producer
                 )
             else:
                 # Rank deaths are planned: the deposit at the end of the
                 # deserialization must re-check that the proc is alive.
                 start, end = self._cluster.compute(
-                    dproc, deser, self._deposit_recv, dproc, dst, producer,
-                    payload,
+                    dproc, deser, self._deposit_recv, dproc, dst, slot,
+                    payload, producer,
                 )
             obs = self._obs
             if obs is not None:
@@ -819,16 +834,16 @@ class SimController(Controller):
                         label=f"deser t{producer}->t{dst}",
                     )
                 )
-        elif self._kernel_deposit(dst, producer, payload):
+        elif self._kernel_deposit(dst, slot, payload, producer):
             self._on_ready(dst)
 
     def _deposit_recv(
-        self, dproc: int, dst: TaskId, producer: TaskId, payload: Payload
+        self, dproc: int, dst: TaskId, slot: int, payload: Payload, producer: TaskId
     ) -> None:
         """Post-deserialization deposit that tolerates a mid-flight death."""
         if dproc in self._dead_procs:
             return
-        self._deposit(dst, producer, payload)
+        self._deposit(dst, slot, payload, producer)
 
     # ------------------------------------------------------------------ #
     # Rank-death recovery
@@ -847,10 +862,9 @@ class SimController(Controller):
         return survivors[tid % len(survivors)]
 
     def _set_placement(self, tid: TaskId, proc: int) -> None:
-        """Backend hook: pin ``tid``'s placement to ``proc`` (recovery)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support rank-death re-placement"
-        )
+        """Pin ``tid``'s placement to ``proc`` (recovery, balancing);
+        default: overwrite its entry of the run's flat table."""
+        self._proc[tid] = proc
 
     def _on_recover(self, tid: TaskId) -> None:
         """Backend hook: purge stale scheduling state of a recovered task."""
@@ -951,15 +965,20 @@ class SimController(Controller):
         must have this consumer merged into its replay-target set, or its
         replayed outputs would route only to the first failure's victims.
         """
-        pt = self._kernel.reset(tid)
-        for producer in dict.fromkeys(pt.task.incoming):
+        task = self._kernel.reset(tid)
+        self._stash.pop(tid, None)
+        base = self._kernel.tables.slot_start[tid]
+        for producer in dict.fromkeys(task.incoming):
             if producer == EXTERNAL:
                 if self._initial_deposited:
-                    for payload in self._initial_inputs.get(tid, ()):
-                        self._deposit(tid, EXTERNAL, payload)
+                    for slot, payload in zip(
+                        task.external_inputs(),
+                        self._initial_inputs.get(tid, ()),
+                    ):
+                        self._deposit(tid, base + slot, payload, EXTERNAL)
             elif producer in self._done or producer in self._replaying:
                 self._require_replay(producer, tid)
-        if pt.task.n_inputs == 0:
+        if task.n_inputs == 0:
             self._on_ready(tid)
 
     def _require_replay(self, producer: TaskId, consumer: TaskId) -> None:
@@ -976,7 +995,6 @@ class SimController(Controller):
         if tid in self._replaying:
             return
         self._replaying.add(tid)
-        self._done.discard(tid)
         self._tasks_replayed += 1
         if self._proc_of(tid) in self._dead_procs:
             self._replace_task(tid, self._survivor_for(tid))

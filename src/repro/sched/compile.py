@@ -1,41 +1,43 @@
 """Ahead-of-time run plans and the cross-run plan cache.
 
-Interpreting a static dataflow re-derives the same facts every run: each
-task's input-slot layout, its placement, which edges cross the network,
-and the order external inputs are deposited in.  :func:`compile_plan`
-lowers a ``(graph, task_map, machine, costs)`` tuple into a
-:class:`CompiledPlan` — flattened, preallocated per-task arrays the
-simulated controllers replay without re-deriving anything — and
-:class:`PlanCache` keys plans by a structural fingerprint so repeated
-``repro.run()`` invocations of the same workload reuse the compiled
-artifact outright.
+What a run needs from the *graph* alone — materialized tasks, input-slot
+layout, sources, the slot every edge fills — is lowered once per graph
+instance into :class:`~repro.core.tables.GraphTables` and read by the
+interpreted and the compiled path alike.  :func:`compile_plan` lowers
+what additionally depends on *placement*: a ``(graph, task_map,
+machine)`` tuple becomes a :class:`CompiledPlan` — the task map
+flattened, per-edge wire constants — and :class:`PlanCache` keys plans
+by a structural fingerprint so repeated ``repro.run()`` invocations of
+the same workload reuse the compiled artifact outright.
 
-The compiled fast path never changes *results*: physical-task state is
-built from the plan's templates exactly as the interpreter would build
-it, initial deposits go through :meth:`repro.sim.engine.Engine.replay`
-with the same relative ``(time, seq)`` order, and anything dynamic
-(fault plans, balancers, telemetry) makes the controller fall back to
-the interpreted path with a ``plan.fallback`` observability event.
+The compiled fast path never changes *results*: it differs from the
+interpreted one in two places only — the placement table is copied from
+the plan instead of flattened from the task map, and initial deposits go
+through :meth:`repro.sim.engine.Engine.replay` with the same relative
+``(time, seq)`` order — and anything dynamic (fault plans, balancers,
+telemetry) makes the controller fall back to the interpreted path with a
+``plan.fallback`` observability event.
 
 Fingerprints are *memoized on the fingerprinted instance* (graphs and
-task maps are immutable once run — the caching contract
-:meth:`~repro.core.graph.TaskGraph.cached` already relies on), which is
-what makes a warm cache hit orders of magnitude cheaper than a cold
-plan: a lookup is a few attribute reads and one dict probe.
+task maps are immutable once run — the caching contract of
+:meth:`~repro.core.graph.TaskGraph.cached`; a graph's memo goes with
+everything else :meth:`~repro.core.graph.TaskGraph._structure_changed`
+drops), which is what makes a warm cache hit orders of magnitude cheaper
+than a cold plan: a lookup is a few attribute reads and one dict probe.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.errors import GraphError
 from repro.core.graph import CachedGraph, TaskGraph
-from repro.core.ids import EXTERNAL, TaskId
+from repro.core.ids import TaskId
 from repro.core.taskmap import BlockMap, ModuloMap, RangeMap, TaskMap
 from repro.runtimes.costs import DEFAULT_COSTS, RuntimeCosts
-from repro.runtimes.dataflow import slot_map_of
 from repro.sim.machine import SHAHEEN_II, MachineSpec
 
 if TYPE_CHECKING:
@@ -50,30 +52,35 @@ _FP_VERSION = 1
 # ---------------------------------------------------------------------- #
 
 
-def _base_graph(graph: TaskGraph) -> TaskGraph:
-    return graph._base if isinstance(graph, CachedGraph) else graph
-
-
 def graph_fingerprint(graph: TaskGraph) -> tuple:
     """Structural fingerprint of a graph (topology + callback ids).
 
-    Computed once per base graph instance and memoized on it; every
-    :class:`~repro.core.graph.CachedGraph` view of the same base shares
-    the memo.  Two structurally identical graphs produce equal
-    fingerprints even across separate instances.
+    Computed once per base graph instance and memoized on it (views
+    share the memo); structurally identical graphs produce equal
+    fingerprints across instances.  Hashes the instance's lowered tables
+    when it has them, or is about to — a cached view is what a caller
+    runs or plans on next — and walks a bare, never-run instance (a
+    service submission about to be mapped onto a shared view) without
+    pinning anything on it.
+
+    Raises:
+        GraphError: non-contiguous id space (callers treat the graph as
+            unshareable).
     """
-    base = _base_graph(graph)
-    d = getattr(base, "__dict__", None)
-    if d is not None:
-        fp = d.get("_repro_graph_fp")
-        if fp is not None:
-            return fp
-    graph = graph.cached()
+    memo = graph._memo()
+    fp = memo.get("fingerprint")
+    if fp is not None:
+        return fp
     n = graph.size()
-    task = graph.task
+    tables = graph.tables() if isinstance(graph, CachedGraph) else memo.get("tables")
+    if tables is None:
+        tasks = map(graph.task, range(n))
+    elif isinstance(tables.ids, range):
+        tasks = tables.tasks
+    else:
+        raise GraphError("graph fingerprints need the id space range(size())")
     h = 0
-    for tid in range(n):
-        t = task(tid)
+    for t in tasks:
         h = hash(
             (
                 h,
@@ -82,9 +89,7 @@ def graph_fingerprint(graph: TaskGraph) -> tuple:
                 tuple(tuple(ch) for ch in t.outgoing),
             )
         )
-    fp = ("graph", _FP_VERSION, n, h)
-    if d is not None:
-        d["_repro_graph_fp"] = fp
+    fp = memo["fingerprint"] = ("graph", _FP_VERSION, n, h)
     return fp
 
 
@@ -253,20 +258,15 @@ PLAN_CACHE = PlanCache()
 # ---------------------------------------------------------------------- #
 
 
+@dataclass(frozen=True, slots=True)
 class CompiledPlan:
-    """A static run, lowered: per-task templates plus flat edge tables.
+    """The placement-dependent half of a static run, lowered.
 
-    Everything a simulated controller re-derives per run for a static
-    graph, computed once:
+    The graph-only half (tasks, slot layout, sources, edge slots) is the
+    graph's :class:`~repro.core.tables.GraphTables`; the plan adds:
 
-    * ``tasks`` / ``n_inputs`` / ``slot_maps`` — per-task materialized
-      :class:`~repro.core.task.Task`, input count, and the
-      producer → slot-indices dict, indexed by task id.  These are the
-      templates physical tasks are stamped from (the slot-map dicts are
-      read-only at runtime and shared across runs).
-    * ``proc`` — placement table (``task_map.shard`` flattened).
-    * ``sources`` — external-input task ids in deposit order (sorted),
-      driving :meth:`~repro.sim.engine.Engine.replay`.
+    * ``proc`` — placement table (``task_map.shard`` flattened), which a
+      compiled run copies instead of flattening the map again.
     * ``ready_order`` — task ids grouped by dependency round, flattened:
       the order tasks *can* first become ready in.
     * ``edge_src`` / ``edge_dst`` / ``edge_inv_bw`` / ``edge_latency`` —
@@ -276,48 +276,14 @@ class CompiledPlan:
       ``nbytes * edge_inv_bw[i] + edge_latency[i]``.
     """
 
-    __slots__ = (
-        "n",
-        "n_procs",
-        "tasks",
-        "n_inputs",
-        "slot_maps",
-        "proc",
-        "sources",
-        "ready_order",
-        "edge_src",
-        "edge_dst",
-        "edge_inv_bw",
-        "edge_latency",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        n_procs: int,
-        tasks: list,
-        n_inputs: list[int],
-        slot_maps: list[dict[TaskId, list[int]]],
-        proc: list[int],
-        sources: list[TaskId],
-        ready_order: list[TaskId],
-        edge_src: list[int],
-        edge_dst: list[int],
-        edge_inv_bw: list[float],
-        edge_latency: list[float],
-    ) -> None:
-        self.n = n
-        self.n_procs = n_procs
-        self.tasks = tasks
-        self.n_inputs = n_inputs
-        self.slot_maps = slot_maps
-        self.proc = proc
-        self.sources = sources
-        self.ready_order = ready_order
-        self.edge_src = edge_src
-        self.edge_dst = edge_dst
-        self.edge_inv_bw = edge_inv_bw
-        self.edge_latency = edge_latency
+    n: int
+    n_procs: int
+    proc: list[int]
+    ready_order: list[TaskId]
+    edge_src: list[int]
+    edge_dst: list[int]
+    edge_inv_bw: list[float]
+    edge_latency: list[float]
 
     def delivery_offset(self, edge: int, nbytes: float) -> float:
         """Wire time of an ``nbytes`` message on unique edge ``edge``
@@ -351,11 +317,6 @@ def compile_plan(
     ids = _contiguous_ids(graph)
     n = len(ids)
     st = _plan_structure(graph, n)
-    task = graph.task
-    tasks = [task(t) for t in range(n)]
-    n_inputs = [t.n_inputs for t in tasks]
-    slot_maps = [slot_map_of(t) for t in tasks]
-    sources = [t.id for t, m in zip(tasks, slot_maps) if EXTERNAL in m]
     proc = [task_map.shard(t) for t in range(n)]
     ready_order = [t for rnd in graph.rounds() for t in rnd]
     if procs_per_node is None:
@@ -376,11 +337,7 @@ def compile_plan(
     return CompiledPlan(
         n,
         task_map.shard_count,
-        tasks,
-        n_inputs,
-        slot_maps,
         proc,
-        sources,
         ready_order,
         list(st.src_list),
         list(st.dst_list),

@@ -25,12 +25,12 @@ exists:
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.errors import TaskMapError
-from repro.core.graph import CachedGraph, TaskGraph
+from repro.core.graph import TaskGraph
 from repro.core.ids import ShardId, TaskId, is_real_task
 from repro.core.taskmap import RangeMap
 from repro.runtimes.costs import DEFAULT_COSTS, CostModel, RuntimeCosts
@@ -67,19 +67,11 @@ class PlannedMap(RangeMap):
         self.est_makespan = est_makespan
 
 
-def _contiguous_ids(graph: TaskGraph) -> Sequence[TaskId]:
-    """The graph's id space, verified contiguous (task maps require it).
-
-    Graphs that inherit the default :meth:`TaskGraph.task_ids` are
-    ``range(size())`` by construction, so no sort (or even iteration) is
-    needed — only graphs overriding ``task_ids`` pay the full
-    materialize-and-sort check.
-    """
-    base = graph._base if isinstance(graph, CachedGraph) else graph
-    if type(base).task_ids is TaskGraph.task_ids:
-        return range(graph.size())
-    ids = sorted(graph.task_ids())
-    if ids and (ids[0] != 0 or ids[-1] != len(ids) - 1):
+def _contiguous_ids(graph: TaskGraph) -> range:
+    """The graph's id space (off its lowered tables), verified to be
+    ``range(size())``: task maps require it."""
+    ids = graph.tables().ids
+    if not isinstance(ids, range):
         raise TaskMapError(
             "plan_placement requires a contiguous id space 0..size-1 "
             f"(got ids spanning [{ids[0]}, {ids[-1]}] for {len(ids)} tasks)"
@@ -184,15 +176,10 @@ class _PlanStructure:
 
 def _plan_structure(graph: TaskGraph, n: int) -> _PlanStructure:
     """Build (or fetch the memoized) :class:`_PlanStructure`."""
-    base = graph._base if isinstance(graph, CachedGraph) else graph
-    d = getattr(base, "__dict__", None)
-    if d is not None:
-        st = d.get("_plan_structure")
-        if st is not None and st.n == n:
-            return st
-    st = _PlanStructure(graph, n)
-    if d is not None:
-        d["_plan_structure"] = st
+    memo = graph._memo()
+    st = memo.get("plan_structure")
+    if st is None:
+        st = memo["plan_structure"] = _PlanStructure(graph, n)
     return st
 
 

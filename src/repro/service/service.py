@@ -293,6 +293,9 @@ class RunService:
             entry.state = "resolved"
             if entry.key is not None and self._inflight.get(entry.key) is entry:
                 del self._inflight[entry.key]
+            # Handles keep their entry; the key (a token per input
+            # payload) is only good for coalescing while in flight.
+            entry.key = None
             self._queue.release(entry.tenant)
             self._running -= 1
             self._gauge_queue()

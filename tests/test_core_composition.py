@@ -56,6 +56,38 @@ class TestStructure:
         assert len(rounds) == 6
 
 
+class TestMutation:
+    """``add`` / ``link`` change the structure in place: everything
+    derived from the old one must go (it used to survive — a stale
+    fingerprint let ``request_key`` coalesce, and ``PLAN_CACHE`` serve,
+    a graph that no longer existed)."""
+
+    def test_add_drops_fingerprint_and_tables(self):
+        from repro.sched.compile import graph_fingerprint
+
+        comp = ComposedGraph().add("a", Reduction(4, 2))
+        fp, size = graph_fingerprint(comp), comp.size()
+        sources = comp.tables().sources
+        comp.add("b", Reduction(4, 2))
+        assert graph_fingerprint(comp) != fp
+        assert comp.size() == 2 * size
+        assert comp.tables().sources == sources + [s + size for s in sources]
+        assert comp.cached().task(size).id == size  # a view sees the new part
+
+    def test_link_drops_fingerprint_and_tables(self):
+        from repro.sched.compile import graph_fingerprint
+
+        comp = ComposedGraph()
+        comp.add("red", Reduction(9, 3)).add("bc", Broadcast(9, 3))
+        fp, tables = graph_fingerprint(comp), comp.tables()
+        bc_root = comp.global_id("bc", 0)
+        assert bc_root in tables.sources
+        comp.link("red", 0, 0, "bc", 0, 0)
+        assert graph_fingerprint(comp) != fp
+        assert comp.tables() is not tables
+        assert bc_root not in comp.tables().sources
+
+
 class TestErrors:
     def test_duplicate_component(self):
         comp = ComposedGraph().add("a", Reduction(2, 2))

@@ -13,7 +13,7 @@ same (graph, plan, backend) triple replays the same virtual makespan.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.payload import Payload
@@ -101,6 +101,11 @@ def _cost():
     st.lists(st.integers(2, 6), min_size=2, max_size=4),
     st.integers(0, 10_000),
 )
+# ROADMAP 1(a): on LegionSPMD the lossy link retransmits the two messages
+# of a producer -> consumer multi-edge a different number of times, so
+# they arrive out of channel order; task 7 hashed its inputs swapped
+# until deposits went by the edge's resolved slot.
+@example([3, 5], 839)
 def test_chaos_runs_recover_bit_identical_outputs(sizes, seed):
     graph = RandomLayeredGraph(sizes, seed)
     graph.validate()

@@ -1,0 +1,60 @@
+"""The per-task call budget of a warm, unobserved simulated run.
+
+A wall-clock-free perf guard: the graph is lowered once per instance
+(:meth:`~repro.core.graph.TaskGraph.tables`), so a *warm* run must never
+ask the graph for a task again, and the interpreter work per task — every
+Python and C function call ``sys.setprofile`` sees, the figure cProfile
+reports — must stay under a committed ceiling.  The count is exact and
+repeats run to run; a hot-path change that adds a call per task or per
+message moves it by a whole unit.
+
+Sits beside ``tests/test_obs_overhead.py``: that file proves an
+unobserved run allocates nothing for observation, this one bounds what
+it does at all.
+"""
+
+import sys
+
+import repro
+from repro.core.payload import Payload
+from repro.graphs import Reduction
+
+#: Calls per task on ``Reduction(1024, 4)`` / ``mpi`` / 256 procs.  Read
+#: 85.4 with per-run materialization, slot-map and cursor dicts and one
+#: record object per task; 60.9 with the lowered tables.  Landed + 10 %.
+CALLS_PER_TASK_CEILING = 67.0
+
+
+def test_a_warm_run_stays_in_its_call_budget_and_never_rematerializes():
+    g = Reduction(1024, 4)
+    add = lambda ins, tid: [Payload(sum(p.data for p in ins))]
+    callbacks = {g.LEAF: lambda ins, tid: [ins[0]], g.REDUCE: add, g.ROOT: add}
+
+    def run():
+        inputs = {t: Payload(i + 1) for i, t in enumerate(g.leaf_ids())}
+        return repro.run(g, callbacks, inputs, runtime="mpi", n_procs=256)
+
+    expected = run().output(g.root_id).data  # cold: lowers the graph
+    materialize = Reduction.task.__code__
+    calls = materialized = 0
+
+    def count(frame, event, arg):
+        nonlocal calls, materialized
+        if event == "call":
+            calls += 1
+            materialized += frame.f_code is materialize
+        elif event == "c_call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    assert result.output(g.root_id).data == expected
+    assert materialized == 0
+    per_task = calls / g.size()
+    assert per_task <= CALLS_PER_TASK_CEILING, (
+        f"{per_task:.1f} calls per task on a warm unobserved run "
+        f"(ceiling {CALLS_PER_TASK_CEILING})"
+    )

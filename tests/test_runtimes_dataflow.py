@@ -24,13 +24,7 @@ from repro.faults import FaultPlan, RetryPolicy
 from repro.obs import ListSink
 from repro.obs.events import CORE_VOCABULARY, FAULT_VOCABULARY
 from repro.runtimes import LocalPoolController, MPIController, SerialController
-from repro.runtimes.dataflow import (
-    DataflowKernel,
-    RunScaffold,
-    TaskRecord,
-    slot_map_of,
-)
-from repro.sched.compile import compile_plan
+from repro.runtimes.dataflow import DataflowKernel, RunScaffold
 
 from tests.golden_workloads import run_workload
 from tests.test_property_random_dags import (
@@ -68,15 +62,14 @@ def run_bare(graph, fn, inputs, **kw):
     """The whole driver: deposit, pop, call, route — until dry."""
     ready = []
 
-    def deliver(origin, producer, consumer, payload):
-        if kernel.deposit(consumer, producer, payload):
+    def deliver(origin, producer, consumer, slot, payload):
+        if kernel.deposit(consumer, slot, payload, producer):
             ready.append(consumer)
 
     kernel, run = make_kernel(graph, **kw)
-    for tid, payloads in sorted(inputs.items()):
-        for payload in payloads:
-            if kernel.deposit(tid, EXTERNAL, payload):
-                ready.append(tid)
+    for tid, slot, payload in kernel.external(inputs):
+        if kernel.deposit(tid, slot, payload, EXTERNAL):
+            ready.append(tid)
     while ready:
         tid = ready.pop()
         if kernel.take_fault(tid):
@@ -84,7 +77,7 @@ def run_bare(graph, fn, inputs, **kw):
             kernel.retry(tid, 0, 0.0)
             ready.append(tid)
             continue
-        kernel.route(tid, fn(kernel.records[tid].slots, tid), 0, deliver)
+        kernel.route(tid, fn(kernel.inputs(tid, release=True), tid), 0, deliver)
     if len(kernel.done) != kernel.total:
         raise kernel.stalled()
     return run.result.outputs, kernel
@@ -92,6 +85,13 @@ def run_bare(graph, fn, inputs, **kw):
 
 def tag(ins, tid):
     return [Payload(f"{tid}.{c}") for c in range(2)]
+
+
+def edges_of(kernel, tid, outputs):
+    """The ``deliver`` calls routing ``tid`` makes, collected."""
+    sent = []
+    kernel.route(tid, outputs, 0, lambda *edge: sent.append(edge))
+    return sent
 
 
 class TestSlots:
@@ -114,25 +114,46 @@ class TestSlots:
         assert seen[1] == ["0.0", "2.0", "0.2"]
         assert set(outputs) == {1}
 
-    def test_slot_map_is_the_one_the_compiler_stores(self):
-        g = RandomLayeredGraph([3, 4, 2], seed=11)
-        plan = compile_plan(g, ModuloMap(2, g.size()))
-        for tid in g.task_ids():
-            task = g.task(tid)
-            assert plan.slot_maps[tid] == slot_map_of(task)
-            for src, idx in slot_map_of(task).items():
-                assert idx == list(task.input_slots_from(src))
-
-    def test_a_template_stamped_record_equals_a_derived_one(self):
-        g = RandomLayeredGraph([3, 4, 2], seed=5)
-        plan = compile_plan(g, ModuloMap(2, g.size()))
+    def test_a_multi_edge_delivered_in_reverse_lands_in_channel_order(self):
+        # The ROADMAP 1(a) bug on the bare kernel: a lossy link
+        # retransmits the two messages of one producer -> consumer pair
+        # a different number of times, so channel 1 arrives first.
+        g = TableGraph({
+            0: ([EXTERNAL], [[1], [1]]),
+            1: ([0, 0], [[TNULL]]),
+        })
         kernel, _ = make_kernel(g)
-        kernel.stamp(plan.tasks, plan.n_inputs, plan.slot_maps)
-        assert sorted(kernel.records) == list(g.task_ids())
-        for tid in g.task_ids():
-            stamped, derived = kernel.records[tid], TaskRecord(g.task(tid))
-            for field in TaskRecord.__slots__:
-                assert getattr(stamped, field) == getattr(derived, field), field
+        first, second = edges_of(kernel, 0, [Payload("ch0"), Payload("ch1")])
+        for _, producer, consumer, slot, payload in (second, first):
+            ready = kernel.deposit(consumer, slot, payload, producer)
+        assert ready
+        assert [p.data for p in kernel.inputs(1)] == ["ch0", "ch1"]
+
+    def test_slot_map_is_the_one_the_compiler_stores(self):
+        # The compiler is the lowering: the tables store, per edge, the
+        # slot that ``Task.input_slots_from`` names for it.
+        g = RandomLayeredGraph([3, 4, 2], seed=11)
+        t = g.tables()
+        taken = set()
+        for i, task in enumerate(t.tasks):
+            assert t.n_inputs[i] == task.n_inputs
+            for e in range(t.edge_start[i], t.edge_start[i] + t.n_edges[i]):
+                dst, slot = t.edge_dst[e], t.edge_slot[e]
+                if dst == TNULL:
+                    continue
+                # The k-th edge of a pair fills the k-th slot that names
+                # the producer (Task.input_slots_from), and no other edge.
+                k = sum(
+                    t.edge_dst[x] == dst for x in range(t.edge_start[i], e)
+                )
+                local = g.task(dst).input_slots_from(task.id)[k]
+                assert slot == t.slot_start[dst] + local
+                assert slot not in taken
+                taken.add(slot)
+        assert len(taken) + len(t.ext_slot) == t.n_slots
+        assert t.sources == [
+            tid for tid in g.task_ids() if g.task(tid).external_inputs()
+        ]
 
 
 class TestContractViolations:
@@ -144,20 +165,24 @@ class TestContractViolations:
     @pytest.mark.parametrize("error", [ControllerError, SimulationError])
     def test_over_delivery_is_the_drivers_error_class(self, error):
         kernel, _ = make_kernel(TableGraph(self.OVER), error=error)
-        assert kernel.deposit(1, 0, Payload(1)) is True
+        fits, over = edges_of(kernel, 0, [Payload(1), Payload(2)])
+        assert kernel.deposit(1, fits[3], fits[4], 0) is True
+        # The second channel has no slot in the tables ...
         with pytest.raises(error, match="task 1 received more messages "
                            "from 0 than it has slots"):
-            kernel.deposit(1, 0, Payload(2))
+            kernel.deposit(1, over[3], over[4], 0)
+        # ... and a slot cannot be filled twice.
         with pytest.raises(error, match="received more messages from 7"):
-            kernel.deposit(1, 7, Payload(3))  # not a producer at all
+            kernel.deposit(1, fits[3], Payload(3), 7)
 
     def test_delivery_after_completion(self):
         kernel, _ = make_kernel(TableGraph(self.OVER))
-        assert kernel.deposit(1, 0, Payload(1))
+        slot = kernel.tables.slot_start[1]
+        assert kernel.deposit(1, slot, Payload(1), 0)
         kernel.route(1, [Payload("out")], 0, deliver=None)  # a sink: no edge
         with pytest.raises(ControllerError, match="task 1 received a message "
                            "from 0 after it already completed"):
-            kernel.deposit(1, 0, Payload(2))
+            kernel.deposit(1, slot, Payload(2), 0)
 
     def test_double_enqueue(self):
         kernel, _ = make_kernel(TableGraph(self.OVER))
@@ -166,8 +191,8 @@ class TestContractViolations:
             kernel.enqueued(1, 0, 0.0)
 
     def test_stall_names_the_waiting_ids_in_ascending_order(self):
-        # 0 feeds 11..1 (records materialize in that order); each also
-        # waits on 12, whose external input never comes.
+        # 0 feeds 11..1 (in that order); each also waits on 12, whose
+        # external input never comes.
         g = TableGraph({
             0: ([EXTERNAL], [[t] for t in range(11, 0, -1)]),
             **{t: ([0, 12], [[TNULL]]) for t in range(1, 12)},
@@ -270,3 +295,26 @@ def test_a_retry_is_enqueued_like_a_first_attempt_on_every_driver():
     # The three retries waited out their backoff: no zero-wait samples.
     wait = result.metrics.sketches["queue_wait_seconds"]
     assert wait["count"] == 66 and wait.get("zeros", 0) == 0
+
+
+def test_a_sparse_id_space_runs_on_the_kernel_and_both_drivers():
+    """Ids need not be ``range(n)``: the tables then index by dict, and
+    nothing above them notices."""
+    from repro.core.explicit import ExplicitGraph
+    from repro.runtimes import CharmController
+
+    g = ExplicitGraph([
+        Task(3, 0, [EXTERNAL], [[7, 10], [10]]),
+        Task(7, 0, [3], [[10]]),
+        Task(10, 0, [3, 7, 3], [[TNULL]]),
+    ])
+    fn = lambda ins, tid: hashing_callback(ins, tid, g.task(tid).n_outputs)
+    inputs = {3: [Payload("x")]}
+    outputs, _ = run_bare(g, fn, inputs)
+    for controller in (
+        SerialController(), CharmController(2),
+        LocalPoolController(2, mode="thread"),
+    ):
+        controller.initialize(g, None)
+        controller.register_callback(0, fn)
+        assert controller.run(inputs).outputs[10][0].data == outputs[10][0].data

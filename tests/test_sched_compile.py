@@ -1,9 +1,10 @@
 """Unit tests for :mod:`repro.sched.compile`.
 
 Fingerprints (value equality across instances, instance memoization),
-the LRU :class:`PlanCache`, :func:`compile_plan` lowering (templates
-match what the interpreter derives, wire constants match the cluster's
-classification), and the planner's ``cache=`` integration.
+the LRU :class:`PlanCache`, :func:`compile_plan` lowering (placement
+flattened, graph-only facts left to the graph's tables, wire constants
+match the cluster's classification), and the planner's ``cache=``
+integration.
 """
 
 from __future__ import annotations
@@ -174,25 +175,25 @@ def test_plan_placement_cache_validates_ids_first() -> None:
 
 
 def test_compile_plan_templates_match_interpreter() -> None:
+    # The templates are the graph's tables now; the plan keeps placement.
     g = MergeTreeGraph(16, 2).cached()
     tm = ModuloMap(4, g.size())
     plan = compile_plan(g, tm)
     assert plan.n == g.size() and plan.n_procs == 4
+    # What a compiled run reads that does not depend on placement lives
+    # in the graph's tables, once — not a second time on the plan.
+    tables = g.tables()
+    for gone in ("tasks", "n_inputs", "slot_maps", "sources"):
+        assert not hasattr(plan, gone)
     sources = []
     for tid in range(g.size()):
         t = g.task(tid)
-        assert plan.tasks[tid].id == tid
-        assert plan.n_inputs[tid] == t.n_inputs
-        # Slot map: producer -> ascending slot indices, as _PhysicalTask
-        # derives it from Task.incoming.
-        expect: dict[int, list[int]] = {}
-        for i, src in enumerate(t.incoming):
-            expect.setdefault(src, []).append(i)
-        assert plan.slot_maps[tid] == expect
+        assert tables.tasks[tid].id == tid
+        assert tables.n_inputs[tid] == t.n_inputs
         assert plan.proc[tid] == tm.shard(tid)
-        if EXTERNAL in expect:
+        if EXTERNAL in t.incoming:
             sources.append(tid)
-    assert plan.sources == sources  # ascending deposit order
+    assert tables.sources == sources  # ascending deposit order
     assert sorted(plan.ready_order) == list(range(g.size()))
 
 

@@ -216,6 +216,15 @@ class TestTopLevelSubmit:
         baseline = repro.run(g, callbacks, inputs, runtime="mpi", n_procs=4)
         assert result.makespan == baseline.makespan
 
+    def test_a_resolved_handle_pins_no_coalescing_key(self):
+        """The key holds a token per input payload; a caller that keeps
+        its handles must not keep every key of every finished request."""
+        g, callbacks, inputs, probe, expected = reduction_spec()
+        with RunService(workers=1) as svc:
+            handle = repro.submit(g, callbacks, inputs, n_procs=4, service=svc)
+            assert handle.result(timeout=10).output(probe).data == expected
+            assert handle._entry.key is None and not svc._inflight
+
     def test_default_service_is_shared_and_lazy(self):
         svc = repro.default_service()
         assert svc is repro.default_service()
