@@ -9,7 +9,6 @@ from repro.analysis.registration.correlate import (
     OffsetEstimate,
     consensus_offset,
     ncc_shift,
-    phase_correlation,
 )
 from repro.analysis.registration.tasks import (
     RegistrationCostParams,
@@ -25,5 +24,4 @@ __all__ = [
     "VolumeGridSpec",
     "consensus_offset",
     "ncc_shift",
-    "phase_correlation",
 ]

@@ -5,7 +5,7 @@ controller:
 
 * EXTRACT — per (volume, Z-slab): cut out the overlap window facing each
   grid neighbor and send it to that edge's correlation task;
-* CORRELATE — per (edge, slab): phase-correlate the two facing windows
+* CORRELATE — per (edge, slab): cross-correlate the two facing windows
   and de-bias the peak into the pairwise jitter measurement;
 * EVALUATE ("sort/evaluate") — per edge: consensus over the slabs;
 * PLACE — solve the global least-squares placement of all volumes from
@@ -41,8 +41,8 @@ class RegistrationCostParams:
     """Analytic cost constants for the registration pipeline.
 
     ``fft_per_voxel`` multiplies ``N log2 N`` over the correlation window
-    (two forward FFTs, one inverse, the peak scan); extraction is a copy
-    at memory bandwidth.
+    (two forward FFTs, one inverse, the prefix sums, the peak scan);
+    extraction is a copy at memory bandwidth.
     """
 
     extract_per_voxel: float = 1.0e-9
@@ -144,7 +144,7 @@ class RegistrationWorkload:
         return outputs
 
     def correlate(self, inputs: list[Payload], tid: TaskId) -> list[Payload]:
-        """CORRELATE: phase-correlate the two windows, de-bias to jitter."""
+        """CORRELATE: cross-correlate the two windows, de-bias to jitter."""
         info = self.graph.describe(tid)
         a, b = self.graph.edges[info["edge"]]
         axis = self._edge_axis(a, b)

@@ -158,9 +158,9 @@ def calibrate_registration(window=(8, 24, 24), max_shift: int = 3, seed: int = 0
     a = rng.random(window)
     b = rng.random(window)
     voxels = float(np.prod(window))
-    # The dense search costs ~ (2w+1)^3 passes over the window; express
-    # the fitted rate per (voxel * log2(voxel)) to match the FFT-flavored
-    # analytic model used by the workload.
+    # The search is one zero-padded FFT cross-correlation plus prefix
+    # sums, so voxel * log2(voxel) is its complexity and the unit of the
+    # workload's analytic model.
     rate = measure_rate(
         lambda: ncc_shift(a, b, max_shift), units=voxels * np.log2(voxels)
     )
