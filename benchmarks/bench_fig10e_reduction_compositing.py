@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.compositing_common import SIZES, compositing_sweep, make_workload
+from benchmarks.compositing_common import (
+    SIZES,
+    assert_fig10e_shape,
+    compositing_sweep,
+    make_workload,
+)
 from benchmarks.harness import observe, print_series
 from repro.runtimes import MPIController
 
@@ -29,17 +34,4 @@ def test_fig10e_reduction_compositing(sweep, benchmark):
     benchmark.pedantic(run_point, args=(SIZES[0],), rounds=1, iterations=1)
     print_series("Figure 10e: reduction compositing stage only",
                  "cores (= images)", SIZES, sweep)
-    low, high = SIZES[0], SIZES[-1]
-    # IceT undercuts every generic backend at every size.
-    for n in SIZES:
-        for name in ("MPI", "Charm++", "Legion"):
-            assert sweep["IceT"][n] < sweep[name][n], (name, n)
-    # Weak scaling: compositing time grows with the image count...
-    for name in ("MPI", "Charm++", "Legion"):
-        assert sweep[name][high] > sweep[name][low], name
-    # ...with MPI showing the lowest relative increase.
-    growth = {
-        name: sweep[name][high] / sweep[name][low]
-        for name in ("MPI", "Charm++", "Legion")
-    }
-    assert growth["MPI"] <= min(growth.values()) * 1.01
+    assert_fig10e_shape(SIZES, sweep)

@@ -14,7 +14,12 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.compositing_common import SIZES, compositing_sweep, make_workload
+from benchmarks.compositing_common import (
+    SIZES,
+    assert_fig10f_shape,
+    compositing_sweep,
+    make_workload,
+)
 from benchmarks.harness import observe, print_series
 from repro.runtimes import MPIController
 
@@ -38,19 +43,4 @@ def test_fig10f_binswap_compositing(sweep, reduction_sweep, benchmark):
     benchmark.pedantic(run_point, args=(SIZES[0],), rounds=1, iterations=1)
     print_series("Figure 10f: binary-swap compositing stage only",
                  "cores (= images)", SIZES, sweep)
-    high = SIZES[-1]
-    # IceT stays fastest.
-    for n in SIZES:
-        for name in ("MPI", "Charm++", "Legion"):
-            assert sweep["IceT"][n] < sweep[name][n], (name, n)
-    # MPI and Charm++ gain from binary swap at scale...
-    assert sweep["MPI"][high] < reduction_sweep["MPI"][high]
-    assert sweep["Charm++"][high] < reduction_sweep["Charm++"][high]
-    # ...while Legion loses more to per-task overhead than it gains:
-    # its binswap/reduction ratio is the worst of the three runtimes.
-    ratio = {
-        name: sweep[name][high] / reduction_sweep[name][high]
-        for name in ("MPI", "Charm++", "Legion")
-    }
-    assert ratio["Legion"] > ratio["MPI"]
-    assert ratio["Legion"] > ratio["Charm++"]
+    assert_fig10f_shape(SIZES, sweep, reduction_sweep)

@@ -54,24 +54,33 @@ class ImageFragment:
         return int(self.rgba.nbytes + self.depth.nbytes)
 
     @classmethod
+    def _trusted(cls, rgba: np.ndarray, depth: np.ndarray) -> "ImageFragment":
+        """Fragment from arrays this package built itself: their shapes
+        agree by construction, so ``__post_init__`` is not re-run."""
+        frag = object.__new__(cls)
+        frag.rgba = rgba
+        frag.depth = depth
+        return frag
+
+    @classmethod
     def blank(cls, shape: tuple[int, int]) -> "ImageFragment":
         """Fully transparent fragment."""
         h, w = shape
-        return cls(
+        return cls._trusted(
             np.zeros((h, w, 4), dtype=np.float32),
             np.full((h, w), np.inf, dtype=np.float32),
         )
 
     def crop(self, y0: int, y1: int, x0: int, x1: int) -> "ImageFragment":
-        """Copy of the sub-rectangle ``[y0:y1, x0:x1]``."""
-        return ImageFragment(
-            np.ascontiguousarray(self.rgba[y0:y1, x0:x1]),
-            np.ascontiguousarray(self.depth[y0:y1, x0:x1]),
+        """Owning copy of the sub-rectangle ``[y0:y1, x0:x1]``: neither
+        array is a view, so a crop never aliases or pins its source."""
+        return self._trusted(
+            self.rgba[y0:y1, x0:x1].copy(), self.depth[y0:y1, x0:x1].copy()
         )
 
     def copy(self) -> "ImageFragment":
         """Deep copy."""
-        return ImageFragment(self.rgba.copy(), self.depth.copy())
+        return self._trusted(self.rgba.copy(), self.depth.copy())
 
 
 def over(a: ImageFragment, b: ImageFragment) -> ImageFragment:
@@ -79,16 +88,23 @@ def over(a: ImageFragment, b: ImageFragment) -> ImageFragment:
 
     With premultiplied alpha the over operator is
     ``out = front + (1 - front_alpha) * back``; the result's depth is the
-    per-pixel minimum (the nearer surface).
+    per-pixel minimum (the nearer surface).  The result is float32 for
+    any input dtype, owns its arrays, and the inputs are left untouched.
     """
-    if a.shape != b.shape:
+    if a.depth.shape != b.depth.shape:
         raise ValueError(f"fragment shapes differ: {a.shape} vs {b.shape}")
-    a_front = a.depth <= b.depth
-    front_rgba = np.where(a_front[..., None], a.rgba, b.rgba)
-    back_rgba = np.where(a_front[..., None], b.rgba, a.rgba)
-    out = front_rgba + (1.0 - front_rgba[..., 3:4]) * back_rgba
+    a_front = (a.depth <= b.depth)[..., None]
+    front = np.where(a_front, a.rgba, b.rgba)
+    trans = 1.0 - front[..., 3:4]
+    # ``np.where`` returns a fresh buffer (already ``trans``'s dtype for
+    # float fragments), so the blend runs in place on it.
+    out = np.where(a_front, b.rgba, a.rgba).astype(trans.dtype, copy=False)
+    out *= trans
+    out += front
     depth = np.minimum(a.depth, b.depth)
-    return ImageFragment(out.astype(np.float32), depth.astype(np.float32))
+    return ImageFragment._trusted(
+        out.astype(np.float32, copy=False), depth.astype(np.float32, copy=False)
+    )
 
 
 def composite_ordered(fragments: list[ImageFragment]) -> ImageFragment:

@@ -33,10 +33,9 @@ from repro.analysis.mergetree.blocks import BlockDecomposition
 from repro.analysis.rendering.image import ImageFragment, composite_ordered, over
 from repro.analysis.rendering.tiles import (
     power_layout,
+    radix_cuts,
     radix_region,
-    region_shape,
-    split_region,
-    split_region_k,
+    swap_cuts,
     swap_region,
 )
 from repro.analysis.rendering.transfer import TransferFunction, fire
@@ -217,13 +216,11 @@ class RenderingWorkload:
     ) -> tuple[ImageFragment, ImageFragment]:
         """Split a stage-``stage`` fragment into (kept, sent) halves."""
         assert isinstance(self.graph, BinarySwap)
-        shape = self.camera.image_shape
-        region = swap_region(shape, stage, index)
-        first, second = split_region(region, stage)
-        y0, _, x0, _ = region
-        rel = lambda r: (r[0] - y0, r[1] - y0, r[2] - x0, r[3] - x0)
-        f = frag.crop(*rel(first))
-        s = frag.crop(*rel(second))
+        first, second = swap_cuts(
+            self.camera.image_shape, stage, index & ((1 << stage) - 1)
+        )
+        f = frag.crop(*first)
+        s = frag.crop(*second)
         if (index >> stage) & 1:
             return s, f
         return f, s
@@ -266,16 +263,8 @@ class RenderingWorkload:
         in group-digit order (matching the graph's channel order)."""
         assert isinstance(self.graph, RadixK)
         k = self.graph.radix
-        shape = self.camera.image_shape
-        region = radix_region(shape, k, stage, index)
-        y0, _, x0, _ = region
-        strips = split_region_k(region, k, stage)
-        return [
-            self._fragment_payload(
-                frag.crop(r[0] - y0, r[1] - y0, r[2] - x0, r[3] - x0)
-            )
-            for r in strips
-        ]
+        cuts = radix_cuts(self.camera.image_shape, k, stage, index % k**stage)
+        return [self._fragment_payload(frag.crop(*r)) for r in cuts]
 
     def radix_leaf(self, inputs: list[Payload], tid: TaskId) -> list[Payload]:
         """Stage 0: render, then direct-send the k strips."""
@@ -366,25 +355,25 @@ class RenderingWorkload:
 
         def fragment_pixels(payload: Payload) -> float:
             data = payload.data
-            frag = data[1] if isinstance(data, tuple) else data
-            return frag.shape[0] * frag.shape[1] * px_scale
+            shape = (data[1] if isinstance(data, tuple) else data).shape
+            return shape[0] * shape[1] * px_scale
 
-        def cost(task, inputs):
+        def reduction_cost(task, inputs):
             cb = task.callback
-            if self.mode == "reduction":
-                assert isinstance(g, Reduction)
-                if cb == g.LEAF:
-                    return render_cost(inputs[0].data, g.leaf_index(task.id))
-                pixels = sum(fragment_pixels(pl) for pl in inputs)
-                extra = (
-                    p.write_per_pixel * real_pixels * px_scale
-                    if cb == g.ROOT
-                    else 0.0
-                )
-                if cb == g.ROOT and isinstance(inputs[0].data, np.ndarray):
-                    return render_cost(inputs[0].data, 0) + extra
-                return p.composite_per_pixel * pixels + extra
-            assert isinstance(g, (BinarySwap, RadixK))
+            if cb == g.LEAF:
+                return render_cost(inputs[0].data, g.leaf_index(task.id))
+            pixels = sum(fragment_pixels(pl) for pl in inputs)
+            extra = (
+                p.write_per_pixel * real_pixels * px_scale
+                if cb == g.ROOT
+                else 0.0
+            )
+            if cb == g.ROOT and isinstance(inputs[0].data, np.ndarray):
+                return render_cost(inputs[0].data, 0) + extra
+            return p.composite_per_pixel * pixels + extra
+
+        def swap_cost(task, inputs):
+            cb = task.callback
             if cb == g.LEAF:
                 return render_cost(inputs[0].data, g.index(task.id))
             if cb == g.ROOT and isinstance(inputs[0].data, np.ndarray):
@@ -395,4 +384,7 @@ class RenderingWorkload:
             )
             return p.composite_per_pixel * pixels + extra
 
-        return CallableCost(cost)
+        # The mode is fixed at construction: pick its cost function once.
+        return CallableCost(
+            reduction_cost if self.mode == "reduction" else swap_cost
+        )

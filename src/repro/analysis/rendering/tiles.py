@@ -15,6 +15,8 @@ exact in any reduction order the tree implies.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.core.errors import GraphError
 
 #: A tile rectangle: (y0, y1, x0, x1), half-open.
@@ -53,6 +55,31 @@ def swap_region(shape: tuple[int, int], stage: int, index: int) -> Region:
         first, second = split_region(region, s)
         region = second if (index >> s) & 1 else first
     return region
+
+
+def _relative(region: Region, parts) -> tuple[Region, ...]:
+    y0, _, x0, _ = region
+    return tuple((r[0] - y0, r[1] - y0, r[2] - x0, r[3] - x0) for r in parts)
+
+
+@lru_cache(maxsize=8192)
+def swap_cuts(shape: tuple[int, int], stage: int, low_bits: int) -> tuple[Region, ...]:
+    """The two halves a stage-``stage`` task cuts its tile into, relative
+    to the tile's own origin.  Only the low ``stage`` bits of the task
+    index select the tile, so callers pass ``index & (2**stage - 1)`` and
+    a whole run shares ``2**stage`` entries per stage."""
+    region = swap_region(shape, stage, low_bits)
+    return _relative(region, split_region(region, stage))
+
+
+@lru_cache(maxsize=8192)
+def radix_cuts(
+    shape: tuple[int, int], k: int, stage: int, low_digits: int
+) -> tuple[Region, ...]:
+    """Radix-k twin of :func:`swap_cuts`: the ``k`` strips, relative to
+    the tile selected by ``index % k**stage``."""
+    region = radix_region(shape, k, stage, low_digits)
+    return _relative(region, split_region_k(region, k, stage))
 
 
 def region_shape(region: Region) -> tuple[int, int]:

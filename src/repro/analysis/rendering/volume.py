@@ -12,6 +12,7 @@ on, and which the tests verify against a single full-volume render.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +42,8 @@ class OrthoCamera:
         h, w = self.image_shape
         if h <= 0 or w <= 0:
             raise ValueError(f"invalid image shape {self.image_shape}")
+        # Hashable whatever sequence the caller passed: cameras key caches.
+        object.__setattr__(self, "image_shape", (h, w))
 
     @property
     def view_axis(self) -> int:
@@ -96,51 +99,62 @@ def render_block(
     """
     va = camera.view_axis
     ra, ca = camera.plane_axes()
-    rows, cols = camera.pixel_maps(grid_shape)
-
-    # Select the image rows/cols whose grid point falls inside the block.
-    (rlo, rhi) = bounds[ra]
-    (clo, chi) = bounds[ca]
-    row_sel = np.nonzero((rows >= rlo) & (rows < rhi))[0]
-    col_sel = np.nonzero((cols >= clo) & (cols < chi))[0]
-    h, w = camera.image_shape
-    fragment = ImageFragment.blank((h, w))
-    if len(row_sel) == 0 or len(col_sel) == 0:
+    fragment = ImageFragment.blank(camera.image_shape)
+    footprint = _footprint(
+        camera, tuple(grid_shape), tuple(bounds[ra]), tuple(bounds[ca])
+    )
+    if footprint is None:
         return fragment
+    pixels, voxels = footprint
 
-    # Reorder the block so indexing is [row_axis, col_axis, view_axis].
-    perm = (ra, ca, va)
-    if perm == (0, 1, 2):
-        sub = block
-    else:
-        sub = np.ascontiguousarray(np.transpose(block, perm))
-    r_idx = rows[row_sel] - rlo
-    c_idx = cols[col_sel] - clo
-    slab = sub[np.ix_(r_idx, c_idx)]  # (hb, wb, depth_extent)
-
-    depth_extent = slab.shape[2]
+    # A view of the block indexed [row_axis, col_axis, view_axis].
+    sub = block.transpose(ra, ca, va)
+    depth_extent = sub.shape[2]
     n_steps = max(1, int(round(depth_extent / step_scale)))
     sample_z = np.minimum(
         (np.arange(n_steps) * depth_extent) // n_steps, depth_extent - 1
     )
-    color = np.zeros(slab.shape[:2] + (3,), dtype=np.float32)
-    alpha = np.zeros(slab.shape[:2], dtype=np.float32)
-    for z in sample_z:
-        rgba = tf(slab[:, :, z])
-        a = np.clip(rgba[..., 3] * step_scale, 0.0, 1.0)
-        trans = 1.0 - alpha
-        color += (trans * a)[..., None] * rgba[..., :3]
-        alpha += trans * a
+    # One gather and one transfer-function pass over every sample; only
+    # the front-to-back accumulation is sequential in z.
+    samples = tf(sub[voxels + (sample_z,)])  # (hb, wb, n_steps, 4)
+    opacity = np.clip(samples[..., 3] * step_scale, 0.0, 1.0)
+    rgba_block = np.zeros(samples.shape[:2] + (4,), dtype=np.float32)
+    color, alpha = rgba_block[..., :3], rgba_block[..., 3]
+    for z in range(n_steps):
+        weight = (1.0 - alpha) * opacity[:, :, z]
+        color += weight[..., None] * samples[:, :, z, :3]
+        alpha += weight
 
     entry = float(bounds[va][0])
-    out_rgba = fragment.rgba
-    out_depth = fragment.depth
-    rgba_block = np.concatenate([color, alpha[..., None]], axis=2)
-    out_rgba[np.ix_(row_sel, col_sel)] = rgba_block
-    covered = alpha > 0.0
-    block_depth = np.where(covered, np.float32(entry), np.float32(np.inf))
-    out_depth[np.ix_(row_sel, col_sel)] = block_depth
+    fragment.rgba[pixels] = rgba_block
+    fragment.depth[pixels] = np.where(
+        alpha > 0.0, np.float32(entry), np.float32(np.inf)
+    )
     return fragment
+
+
+@lru_cache(maxsize=256)
+def _footprint(camera, grid_shape, row_bounds, col_bounds):
+    """Index arrays of a block's image footprint, or ``None`` if empty.
+
+    ``(pixels, voxels)``: ``np.ix_`` pairs selecting the image rows/cols
+    whose grid point falls inside the block, and the same points relative
+    to the block (shaped to broadcast against a z index as well).  They
+    depend only on the camera, the grid shape and the block's row/column
+    bounds, so every block of a depth column (and every thread on
+    ``local``) shares one read-only entry.
+    """
+    rows, cols = camera.pixel_maps(grid_shape)
+    (rlo, rhi), (clo, chi) = row_bounds, col_bounds
+    row_sel = np.nonzero((rows >= rlo) & (rows < rhi))[0]
+    col_sel = np.nonzero((cols >= clo) & (cols < chi))[0]
+    if len(row_sel) == 0 or len(col_sel) == 0:
+        return None
+    pixels = np.ix_(row_sel, col_sel)
+    voxels = np.ix_(rows[row_sel] - rlo, cols[col_sel] - clo, [0])[:2]
+    for arr in pixels + voxels:
+        arr.flags.writeable = False
+    return pixels, voxels
 
 
 def render_volume(

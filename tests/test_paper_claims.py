@@ -1,14 +1,17 @@
 """The paper's figure-shape claims under the tier-1 command.
 
 The assertions live with the figure benchmarks (``benchmarks/bench_fig*``,
-which also need ``pytest-benchmark``); the figures cheap enough for
-tier-1 are swept here at small scale through the same functions, so
-``python -m pytest`` regression-tests the paper, not just the machinery.
+which also need ``pytest-benchmark``; figs. 10e/f state theirs beside the
+shared sweep in ``benchmarks/compositing_common``); the figures cheap
+enough for tier-1 are swept here at small scale through the same
+functions, so ``python -m pytest`` regression-tests the paper, not just
+the machinery.
 """
 
 import pytest
 
 from benchmarks import bench_fig9_registration as fig9
+from benchmarks import compositing_common as fig10
 
 FIG9_NODES = [16, 64, 256]
 
@@ -36,3 +39,44 @@ def test_fig9_registration_shape(fig9_sweep):
 def test_fig9_makespans_match_the_published_table(fig9_sweep, series, nodes):
     published = FIG9_MAKESPANS[series][nodes]
     assert f"{fig9_sweep[series][nodes]:.4f}" == f"{published:.4f}"
+
+
+FIG10_SIZES = (64, 256, 1024)
+
+#: EXPERIMENTS.md, "Fig. 10e" and "Fig. 10f": compositing stage only.
+FIG10_MAKESPANS = {
+    "reduction": {
+        "IceT": {64: 0.0138, 256: 0.0138, 1024: 0.0139},
+        "MPI": {64: 0.3213, 256: 0.4547, 1024: 0.5797},
+        "Charm++": {64: 0.3213, 256: 0.4548, 1024: 0.5798},
+        "Legion": {64: 0.2106, 256: 0.2991, 1024: 0.3914},
+    },
+    "binswap": {
+        "IceT": {64: 0.0138, 256: 0.0138, 1024: 0.0139},
+        "MPI": {64: 0.0398, 256: 0.0407, 1024: 0.0409},
+        "Charm++": {64: 0.0399, 256: 0.0407, 1024: 0.0410},
+        "Legion": {64: 0.0312, 256: 0.0359, 1024: 0.0518},
+    },
+}
+
+
+def fig10_sweep(mode):
+    return fig10.compositing_sweep(mode, False, FIG10_SIZES)
+
+
+def test_fig10e_reduction_compositing_shape():
+    fig10.assert_fig10e_shape(FIG10_SIZES, fig10_sweep("reduction"))
+
+
+def test_fig10f_binswap_compositing_shape():
+    fig10.assert_fig10f_shape(
+        FIG10_SIZES, fig10_sweep("binswap"), fig10_sweep("reduction")
+    )
+
+
+@pytest.mark.parametrize("mode", list(FIG10_MAKESPANS))
+@pytest.mark.parametrize("series", list(FIG10_MAKESPANS["reduction"]))
+@pytest.mark.parametrize("n", FIG10_SIZES)
+def test_fig10ef_makespans_match_the_published_tables(mode, series, n):
+    published = FIG10_MAKESPANS[mode][series][n]
+    assert f"{fig10_sweep(mode)[series][n]:.4f}" == f"{published:.4f}"

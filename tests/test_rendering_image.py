@@ -187,3 +187,103 @@ class TestOverInvariants:
             assert alpha >= prev_alpha - 1e-6
             assert alpha <= 1.0 + 1e-5
             prev_alpha = alpha
+
+
+def _over_reference(a: ImageFragment, b: ImageFragment) -> ImageFragment:
+    """``over`` as it stood before the in-place rewrite, kept verbatim as
+    the oracle: seven RGBA-sized temporaries, same values."""
+    if a.shape != b.shape:
+        raise ValueError(f"fragment shapes differ: {a.shape} vs {b.shape}")
+    a_front = a.depth <= b.depth
+    front_rgba = np.where(a_front[..., None], a.rgba, b.rgba)
+    back_rgba = np.where(a_front[..., None], b.rgba, a.rgba)
+    out = front_rgba + (1.0 - front_rgba[..., 3:4]) * back_rgba
+    depth = np.minimum(a.depth, b.depth)
+    return ImageFragment(out.astype(np.float32), depth.astype(np.float32))
+
+
+#: Depths that exercise every branch of the compare: ties, empty (+inf)
+#: on one or both sides, and nan (which ``np.minimum`` propagates from
+#: either side while ``<=`` is false, so the *other* fragment is in front).
+_DEPTHS = st.sampled_from([0.0, 1.0, 1.0, 2.5, np.inf, np.nan])
+
+
+@st.composite
+def _fragment_pairs(draw):
+    h = draw(st.integers(0, 4))
+    w = draw(st.integers(1, 5))
+    pair = []
+    for _ in range(2):
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        rgba = draw(st.lists(st.floats(0, 1), min_size=h * w * 4,
+                             max_size=h * w * 4))
+        depth = draw(st.lists(_DEPTHS, min_size=h * w, max_size=h * w))
+        pair.append(ImageFragment(
+            np.array(rgba, dtype=dtype).reshape(h, w, 4),
+            np.array(depth, dtype=dtype).reshape(h, w),
+        ))
+    return pair
+
+
+class TestOverMatchesItsReference:
+    @settings(deadline=None, max_examples=200)
+    @given(_fragment_pairs())
+    def test_bitwise_float32_out_and_inputs_untouched(self, pair):
+        a, b = pair
+        before = [x.copy() for x in (a.rgba, a.depth, b.rgba, b.depth)]
+        out, ref = over(a, b), _over_reference(a, b)
+        assert out.rgba.dtype == out.depth.dtype == np.float32
+        assert out.rgba.tobytes() == ref.rgba.tobytes()
+        assert out.depth.tobytes() == ref.depth.tobytes()
+        for arr, was in zip((a.rgba, a.depth, b.rgba, b.depth), before):
+            assert arr.tobytes() == was.tobytes()
+            assert not np.shares_memory(out.rgba, arr)
+            assert not np.shares_memory(out.depth, arr)
+
+    def test_nan_depth_propagates_from_either_side(self):
+        a, b = frag([0.2, 0, 0, 0.2], np.nan), frag([0, 0.4, 0, 0.4], 1.0)
+        for x, y in ((a, b), (b, a)):
+            out = over(x, y)
+            assert np.isnan(out.depth[0, 0])
+            assert out == _over_reference(x, y)
+
+
+class TestCropOwnsItsArrays:
+    """``np.ascontiguousarray`` handed back a *view* for every full-width
+    row split — every even binary-swap stage."""
+
+    @pytest.mark.parametrize("rect", [
+        (0, 2, 0, 6),  # full-width rows: was a view of the source
+        (0, 4, 0, 3),  # columns
+        (0, 4, 0, 6),  # the whole fragment
+        (2, 2, 0, 6),  # zero area
+        (1, 3, 6, 6),
+    ])
+    def test_crop_is_an_owning_copy(self, rect):
+        rng = np.random.default_rng(7)
+        f = ImageFragment(
+            rng.random((4, 6, 4), dtype=np.float32),
+            rng.random((4, 6), dtype=np.float32),
+        )
+        kept = f.copy()
+        y0, y1, x0, x1 = rect
+        t = f.crop(*rect)
+        assert t.shape == (y1 - y0, x1 - x0)
+        assert np.array_equal(t.rgba, f.rgba[y0:y1, x0:x1])
+        assert np.array_equal(t.depth, f.depth[y0:y1, x0:x1])
+        for arr in (t.rgba, t.depth):
+            assert arr.base is None and arr.flags.c_contiguous
+            assert not np.shares_memory(arr, f.rgba)
+            assert not np.shares_memory(arr, f.depth)
+        t.rgba[:] = 7
+        t.depth[:] = 7
+        assert f == kept
+
+    def test_library_built_fragments_skip_revalidation_only(self):
+        # The public constructor still validates for outside callers...
+        with pytest.raises(ValueError):
+            ImageFragment(np.zeros((2, 2, 4)), np.zeros((3, 2)))
+        # ...and what the library builds is a plain, equal fragment.
+        f = ImageFragment.blank((2, 3))
+        assert f.copy() == f and f.crop(0, 2, 0, 3) == f
+        assert type(over(f, f)) is ImageFragment

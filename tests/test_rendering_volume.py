@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from repro.analysis.mergetree.blocks import BlockDecomposition
-from repro.analysis.rendering.image import composite_ordered, over
+from repro.analysis.rendering.image import ImageFragment, composite_ordered, over
 from repro.analysis.rendering.transfer import fire, grayscale
-from repro.analysis.rendering.volume import OrthoCamera, render_block, render_volume
+from repro.analysis.rendering.volume import (
+    OrthoCamera,
+    _footprint,
+    render_block,
+    render_volume,
+)
 
 
 class TestCamera:
@@ -107,3 +112,103 @@ class TestBlockCompositingEquivalence:
         )
         assert (frag.rgba[:4, :, 3] > 0).all()
         assert (frag.rgba[4:, :, 3] == 0).all()
+
+
+def _render_block_reference(block, bounds, grid_shape, camera, tf, step_scale=1.0):
+    """``render_block`` as it stood before the footprint table and the
+    single transfer-function pass, kept verbatim as the oracle."""
+    va = camera.view_axis
+    ra, ca = camera.plane_axes()
+    rows, cols = camera.pixel_maps(grid_shape)
+    (rlo, rhi) = bounds[ra]
+    (clo, chi) = bounds[ca]
+    row_sel = np.nonzero((rows >= rlo) & (rows < rhi))[0]
+    col_sel = np.nonzero((cols >= clo) & (cols < chi))[0]
+    h, w = camera.image_shape
+    fragment = ImageFragment.blank((h, w))
+    if len(row_sel) == 0 or len(col_sel) == 0:
+        return fragment
+    perm = (ra, ca, va)
+    if perm == (0, 1, 2):
+        sub = block
+    else:
+        sub = np.ascontiguousarray(np.transpose(block, perm))
+    r_idx = rows[row_sel] - rlo
+    c_idx = cols[col_sel] - clo
+    slab = sub[np.ix_(r_idx, c_idx)]
+    depth_extent = slab.shape[2]
+    n_steps = max(1, int(round(depth_extent / step_scale)))
+    sample_z = np.minimum(
+        (np.arange(n_steps) * depth_extent) // n_steps, depth_extent - 1
+    )
+    color = np.zeros(slab.shape[:2] + (3,), dtype=np.float32)
+    alpha = np.zeros(slab.shape[:2], dtype=np.float32)
+    for z in sample_z:
+        rgba = tf(slab[:, :, z])
+        a = np.clip(rgba[..., 3] * step_scale, 0.0, 1.0)
+        trans = 1.0 - alpha
+        color += (trans * a)[..., None] * rgba[..., :3]
+        alpha += trans * a
+    entry = float(bounds[va][0])
+    rgba_block = np.concatenate([color, alpha[..., None]], axis=2)
+    fragment.rgba[np.ix_(row_sel, col_sel)] = rgba_block
+    covered = alpha > 0.0
+    block_depth = np.where(covered, np.float32(entry), np.float32(np.inf))
+    fragment.depth[np.ix_(row_sel, col_sel)] = block_depth
+    return fragment
+
+
+class TestFootprintTable:
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @pytest.mark.parametrize("step_scale", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("image_shape", [(9, 7), (3, 20)])
+    def test_bitwise_equal_to_the_reference(self, axis, step_scale, image_shape):
+        field = np.random.default_rng(11).random((10, 9, 8))
+        tf = fire(0.0, 1.0)
+        cam = OrthoCamera(image_shape, axis=axis)
+        dec = BlockDecomposition(field.shape, (2, 3, 2))
+        for b in range(dec.n_blocks):
+            args = (dec.extract_block(field, b), dec.block_bounds(b), field.shape, cam, tf)
+            got = render_block(*args, step_scale)
+            ref = _render_block_reference(*args, step_scale)
+            assert got.rgba.tobytes() == ref.rgba.tobytes()
+            assert got.depth.tobytes() == ref.depth.tobytes()
+
+    def test_sequences_other_than_tuples_still_work(self):
+        field = np.ones((4, 4, 4))
+        cam = OrthoCamera([6, 5], axis="z")
+        frag = render_block(
+            field, [[0, 4], [0, 4], [0, 4]], [4, 4, 4], cam, grayscale(0, 2)
+        )
+        assert frag == render_volume(field, OrthoCamera((6, 5)), grayscale(0, 2))
+
+    def test_shared_index_arrays_are_read_only_and_fragments_are_not_shared(self):
+        """Every block with the same footprint — and, on ``local``, every
+        thread — is handed the same cached index arrays."""
+        field = np.random.default_rng(5).random((8, 8, 8))
+        cam = OrthoCamera((8, 8), axis="z")
+        tf = grayscale(0, 1)
+        dec = BlockDecomposition(field.shape, (2, 1, 2))
+        b0, b3 = dec.block_bounds(0), dec.block_bounds(3)
+        entry = _footprint(cam, field.shape, b0[0], b0[1])
+        assert entry is _footprint(cam, field.shape, b0[0], b0[1])
+        for pair in entry:
+            for arr in pair:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[...] = 0
+        # Another footprint or another camera: another entry.
+        assert (b3[0], b3[1]) != (b0[0], b0[1])
+        assert _footprint(cam, field.shape, b3[0], b3[1]) is not entry
+        assert _footprint(OrthoCamera((8, 6)), field.shape, b0[0], b0[1]) is not entry
+        # A block outside the image's sampled rows has no footprint at all.
+        assert _footprint(OrthoCamera((1, 1)), field.shape, (4, 8), (0, 8)) is None
+
+        first = render_block(dec.extract_block(field, 0), b0, field.shape, cam, tf)
+        again = render_block(dec.extract_block(field, 0), b0, field.shape, cam, tf)
+        assert first == again
+        for x in (first.rgba, first.depth):
+            for y in (again.rgba, again.depth):
+                assert not np.shares_memory(x, y)
+        first.rgba[:] = 9  # writable, and no other render sees it
+        assert render_block(dec.extract_block(field, 0), b0, field.shape, cam, tf) == again

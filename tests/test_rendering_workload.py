@@ -1,5 +1,7 @@
 """End-to-end rendering + compositing workload tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.analysis.rendering import (
     RenderingWorkload,
     icet_composite_time,
 )
+from repro.data import hcci_proxy
 from repro.runtimes import MPIController, SerialController
 from repro.sim.machine import SHAHEEN_II
 
@@ -116,3 +119,38 @@ class TestIceTModel:
         # whole IceT estimate at this scale.
         assert r.stats.get("serialize") + r.stats.get("dispatch") > 0
         assert icet < r.makespan
+
+
+class TestPinnedImages:
+    """Whole-image bit-identity.  The digests were taken on the commit
+    before the tile cuts and block footprints became cached tables and
+    ``over`` went in place; odd extents and tiles that shrink to zero
+    area (576 pixels over 1,024 tiles) are exactly where such a table
+    would go wrong."""
+
+    #: sha256 over ``assemble(result).rgba.tobytes() + .depth.tobytes()``
+    #: of a ``serial`` run on the benchmark field.
+    DIGESTS = {
+        ("binswap", 1024, 2, (24, 24)):
+            "2b6125fcdc235f4505df73406bf455e8cedcd1628190ae090b04121622d22b24",
+        ("reduction", 64, 4, (37, 29)):
+            "2194c35126308c177a0a7f1c63dcb2ee90288433db772366e4cd170d4bd8bb7d",
+        ("radixk", 64, 4, (64, 64)):
+            "abbf7dc251485ba23e1f1612f7d6ee60d10c95a4986f22f690d9850f3a016c26",
+        ("binswap", 16, 2, (33, 17)):
+            "9566583087eeb6212d5d7d550e6904804149907f7fcaf802a139d5b16a702f15",
+    }
+
+    @pytest.fixture(scope="class")
+    def bench_field(self):
+        return hcci_proxy((48, 48, 48), n_features=40, feature_sigma=2.0, seed=2018)
+
+    @pytest.mark.parametrize("config", list(DIGESTS))
+    def test_assembled_image_is_bit_identical(self, bench_field, config):
+        mode, n, valence, image_shape = config
+        wl = RenderingWorkload(
+            bench_field, n, image_shape=image_shape, mode=mode, valence=valence
+        )
+        img = wl.assemble(wl.run(SerialController()))
+        digest = hashlib.sha256(img.rgba.tobytes() + img.depth.tobytes())
+        assert digest.hexdigest() == self.DIGESTS[config]
