@@ -55,8 +55,7 @@ SERIES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def workload():
+def make_workload() -> MergeTreeWorkload:
     return MergeTreeWorkload(
         bench_field(), LEAVES, threshold=0.45, valence=VALENCE,
         sim_shape=(1024, 1024, 1024),
@@ -68,14 +67,49 @@ def run_point(workload, ctor, cores: int):
     return workload.run(c)
 
 
-@pytest.fixture(scope="module")
-def sweep(workload):
+def run_sweep(workload, sizes) -> dict[str, dict[int, float]]:
+    """Makespan per series and core count."""
     return {
-        name: {
-            cores: run_point(workload, ctor, cores).makespan for cores in SIZES
-        }
+        name: {cores: run_point(workload, ctor, cores).makespan for cores in sizes}
         for name, ctor in SERIES
     }
+
+
+def assert_fig6_shape(sizes, sweep) -> None:
+    """The paper's Fig. 6 claims, stated once: this benchmark and the
+    tier-1 suite (``tests/test_paper_claims.py``) both check them."""
+    orig, mpi = sweep["Original MPI"], sweep["MPI"]
+    charm, legion = sweep["Charm++"], sweep["Legion"]
+    low, mid, high = sizes[0], sizes[-2], sizes[-1]
+
+    # The generic asynchronous MPI backend beats the blocking original
+    # at every size, most clearly at the low end.
+    for cores in sizes:
+        assert mpi[cores] < orig[cores], cores
+    assert orig[low] - mpi[low] > orig[high] - mpi[high]
+
+    # MPI and Charm++ both strong-scale until the heaviest block floors
+    # them, and stay close throughout.
+    assert mpi[high] < 0.8 * mpi[low]
+    assert charm[high] < 0.8 * charm[low]
+    for cores in sizes:
+        assert charm[cores] < 2.0 * mpi[cores], cores
+
+    # Legion is competitive at low counts but loses ground at scale: it
+    # ends above MPI and gains less from the last scaling step.
+    assert legion[low] < 2.0 * mpi[low]
+    assert legion[high] > mpi[high]
+    assert legion[mid] / legion[high] < mpi[mid] / mpi[high]
+
+
+@pytest.fixture(scope="module")
+def workload():
+    return make_workload()
+
+
+@pytest.fixture(scope="module")
+def sweep(workload):
+    return run_sweep(workload, SIZES)
 
 
 def test_fig6_mergetree_runtimes(workload, sweep, benchmark):
@@ -86,29 +120,7 @@ def test_fig6_mergetree_runtimes(workload, sweep, benchmark):
         f"Figure 6: merge tree time (1024^3 model, {LEAVES} blocks)",
         "cores", SIZES, sweep,
     )
-    orig, mpi = sweep["Original MPI"], sweep["MPI"]
-    charm, legion = sweep["Charm++"], sweep["Legion"]
-    low, high = SIZES[0], SIZES[-1]
-
-    # The generic asynchronous MPI backend beats the blocking original
-    # at every size, most clearly at the low end.
-    for cores in SIZES:
-        assert mpi[cores] < orig[cores], cores
-    assert orig[low] - mpi[low] > orig[high] - mpi[high]
-
-    # MPI and Charm++ both strong-scale until the heaviest block floors
-    # them, and stay close throughout.
-    assert mpi[high] < 0.8 * mpi[low]
-    assert charm[high] < 0.8 * charm[low]
-    for cores in SIZES:
-        assert charm[cores] < 2.0 * mpi[cores], cores
-
-    # Legion is competitive at low counts but loses ground at scale: it
-    # ends above MPI and gains less from the last scaling step.
-    assert legion[low] < 2.0 * mpi[low]
-    assert legion[high] > mpi[high]
-    mid = SIZES[-2]
-    assert legion[mid] / legion[high] < mpi[mid] / mpi[high]
+    assert_fig6_shape(SIZES, sweep)
 
 
 if __name__ == "__main__":

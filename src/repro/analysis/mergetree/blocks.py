@@ -172,6 +172,16 @@ class BlockDecomposition:
         zs = np.arange(z0, z1, dtype=np.int64)[None, None, :]
         return (xs * ny + ys) * nz + zs
 
+    def gids_of(self, block: int, flat: np.ndarray) -> np.ndarray:
+        """Global ids of the voxels at C-order flat indices ``flat`` of
+        ``block`` — ``gids_array(block_bounds(block)).ravel()[flat]``
+        without building the block-sized array."""
+        (x0, _), (y0, y1), (z0, z1) = self.block_bounds(block)
+        _, ny, nz = self.shape
+        q, z = np.divmod(flat, z1 - z0)
+        x, y = np.divmod(q, y1 - y0)
+        return ((x + x0) * ny + (y + y0)) * nz + (z + z0)
+
     def extract_block(self, field: np.ndarray, block: int) -> np.ndarray:
         """Copy of one block's sub-array of the global ``field``."""
         if field.shape != self.shape:

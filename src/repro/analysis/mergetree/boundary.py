@@ -77,14 +77,23 @@ class BoundaryComponents:
         )
 
     @classmethod
+    def _trusted(cls, gids, comp_idx, comp_gid, comp_val) -> "BoundaryComponents":
+        """Boundary from arrays this package built itself: they align by
+        construction, so ``__post_init__`` is not re-run."""
+        bc = object.__new__(cls)
+        bc.gids = gids
+        bc.comp_idx = comp_idx
+        bc.comp_gid = comp_gid
+        bc.comp_val = comp_val
+        return bc
+
+    @classmethod
     def empty(cls) -> "BoundaryComponents":
-        """A boundary with no voxels and no components."""
-        return cls(
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int32),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
+        """The boundary with no voxels and no components: one shared
+        instance (its zero-length arrays hold nothing to overwrite).
+        Recognize it by ``n_voxels == 0``, never by identity — a payload
+        that crossed a process boundary is a copy."""
+        return _EMPTY
 
     def component_of(self, gid: int) -> tuple[int, float]:
         """Representative ``(gid, value)`` of the component holding a
@@ -117,7 +126,8 @@ def extract_boundary(
             :func:`~repro.analysis.mergetree.sequential.segment_block`.
         values: the block's scalar field (to record rep values).
         gids: the block's global-id array, if the caller already has it
-            (recomputed from the decomposition otherwise).
+            (otherwise the carried voxels' ids alone are computed from
+            the decomposition).
 
     Only voxels on faces shared with a neighboring block are carried;
     grid-boundary faces cannot merge with anything.
@@ -125,27 +135,33 @@ def extract_boundary(
     if labels.shape != values.shape:
         raise ValueError("labels and values must have the same shape")
     mask = decomp.boundary_mask(block_index) & (labels >= 0)
-    bounds = decomp.block_bounds(block_index)
-    if gids is None:
-        gids = decomp.gids_array(bounds)
+    sel = mask.ravel().nonzero()[0]
+    if not len(sel):
+        return BoundaryComponents.empty()
     # gid = (x*ny + y)*nz + z is strictly increasing in the block's C
-    # order, and boolean selection preserves that order, so the selected
-    # gids are already ascending — no sort needed.
-    sel_gids = gids[mask].ravel()
-    sel_labels = labels[mask].ravel()
-    comp_gid, comp_idx = np.unique(sel_labels, return_inverse=True)
+    # order, and ``sel`` is ascending, so the selected gids are already
+    # ascending — no sort needed.
+    if gids is None:
+        sel_gids = decomp.gids_of(block_index, sel)
+    else:
+        sel_gids = gids.ravel()[sel].astype(np.int64, copy=False)
+    comp_gid, comp_idx = np.unique(labels.ravel()[sel], return_inverse=True)
+    comp_gid = comp_gid.astype(np.int64, copy=False)
     # Representative values: reps are voxels of this block, so translate
     # each rep gid to block-local coordinates and read the field.
-    (x0, _), (y0, _), (z0, _) = bounds
+    (x0, _), (y0, _), (z0, _) = decomp.block_bounds(block_index)
     _, ny, nz = decomp.shape
-    reps = comp_gid.astype(np.int64)
-    rz = reps % nz
-    ry = (reps // nz) % ny
-    rx = reps // (ny * nz)
-    comp_val = values[rx - x0, ry - y0, rz - z0].astype(np.float64)
-    return BoundaryComponents(
-        gids=sel_gids.astype(np.int64),
-        comp_idx=comp_idx.astype(np.int32),
-        comp_gid=comp_gid.astype(np.int64),
-        comp_val=comp_val,
+    q, rz = np.divmod(comp_gid, nz)
+    rx, ry = np.divmod(q, ny)
+    comp_val = values[rx - x0, ry - y0, rz - z0].astype(np.float64, copy=False)
+    return BoundaryComponents._trusted(
+        sel_gids, comp_idx.astype(np.int32), comp_gid, comp_val
     )
+
+
+_EMPTY = BoundaryComponents(
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.int32),
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.float64),
+)

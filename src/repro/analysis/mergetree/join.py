@@ -24,6 +24,7 @@ decompositions.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Collection, Sequence
 
 import numpy as np
@@ -44,154 +45,163 @@ def join_components(
     """Join sibling boundary components into one region.
 
     Args:
-        parts: the children's boundary payloads.
+        parts: the children's boundary payloads, as the protocol builds
+            them: the children are disjoint, and two adjacent voxels
+            carried by the *same* child already share a component (its
+            own local compute or join united them).
         decomp: the shared block decomposition.
         region_blocks: block indices of the merged region (the join's
-            subtree); used to decide which voxels remain on the outer
-            boundary.
+            subtree, holding every child's blocks); used to decide which
+            voxels remain on the outer boundary.  A ``range`` — what
+            :meth:`MergeTreeGraph.subtree_leaves` returns — is tested by
+            its two ends, any other collection by binary search.
 
     Returns:
         ``(merged_boundary, relabel_map)``.
     """
-    region = set(region_blocks)
-    comp_val: dict[int, float] = {}
-    uf = UnionFind()
-    for p in parts:
-        for c in range(p.n_components):
-            rep = int(p.comp_gid[c])
-            uf.add(rep)
-            comp_val[rep] = float(p.comp_val[c])
+    # A child that carries no voxel can neither merge nor stay.
+    parts = [p for p in parts if p.n_voxels]
+    if not parts:
+        return BoundaryComponents.empty(), {}
 
     # Concatenate children (gids are disjoint across children) and sort
     # by gid so neighbor membership is a binary search, not a dict probe.
-    if parts:
-        all_gids = np.concatenate([p.gids for p in parts])
-        all_reps = np.concatenate([p.comp_gid[p.comp_idx] for p in parts])
+    if len(parts) == 1:
+        (only,) = parts
+        sg = only.gids
+        srep = only.comp_gid[only.comp_idx]
     else:
-        all_gids = np.empty(0, np.int64)
-        all_reps = np.empty(0, np.int64)
-    order = np.argsort(all_gids, kind="stable")
-    sg = all_gids[order]
-    srep = all_reps[order]
-    n_voxels = len(sg)
+        all_gids = np.concatenate([p.gids for p in parts])
+        order = np.argsort(all_gids, kind="stable")
+        sg = all_gids[order]
+        srep = np.concatenate([p.comp_gid[p.comp_idx] for p in parts])[order]
+    comp_val: dict[int, float] = {}
+    for p in parts:
+        comp_val.update(zip(p.comp_gid.tolist(), p.comp_val.tolist()))
+    _, ny, nz = decomp.shape
+    q, z = np.divmod(sg, nz)
+    x, y = np.divmod(q, ny)
 
-    # Union across interfaces: any 6-adjacent pair of carried voxels.
-    # Adjacency is symmetric, so probing only the +stride neighbor of
-    # each axis finds every pair once; distinct rep pairs are
-    # deduplicated before union (the partition depends only on the *set*
-    # of adjacent rep pairs, not their multiplicity or order, and
-    # everything downstream depends only on the partition).
-    nx, ny, nz = decomp.shape
-    q = sg // nz
-    z = sg - q * nz
-    y = q % ny
-    x = q // ny
-    if n_voxels:
-        pair_lo: list[np.ndarray] = []
-        pair_hi: list[np.ndarray] = []
-        for coord, size, stride in ((x, nx, ny * nz), (y, ny, nz), (z, nz, 1)):
-            idx = (coord < size - 1).nonzero()[0]
-            if not len(idx):
-                continue
-            ug = sg[idx] + stride
-            pos = np.searchsorted(sg, ug)
-            pos[pos == n_voxels] = 0  # out-of-range probes cannot match
-            hit = sg[pos] == ug
-            if not hit.any():
-                continue
-            ra = srep[idx[hit]]
-            rb = srep[pos[hit]]
-            ne = ra != rb
-            if ne.any():
-                pair_lo.append(np.minimum(ra[ne], rb[ne]))
-                pair_hi.append(np.maximum(ra[ne], rb[ne]))
-        if pair_lo:
-            lo = np.concatenate(pair_lo)
-            hi = np.concatenate(pair_hi)
-            union = uf.union
-            big = nx * ny * nz
-            if big < 2**31:  # lo * big + hi cannot overflow int64
-                for code in np.unique(lo * big + hi).tolist():
-                    union(code // big, code % big)
-            else:
-                for a, b in set(zip(lo.tolist(), hi.tolist())):
-                    union(a, b)
+    # With one child left nothing touches across an interface.
+    relabel: RelabelMap = (
+        _unite(_adjacent_reps(sg, srep, y, z, ny, nz), comp_val)
+        if len(parts) > 1
+        else {}
+    )
 
-    # Elect the representative of each union class.
+    # Reduce to the merged region's outer boundary: keep a voxel when one
+    # of its six neighbors lies in a block outside the region.  A step
+    # inside a block or off the grid's edge stays in the voxel's own
+    # block, which the region holds.
+    (own_x, step_x), (own_y, step_y), (own_z, step_z) = _block_steps(decomp)
+    neighbors = (own_x[x] + own_y[y] + own_z[z]) + np.concatenate(
+        (step_x[:, x], step_y[:, y], step_z[:, z])
+    )
+    outer = ~_in_region(neighbors, region_blocks).all(axis=0)
+    if not outer.any():
+        return BoundaryComponents.empty(), relabel
+
+    comp_gid, comp_idx = np.unique(srep[outer], return_inverse=True)
+    if relabel:
+        renamed = [relabel[r][0] if r in relabel else r for r in comp_gid.tolist()]
+        comp_gid, merged_idx = np.unique(
+            np.array(renamed, dtype=np.int64), return_inverse=True
+        )
+        comp_idx = merged_idx[comp_idx]
+    merged = BoundaryComponents._trusted(
+        sg[outer],
+        comp_idx.astype(np.int32),
+        comp_gid,
+        np.array([comp_val[g] for g in comp_gid.tolist()], dtype=np.float64),
+    )
+    return merged, relabel
+
+
+def _adjacent_reps(
+    sg: np.ndarray, srep: np.ndarray, y: np.ndarray, z: np.ndarray, ny: int, nz: int
+) -> set[tuple[int, int]]:
+    """Distinct ``(rep, rep)`` pairs of 6-adjacent carried voxels in
+    different components.  ``sg`` is ascending; ``srep``, ``y`` and ``z``
+    align with it.
+
+    Adjacency is symmetric, so probing only the +stride neighbor of each
+    axis finds every pair once; the partition depends only on the *set*
+    of adjacent rep pairs, not their multiplicity or order, and everything
+    downstream depends only on the partition.
+    """
+    n = len(sg)
+    probe = np.concatenate((sg + 1, sg + nz, sg + ny * nz))
+    pos = np.searchsorted(sg, probe)
+    np.minimum(pos, n - 1, out=pos)  # out-of-range probes cannot match
+    hit = sg[pos] == probe
+    # One step past the end of a z row or a y column is the start of the
+    # next one, not a neighbor (past the last x plane there is no gid).
+    hit[:n] &= z < nz - 1
+    hit[n : 2 * n] &= y < ny - 1
+    at = hit.nonzero()[0]
+    ra = srep[at % n]
+    rb = srep[pos[at]]
+    differ = ra != rb
+    return set(zip(ra[differ].tolist(), rb[differ].tolist()))
+
+
+def _unite(
+    pairs: set[tuple[int, int]], comp_val: dict[int, float]
+) -> RelabelMap:
+    """Union the touching components and elect each class's
+    representative; the map sends every other member to it."""
+    if not pairs:
+        return {}
+    uf = UnionFind()
+    for rep in comp_val:
+        uf.add(rep)
+    for a, b in pairs:
+        uf.union(a, b)
     classes: dict[int, list[int]] = {}
     for rep in comp_val:
         classes.setdefault(uf.find(rep), []).append(rep)
-    new_rep_of: dict[int, int] = {}
     relabel: RelabelMap = {}
     for members in classes.values():
-        best = max(members, key=lambda r: (comp_val[r], r))
-        for r in members:
-            new_rep_of[r] = best
-            if r != best:
-                relabel[r] = (best, comp_val[best])
+        if len(members) > 1:
+            best = max(members, key=lambda r: (comp_val[r], r))
+            elected = (best, comp_val[best])
+            for r in members:
+                if r != best:
+                    relabel[r] = elected
+    return relabel
 
-    # Reduce to the merged region's outer boundary: keep a voxel when any
-    # in-grid 6-neighbor lies in a block outside the region.  Block
-    # lookups use the decomposition's cached per-axis coordinate ->
-    # block-coordinate tables, and ``sg`` is already in the ascending-gid
-    # order the old ``sorted()`` loop produced.
-    region_sorted = np.sort(np.fromiter(region, dtype=np.int64, count=len(region)))
-    n_region = len(region_sorted)
+
+@lru_cache(maxsize=16)
+def _block_steps(decomp: BlockDecomposition) -> tuple:
+    """Per axis ``(own, step)``, read-only: ``own[c]`` is the axis's term
+    of the block index of a voxel at coordinate ``c`` (the three terms
+    add up to the index), and ``step[:, c]`` is how that term changes one
+    voxel down / up the axis — zero inside a block and at the grid's edge.
+    """
     _, by, bz = decomp.layout
-    outer = np.zeros(n_voxels, dtype=bool)
-    if n_voxels and not n_region:
-        # No region: every voxel with an in-grid neighbor stays.
-        outer = (
-            (x > 0) | (x < nx - 1)
-            | (y > 0) | (y < ny - 1)
-            | (z > 0) | (z < nz - 1)
-        )
-    elif n_voxels:
-        tx, ty, tz = decomp.axis_block_tables()
-        cbx, cby, cbz = tx[x], ty[y], tz[z]
-        byz = by * bz
-        x_term = cbx * byz
-        # Moving one step along an axis changes only that axis's block
-        # coordinate; the other two contribute a fixed per-voxel term.
-        axes = (
-            (x, nx, tx, byz, cby * bz + cbz),
-            (y, ny, ty, bz, x_term + cbz),
-            (z, nz, tz, 1, x_term + cby * bz),
-        )
-        for coord, size, table, mult, rest in axes:
-            for sign in (-1, 1):
-                valid = (coord > 0 if sign < 0 else coord < size - 1) & ~outer
-                idx = valid.nonzero()[0]
-                if not len(idx):
-                    continue
-                blk = table[coord[idx] + sign] * mult + rest[idx]
-                pos = np.searchsorted(region_sorted, blk)
-                pos[pos == n_region] = 0
-                outside = region_sorted[pos] != blk
-                outer[idx[outside]] = True
+    out = []
+    for table, mult in zip(decomp.axis_block_tables(), (by * bz, bz, 1)):
+        own = table * mult
+        step = np.zeros((2, len(own)), dtype=np.int64)
+        step[0, 1:] = own[:-1] - own[1:]
+        step[1, :-1] = own[1:] - own[:-1]
+        own.flags.writeable = False
+        step.flags.writeable = False
+        out.append((own, step))
+    return tuple(out)
 
-    if outer.any():
-        gids_arr = sg[outer]
-        kept_reps = srep[outer]
-        uniq, inv = np.unique(kept_reps, return_inverse=True)
-        new_uniq = np.fromiter(
-            (new_rep_of[int(r)] for r in uniq), dtype=np.int64, count=len(uniq)
-        )
-        reps_arr = new_uniq[inv]
-        comp_gid, comp_idx = np.unique(reps_arr, return_inverse=True)
-        comp_vals = np.array(
-            [comp_val[new_rep_of.get(int(g), int(g))] for g in comp_gid],
-            dtype=np.float64,
-        )
-        merged = BoundaryComponents(
-            gids=gids_arr,
-            comp_idx=comp_idx.astype(np.int32),
-            comp_gid=comp_gid,
-            comp_val=comp_vals,
-        )
-    else:
-        merged = BoundaryComponents.empty()
-    return merged, relabel
+
+def _in_region(blocks: np.ndarray, region_blocks: Collection[int]) -> np.ndarray:
+    """Elementwise ``block in region_blocks``."""
+    if isinstance(region_blocks, range) and region_blocks.step == 1:
+        return (blocks >= region_blocks.start) & (blocks < region_blocks.stop)
+    members = np.sort(
+        np.fromiter(region_blocks, dtype=np.int64, count=len(region_blocks))
+    )
+    if not len(members):
+        return np.zeros(blocks.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(members, blocks), len(members) - 1)
+    return members[pos] == blocks
 
 
 def compose_relabel(current: RelabelMap, update: RelabelMap) -> RelabelMap:
@@ -202,11 +212,8 @@ def compose_relabel(current: RelabelMap, update: RelabelMap) -> RelabelMap:
     reps to the newest reps, and includes ``update``'s fresh entries so
     later compositions stay transitive.
     """
-    out: RelabelMap = {}
-    for old, (mid, mid_val) in current.items():
-        new = update.get(mid)
-        out[old] = new if new is not None else (mid, mid_val)
-    for old, new in update.items():
-        if old not in out:
-            out[old] = new
+    out = dict(update)
+    newer = update.get
+    for old, latest in current.items():
+        out[old] = newer(latest[0], latest)
     return out

@@ -20,6 +20,7 @@ implementation used by the tests to cross-check the union-find code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,29 +105,28 @@ class JoinTree:
             int64 array aligned with the node arrays.
         """
         n = self.n_nodes
-        labels = np.full(n, -1, dtype=np.int64)
-        above = self.values >= threshold
-        if not above.any():
-            return labels
+        mask = self.values >= threshold
+        if not mask.any():
+            return np.full(n, -1, dtype=np.int64)
+        # Plain lists: the two scans below touch one element at a time.
+        above = mask.tolist()
+        parent = self.parent.tolist()
+        gids = self.gids.tolist()
         # piece_root[i]: the lowest node of i's superlevel piece.  Parents
         # come later in sweep order, so a reverse scan sees parents first.
-        piece_root = np.arange(n, dtype=np.int64)
-        parent = self.parent
+        piece_root = list(range(n))
         for i in range(n - 1, -1, -1):
-            if not above[i]:
-                continue
-            p = parent[i]
-            if p >= 0 and above[p]:
-                piece_root[i] = piece_root[p]
+            if above[i]:
+                p = parent[i]
+                if p >= 0 and above[p]:
+                    piece_root[i] = piece_root[p]
         # The first node of each piece in sweep order is its maximum.
         rep_of_piece: dict[int, int] = {}
+        labels = [-1] * n
         for i in range(n):
-            if not above[i]:
-                continue
-            root = int(piece_root[i])
-            rep = rep_of_piece.setdefault(root, i)
-            labels[i] = self.gids[rep]
-        return labels
+            if above[i]:
+                labels[i] = gids[rep_of_piece.setdefault(piece_root[i], i)]
+        return np.array(labels, dtype=np.int64)
 
     def feature_count(self, threshold: float) -> int:
         """Number of features (superlevel components) at ``threshold``."""
@@ -289,63 +289,68 @@ def block_join_tree(
         raise ValueError(f"block {block.shape} and gids {gids.shape} differ")
     if block.ndim != 3:
         raise ValueError("block must be 3D")
-    sx, sy, sz = block.shape
     flat_vals = np.asarray(block, dtype=np.float64).ravel()
-    flat_gids = np.asarray(gids, dtype=np.int64).ravel()
+    cand = (flat_vals >= threshold).nonzero()[0]
+    ids = np.asarray(gids, dtype=np.int64).ravel()[cand]
+    return _sweep(block.shape, cand, flat_vals[cand], ids)
 
-    cand = np.nonzero(flat_vals >= threshold)[0]
-    m = len(cand)
-    vals = flat_vals[cand]
-    ids = flat_gids[cand]
+
+def _sweep(
+    shape: tuple[int, int, int],
+    cand: np.ndarray,
+    vals: np.ndarray,
+    ids: np.ndarray,
+) -> JoinTree:
+    """The union-find sweep over the voxels a tree is built from.
+
+    Args:
+        shape: the source block's shape.
+        cand: ascending flat (C-order) indices of the included voxels.
+        vals: their scalar values.
+        ids: their global vertex ids.
+    """
+    sx, sy, sz = shape
     # Descending (value, gid): lexsort sorts ascending by last key.
     order = np.lexsort((-ids, -vals))
     vals = vals[order]
     ids = ids[order]
     flat_of_slot = cand[order]
-
-    # slot_of[flat voxel index] -> sweep slot, or -1 when excluded.
-    slot_of = np.full(flat_vals.size, -1, dtype=np.int64)
-    slot_of[flat_of_slot] = np.arange(m)
-
-    parent = np.full(m, -1, dtype=np.int64)
+    m = len(cand)
     if m == 0:
-        return JoinTree(ids, vals, parent, flat_of_slot)
+        return JoinTree(ids, vals, np.full(0, -1, dtype=np.int64), flat_of_slot)
 
+    # The loop below touches one voxel at a time, where plain lists beat
+    # arrays.  slot_of[flat voxel index] -> sweep slot, -1 when excluded.
+    flats = flat_of_slot.tolist()
+    slot_of = [-1] * (sx * sy * sz)
+    for slot, flat in enumerate(flats):
+        slot_of[flat] = slot
+    parent = [-1] * m
     uf = ArrayUnionFind(m)
-    lowest = np.arange(m, dtype=np.int64)
-    # Precomputed flat-index strides for the six neighbors.
-    strides = (-sy * sz, sy * sz, -sz, sz, -1, 1)
-
-    for slot in range(m):
-        flat = int(flat_of_slot[slot])
-        z = flat % sz
-        y = (flat // sz) % sy
-        x = flat // (sy * sz)
-        for k, stride in enumerate(strides):
-            if k == 0 and x == 0:
-                continue
-            if k == 1 and x == sx - 1:
-                continue
-            if k == 2 and y == 0:
-                continue
-            if k == 3 and y == sy - 1:
-                continue
-            if k == 4 and z == 0:
-                continue
-            if k == 5 and z == sz - 1:
-                continue
-            u_slot = slot_of[flat + stride]
-            if u_slot < 0 or u_slot > slot:
+    find, union = uf.find, uf.union
+    syz = sy * sz
+    x_last, y_last, z_last = sx - 1, sy - 1, sz - 1
+    for slot, flat in enumerate(flats):
+        q, z = divmod(flat, sz)
+        x, y = divmod(q, sy)
+        for u_slot in (
+            slot_of[flat - syz] if x else -1,
+            slot_of[flat + syz] if x < x_last else -1,
+            slot_of[flat - sz] if y else -1,
+            slot_of[flat + sz] if y < y_last else -1,
+            slot_of[flat - 1] if z else -1,
+            slot_of[flat + 1] if z < z_last else -1,
+        ):
+            if not 0 <= u_slot < slot:
                 continue  # excluded, or not yet processed (lower)
-            ru = uf.find(int(u_slot))
-            rv = uf.find(slot)
-            if ru == rv:
-                continue
-            parent[lowest[ru]] = slot
-            uf.union(ru, rv)
-            # rv survives and its lowest node is the vertex in hand.
-            lowest[rv] = slot
-    return JoinTree(ids, vals, parent, flat_of_slot)
+            # ``slot`` is the root of its own set (every union below keeps
+            # it), and any set's root is its most recently swept — its
+            # lowest — node: the one whose tree parent ``slot`` becomes.
+            root = find(u_slot)
+            if root != slot:
+                parent[root] = slot
+                union(root, slot)
+    return JoinTree(ids, vals, np.array(parent, dtype=np.int64), flat_of_slot)
 
 
 def block_split_tree(
@@ -378,13 +383,40 @@ def segment_block(
         int64 label volume shaped like ``block``: the gid of each voxel's
         local feature representative, or -1 below the threshold.
     """
-    tree = block_join_tree(block, gids, threshold=threshold)
-    labels_nodes = tree.segment(threshold)
-    out = np.full(block.size, -1, dtype=np.int64)
+    return _scatter(block_join_tree(block, gids, threshold), threshold, block.shape)
+
+
+def segment_candidates(
+    shape: tuple[int, int, int],
+    cand: np.ndarray,
+    vals: np.ndarray,
+    ids: np.ndarray,
+    threshold: float,
+) -> np.ndarray:
+    """:func:`segment_block` for a caller that already holds the
+    threshold mask of a block of ``shape``: ``cand`` are the ascending
+    flat (C-order) indices of the voxels at or above ``threshold``,
+    ``vals`` their values and ``ids`` their global ids."""
+    return _scatter(_sweep(shape, cand, vals, ids), threshold, shape)
+
+
+def _scatter(tree: JoinTree, threshold: float, shape: tuple) -> np.ndarray:
+    """Label volume of ``shape`` from the tree of its block."""
+    out = np.full(shape[0] * shape[1] * shape[2], -1, dtype=np.int64)
     # The tree carries each node's flat voxel index, so labels scatter
     # straight back into the block without a gid lookup.
-    out[tree.flat] = labels_nodes
-    return out.reshape(block.shape)
+    out[tree.flat] = tree.segment(threshold)
+    return out.reshape(shape)
+
+
+@lru_cache(maxsize=64)
+def inactive_labels(shape: tuple[int, ...]) -> np.ndarray:
+    """The label volume of a block with no voxel at or above the
+    threshold: all -1.  One read-only array per block shape, shared by
+    every such block — copy before writing."""
+    out = np.full(shape, -1, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def reference_segmentation(field: np.ndarray, threshold: float) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 from repro.analysis.mergetree.blocks import BlockDecomposition
 from repro.analysis.mergetree.boundary import BoundaryComponents, extract_boundary
 from repro.analysis.mergetree.join import RelabelMap, compose_relabel, join_components
-from repro.analysis.mergetree.sequential import segment_block
+from repro.analysis.mergetree.sequential import inactive_labels, segment_candidates
 from repro.core.ids import TaskId
 from repro.core.payload import Payload
 from repro.graphs.merge_tree import MergeTreeGraph
@@ -46,11 +46,17 @@ class LocalTreeState:
         labels: dense int64 local segmentation (rep gid per voxel, -1
             below threshold).
         relabel: accumulated map from local reps to current global reps.
+        active: ``False`` promises that no voxel of the block reaches the
+            threshold (``labels`` is all -1, and may be an array shared
+            with other such blocks — read-only); ``True`` promises
+            nothing.  Carried with the state rather than told by the
+            identity of ``labels``, which does not survive pickling.
     """
 
     block: int
     labels: np.ndarray
     relabel: RelabelMap = dc_field(default_factory=dict)
+    active: bool = True
 
     @property
     def nbytes(self) -> int:
@@ -169,19 +175,27 @@ class MergeTreeWorkload:
 
     def local_compute(self, inputs: list[Payload], tid: TaskId) -> list[Payload]:
         """LOCAL: build the leaf's tree; emit local state + boundary."""
-        info = self.graph.describe(tid)
-        b = info["leaf"]
+        b = self.graph.describe(tid)["leaf"]
         block = inputs[0].data
-        bounds = self.decomp.block_bounds(b)
-        gids = self.decomp.gids_array(bounds)
-        labels = segment_block(block, gids, self.threshold)
-        state = LocalTreeState(block=b, labels=labels)
-        boundary = extract_boundary(self.decomp, b, labels, block, gids)
+        flat = np.asarray(block, dtype=np.float64).ravel()
+        cand = (flat >= self.threshold).nonzero()[0]
+        if len(cand):
+            labels = segment_candidates(
+                block.shape, cand, flat[cand], self.decomp.gids_of(b, cand),
+                self.threshold,
+            )
+            state = LocalTreeState(block=b, labels=labels)
+            boundary = extract_boundary(self.decomp, b, labels, block)
+        else:
+            # Nothing reaches the threshold: no tree, no boundary.
+            state = LocalTreeState(
+                block=b, labels=inactive_labels(block.shape), active=False
+            )
+            boundary = BoundaryComponents.empty()
         out_state = Payload(state, nbytes=int(state.nbytes * self.volume_scale))
-        out_boundary = self._surface_payload(boundary)
         if self.graph.join_rounds == 0:
             return [out_state]
-        return [out_state, out_boundary]
+        return [out_state, self._surface_payload(boundary)]
 
     def join(self, inputs: list[Payload], tid: TaskId) -> list[Payload]:
         """JOIN: merge child boundaries; emit merged boundary + relabels."""
@@ -199,10 +213,13 @@ class MergeTreeWorkload:
         """CORRECTION: fold a round's relabel map into the leaf state."""
         state: LocalTreeState = inputs[0].data
         update: RelabelMap = inputs[1].data
+        if not update:
+            return [inputs[0]]  # nothing merged this round
         new_state = LocalTreeState(
             block=state.block,
             labels=state.labels,
             relabel=compose_relabel(state.relabel, update),
+            active=state.active,
         )
         return [
             Payload(new_state, nbytes=int(new_state.nbytes * self.volume_scale))
@@ -212,13 +229,11 @@ class MergeTreeWorkload:
         """SEGMENTATION: apply the final relabel map to the leaf labels."""
         state: LocalTreeState = inputs[0].data
         labels = state.labels
-        if state.relabel:
+        if state.active and state.relabel:
             uniq, inverse = np.unique(labels, return_inverse=True)
+            relabel = state.relabel
             remapped = np.array(
-                [
-                    state.relabel.get(int(g), (int(g), 0.0))[0] if g >= 0 else -1
-                    for g in uniq
-                ],
+                [relabel[g][0] if g in relabel else g for g in uniq.tolist()],
                 dtype=np.int64,
             )
             labels = remapped[inverse].reshape(labels.shape)
@@ -271,36 +286,50 @@ class MergeTreeWorkload:
         p = self.params
         vol = self.volume_scale
         surf = self.surface_scale
+        threshold = self.threshold
         # A leaf's labels array never changes down the correction chain,
         # so its active-voxel count is computed once per block.
         active_cache: dict[int, float] = {}
 
-        def cost(task, inputs):
-            cb = task.callback
-            if cb == g.LOCAL:
-                block = inputs[0].data
-                v = block.size * vol
-                active = max(1.0, float(np.count_nonzero(block >= self.threshold)) * vol)
-                return p.touch_per_voxel * v + p.sweep_per_voxel * active * np.log2(
-                    active + 2.0
-                )
-            if cb == g.JOIN:
-                nb = sum(pl.data.n_voxels for pl in inputs) * surf
-                return p.join_per_boundary_voxel * max(1.0, nb)
-            if cb == g.RELAY:
-                return p.relay_per_byte * inputs[0].nbytes
-            if cb == g.CORRECTION:
-                state = inputs[0].data
-                active = active_cache.get(state.block)
-                if active is None:
-                    active = float(np.count_nonzero(state.labels >= 0))
-                    active_cache[state.block] = active
-                return p.correction_per_voxel * max(1.0, active * vol)
-            # segmentation
-            state = inputs[0].data
-            return p.segmentation_per_voxel * state.labels.size * vol
+        def local_cost(inputs):
+            block = inputs[0].data
+            v = block.size * vol
+            active = max(1.0, float(np.count_nonzero(block >= threshold)) * vol)
+            return p.touch_per_voxel * v + p.sweep_per_voxel * active * np.log2(
+                active + 2.0
+            )
 
-        return CallableCost(cost)
+        def join_cost(inputs):
+            nb = sum(pl.data.n_voxels for pl in inputs) * surf
+            return p.join_per_boundary_voxel * max(1.0, nb)
+
+        def relay_cost(inputs):
+            return p.relay_per_byte * inputs[0].nbytes
+
+        def correction_cost(inputs):
+            state = inputs[0].data
+            active = active_cache.get(state.block)
+            if active is None:
+                active = (
+                    float(np.count_nonzero(state.labels >= 0))
+                    if state.active
+                    else 0.0
+                )
+                active_cache[state.block] = active
+            return p.correction_per_voxel * max(1.0, active * vol)
+
+        def segmentation_cost(inputs):
+            return p.segmentation_per_voxel * inputs[0].data.labels.size * vol
+
+        # Callback ids are fixed by the graph: one lookup per task.
+        by_callback = {
+            g.LOCAL: local_cost,
+            g.JOIN: join_cost,
+            g.RELAY: relay_cost,
+            g.CORRECTION: correction_cost,
+            g.SEGMENTATION: segmentation_cost,
+        }
+        return CallableCost(lambda task, inputs: by_callback[task.callback](inputs))
 
     # ------------------------------------------------------------------ #
     # Payload helpers

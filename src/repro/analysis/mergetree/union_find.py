@@ -4,8 +4,8 @@ Two flavours:
 
 * :class:`UnionFind` — dict-keyed, for sparse node sets (boundary
   components keyed by global vertex id).
-* :class:`ArrayUnionFind` — dense integer universe backed by a numpy
-  array, for the per-block voxel sweeps.
+* :class:`ArrayUnionFind` — dense integer universe backed by a flat
+  list, for the per-block voxel sweeps.
 
 Both use path compression; unions are by explicit "attach a to b" because
 the merge-tree sweep dictates which root survives (the most recently
@@ -13,8 +13,6 @@ processed vertex).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 class UnionFind:
@@ -70,16 +68,16 @@ class UnionFind:
 class ArrayUnionFind:
     """Disjoint sets over the dense universe ``0 .. n-1``.
 
-    ``find`` uses iterative two-pass path compression; the inner loops are
-    plain Python but operate on a preallocated numpy parent array, which
-    profiling showed to be the fastest portable option for the voxel
-    sweep's access pattern (single-element updates defeat vectorization).
+    ``find`` uses iterative two-pass path compression over a preallocated
+    parent list: the voxel sweep reads and writes one element at a time
+    (which defeats vectorization), and a list does that several times
+    faster than an array.
     """
 
     def __init__(self, n: int) -> None:
         if n < 0:
             raise ValueError(f"universe size must be non-negative, got {n}")
-        self._parent = np.arange(n, dtype=np.int64)
+        self._parent = list(range(n))
 
     def find(self, i: int) -> int:
         """Root of element ``i``."""
@@ -89,7 +87,7 @@ class ArrayUnionFind:
             root = parent[root]
         while parent[i] != root:
             parent[i], i = root, parent[i]
-        return int(root)
+        return root
 
     def union(self, a: int, b: int) -> int:
         """Merge; the root of ``b`` survives.  Returns it."""

@@ -3,15 +3,45 @@
 The assertions live with the figure benchmarks (``benchmarks/bench_fig*``,
 which also need ``pytest-benchmark``; figs. 10e/f state theirs beside the
 shared sweep in ``benchmarks/compositing_common``); the figures cheap
-enough for tier-1 are swept here at small scale through the same
-functions, so ``python -m pytest`` regression-tests the paper, not just
-the machinery.
+enough for tier-1 — 6, 9, 10e/f — are swept here at small scale through
+the same functions, so ``python -m pytest`` regression-tests the paper,
+not just the machinery.
 """
 
 import pytest
 
+from benchmarks import bench_fig6_mergetree_runtimes as fig6
 from benchmarks import bench_fig9_registration as fig9
 from benchmarks import compositing_common as fig10
+
+FIG6_CORES = [16, 64, 256, 1024]
+
+#: EXPERIMENTS.md, "Fig. 6": virtual seconds from the analytic cost model
+#: over the payloads' wire sizes — a merge-tree kernel that changed a
+#: payload by one byte, or a label by one voxel, would move them.
+FIG6_MAKESPANS = {
+    "Original MPI": {16: 3.7478, 64: 1.6042, 256: 1.0716, 1024: 1.0177},
+    "MPI": {16: 3.6832, 64: 1.5718, 256: 1.0548, 1024: 1.0084},
+    "Charm++": {16: 3.6754, 64: 1.5867, 256: 1.0550, 1024: 1.0085},
+    "Legion": {16: 3.7610, 64: 1.5698, 256: 1.0578, 1024: 1.0275},
+}
+
+
+@pytest.fixture(scope="module")
+def fig6_sweep():
+    return fig6.run_sweep(fig6.make_workload(), FIG6_CORES)
+
+
+def test_fig6_mergetree_shape(fig6_sweep):
+    fig6.assert_fig6_shape(FIG6_CORES, fig6_sweep)
+
+
+@pytest.mark.parametrize("series", list(FIG6_MAKESPANS))
+@pytest.mark.parametrize("cores", FIG6_CORES)
+def test_fig6_makespans_match_the_published_table(fig6_sweep, series, cores):
+    published = FIG6_MAKESPANS[series][cores]
+    assert f"{fig6_sweep[series][cores]:.4f}" == f"{published:.4f}"
+
 
 FIG9_NODES = [16, 64, 256]
 
