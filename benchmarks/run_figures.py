@@ -17,7 +17,7 @@ qualitative shape; a zero exit code means the reproduction claims hold.
 which propagates to the pytest subprocess) captures every benchmarked
 run's event stream into one trace file — ``.jsonl`` for a JSONL event
 log, anything else for Chrome-trace JSON — ready for
-``python -m repro.obs summarize/timeline/flamegraph/diff``.
+``python -m repro.obs summarize/timeline/diff``.
 """
 
 from __future__ import annotations

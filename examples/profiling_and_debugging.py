@@ -5,8 +5,9 @@ The paper sells BabelFlow partly on developer experience — task graphs
 you can draw, over-decomposed runs you can debug serially, identical
 tasks across runtimes for regression testing.  This example walks the
 whole toolbox on one merge-tree run, built on the observability layer
-(:mod:`repro.obs`): structured lifecycle events feed every view — span
-traces, Chrome trace files, metrics, and the critical-path analyzer.
+(:mod:`repro.obs`): one stream of structured lifecycle events feeds
+every view — the run's kept trace, Chrome trace files, per-rank
+timelines, and the critical-path analyzer.
 
 Run:  python examples/profiling_and_debugging.py
 """
@@ -19,9 +20,10 @@ from repro.analysis.mergetree import MergeTreeWorkload
 from repro.data import hcci_proxy
 from repro.obs import (
     ChromeTraceExporter,
-    ListSink,
+    ascii_timeline,
     critical_path,
     load_events,
+    resource_timelines,
 )
 from repro.runtimes import (
     CharmController,
@@ -29,7 +31,6 @@ from repro.runtimes import (
     RecordingController,
     replay_task,
 )
-from repro.sim.report import category_breakdown, gantt, imbalance, utilization
 
 
 def main() -> None:
@@ -47,24 +48,24 @@ def main() -> None:
     print("dot snippet of leaf 0's neighborhood:")
     print("\n".join(dot.splitlines()[:6]) + "\n...")
 
-    # --- 2. Observe a run: events in memory + a Chrome trace on disk. ---
-    sink = ListSink()
+    # --- 2. Observe a run: events kept in memory + a Chrome trace. ------
     trace_path = tempfile.mktemp(suffix=".json")
     exporter = ChromeTraceExporter(trace_path)
     c = MPIController(4, cost_model=wl.cost_model(), collect_trace=True)
-    c.add_sink(sink)
     c.add_sink(exporter)
     result = wl.run(c)
     exporter.close()
+    events = result.trace  # the run's event list
+    types = {e.type for e in events}
     print(f"\nmakespan: {result.makespan:.4f}s virtual")
-    print(f"lifecycle events observed: {len(sink.events)} "
-          f"({len(sink.types())} distinct types)")
+    print(f"lifecycle events observed: {len(events)} "
+          f"({len(types)} distinct types)")
     print(f"chrome trace written: {trace_path} "
           f"(open in Perfetto, or `python -m repro.obs summarize`)")
 
     # --- 3. Where did the time go?  Stats, metrics, critical path. ------
     print("\nwhere the time went:")
-    print(category_breakdown(result.stats))
+    print(result.stats.breakdown())
 
     m = result.metrics  # always on, even with no sinks attached
     lat = m.histograms["task_compute_seconds"]
@@ -73,30 +74,28 @@ def main() -> None:
     print(f"peak ready-queue depth: {m.gauge('queue_depth_peak'):.0f}")
     print(f"mean utilization: {m.gauge('utilization_mean'):.0%}")
 
-    cp = critical_path(sink.events)
+    cp = critical_path(events)
     chain = " -> ".join(f"t{t}" for t in cp.tasks[:8])
     print(f"\ncritical path ({len(cp.tasks)} tasks): {chain} ...")
     print(cp.breakdown())
 
-    # --- 4. The classic span-trace views still work (built on events). --
-    u = utilization(result.trace, 4)
+    # --- 4. Per-rank views of the same events. -------------------------
+    tl = resource_timelines(events)
+    u = [tl.utilization(p) for p in range(tl.n_procs)]
     print(f"\nper-rank utilization: {[f'{x:.0%}' for x in u]}")
-    print(f"load imbalance (max/mean): {imbalance(result.trace, 4):.2f}")
-    print("\nschedule (# = computing):")
-    print(gantt(result.trace, 4, width=64))
+    print(f"load imbalance (max/mean): {m.gauge('imbalance'):.2f}")
+    print("\nschedule (# = computing, + = runtime overhead):")
+    print(ascii_timeline(events, width=64))
 
     # --- 5. Same events from a different runtime (regression testing). --
-    charm_sink = ListSink()
-    charm = CharmController(4, cost_model=wl.cost_model())
-    charm.add_sink(charm_sink)
-    wl.run(charm)
-    shared = sink.types() & charm_sink.types()
+    charm = CharmController(4, cost_model=wl.cost_model(), collect_trace=True)
+    shared = types & {e.type for e in wl.run(charm).trace}
     print(f"\nMPI and Charm++ share {len(shared)} event types — one "
           f"consumer profiles every backend")
 
     # Round-trip: the Chrome trace reloads to the exact event stream.
     reloaded = load_events(trace_path)
-    assert len(reloaded) == len(sink.events)
+    assert len(reloaded) == len(events)
 
     # --- 6. Record a run, then unit test one task in isolation. ---------
     rec_controller = RecordingController()

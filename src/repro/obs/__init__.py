@@ -8,11 +8,13 @@ keeps an always-on :class:`MetricsRegistry`
 (:mod:`repro.obs.metrics`) snapshotted into each
 :class:`~repro.runtimes.result.RunResult`, and can stream runs to
 Chrome-trace / JSONL files (:mod:`repro.obs.export`) for Perfetto or
-the ``python -m repro.obs`` CLI (summarize / timeline / flamegraph /
-diff / slo), including critical-path attribution
+the ``python -m repro.obs`` CLI (summarize / timeline / diff / trends /
+watch / serve), including critical-path attribution
 (:mod:`repro.obs.critical_path`), causal-DAG queries
 (:mod:`repro.obs.spans`), per-rank resource timelines
 (:mod:`repro.obs.timeline`), and trace diffing (:mod:`repro.obs.diff`).
+A run's kept trace (``collect_trace=True``) is that same event list, so
+every view here reads it unchanged.
 
 For production-scale capture there is a bounded-memory telemetry layer
 (:mod:`repro.obs.telemetry`): streaming quantile sketches, an
@@ -97,13 +99,11 @@ from repro.obs.telemetry import (
     Ledger,
     QuantileSketch,
     TelemetryConfig,
-    when,
 )
 from repro.obs.spans import (
     CausalDag,
     TaskSpan,
     causal_dag,
-    folded_stacks,
     recovery_accounting,
 )
 from repro.obs.timeline import (
@@ -175,7 +175,6 @@ __all__ = [
     "diff_traces",
     "events_from_chrome",
     "events_from_jsonl",
-    "folded_stacks",
     "load_events",
     "prometheus_text",
     "recovery_accounting",
@@ -183,5 +182,4 @@ __all__ = [
     "resource_timelines",
     "split_runs",
     "svg_timeline",
-    "when",
 ]

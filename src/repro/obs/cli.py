@@ -8,21 +8,13 @@ error):
 * ``summarize <trace>`` — per-run category totals, top-k tasks, load
   imbalance, the critical-path breakdown, and — when the run saw
   faults — the recovery accounting (wasted compute, retries, recovery
-  tail).  ``--gantt`` adds the ASCII schedule.
+  tail).
 * ``timeline <trace>`` — per-rank ASCII Gantt with utilization,
   queue-depth and payload-memory peaks; ``--svg FILE`` writes an SVG
   version.
-* ``flamegraph <trace>`` — folded stacks over the causal DAG
-  (``flamegraph.pl``-compatible; one ``t0;t4;t6 weight`` line per task).
 * ``diff <base> <current>`` — what moved between two traces: makespan
   delta with critical-path (compute/network/wait) attribution, phase and
   per-task deltas, new/removed tasks, fault-recovery overhead.
-* ``slo <trace> <spec.json>`` — assert declarative bounds (e.g.
-  ``{"max_idle_fraction": 0.5, "max_task_seconds_p99": 0.05}``);
-  exits 1 on violation.  Percentile metrics (``task_seconds_p99`` &c.)
-  come from streaming quantile sketches, and a spec made entirely of
-  streaming-computable metrics is evaluated in one pass without ever
-  materializing the trace.
 * ``trends <ledger.jsonl>`` — cross-run regression check over a
   telemetry ledger (see :mod:`repro.obs.telemetry.ledger`); exits 1
   when any metric regressed beyond the threshold vs its fingerprint's
@@ -36,23 +28,41 @@ error):
   ``MetricsRegistry`` counters, sketch p50/p95/p99 summaries.
   ``--once`` prints the exposition to stdout instead of binding.
 
-``summarize`` and ``slo`` read JSONL traces as a stream — one run's
-events in memory at a time — so they scale to logs far larger than RAM.
+``summarize`` reads JSONL traces as a stream — one run's events in
+memory at a time — so it scales to logs far larger than RAM.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Iterator
 
 from repro.obs.critical_path import critical_path
-from repro.obs.events import RUN_STARTED, Event
+from repro.obs.events import (
+    MESSAGE_DELIVERED,
+    MESSAGE_SENT,
+    OVERHEAD,
+    RUN_FINISHED,
+    RUN_STARTED,
+    TASK_FINISHED,
+    Event,
+)
 from repro.obs.export import iter_events, iter_runs, load_events, split_runs
-from repro.obs.spans import folded_stacks, recovery_accounting
-from repro.obs.telemetry.triggers import RunStreamStats
+from repro.obs.spans import recovery_accounting
+from repro.obs.timeline import resource_timelines
+from repro.sim.trace import Stats
+
+
+def __getattr__(name: str):
+    # ``eval_spec`` lives with its one caller, the run service; the old
+    # import path keeps working without this module importing it.
+    if name == "eval_spec":
+        from repro.service.service import eval_spec
+
+        return eval_spec
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _run_label(run: list[Event], index: int) -> str:
@@ -84,45 +94,62 @@ def _stream_runs(path: str) -> Iterator[list[Event]]:
         raise ValueError(f"{path}: no events found")
 
 
-def summarize_run(run: list[Event], index: int, top: int, show_gantt: bool) -> str:
-    """Render one run's summary block."""
-    # Reporting sits on the sim layer; import here keeps repro.obs
-    # importable without pulling numpy at module import time.
-    from repro.sim.report import (
-        category_breakdown,
-        gantt,
-        imbalance,
-        n_procs_of,
-        stats_from_events,
-        top_tasks,
-        trace_from_events,
-    )
+def _stats_from_events(events: list[Event]) -> Stats:
+    """Aggregate one run's events into :class:`~repro.sim.trace.Stats`.
 
-    stats = stats_from_events(run)
-    procs = n_procs_of(run)
+    ``network`` (send-to-delivery time, which occupies no core and so
+    is absent from a live run's ``Stats``) is its own category.
+    """
+    stats = Stats()
+    for ev in events:
+        if ev.type == TASK_FINISHED:
+            stats.tasks_executed += 1
+            stats.add("compute", ev.dur)
+            stats.makespan = max(stats.makespan, ev.t)
+        elif ev.type == OVERHEAD:
+            stats.add(ev.category or "overhead", ev.dur)
+        elif ev.type == MESSAGE_SENT:
+            stats.messages += 1
+            stats.bytes_sent += ev.nbytes
+        elif ev.type == MESSAGE_DELIVERED:
+            if ev.dur > 0.0:
+                stats.add("network", ev.dur)
+        elif ev.type == RUN_FINISHED:
+            stats.makespan = max(stats.makespan, ev.t)
+    return stats
+
+
+def summarize_run(run: list[Event], index: int, top: int) -> str:
+    """Render one run's summary block."""
+    stats = _stats_from_events(run)
+    procs = max((ev.proc for ev in run if ev.proc >= 0), default=-1) + 1
     lines = [
         f"== {_run_label(run, index)} ({procs} procs) ==",
         f"makespan {stats.makespan:.6f}s  tasks {stats.tasks_executed}  "
         f"messages {stats.messages}  bytes {stats.bytes_sent}",
         "",
         "where the time went (all procs):",
-        category_breakdown(stats),
+        stats.breakdown(),
     ]
 
-    rows = top_tasks(run, top)
+    # The longest task executions; retried tasks count each attempt.
+    rows = sorted(
+        (
+            (ev.task, ev.dur, ev.proc)
+            for ev in run
+            if ev.type == TASK_FINISHED
+        ),
+        key=lambda r: -r[1],
+    )[:top]
     if rows:
         lines += ["", f"top {len(rows)} tasks by compute time:"]
         lines += [
             f"  t{task:<8} {dur:.6f}s  on p{proc}" for task, dur, proc in rows
         ]
 
-    trace = trace_from_events(run)
-    if procs > 0 and trace.spans:
-        lines += [
-            "",
-            f"load imbalance (max/mean busy): "
-            f"{imbalance(trace, procs):.2f}",
-        ]
+    imbalance = resource_timelines(run).imbalance()
+    if imbalance > 0:
+        lines += ["", f"load imbalance (max/mean busy): {imbalance:.2f}"]
 
     cp = critical_path(run)
     if cp.steps:
@@ -153,9 +180,6 @@ def summarize_run(run: list[Event], index: int, top: int, show_gantt: bool) -> s
             f"  recovery tail {rec['recovery_tail_seconds']:.6f}s "
             f"(first fault at {rec['first_fault_time']:.6f}s)",
         ]
-
-    if show_gantt and trace.spans and procs > 0:
-        lines += ["", "schedule (# = computing):", gantt(trace, procs)]
     return "\n".join(lines)
 
 
@@ -165,7 +189,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     for i, run in enumerate(_stream_runs(args.trace)):
         if i:
             _print("")
-        _print(summarize_run(run, i, args.top, args.gantt))
+        _print(summarize_run(run, i, args.top))
     return 0
 
 
@@ -213,28 +237,6 @@ def _suffixed(path: str, suffix: str) -> str:
     return f"{root}{suffix}{ext}"
 
 
-def _cmd_flamegraph(args: argparse.Namespace) -> int:
-    events = _load(args.trace)
-    selected = _select_runs(events, args.run, args.trace)
-    if args.run is None and len(selected) > 1:
-        print(
-            f"note: {args.trace} holds {len(selected)} runs; "
-            f"using run 0 (pick one with --run)",
-            file=sys.stderr,
-        )
-        selected = selected[:1]
-    _, run = selected[0]
-    lines = folded_stacks(run, weight=args.weight)
-    out = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w") as fp:
-            fp.write(out + "\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        _print(out)
-    return 0
-
-
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.obs.diff import diff_traces, render_diff
 
@@ -251,150 +253,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         )
     _print("\n\n".join(blocks))
     return 0
-
-
-#: SLO metric extractors; spec keys are ``max_<name>`` / ``min_<name>``.
-def _slo_metrics(run: list[Event]) -> dict[str, float]:
-    from repro.obs.timeline import resource_timelines
-
-    tl = resource_timelines(run)
-    cp = critical_path(run)
-    rec = recovery_accounting(run)
-    makespan = tl.makespan
-    # Percentile (and other streaming) metrics come from one sketch-backed
-    # pass; they overlap the timeline-derived names below, which win.
-    stats = RunStreamStats()
-    for ev in run:
-        stats.observe(ev)
-    metrics = stats.metrics()
-    metrics.update({
-        "makespan": makespan,
-        "idle_fraction": tl.idle_fraction(),
-        "utilization_mean": tl.utilization_mean(),
-        "queue_depth_peak": tl.queue_depth_peak(),
-        "mem_bytes_peak": tl.mem_bytes_peak(),
-        "inflight_bytes_peak": tl.inflight_bytes_peak(),
-        "critical_wait_fraction": (
-            cp.totals.get("wait", 0.0) / makespan if makespan > 0 else 0.0
-        ),
-        "critical_network_fraction": (
-            cp.totals.get("network", 0.0) / makespan if makespan > 0 else 0.0
-        ),
-        "faults_injected": rec["faults_injected"],
-        "task_retries": rec["task_retries"],
-        "rank_deaths": rec["rank_deaths"],
-        "wasted_seconds": rec["wasted_seconds"],
-        "recovery_tail_seconds": rec["recovery_tail_seconds"],
-    })
-    return metrics
-
-
-def eval_spec(metrics: dict[str, float], spec: dict) -> list[str]:
-    """Check ``max_<name>`` / ``min_<name>`` bounds against a metric dict.
-
-    The generic engine behind :func:`check_slo` (run-trace metrics) and
-    the run service's SLO enforcement (service-level metrics): any
-    metric namespace can be bounded with the same spec format.
-
-    Returns the violations as human-readable strings (empty = pass).
-    Raises ValueError for unknown spec keys.
-    """
-    violations = []
-    for key, bound in spec.items():
-        if key.startswith("max_"):
-            name, is_max = key[4:], True
-        elif key.startswith("min_"):
-            name, is_max = key[4:], False
-        else:
-            raise ValueError(
-                f"SLO key {key!r} must start with 'max_' or 'min_'"
-            )
-        if name not in metrics:
-            raise ValueError(
-                f"unknown SLO metric {name!r} (have: "
-                f"{', '.join(sorted(metrics))})"
-            )
-        value = metrics[name]
-        if (is_max and value > bound) or (not is_max and value < bound):
-            op = ">" if is_max else "<"
-            violations.append(f"{key}: {name} = {value:g} {op} {bound:g}")
-    return violations
-
-
-def check_slo(run: list[Event], spec: dict) -> list[str]:
-    """Evaluate one run against a declarative bound spec.
-
-    Returns the violations as human-readable strings (empty = pass).
-    Raises ValueError for unknown spec keys.
-    """
-    return eval_spec(_slo_metrics(run), spec)
-
-
-def _spec_is_streaming(spec: dict) -> bool:
-    """True when every bound is over a streaming-computable metric."""
-    streaming = RunStreamStats.metric_names()
-    return all(
-        (key.startswith(("max_", "min_")) and key[4:] in streaming)
-        for key in spec
-    )
-
-
-def _report_slo(label: str, i: int, violations: list[str], n: int) -> bool:
-    if violations:
-        print(f"FAIL {label} (run {i}):")
-        for v in violations:
-            print(f"  {v}")
-        return True
-    print(f"ok   {label} (run {i}): {n} bound(s) hold")
-    return False
-
-
-def _cmd_slo(args: argparse.Namespace) -> int:
-    try:
-        with open(args.spec) as fp:
-            spec = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{args.spec}: not valid JSON ({exc})") from exc
-    if not isinstance(spec, dict):
-        raise ValueError(f"{args.spec}: SLO spec must be a JSON object")
-    failed = False
-    if _spec_is_streaming(spec):
-        # Pure streaming pass: O(sketch buckets) memory regardless of
-        # trace size — no run is ever materialized.
-        stats: RunStreamStats | None = None
-        label = ""
-        i = 0
-        seen = False
-
-        def _finish() -> None:
-            nonlocal failed, i
-            failed |= _report_slo(
-                label or f"run {i}", i,
-                eval_spec(stats.metrics(), spec), len(spec),
-            )
-            i += 1
-
-        for ev in iter_events(args.trace):
-            seen = True
-            if ev.type == RUN_STARTED:
-                if stats is not None:
-                    _finish()
-                stats = RunStreamStats()
-                label = ev.label
-            elif stats is None:  # legacy stream without run_started
-                stats = RunStreamStats()
-                label = ""
-            stats.observe(ev)
-        if not seen:
-            raise ValueError(f"{args.trace}: no events found")
-        if stats is not None:
-            _finish()
-        return 1 if failed else 0
-    for i, run in enumerate(_stream_runs(args.trace)):
-        failed |= _report_slo(
-            _run_label(run, i), i, check_slo(run, spec), len(spec)
-        )
-    return 1 if failed else 0
 
 
 def _cmd_trends(args: argparse.Namespace) -> int:
@@ -523,9 +381,6 @@ def main(argv: list[str] | None = None) -> int:
         "--top", type=int, default=5, metavar="K",
         help="how many of the longest tasks to list (default 5)",
     )
-    p_sum.add_argument(
-        "--gantt", action="store_true", help="draw the ASCII schedule too"
-    )
     p_sum.set_defaults(fn=_cmd_summarize)
 
     p_tl = sub.add_parser(
@@ -549,21 +404,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_tl.set_defaults(fn=_cmd_timeline)
 
-    p_fg = sub.add_parser(
-        "flamegraph",
-        help="folded stacks over the causal DAG (flamegraph.pl input)",
-    )
-    p_fg.add_argument("trace")
-    p_fg.add_argument(
-        "--weight", choices=("compute", "span"), default="compute",
-        help="stack weight: callback seconds or start-to-end residency",
-    )
-    p_fg.add_argument("--run", type=int, default=None, metavar="I")
-    p_fg.add_argument(
-        "--output", metavar="FILE", help="write here instead of stdout"
-    )
-    p_fg.set_defaults(fn=_cmd_flamegraph)
-
     p_diff = sub.add_parser(
         "diff", help="compare two traces run-by-run (what moved, and why)"
     )
@@ -574,16 +414,6 @@ def main(argv: list[str] | None = None) -> int:
         help="how many moved tasks/phases to list (default 8)",
     )
     p_diff.set_defaults(fn=_cmd_diff)
-
-    p_slo = sub.add_parser(
-        "slo", help="assert declarative bounds over a trace (exit 1 on breach)"
-    )
-    p_slo.add_argument("trace")
-    p_slo.add_argument(
-        "spec",
-        help='JSON object of bounds, e.g. {"max_idle_fraction": 0.5}',
-    )
-    p_slo.set_defaults(fn=_cmd_slo)
 
     p_tr = sub.add_parser(
         "trends",

@@ -288,9 +288,9 @@ def iter_events(path: str) -> Iterator[Event]:
 
     JSONL files — the telemetry-scale format — are read line by line in
     O(1) memory; Chrome traces are a single JSON document, so they fall
-    back to :func:`load_events` (full parse) transparently.  The CLI
-    subcommands that can work single-pass (``summarize``, ``slo``)
-    consume this, so multi-gigabyte JSONL traces never sit in memory.
+    back to :func:`load_events` (full parse) transparently.  The CLI's
+    ``summarize`` consumes this one run at a time, so multi-gigabyte
+    JSONL traces never sit in memory.
 
     Raises:
         ValueError: when the file is neither format (raised on first

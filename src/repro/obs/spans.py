@@ -17,9 +17,6 @@ module is its query layer:
 * :func:`recovery_accounting` — the fault-tolerance overhead of a run
   (wasted attempt seconds, replayed compute, recovery tail, fault
   counters), derived purely from the ``FAULT_VOCABULARY`` events.
-* :func:`folded_stacks` — the DAG rendered as folded stacks (one
-  ``a;b;c weight`` line per task along its binding ancestry), the input
-  format of every flamegraph renderer.
 
 Everything here is offline analysis over an already-captured stream —
 nothing touches the simulator hot path.
@@ -47,7 +44,6 @@ __all__ = [
     "CausalDag",
     "causal_dag",
     "recovery_accounting",
-    "folded_stacks",
 ]
 
 
@@ -291,45 +287,3 @@ def recovery_accounting(events: list[Event]) -> dict[str, float]:
         acc["recovery_tail_seconds"] = max(0.0, makespan - first_fault)
     return acc
 
-
-def folded_stacks(
-    events: list[Event], weight: str = "compute"
-) -> list[str]:
-    """Render one run's causal DAG as folded flamegraph stacks.
-
-    One line per task: its binding ancestry (the parent whose span
-    finished last, i.e. the dependency that actually gated it) from
-    source to the task itself, semicolon-joined, followed by the task's
-    weight in integer microseconds.  Feed the result to any
-    ``flamegraph.pl``-compatible renderer.
-
-    Args:
-        weight: ``"compute"`` (callback seconds of the final attempt) or
-            ``"span"`` (start-to-end residency — useful for cost-model-free
-            runs where compute is 0).
-    """
-    if weight not in ("compute", "span"):
-        raise ValueError(f"weight must be 'compute' or 'span', not {weight!r}")
-    dag = causal_dag(events)
-    lines = []
-    for task in sorted(dag.spans):
-        chain = [task]
-        seen = {task}
-        cur = task
-        while True:
-            parents = [
-                p for p in dag.parents_of(cur) if p in dag.spans and p not in seen
-            ]
-            if not parents:
-                break
-            # Binding parent: the producer that finished last gated us.
-            cur = max(parents, key=lambda p: (dag.spans[p].end, p))
-            seen.add(cur)
-            chain.append(cur)
-        chain.reverse()
-        span = dag.spans[task]
-        w = span.compute if weight == "compute" else span.span
-        lines.append(
-            ";".join(f"t{t}" for t in chain) + f" {max(0, round(w * 1e6))}"
-        )
-    return lines

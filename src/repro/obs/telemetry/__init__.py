@@ -1,4 +1,4 @@
-"""Bounded-memory telemetry: sketches, triggers, flight recorder, ledger.
+"""Bounded-memory telemetry: sketches, flight recorder, ledger.
 
 The production-telemetry layer of :mod:`repro.obs`.  Where the base
 observability stack records *everything* (full event streams, complete
@@ -7,11 +7,8 @@ no matter how many runs or events flow through:
 
 * :class:`QuantileSketch` — streaming p50/p95/p99 in O(buckets) memory
   with a guaranteed relative-error bound.
-* :mod:`~repro.obs.telemetry.triggers` — declarative "when condition"
-  predicates (:func:`when`, :class:`FaultTrigger`,
-  :class:`SloBreachTrigger`) that decide which runs deserve attention.
 * :class:`FlightRecorder` — an always-on ring buffer of recent events,
-  dumped to disk only when a trigger fires or the run aborts.
+  dumped to disk only when the run faults or aborts.
 * :class:`Ledger` — a cross-run JSONL record of metric snapshots with
   regression detection (``python -m repro.obs trends``).
 
@@ -22,7 +19,7 @@ zero-cost-when-unobserved contract and bit-identical event streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.telemetry.flight import DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.telemetry.ledger import (
@@ -35,36 +32,20 @@ from repro.obs.telemetry.ledger import (
     render_trends,
 )
 from repro.obs.telemetry.sketch import DEFAULT_REL_ERR, QuantileSketch
-from repro.obs.telemetry.triggers import (
-    FaultTrigger,
-    MetricTrigger,
-    RunStreamStats,
-    SloBreachTrigger,
-    Trigger,
-    TriggerSet,
-    when,
-)
 
 __all__ = [
     "DEFAULT_CAPACITY",
     "DEFAULT_REL_ERR",
-    "FaultTrigger",
     "FlightRecorder",
     "HIGHER_IS_BETTER",
     "Ledger",
-    "MetricTrigger",
     "QuantileSketch",
-    "RunStreamStats",
-    "SloBreachTrigger",
     "TelemetryConfig",
-    "Trigger",
-    "TriggerSet",
     "default_machine",
     "detect_regressions",
     "fingerprint",
     "metrics_from_snapshot",
     "render_trends",
-    "when",
 ]
 
 
@@ -77,23 +58,19 @@ class TelemetryConfig:
     feeds latency sketches (task compute, message latency, queue wait)
     into its :class:`~repro.obs.metrics.MetricsRegistry` — surfaced on
     ``RunResult.metrics.sketches`` — and, if ``flight_dir`` is set,
-    attaches a :class:`FlightRecorder` that dumps recent events when a
-    trigger fires or the run raises.
+    attaches a :class:`FlightRecorder` that dumps recent events when the
+    run faults or raises.
 
     Attributes:
         rel_err: relative-error bound of the latency sketches.
         flight_dir: directory for flight-recorder dumps (None disables
             the recorder entirely).
         flight_capacity: ring size of the flight recorder, in events.
-        triggers: extra dump predicates for the flight recorder —
-            ``when()`` condition strings, SLO spec dicts, or
-            :class:`Trigger` instances (faults always trigger).
     """
 
     rel_err: float = DEFAULT_REL_ERR
     flight_dir: str | None = None
     flight_capacity: int = DEFAULT_CAPACITY
-    triggers: tuple = field(default=())
 
     @classmethod
     def coerce(cls, value) -> "TelemetryConfig | None":

@@ -2,10 +2,10 @@
 
 A :class:`FlightRecorder` is an :class:`~repro.obs.events.EventSink`
 holding only the last ``capacity`` events in a ring buffer — constant
-memory however long the run.  When a trigger fires (fault injected, SLO
-breach, ``when()`` condition) or the run aborts with an exception, the
-ring is dumped to disk: a ``flight-NNNN.jsonl`` event file readable by
-every ``python -m repro.obs`` subcommand, plus a
+memory however long the run.  When the run saw a fault-layer event
+(:data:`~repro.obs.events.FAULT_VOCABULARY`) or aborts with an
+exception, the ring is dumped to disk: a ``flight-NNNN.jsonl`` event
+file readable by every ``python -m repro.obs`` subcommand, plus a
 ``flight-NNNN.manifest.json`` sidecar recording why, when, and what was
 captured.  Clean runs write nothing.
 
@@ -26,9 +26,13 @@ import json
 import os
 from collections import deque
 
-from repro.obs.events import RUN_FINISHED, Event, EventSink
-from repro.obs.telemetry.sketch import DEFAULT_REL_ERR
-from repro.obs.telemetry.triggers import FaultTrigger, TriggerSet
+from repro.obs.events import (
+    FAULT_VOCABULARY,
+    RUN_FINISHED,
+    RUN_STARTED,
+    Event,
+    EventSink,
+)
 
 __all__ = ["FlightRecorder", "DEFAULT_CAPACITY"]
 
@@ -38,48 +42,37 @@ DEFAULT_CAPACITY = 4096
 
 
 class FlightRecorder(EventSink):
-    """Keep the last ``capacity`` events; dump them when a trigger fires.
+    """Keep the last ``capacity`` events; dump them when the run faults.
 
     Args:
         out_dir: directory for dumps (created on first dump, so a clean
             run leaves no trace on disk).
         capacity: ring size in events.
-        triggers: extra dump predicates — :class:`Trigger` instances,
-            ``when()`` condition strings, or SLO spec dicts.
-        keep_faults: prepend a :class:`FaultTrigger` (default on).
-        rel_err: relative error of the trigger quantile sketches.
     """
 
-    def __init__(
-        self,
-        out_dir: str,
-        *,
-        capacity: int = DEFAULT_CAPACITY,
-        triggers: "tuple | list" = (),
-        keep_faults: bool = True,
-        rel_err: float = DEFAULT_REL_ERR,
-    ) -> None:
+    def __init__(self, out_dir: str, *, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.out_dir = out_dir
         self.capacity = capacity
-        all_triggers: list = [FaultTrigger()] if keep_faults else []
-        all_triggers.extend(triggers)
-        self.triggers = TriggerSet(all_triggers, rel_err=rel_err)
         self.ring: deque[Event] = deque(maxlen=capacity)
         #: Paths of every dump written, in order.
         self.dumps: list[str] = []
         self._run_idx = 0
         self._seen = 0  # events observed this run (ring may be smaller)
+        self._fault: Event | None = None  # first fault event of this run
 
     def emit(self, event: Event) -> None:
+        typ = event.type
+        if typ == RUN_STARTED:
+            self._fault = None
         self.ring.append(event)
         self._seen += 1
-        self.triggers.observe(event)
-        if event.type == RUN_FINISHED:
-            self.triggers.check()
-            if self.triggers.fired:
-                self._dump(self.triggers.reasons())
+        if self._fault is None and typ in FAULT_VOCABULARY:
+            self._fault = event
+        if typ == RUN_FINISHED:
+            if self._fault is not None:
+                self._dump(self._reasons())
             self._end_run()
 
     def abort(self, exc: BaseException | None = None) -> str | None:
@@ -92,28 +85,31 @@ class FlightRecorder(EventSink):
         if not self._seen:
             return None
         reasons = [f"abort: {type(exc).__name__}: {exc}" if exc else "abort"]
-        self.triggers.check()
-        reasons.extend(self.triggers.reasons())
-        path = self._dump(reasons)
+        path = self._dump(reasons + self._reasons())
         self._end_run()
         return path
 
     def close(self) -> None:
-        # A truncated stream with a fired trigger still gets its dump
+        # A truncated stream that saw a fault still gets its dump
         # (e.g. the process is exiting through sink teardown).
         if self._seen:
-            self.triggers.check()
-            if self.triggers.fired:
-                self._dump(self.triggers.reasons())
+            if self._fault is not None:
+                self._dump(self._reasons())
             self._end_run()
 
     # ------------------------------------------------------------------ #
+
+    def _reasons(self) -> list[str]:
+        ev = self._fault
+        if ev is None:
+            return []
+        return [f"fault: {ev.type} ({ev.category or 'task'}) at t={ev.t:.6g}"]
 
     def _end_run(self) -> None:
         self.ring.clear()
         self._seen = 0
         self._run_idx += 1
-        self.triggers.start_run()
+        self._fault = None
 
     def _dump(self, reasons: list[str]) -> str:
         os.makedirs(self.out_dir, exist_ok=True)
@@ -130,7 +126,6 @@ class FlightRecorder(EventSink):
             "events_seen": self._seen,
             "capacity": self.capacity,
             "truncated": self._seen > len(self.ring),
-            "metrics": self.triggers.stats.metrics(),
         }
         with open(
             os.path.join(self.out_dir, stem + ".manifest.json"),

@@ -5,8 +5,8 @@ sketch summaries, keyed by a ``(workload, runtime, machine)``
 fingerprint — to a ledger file.  ``python -m repro.obs trends`` (and
 the perf harness's ``--ledger`` flag) reads the ledger back and flags
 metrics that regressed against the recent history of the same
-fingerprint: the cross-run half of SLO enforcement, where single-run
-bounds (``obs slo``) cannot see a gradual slide.
+fingerprint: the cross-run half of SLO enforcement, where a bound on a
+single run cannot see a gradual slide.
 
 Detection is deliberately simple and robust: the baseline for an entry
 is the *median* of the preceding ``window`` runs of its fingerprint, so

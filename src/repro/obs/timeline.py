@@ -109,6 +109,15 @@ class RunTimelines:
     def idle_fraction(self) -> float:
         return 1.0 - self.utilization_mean()
 
+    def imbalance(self) -> float:
+        """Load imbalance ``max / mean`` of per-rank utilization (1.0 is
+        perfectly balanced, 0.0 when nothing ran) — the run's
+        ``imbalance`` gauge."""
+        mean = self.utilization_mean()
+        if mean <= 0:
+            return 0.0
+        return max(self.utilization(p) for p in range(self.n_procs)) / mean
+
     def queue_depth_peak(self, proc: int | None = None) -> float:
         """High-water run-queue depth of one rank (or the whole run)."""
         if proc is not None:

@@ -6,7 +6,7 @@ part that is the same, in two halves that know nothing of each other.
 
 **Run scaffolding** (:class:`RunScaffold`) has no dataflow semantics: it
 builds, once per run, everything the run is observed through — sinks,
-span trace, metrics registry, the opt-in telemetry sketches and flight
+the kept event list, metrics registry, the opt-in telemetry sketches and flight
 recorder, the opt-in live plane, the hub and its two gates — and owns
 the events and metrics that read the same on every backend: the
 ``run_started`` / ``sched.planned`` / ``plan.fallback`` prologue, the
@@ -51,13 +51,13 @@ from repro.obs.events import (
     TASK_RETRY,
     TASK_STARTED,
     Event,
+    ListSink,
 )
 from repro.obs.hub import ObsHub
 from repro.obs.live import attach_live
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import FlightRecorder
 from repro.runtimes.result import RunResult
-from repro.sim.trace import Trace
 
 
 def _task_label(tid: TaskId, suffix: str = "") -> str:
@@ -97,9 +97,10 @@ class RunScaffold:
         sinks = list(controller._sinks)
         trace = None
         if controller.collect_trace:
-            # Span tracing is an event sink like any other consumer.
-            trace = Trace()
-            sinks.append(trace)
+            # The kept trace is the run's event stream, one sink like any other.
+            kept = ListSink()
+            sinks.append(kept)
+            trace = kept.events
         self.result = RunResult(trace=trace)
         metrics = self.metrics = MetricsRegistry()
         tel = controller.telemetry
@@ -112,10 +113,7 @@ class RunScaffold:
             self.t_msg = metrics.sketch("message_seconds", tel.rel_err)
             if tel.flight_dir:
                 self.flight = FlightRecorder(
-                    tel.flight_dir,
-                    capacity=tel.flight_capacity,
-                    triggers=tel.triggers,
-                    rel_err=tel.rel_err,
+                    tel.flight_dir, capacity=tel.flight_capacity
                 )
                 sinks.append(self.flight)
         live = None

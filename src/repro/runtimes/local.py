@@ -54,8 +54,8 @@ propagate, exactly like every other backend.
 
 Observability: wall-clock lifecycle events through the standard
 :mod:`repro.obs` vocabulary (timestamps are real seconds since run
-start), so timelines, flamegraphs, trace diffs, metrics sketches, and
-the SLO CLI work unchanged.  Feed a run's events to
+start), so timelines, critical paths, trace diffs and metrics sketches
+work unchanged.  Feed a run's events to
 :meth:`repro.sched.ProfiledEstimate.from_events` to close the loop from
 measured reality back into the planner — see
 :func:`repro.runtimes.calibrate.profile_cost_model` and the
@@ -378,7 +378,7 @@ class LocalPoolController(Controller):
             fold onto ``min(n_workers, shard_count)`` pinned groups.
         mode: ``"process"`` (default), ``"thread"``, or ``"inline"``.
         sinks: observability sinks receiving wall-clock lifecycle events.
-        collect_trace: keep a full span trace on the result.
+        collect_trace: keep the run's event list on ``result.trace``.
         telemetry: bounded-memory telemetry, same contract as every
             other controller (off by default).
         live: in-flight observability (:mod:`repro.obs.live`): ``True``

@@ -62,8 +62,8 @@ class SerialController(Controller):
 
     Args:
         sinks: observability sinks receiving the run's lifecycle events.
-        collect_trace: keep a full span trace on the result (all spans on
-            proc 0, wall-clock timeline).
+        collect_trace: keep the run's event list on ``result.trace``
+            (every event on proc 0, wall-clock timestamps).
         telemetry: bounded-memory telemetry (see
             :mod:`repro.obs.telemetry`); same contract as the simulated
             controllers — off by default, zero allocations when off.

@@ -76,7 +76,8 @@ class SimController(Controller):
         cost_model: virtual compute-cost model; defaults to
             :class:`~repro.runtimes.costs.NullCost`.
         costs: runtime overhead constants.
-        collect_trace: keep a full span trace on the result (debugging).
+        collect_trace: keep the run's event list on ``result.trace``
+            (debugging; read it with :mod:`repro.obs.timeline`).
         procs_per_node: how many procs share a node; defaults to
             ``cores_per_node // cores_per_proc``.
         fault_plan: full fault schedule (transient task faults, permanent
@@ -106,7 +107,7 @@ class SimController(Controller):
             message latency — into ``RunResult.metrics.sketches``
             without retaining events, and (when ``flight_dir`` is set)
             attaches a flight recorder that dumps the recent event ring
-            on faults, trigger conditions, or exceptions.  Default off:
+            on faults or exceptions.  Default off:
             clean runs allocate no telemetry objects and their metric
             snapshots / event streams are bit-identical.
         compile: opt into the ahead-of-time run plan (see

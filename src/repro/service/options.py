@@ -53,7 +53,7 @@ class RunOptions:
         costs: per-runtime overhead constants (simulated backends).
         cores_per_proc: simulated cores per proc.
         procs_per_node: simulated procs per node.
-        collect_trace: record a full span :class:`~repro.sim.trace.Trace`.
+        collect_trace: keep the run's event list on ``result.trace``.
         fault_plan: fault schedule (see :mod:`repro.faults`).
         retry_policy: retry/backoff policy for failed attempts.
         balancer: dynamic load-balancing strategy.

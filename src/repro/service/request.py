@@ -12,7 +12,7 @@ the PR-7 structural fingerprints (:func:`~repro.sched.compile.graph_fingerprint`
 tokens for callbacks, inputs, and options — so *structurally identical*
 submissions from different tenants share one run, while anything the
 service cannot prove identical never coalesces.  Requests that carry
-per-run side effects (sinks, live monitoring, span traces) are never
+per-run side effects (sinks, live monitoring, kept traces) are never
 coalescible: a second tenant's sink must not silently observe nothing.
 """
 

@@ -19,10 +19,10 @@ PRs built:
   path (:class:`~repro.service.handle.AdmissionError`) when saturated.
 * **Observability** — queue/admission/cache counters and
   submit-to-done latency sketches in a
-  :class:`~repro.obs.metrics.MetricsRegistry`, SLO bounds in the
-  ``obs slo`` spec format, lifecycle events
-  (:data:`~repro.obs.events.SERVICE_VOCABULARY`), and live snapshots
-  for ``python -m repro.obs watch`` / ``serve``.
+  :class:`~repro.obs.metrics.MetricsRegistry`, SLO bounds as
+  ``max_<metric>`` / ``min_<metric>`` keys (:func:`eval_spec`),
+  lifecycle events (:data:`~repro.obs.events.SERVICE_VOCABULARY`), and
+  live snapshots for ``python -m repro.obs watch`` / ``serve``.
 
 Each execution is the same two calls :func:`repro.run` makes —
 ``request.build(shared_graph).run(request.inputs)`` — so a handle
@@ -57,7 +57,7 @@ from repro.service.handle import (
 from repro.service.request import RunRequest, request_key
 from repro.service.status import ServiceStatusWriter, service_status_path
 
-__all__ = ["RunService", "DEFAULT_WORKERS"]
+__all__ = ["RunService", "DEFAULT_WORKERS", "eval_spec"]
 
 #: Default controller slots for an explicitly constructed service.
 DEFAULT_WORKERS = 4
@@ -86,6 +86,37 @@ _COUNTERS = (
     "graph_cache_misses",
     "slo_breaches",
 )
+
+
+def eval_spec(metrics: dict[str, float], spec: dict) -> list[str]:
+    """Check ``max_<name>`` / ``min_<name>`` bounds against a metric dict.
+
+    ``{"max_submit_to_done_seconds_p99": 0.5, "min_dedup_rate": 0.1}``
+    holds when every named metric is at most / at least its bound.
+
+    Returns the violations as human-readable strings (empty = pass).
+    Raises ValueError for unknown spec keys.
+    """
+    violations = []
+    for key, bound in spec.items():
+        if key.startswith("max_"):
+            name, is_max = key[4:], True
+        elif key.startswith("min_"):
+            name, is_max = key[4:], False
+        else:
+            raise ValueError(
+                f"SLO key {key!r} must start with 'max_' or 'min_'"
+            )
+        if name not in metrics:
+            raise ValueError(
+                f"unknown SLO metric {name!r} (have: "
+                f"{', '.join(sorted(metrics))})"
+            )
+        value = metrics[name]
+        if (is_max and value > bound) or (not is_max and value < bound):
+            op = ">" if is_max else "<"
+            violations.append(f"{key}: {name} = {value:g} {op} {bound:g}")
+    return violations
 
 
 class _Entry:
@@ -122,9 +153,9 @@ class RunService:
             :class:`~repro.service.admission.TenantQuota`; ``None`` =
             unbounded).
         quotas: per-tenant overrides, ``{tenant: quota}``.
-        slo: declarative bounds in the ``obs slo`` spec format
-            (``max_<metric>`` / ``min_<metric>``) over
-            :meth:`slo_metrics` names; breaches are counted, alerted,
+        slo: declarative bounds, a dict of ``max_<metric>`` /
+            ``min_<metric>`` keys over :meth:`slo_metrics` names
+            (:func:`eval_spec`); breaches are counted, alerted,
             and reported by :meth:`slo_violations`.  Validated eagerly.
         status_dir: directory for live service snapshots
             (``live-service-<pid>.json``).  ``None`` falls back to
@@ -441,15 +472,11 @@ class RunService:
         return out
 
     def _validate_slo(self, spec: dict) -> None:
-        from repro.obs.cli import eval_spec
-
         eval_spec(self._slo_metrics_locked(), spec)
 
     def _check_slo_locked(self) -> None:
         if not self._slo:
             return
-        from repro.obs.cli import eval_spec
-
         for violation in eval_spec(self._slo_metrics_locked(), self._slo):
             if violation in self._slo_seen:
                 continue
@@ -468,8 +495,6 @@ class RunService:
         """Every distinct SLO violation observed so far (empty = healthy)."""
         with self._lock:
             if self._slo:
-                from repro.obs.cli import eval_spec
-
                 for v in eval_spec(self._slo_metrics_locked(), self._slo):
                     self._slo_seen.add(v)
             return sorted(self._slo_seen)

@@ -3,8 +3,8 @@
 This package is the reproduction's substitute for the paper's Cray XC40:
 a deterministic event engine (:mod:`~repro.sim.engine`), FIFO serving
 resources (:mod:`~repro.sim.resource`), a machine/network model
-(:mod:`~repro.sim.machine`, :mod:`~repro.sim.cluster`) and execution
-traces (:mod:`~repro.sim.trace`).  The runtime controllers in
+(:mod:`~repro.sim.machine`, :mod:`~repro.sim.cluster`) and run
+statistics (:mod:`~repro.sim.trace`).  The runtime controllers in
 :mod:`repro.runtimes` execute real task callbacks while charging *virtual*
 time here, which is what the scaling benchmarks measure.
 """
@@ -12,9 +12,8 @@ time here, which is what the scaling benchmarks measure.
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine, Event
 from repro.sim.machine import SHAHEEN_II, MachineSpec
-from repro.sim.report import category_breakdown, gantt, imbalance, utilization
 from repro.sim.resource import MultiResource, Resource
-from repro.sim.trace import Span, Stats, Trace
+from repro.sim.trace import Stats
 
 __all__ = [
     "Cluster",
@@ -22,13 +21,7 @@ __all__ = [
     "Event",
     "MachineSpec",
     "MultiResource",
-    "category_breakdown",
-    "gantt",
-    "imbalance",
-    "utilization",
     "Resource",
     "SHAHEEN_II",
-    "Span",
     "Stats",
-    "Trace",
 ]

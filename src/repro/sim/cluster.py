@@ -14,10 +14,9 @@ seconds after injection completes.  Intra-node transfers use the faster
 shared-memory path and skip the NIC queue contention of other nodes.
 
 Observability flows exclusively through the event stream: controllers
-attach :class:`~repro.sim.trace.Trace` (or any other sink) to ``obs``;
-the historical direct span-recording path was removed.  ``compute`` and
-``send`` are on the simulator's hottest path, so they build labels and
-event objects only when a sink is attached.
+attach their sinks to ``obs``.  ``compute`` and ``send`` are on the
+simulator's hottest path, so they build labels and event objects only
+when a sink is attached.
 """
 
 from __future__ import annotations

@@ -1,129 +1,17 @@
-"""Execution traces and timing statistics.
+"""Aggregate timing statistics of one controller run.
 
-Controllers record what happened on the simulated cluster: compute spans,
-message spans, runtime-overhead spans.  :class:`Trace` stores full records
-(optional, for debugging and timeline inspection); :class:`Stats`
-aggregates per-category totals cheaply and is always collected.
-
-Since the :mod:`repro.obs` subsystem landed, span collection sits *on
-top* of the structured event stream: :class:`Trace` is an
-:class:`~repro.obs.events.EventSink`, and ``collect_trace=True`` on a
-controller simply attaches a fresh ``Trace`` to the run's sinks.  Spans
-are synthesized from ``task_started``/``task_finished``, ``overhead``
-and ``message_delivered`` events; direct :meth:`Trace.record` calls
-remain supported for code that builds traces by hand.
+Controllers charge what happened on the simulated cluster — compute,
+messages, runtime overheads — to a :class:`Stats`, which is always
+collected.  The full record of a run is its event stream
+(:mod:`repro.obs.events`): ``collect_trace=True`` keeps that stream on
+``RunResult.trace``, and :mod:`repro.obs.timeline` /
+:mod:`repro.obs.critical_path` read it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable
-
-from repro.obs import events as _ev
-from repro.obs.events import Event, EventSink
-
-
-@dataclass(frozen=True)
-class Span:
-    """One recorded interval on the simulated timeline."""
-
-    category: str
-    proc: int
-    start: float
-    end: float
-    label: str = ""
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-class Trace(EventSink):
-    """Ordered collection of :class:`Span` records.
-
-    Keeping full traces at 32k simulated procs is expensive, so traces are
-    opt-in; the aggregate :class:`Stats` suffices for the benchmarks.
-
-    As an :class:`~repro.obs.events.EventSink`, a ``Trace`` can be
-    attached to any controller (that is how ``collect_trace=True`` is
-    implemented) or replayed from a saved event log::
-
-        trace = Trace()
-        for event in load_events(path):
-            trace.emit(event)
-    """
-
-    def __init__(self) -> None:
-        self.spans: list[Span] = []
-
-    def record(
-        self, category: str, proc: int, start: float, end: float, label: str = ""
-    ) -> None:
-        """Append a span."""
-        self.spans.append(Span(category, proc, start, end, label))
-
-    def emit(self, event: Event) -> None:
-        """Synthesize spans from a structured lifecycle event.
-
-        ``task_finished`` becomes a ``compute`` span, ``overhead`` a span
-        of its category, ``message_delivered`` a ``message`` span on the
-        sending proc.  Zero-duration overheads and in-proc messages are
-        skipped, matching the historical span stream.
-        """
-        if event.type == _ev.TASK_FINISHED:
-            self.record(
-                "compute",
-                event.proc,
-                event.t - event.dur,
-                event.t,
-                event.label or f"t{event.task}",
-            )
-        elif event.type == _ev.OVERHEAD and event.dur > 0.0:
-            self.record(
-                event.category or "overhead",
-                event.proc,
-                event.t - event.dur,
-                event.t,
-                event.label,
-            )
-        elif event.type == _ev.MESSAGE_DELIVERED and event.dur > 0.0:
-            self.record(
-                "message",
-                event.proc,
-                event.t - event.dur,
-                event.t,
-                event.label or f"->{event.dst_proc}",
-            )
-
-    def by_category(self, category: str) -> list[Span]:
-        """All spans of one category, in record order."""
-        return [s for s in self.spans if s.category == category]
-
-    def makespan(self) -> float:
-        """Latest end time across all spans (0 when empty)."""
-        return max((s.end for s in self.spans), default=0.0)
-
-    def busy_fraction(self, n_procs: int, category: str = "compute") -> float:
-        """Mean utilization of ``n_procs`` procs for one span category."""
-        total = sum(s.duration for s in self.spans if s.category == category)
-        horizon = self.makespan()
-        if horizon <= 0 or n_procs <= 0:
-            return 0.0
-        return total / (horizon * n_procs)
-
-    def timeline(self, procs: Iterable[int] | None = None) -> str:
-        """Human-readable dump of the trace (debug helper)."""
-        keep = set(procs) if procs is not None else None
-        lines = []
-        for s in sorted(self.spans, key=lambda s: (s.start, s.proc)):
-            if keep is not None and s.proc not in keep:
-                continue
-            lines.append(
-                f"[{s.start:12.6f} - {s.end:12.6f}] p{s.proc:<6} "
-                f"{s.category:<10} {s.label}"
-            )
-        return "\n".join(lines)
 
 
 @dataclass
@@ -174,3 +62,17 @@ class Stats:
             f"makespan={self.makespan:.4f}s tasks={self.tasks_executed} "
             f"msgs={self.messages} bytes={self.bytes_sent} [{cats}]"
         )
+
+    def breakdown(self) -> str:
+        """The per-category totals as an aligned table, largest first."""
+        rows = sorted(self.category_time.items(), key=lambda kv: -kv[1])
+        if not rows:
+            return "(no recorded categories)"
+        total = sum(v for _, v in rows)
+        width = max(len(k) for k, _ in rows) + 2
+        lines = [f"{'category':<{width}}{'seconds':>12}{'share':>9}"]
+        for name, secs in rows:
+            share = secs / total if total else 0.0
+            lines.append(f"{name:<{width}}{secs:>12.6f}{share:>8.1%}")
+        lines.append(f"{'total':<{width}}{total:>12.6f}{1:>8.1%}")
+        return "\n".join(lines)

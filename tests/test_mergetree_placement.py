@@ -7,6 +7,7 @@ from repro.analysis.mergetree import MergeTreeWorkload, reference_segmentation
 from repro.analysis.mergetree.placement import leaf_shard, mergetree_locality_map
 from repro.core.taskmap import ModuloMap, validate_taskmap
 from repro.graphs import MergeTreeGraph
+from repro.obs.events import MESSAGE_DELIVERED
 from repro.runtimes import MPIController
 
 
@@ -56,7 +57,8 @@ class TestLocalityMap:
             c = MPIController(4, collect_trace=True)
             r = wl.run(c, tmap)
             inter = sum(
-                s.duration for s in r.trace.by_category("message")
+                e.dur for e in r.trace
+                if e.type == MESSAGE_DELIVERED and e.dur > 0
             )
             results[name] = (r, inter)
         ref = reference_segmentation(small_field, 0.5)

@@ -1,8 +1,6 @@
-"""``python -m repro.obs`` over saved traces: summarize, timeline,
-flamegraph, diff, and slo — plus the exit-code contract (2 on a
-missing/corrupt trace, 1 on an SLO breach)."""
-
-import json
+"""``python -m repro.obs`` over saved traces: summarize, timeline, diff
+and trends — plus the exit-code contract (2 on a missing/corrupt trace,
+1 on a regression)."""
 
 import pytest
 
@@ -61,13 +59,6 @@ class TestSummarize:
         path = write_trace(tmp_path / "t.json", ChromeTraceExporter)
         assert main(["summarize", str(path), "--top", "3"]) == 0
         assert "top 3 tasks" in capsys.readouterr().out
-
-    def test_gantt_flag(self, tmp_path, capsys):
-        path = write_trace(tmp_path / "t.json", ChromeTraceExporter)
-        assert main(["summarize", str(path), "--gantt"]) == 0
-        out = capsys.readouterr().out
-        assert "schedule (# = computing):" in out
-        assert "p0" in out
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["summarize", str(tmp_path / "nope.json")]) == 2
@@ -182,38 +173,6 @@ class TestTimeline:
         assert "error:" in capsys.readouterr().err
 
 
-class TestFlamegraph:
-    def test_folded_stacks_on_stdout(self, tmp_path, capsys):
-        path = write_trace(tmp_path / "t.jsonl", JsonlExporter)
-        assert main(["flamegraph", str(path)]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 21  # Reduction(16, 4) has 21 tasks
-        for line in lines:
-            frames, w = line.rsplit(" ", 1)
-            assert int(w) >= 0
-            assert all(f.startswith("t") for f in frames.split(";"))
-
-    def test_output_file_and_span_weight(self, tmp_path, capsys):
-        path = write_trace(tmp_path / "t.jsonl", JsonlExporter)
-        out = tmp_path / "stacks.txt"
-        rc = main(["flamegraph", str(path), "--weight", "span",
-                   "--output", str(out)])
-        assert rc == 0
-        assert out.read_text().strip()
-        assert f"wrote {out}" in capsys.readouterr().err
-
-    def test_multi_run_defaults_to_run_zero_with_note(self, tmp_path, capsys):
-        path = write_trace(tmp_path / "t.json", ChromeTraceExporter, runs=2)
-        assert main(["flamegraph", str(path)]) == 0
-        assert "using run 0" in capsys.readouterr().err
-
-    def test_garbage_file_exits_2(self, tmp_path, capsys):
-        p = tmp_path / "bad.txt"
-        p.write_text("hello\n")
-        assert main(["flamegraph", str(p)]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
 class TestDiff:
     def test_names_the_slowed_task(self, diff_traces, capsys):
         base, slow = diff_traces
@@ -234,117 +193,6 @@ class TestDiff:
         empty.write_text("")
         assert main(["diff", str(base), str(empty)]) == 2
         assert "no events" in capsys.readouterr().err
-
-
-class TestSlo:
-    def write_spec(self, tmp_path, spec):
-        p = tmp_path / "slo.json"
-        p.write_text(json.dumps(spec))
-        return p
-
-    def test_passing_bounds_exit_0(self, tmp_path, capsys):
-        path = write_trace(tmp_path / "t.jsonl", JsonlExporter)
-        spec = self.write_spec(tmp_path, {
-            "max_idle_fraction": 1.0,
-            "min_utilization_mean": 0.0,
-            "max_faults_injected": 0,
-        })
-        assert main(["slo", str(path), str(spec)]) == 0
-        assert "ok " in capsys.readouterr().out
-
-    def test_violated_bound_exits_1_and_names_metric(self, tmp_path, capsys):
-        path = write_trace(tmp_path / "t.jsonl", JsonlExporter)
-        spec = self.write_spec(tmp_path, {"max_makespan": 1e-9})
-        assert main(["slo", str(path), str(spec)]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out and "max_makespan" in out
-
-    def test_recovery_bounds_catch_chaos(self, chaos_trace, tmp_path, capsys):
-        spec = self.write_spec(tmp_path, {"max_rank_deaths": 0})
-        assert main(["slo", str(chaos_trace), str(spec)]) == 1
-        assert "max_rank_deaths" in capsys.readouterr().out
-
-    def test_unknown_metric_exits_2(self, tmp_path, capsys):
-        path = write_trace(tmp_path / "t.jsonl", JsonlExporter)
-        spec = self.write_spec(tmp_path, {"max_nonsense": 1})
-        assert main(["slo", str(path), str(spec)]) == 2
-        assert "unknown SLO metric" in capsys.readouterr().err
-
-    def test_unprefixed_key_exits_2(self, tmp_path, capsys):
-        path = write_trace(tmp_path / "t.jsonl", JsonlExporter)
-        spec = self.write_spec(tmp_path, {"makespan": 1})
-        assert main(["slo", str(path), str(spec)]) == 2
-        assert "must start with" in capsys.readouterr().err
-
-    def test_invalid_spec_json_exits_2(self, tmp_path, capsys):
-        path = write_trace(tmp_path / "t.jsonl", JsonlExporter)
-        spec = tmp_path / "bad.json"
-        spec.write_text("{not json")
-        assert main(["slo", str(path), str(spec)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
-
-    def test_non_object_spec_exits_2(self, tmp_path, capsys):
-        path = write_trace(tmp_path / "t.jsonl", JsonlExporter)
-        spec = tmp_path / "list.json"
-        spec.write_text("[1, 2]")
-        assert main(["slo", str(path), str(spec)]) == 2
-        assert "JSON object" in capsys.readouterr().err
-
-
-class TestSloPercentiles:
-    """Percentile bounds are answered from streaming sketches — the
-    telemetry tentpole's ``obs slo`` surface."""
-
-    def write_spec(self, tmp_path, spec):
-        p = tmp_path / "slo.json"
-        p.write_text(json.dumps(spec))
-        return p
-
-    def test_percentile_bounds_pass(self, tmp_path, capsys):
-        path = write_trace(tmp_path / "t.jsonl", JsonlExporter)
-        spec = self.write_spec(tmp_path, {
-            "max_task_seconds_p99": 1.0,
-            "max_queue_wait_seconds_p95": 10.0,
-            "min_tasks_finished": 21,
-        })
-        assert main(["slo", str(path), str(spec)]) == 0
-        assert "3 bound(s) hold" in capsys.readouterr().out
-
-    def test_percentile_breach_exits_1(self, tmp_path, capsys):
-        path = write_trace(tmp_path / "t.jsonl", JsonlExporter)
-        # Every task computes 0.01s, so p99 ~ 0.01 >> 1e-9.
-        spec = self.write_spec(tmp_path, {"max_task_seconds_p99": 1e-9})
-        assert main(["slo", str(path), str(spec)]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out and "max_task_seconds_p99" in out
-
-    def test_percentile_bounds_on_chrome_trace(self, tmp_path):
-        path = write_trace(tmp_path / "t.json", ChromeTraceExporter)
-        spec = self.write_spec(tmp_path, {"max_task_seconds_p99": 1.0})
-        assert main(["slo", str(path), str(spec)]) == 0
-
-    def test_mixed_timeline_and_percentile_spec(self, tmp_path, capsys):
-        # idle_fraction needs the timeline path; percentile bounds ride
-        # along on the same merged metric dict.
-        path = write_trace(tmp_path / "t.jsonl", JsonlExporter)
-        spec = self.write_spec(tmp_path, {
-            "max_idle_fraction": 1.0,
-            "max_task_seconds_p99": 1.0,
-        })
-        assert main(["slo", str(path), str(spec)]) == 0
-        assert "2 bound(s) hold" in capsys.readouterr().out
-
-    def test_unknown_percentile_metric_exits_2(self, tmp_path, capsys):
-        path = write_trace(tmp_path / "t.jsonl", JsonlExporter)
-        spec = self.write_spec(tmp_path, {"max_task_seconds_p77": 1.0})
-        assert main(["slo", str(path), str(spec)]) == 2
-        assert "unknown SLO metric" in capsys.readouterr().err
-
-    def test_multi_run_trace_checks_every_run(self, tmp_path, capsys):
-        path = write_trace(tmp_path / "t.jsonl", JsonlExporter, runs=3)
-        spec = self.write_spec(tmp_path, {"min_tasks_finished": 21})
-        assert main(["slo", str(path), str(spec)]) == 0
-        assert capsys.readouterr().out.count("ok ") == 3
 
 
 class TestTrends:

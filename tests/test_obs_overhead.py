@@ -1,5 +1,5 @@
 """The zero-cost-when-unobserved guarantee: with no sinks attached and
-tracing disabled, a run must not allocate a single Event or Span object.
+tracing disabled, a run must not allocate a single Event object.
 
 Enforced by poisoning the constructors — any allocation raises, so the
 guard fails loudly if an emission site loses its ``if obs:`` check.
@@ -10,7 +10,7 @@ import pytest
 from repro.core.payload import Payload
 from repro.graphs import Reduction
 from repro.obs import ListSink
-from repro.obs.events import Event
+from repro.obs.events import TASK_FINISHED, Event
 from repro.runtimes import (
     CharmController,
     LegionIndexController,
@@ -18,7 +18,6 @@ from repro.runtimes import (
     MPIController,
     SerialController,
 )
-from repro.sim.trace import Span
 
 ALL = [
     SerialController,
@@ -44,16 +43,12 @@ def run_reduction(controller):
 
 @pytest.fixture
 def poisoned(monkeypatch):
-    """Make any Event or Span construction raise."""
+    """Make any Event construction raise."""
 
     def boom_event(self, *a, **k):
         raise AssertionError("Event allocated on an unobserved run")
 
-    def boom_span(self, *a, **k):
-        raise AssertionError("Span allocated on an unobserved run")
-
     monkeypatch.setattr(Event, "__init__", boom_event)
-    monkeypatch.setattr(Span, "__init__", boom_span)
 
 
 @pytest.mark.parametrize("ctor", ALL, ids=IDS)
@@ -86,17 +81,24 @@ def test_event_poison_sees_every_observed_backend(ctor, poisoned):
         run_reduction(c)
 
 
-def test_collect_trace_allocates_spans_only_when_asked():
-    c = MPIController(4, collect_trace=True)
-    _, result = run_reduction(c)
-    assert result.trace is not None and result.trace.spans
+def test_collect_trace_allocates_spans_only_when_asked(poisoned):
+    # collect_trace=True keeps the run's events, so asking for it is
+    # what makes a run allocate them.
+    with pytest.raises(AssertionError, match="unobserved run"):
+        run_reduction(MPIController(4, collect_trace=True))
+
+
+def test_collect_trace_keeps_the_run_events():
+    g, result = run_reduction(MPIController(4, collect_trace=True))
+    finished = [e for e in result.trace if e.type == TASK_FINISHED]
+    assert len(finished) == g.size()
 
 
 @pytest.fixture
 def poisoned_labels(monkeypatch):
     """Make any task/edge label construction raise.
 
-    Event labels are plain strings, so the Event/Span poison above
+    Event labels are plain strings, so the Event poison above
     cannot see them; poisoning the label builders proves the hot path
     does not even *format* a label when nobody is observing.
     """
@@ -171,17 +173,12 @@ def test_parent_poison_fires_with_context_sink(ctor, poisoned_parents):
 def poisoned_telemetry(monkeypatch):
     """Make any telemetry object construction raise.
 
-    The telemetry layer (sketches, triggers, the flight-recorder ring)
+    The telemetry layer (sketches, the flight recorder and its ring)
     is strictly opt-in via ``telemetry=``; these poisons prove a clean
     run — observed or not — constructs none of it.
     """
     import repro.obs.telemetry.flight as flight
-    from repro.obs.telemetry import (
-        FaultTrigger,
-        FlightRecorder,
-        QuantileSketch,
-        TriggerSet,
-    )
+    from repro.obs.telemetry import FlightRecorder, QuantileSketch
 
     def boom(what):
         def _boom(*a, **k):
@@ -191,8 +188,6 @@ def poisoned_telemetry(monkeypatch):
 
     monkeypatch.setattr(QuantileSketch, "__init__", boom("QuantileSketch"))
     monkeypatch.setattr(FlightRecorder, "__init__", boom("FlightRecorder"))
-    monkeypatch.setattr(TriggerSet, "__init__", boom("TriggerSet"))
-    monkeypatch.setattr(FaultTrigger, "__init__", boom("FaultTrigger"))
     # The recorder's ring buffer, via the flight module's own deque ref
     # (poisoning collections.deque itself would break the controllers'
     # legitimate ready queues).

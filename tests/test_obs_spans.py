@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from tests.golden_workloads import CONTROLLERS, run_workload
-from repro.obs import ListSink, causal_dag, folded_stacks
+from repro.obs import ListSink, causal_dag
 from repro.obs.spans import recovery_accounting
 
 ALL_NAMES = sorted(CONTROLLERS)  # six controllers + fault/chaos variants
@@ -118,26 +118,3 @@ def test_derived_parents_fallback_without_context():
     # of the real producer edges — never an invention.
     for tid in dag.spans:
         assert set(dag.parents_of(tid)) <= set(real_producers(g, tid))
-
-
-def test_folded_stacks_cover_every_task():
-    g, events, _ = traced_workload("mpi")
-    stacks = folded_stacks(events)
-    assert len(stacks) == g.size()
-    for line in stacks:
-        frames, w = line.rsplit(" ", 1)
-        assert int(w) >= 0
-        parts = frames.split(";")
-        assert all(p.startswith("t") for p in parts)
-    # The root's stack bottoms out at a source leaf.
-    root_line = next(l for l in stacks if l.split(" ")[0].endswith(f"t{g.root_id}"))
-    first = int(root_line.split(";")[0][1:])
-    assert first in g.leaf_ids()
-
-
-def test_folded_stacks_span_weight_and_bad_weight():
-    _, events, _ = traced_workload("serial")
-    span_stacks = folded_stacks(events, weight="span")
-    assert span_stacks
-    with pytest.raises(ValueError):
-        folded_stacks(events, weight="wall")

@@ -142,6 +142,33 @@ class TestResourceTimelines:
         assert tl.inflight_bytes_peak() == 0.0
 
 
+@pytest.fixture(scope="module")
+def mergetree_64():
+    from repro.analysis.mergetree import MergeTreeWorkload
+    from repro.data import hcci_proxy
+
+    field = hcci_proxy((48, 48, 48), n_features=40, feature_sigma=2.0, seed=2018)
+    return MergeTreeWorkload(field, 64, 0.45, valence=4)
+
+
+@pytest.mark.parametrize("runtime", ["mpi", "charm"])
+def test_one_definition_of_busy(mergetree_64, runtime):
+    """The timeline over a run's kept events and the run's own gauges
+    measure busy the same way: compute plus charged runtime overhead."""
+    from repro.runtimes import CharmController, MPIController
+
+    ctor = {"mpi": MPIController, "charm": CharmController}[runtime]
+    wl = mergetree_64
+    result = wl.run(ctor(16, cost_model=wl.cost_model(), collect_trace=True))
+    tl = resource_timelines(result.trace)
+    m = result.metrics
+    assert tl.utilization_mean() == pytest.approx(
+        m.gauge("utilization_mean"), abs=1e-12
+    )
+    assert tl.imbalance() == pytest.approx(m.gauge("imbalance"), abs=1e-12)
+    assert tl.imbalance() > 1.0
+
+
 class TestRenderers:
     def test_ascii_timeline_shape(self, mpi_run):
         _, events, _ = mpi_run

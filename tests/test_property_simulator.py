@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine
 from repro.sim.machine import SHAHEEN_II
-from repro.sim.trace import Trace
+from repro.obs.events import TASK_FINISHED, Event
+from repro.obs.timeline import resource_timelines
 
 
 @settings(deadline=None, max_examples=40)
@@ -87,17 +88,21 @@ def test_per_pair_fifo_delivery(msgs):
 @settings(deadline=None, max_examples=20)
 @given(st.integers(1, 64), st.integers(1, 8))
 def test_trace_busy_fraction_bounded(n_jobs, procs):
-    """The cluster no longer records spans directly (controllers emit
-    lifecycle events instead); build the trace from the occupancy
-    intervals ``compute`` returns and check the utilization bound."""
-    trace = Trace()
+    """Build a run's task events from the occupancy intervals
+    ``compute`` returns and check the utilization bound: no rank is
+    busy for longer than the run lasts."""
+    events = []
     eng = Engine()
     cl = Cluster(eng, SHAHEEN_II, procs)
     rng = np.random.default_rng(n_jobs * 31 + procs)
     for i in range(n_jobs):
         p = int(rng.integers(procs))
         start, end = cl.compute(p, float(rng.random() + 0.01))
-        trace.record("compute", p, start, end, f"job{i}")
+        events.append(
+            Event(TASK_FINISHED, end, proc=p, task=i, dur=end - start)
+        )
     eng.run()
-    frac = trace.busy_fraction(procs)
-    assert 0.0 < frac <= 1.0 + 1e-9
+    tl = resource_timelines(events)
+    for p in range(tl.n_procs):
+        assert tl.busy_seconds(p) <= tl.makespan * (1 + 1e-9)
+    assert 0.0 < tl.utilization_mean() <= 1.0

@@ -10,6 +10,7 @@ from repro.core.ids import TNULL
 from repro.core.payload import Payload
 from repro.core.taskmap import BlockMap, ModuloMap
 from repro.graphs import BinarySwap, Broadcast, DataParallel, Reduction
+from repro.obs.events import TASK_FINISHED
 from repro.runtimes import (
     BlockingMPIController,
     CharmController,
@@ -166,7 +167,8 @@ class TestSimBackends:
         c.collect_trace = True
         g, result = run_sum_reduction(c)
         assert result.trace is not None
-        assert len(result.trace.by_category("compute")) == g.size()
+        finished = [e for e in result.trace if e.type == TASK_FINISHED]
+        assert len(finished) == g.size()
 
 
 class TestResultsIdenticalAcrossBackends:

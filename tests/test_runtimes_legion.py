@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.payload import Payload
 from repro.graphs import DataParallel, Reduction
+from repro.obs.events import TASK_FINISHED
 from repro.runtimes import (
     DEFAULT_COSTS,
     LegionIndexController,
@@ -50,12 +51,12 @@ class TestIndexLaunch:
         c.register_callback(g.REDUCE, add)
         c.register_callback(g.ROOT, add)
         r = c.run({t: Payload(1) for t in g.leaf_ids()})
-        spans = {s.label: s for s in r.trace.by_category("compute")}
+        done = {e.task: e for e in r.trace if e.type == TASK_FINISHED}
         rounds = g.rounds()
         for earlier, later in zip(rounds, rounds[1:]):
-            end_of_round = max(spans[f"t{t}"].end for t in earlier)
+            end_of_round = max(done[t].t for t in earlier)
             for t in later:
-                assert spans[f"t{t}"].start >= end_of_round - 1e-12
+                assert done[t].t - done[t].dur >= end_of_round - 1e-12
 
     def test_ignores_task_map(self):
         from repro.core.taskmap import ModuloMap
@@ -105,7 +106,9 @@ class TestSPMD:
         c.initialize(g)
         c.register_callback(g.WORK, lambda ins, tid: [ins[0]])
         r = c.run({t: Payload(1) for t in range(2)})
-        starts = sorted(s.start for s in r.trace.by_category("compute"))
+        starts = sorted(
+            e.t - e.dur for e in r.trace if e.type == TASK_FINISHED
+        )
         assert starts[1] >= starts[0] + DEFAULT_COSTS.legion_single_launch_overhead - 1e-12
 
 

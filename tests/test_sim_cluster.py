@@ -1,13 +1,15 @@
-"""Tests for the simulated cluster (machine, network, trace)."""
+"""Tests for the simulated cluster (machine, network, statistics)."""
 
 import pytest
 
 from repro.core.errors import SimulationError
+from repro.obs.events import MESSAGE_DELIVERED, TASK_FINISHED, Event, ListSink
 from repro.obs.hub import ObsHub
+from repro.obs.timeline import ascii_timeline, resource_timelines
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine
 from repro.sim.machine import SHAHEEN_II, MachineSpec
-from repro.sim.trace import Stats, Trace
+from repro.sim.trace import Stats
 
 
 def make(n_procs=4, cores=1, machine=SHAHEEN_II, obs=None, ppn=None):
@@ -122,32 +124,30 @@ class TestNetwork:
 
 class TestTrace:
     def test_message_spans_via_obs(self):
-        # The historical direct span-recording path is gone: spans are
-        # synthesized from the event stream.  The cluster emits message
-        # events; compute spans come from the controllers' task events.
-        trace = Trace()
-        eng, cl = make(n_procs=64, obs=ObsHub([trace]))
+        # The cluster emits message events; compute intervals come from
+        # the controllers' task events.
+        sink = ListSink()
+        eng, cl = make(n_procs=64, obs=ObsHub([sink]))
         cl.send(0, 40, 8 * 10**6, lambda: None)
         eng.run()
-        spans = trace.by_category("message")
+        spans = [e for e in sink.by_type(MESSAGE_DELIVERED) if e.dur > 0]
         assert len(spans) == 1
-        assert spans[0].label == "->40"
-        assert trace.makespan() > 0
+        assert spans[0].dst_proc == 40
+        assert resource_timelines(sink.events).makespan > 0
 
     def test_busy_fraction(self):
-        trace = Trace()
+        events = []
         eng, cl = make(n_procs=2)
         for p in (0, 1):
             start, end = cl.compute(p, 2.0)
-            trace.record("compute", p, start, end)
+            events.append(Event(TASK_FINISHED, end, proc=p, dur=end - start))
         eng.run()
-        assert trace.busy_fraction(2) == pytest.approx(1.0)
+        assert resource_timelines(events).utilization_mean() == pytest.approx(1.0)
 
     def test_timeline_renders(self):
-        trace = Trace()
-        trace.record("compute", 0, 0.0, 1.0, "t0")
-        assert "compute" in trace.timeline()
-        assert trace.timeline(procs=[1]) == ""
+        events = [Event(TASK_FINISHED, 1.0, proc=0, task=0, dur=1.0)]
+        assert "p0" in ascii_timeline(events)
+        assert ascii_timeline([]) == "(empty run)"
 
 
 class TestStats:

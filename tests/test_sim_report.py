@@ -1,51 +1,60 @@
-"""Tests for trace profiling reports."""
+"""Profiling reports over a run's events: per-rank utilization, load
+imbalance, the per-category table and the ASCII schedule."""
 
-import numpy as np
 import pytest
 
 from repro.core.payload import Payload
 from repro.graphs import DataParallel, Reduction
+from repro.obs.events import MESSAGE_DELIVERED, OVERHEAD, TASK_FINISHED, Event
+from repro.obs.timeline import ascii_timeline, resource_timelines
 from repro.runtimes import MPIController
 from repro.runtimes.costs import CallableCost
-from repro.sim.report import category_breakdown, gantt, imbalance, utilization
-from repro.sim.trace import Stats, Trace
+from repro.sim.trace import Stats
 
 
 def make_trace():
-    t = Trace()
-    t.record("compute", 0, 0.0, 1.0, "a")
-    t.record("compute", 1, 0.0, 0.5, "b")
-    t.record("message", 0, 0.5, 0.8, "m")
-    return t
+    return [
+        Event(TASK_FINISHED, 1.0, proc=0, task=0, dur=1.0, label="a"),
+        Event(TASK_FINISHED, 0.5, proc=1, task=1, dur=0.5, label="b"),
+        Event(MESSAGE_DELIVERED, 0.8, proc=0, dst_proc=1, dur=0.3),
+    ]
 
 
 class TestUtilization:
     def test_per_proc_fraction(self):
-        u = utilization(make_trace(), 2)
-        assert u[0] == pytest.approx(1.0)
-        assert u[1] == pytest.approx(0.5)
+        tl = resource_timelines(make_trace())
+        assert tl.utilization(0) == pytest.approx(1.0)
+        assert tl.utilization(1) == pytest.approx(0.5)
 
     def test_empty_trace(self):
-        assert (utilization(Trace(), 3) == 0).all()
+        tl = resource_timelines([])
+        assert tl.n_procs == 0
+        assert tl.utilization_mean() == 0.0
 
     def test_category_filter(self):
-        u = utilization(make_trace(), 2, category="message")
-        assert u[0] == pytest.approx(0.3)
-        assert u[1] == 0.0
+        # Busy is compute plus runtime overhead; a message in flight
+        # occupies no core.
+        events = make_trace() + [
+            Event(OVERHEAD, 0.75, proc=1, dur=0.25, category="dispatch")
+        ]
+        tl = resource_timelines(events)
+        assert tl.utilization(0) == pytest.approx(1.0)
+        assert tl.utilization(1) == pytest.approx(0.75)
 
 
 class TestImbalance:
     def test_balanced_is_one(self):
-        t = Trace()
-        t.record("compute", 0, 0, 1, "")
-        t.record("compute", 1, 0, 1, "")
-        assert imbalance(t, 2) == pytest.approx(1.0)
+        events = [
+            Event(TASK_FINISHED, 1.0, proc=p, task=p, dur=1.0) for p in (0, 1)
+        ]
+        assert resource_timelines(events).imbalance() == pytest.approx(1.0)
 
     def test_skewed(self):
-        assert imbalance(make_trace(), 2) == pytest.approx(1.0 / 0.75)
+        tl = resource_timelines(make_trace())
+        assert tl.imbalance() == pytest.approx(1.0 / 0.75)
 
     def test_empty(self):
-        assert imbalance(Trace(), 4) == 0.0
+        assert resource_timelines([]).imbalance() == 0.0
 
 
 class TestBreakdown:
@@ -53,29 +62,31 @@ class TestBreakdown:
         s = Stats()
         s.add("compute", 3.0)
         s.add("serialize", 1.0)
-        text = category_breakdown(s)
+        text = s.breakdown()
         assert "compute" in text and "serialize" in text
         assert "75.0%" in text
 
     def test_empty(self):
-        assert "no recorded" in category_breakdown(Stats())
+        assert "no recorded" in Stats().breakdown()
+
+
+def _row(text, proc):
+    line = next(l for l in text.splitlines() if l.startswith(f"p{proc} "))
+    return line.split("|")[1]
 
 
 class TestGantt:
     def test_rows_and_fill(self):
-        text = gantt(make_trace(), 2, width=10)
-        lines = text.splitlines()
-        assert lines[0].startswith("p0")
-        assert lines[0].count("#") == 10  # busy the whole horizon
-        assert lines[1].count("#") == 5
+        text = ascii_timeline(make_trace(), width=10)
+        assert _row(text, 0).count("#") == 10  # busy the whole horizon
+        assert 5 <= _row(text, 1).count("#") < 10
 
     def test_elision(self):
-        t = make_trace()
-        text = gantt(t, 100, width=10, max_procs=2)
-        assert "more procs elided" in text
+        text = ascii_timeline(make_trace(), width=10, max_procs=1)
+        assert "1 more ranks elided" in text
 
     def test_empty(self):
-        assert gantt(Trace(), 2) == "(empty trace)"
+        assert ascii_timeline([]) == "(empty run)"
 
 
 class TestOnRealRun:
@@ -89,11 +100,11 @@ class TestOnRealRun:
         c.register_callback(g.REDUCE, add)
         c.register_callback(g.ROOT, add)
         r = c.run({t: Payload(1) for t in g.leaf_ids()})
-        u = utilization(r.trace, 4)
-        assert (u > 0).all()
-        assert imbalance(r.trace, 4) >= 1.0
-        assert "compute" in category_breakdown(r.stats)
-        assert "#" in gantt(r.trace, 4)
+        tl = resource_timelines(r.trace)
+        assert all(tl.utilization(p) > 0 for p in range(4))
+        assert tl.imbalance() >= 1.0
+        assert "compute" in r.stats.breakdown()
+        assert "#" in ascii_timeline(r.trace)
 
     def test_imbalance_detects_skew(self):
         g = DataParallel(8)
@@ -102,4 +113,4 @@ class TestOnRealRun:
         c.initialize(g)
         c.register_callback(g.WORK, lambda ins, tid: [ins[0]])
         r = c.run({t: Payload(1) for t in range(8)})
-        assert imbalance(r.trace, 8) > 4.0
+        assert resource_timelines(r.trace).imbalance() > 4.0

@@ -1,5 +1,5 @@
-"""Flight recorder: clean runs leave no trace on disk; faults, trigger
-conditions, and aborts dump a bounded ring of recent events plus a
+"""Flight recorder: clean runs leave no trace on disk; faults and aborts
+dump a bounded ring of recent events plus a
 manifest, and the dump is loadable by the standard obs toolchain."""
 
 import json
@@ -17,7 +17,7 @@ from repro.obs.events import (
     TASK_FINISHED,
     Event,
 )
-from repro.obs.telemetry import FlightRecorder, TelemetryConfig, when
+from repro.obs.telemetry import FlightRecorder, TelemetryConfig
 from repro.runtimes import MPIController, SerialController
 
 
@@ -52,10 +52,9 @@ class TestUnit:
             (out / "flight-0000.manifest.json").read_text()
         )
         assert manifest["run"] == 0
-        assert any(r.startswith("fault:") for r in manifest["reasons"])
+        assert manifest["reasons"] == ["fault: fault.injected (task) at t=0.5"]
         assert manifest["events_captured"] == len(events)
         assert manifest["truncated"] is False
-        assert manifest["metrics"]["faults_injected"] == 1.0
 
     def test_ring_keeps_only_the_last_capacity_events(self, tmp_path):
         out = tmp_path / "flight"
@@ -68,16 +67,6 @@ class TestUnit:
         manifest = json.loads((out / "flight-0000.manifest.json").read_text())
         assert manifest["truncated"] is True
         assert manifest["events_seen"] == 23  # start + 20 + fault + finish
-
-    def test_when_trigger_dumps_without_fault(self, tmp_path):
-        out = tmp_path / "flight"
-        rec = FlightRecorder(str(out), triggers=[when("makespan > 2.0")])
-        feed_run(rec, makespan=1.0)
-        feed_run(rec, makespan=3.0)
-        assert len(rec.dumps) == 1
-        manifest = json.loads((out / "flight-0000.manifest.json").read_text())
-        assert manifest["run"] == 1
-        assert any("when(makespan > 2)" in r for r in manifest["reasons"])
 
     def test_abort_dumps_unconditionally(self, tmp_path):
         out = tmp_path / "flight"
