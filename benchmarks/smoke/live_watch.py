@@ -94,7 +94,6 @@ def watched_run(out: Path, leaf_sleep: float) -> dict:
         live=LiveConfig(
             dir=status_dir, interval=leaf_sleep / 2.5,
             estimate=UniformEstimate(seconds=leaf_sleep),
-            straggler_factor=4.0,
         ),
     )
     c.initialize(g, None)

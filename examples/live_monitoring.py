@@ -79,8 +79,6 @@ def main() -> None:
         dir=status_dir,
         interval=0.1,
         estimate=UniformEstimate(seconds=NORMAL_SECONDS),
-        straggler_factor=4.0,
-        min_straggler_seconds=0.05,
     )
     controller = LocalPoolController(
         n_workers=4, mode="thread", live=cfg, telemetry=True

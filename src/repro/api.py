@@ -114,10 +114,11 @@ def run(
             ``telemetry`` (``True`` or a
             :class:`~repro.obs.telemetry.TelemetryConfig` for streaming
             p50/p95/p99 latency sketches and the flight recorder),
-            ``live`` (``True``, a status directory path, or a
-            :class:`~repro.obs.live.LiveConfig` to publish in-flight
+            ``live`` (a status directory path or a
+            :class:`~repro.obs.live.LiveConfig` to write in-flight
             progress/ETA/straggler snapshots for ``python -m repro.obs
-            watch`` / ``serve``; also armed by ``$REPRO_LIVE_DIR``),
+            watch`` / ``serve``; ``$REPRO_LIVE_DIR`` arms every run and
+            is the directory ``live=True`` needs),
             ``compile`` (``True`` to lower static runs into cached
             ahead-of-time plans reused across invocations — see
             :mod:`repro.sched.compile`; results are bit-identical and

@@ -57,16 +57,13 @@ from repro.obs.events import (
     TASK_RUNNING,
     TASK_STARTED,
     VOCABULARY,
-    WORKER_HEARTBEAT,
     Event,
     EventSink,
     ListSink,
 )
 from repro.obs.live import (
-    LiveBus,
     LiveConfig,
-    ProgressTracker,
-    StragglerDetector,
+    LiveStatus,
     attach_live,
     prometheus_text,
 )
@@ -131,8 +128,8 @@ __all__ = [
     "LIVE_VOCABULARY",
     "Ledger",
     "ListSink",
-    "LiveBus",
     "LiveConfig",
+    "LiveStatus",
     "MESSAGE_DELIVERED",
     "MESSAGE_SENT",
     "MIGRATION",
@@ -147,14 +144,12 @@ __all__ = [
     "OVERHEAD",
     "ObsHub",
     "PathStep",
-    "ProgressTracker",
     "QuantileSketch",
     "RANK_DEAD",
     "RUN_FINISHED",
     "RUN_STARTED",
     "RunDiff",
     "RunTimelines",
-    "StragglerDetector",
     "TASK_ENQUEUED",
     "TASK_FINISHED",
     "TASK_MIGRATED",
@@ -165,7 +160,6 @@ __all__ = [
     "TelemetryConfig",
     "TimeSeries",
     "VOCABULARY",
-    "WORKER_HEARTBEAT",
     "ascii_timeline",
     "attach_live",
     "attribution_report",

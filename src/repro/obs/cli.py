@@ -20,7 +20,7 @@ error):
   when any metric regressed beyond the threshold vs its fingerprint's
   recent history.
 * ``watch <dir|file>`` — live terminal view of an *in-flight* run
-  (progress bars, per-rank state, straggler/stall alerts) from the
+  (progress bars, per-rank state, straggler alerts) from the
   status snapshots a ``live=``-armed run writes (``$REPRO_LIVE_DIR``);
   ``--once`` prints one frame and exits (headless CI mode).
 * ``serve <dir|file>`` — Prometheus text-format HTTP endpoint

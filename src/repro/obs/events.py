@@ -87,21 +87,17 @@ SCHED_VOCABULARY = frozenset(
     {SCHED_PLANNED, SCHED_MIGRATED, SCHED_STEAL, PLAN_FALLBACK}
 )
 
-#: A task's callback began executing *right now* (real time, reported
-#: by the worker that runs it).  Unlike ``task_started`` — which the
-#: local backend emits retroactively when the attempt's future resolves
-#: — this event exists so in-flight monitors see work the moment it
-#: lands on a core.
+#: A task was handed to a free worker slot *right now* (real time).
+#: Unlike ``task_started`` — which the local backend emits
+#: retroactively when the attempt's future resolves — this event exists
+#: so in-flight monitors see work the moment it lands on a core.
 TASK_RUNNING = "task.running"
-#: Periodic worker liveness beacon; ``proc`` is the worker slot.
-#: Silence past the configured timeout raises a stall alert.
-WORKER_HEARTBEAT = "worker.heartbeat"
 
-#: Events that exist only on the live bus (:mod:`repro.obs.live`).
-#: They are deliberately *not* part of :data:`VOCABULARY`: sinks never
-#: receive them, so recorded traces — and the golden determinism
+#: Events only the live plane's sink receives (:mod:`repro.obs.live`).
+#: They are deliberately *not* part of :data:`VOCABULARY`: other sinks
+#: never receive them, so recorded traces — and the golden determinism
 #: streams — are byte-identical whether or not a run is being watched.
-LIVE_VOCABULARY = frozenset({TASK_RUNNING, WORKER_HEARTBEAT})
+LIVE_VOCABULARY = frozenset({TASK_RUNNING})
 
 #: A request entered :meth:`~repro.service.RunService.submit`
 #: (``label`` is the tenant).

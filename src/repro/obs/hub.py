@@ -1,18 +1,10 @@
 """The per-run fan-out point for observability events.
 
 A controller owns one :class:`ObsHub` per run.  The hub is deliberately
-tiny: it is truthy only when at least one sink is attached (or a live
-bus is tapped), so emission sites guard with ``if hub:`` and skip event
-construction entirely on unobserved runs — the zero-cost-when-unobserved
-contract.
-
-Besides sinks — the post-hoc consumers — a hub may carry one *live bus*
-(:class:`repro.obs.live.LiveBus`): a thread-safe side channel whose
-subscribers watch the run while it is still in flight.  The bus receives
-every event the sinks do, but it is not a sink: it never blocks, never
-raises into the run, and live-only event types
-(:data:`~repro.obs.events.LIVE_VOCABULARY`) are published straight to
-the bus without touching the sinks, keeping recorded streams unchanged.
+tiny: it is truthy only when at least one sink is attached, so emission
+sites guard with ``if hub:`` and skip event construction entirely on
+unobserved runs — the zero-cost-when-unobserved contract.  An armed
+live plane is one more sink (:class:`repro.obs.live.LiveStatus`).
 """
 
 from __future__ import annotations
@@ -25,40 +17,29 @@ __all__ = ["ObsHub", "NULL_HUB"]
 
 
 class ObsHub:
-    """Broadcasts events to a fixed tuple of sinks (plus a live bus).
+    """Broadcasts events to a fixed tuple of sinks.
 
     ``wants_context`` aggregates the attached sinks' capability flags:
     it is True iff at least one sink asked for span-context threading
     (:attr:`~repro.obs.events.EventSink.wants_context`), in which case
     controllers stamp causal ``parents`` onto ``task_started`` events.
-
-    ``bus`` is duck-typed (anything with a ``publish(event)`` method)
-    so this module never imports :mod:`repro.obs.live`; it is ``None``
-    on every run that is not being watched, and the extra ``is None``
-    test per emission is only paid on *observed* runs.
     """
 
-    __slots__ = ("sinks", "wants_context", "bus")
+    __slots__ = ("sinks", "wants_context")
 
-    def __init__(
-        self, sinks: Iterable[EventSink] = (), bus=None
-    ) -> None:
+    def __init__(self, sinks: Iterable[EventSink] = ()) -> None:
         self.sinks: tuple[EventSink, ...] = tuple(sinks)
         self.wants_context: bool = any(
             getattr(s, "wants_context", False) for s in self.sinks
         )
-        self.bus = bus
 
     def __bool__(self) -> bool:
-        return bool(self.sinks) or self.bus is not None
+        return bool(self.sinks)
 
     def emit(self, event: Event) -> None:
-        """Deliver one event to every sink, then to the live bus."""
+        """Deliver one event to every sink."""
         for sink in self.sinks:
             sink.emit(event)
-        bus = self.bus
-        if bus is not None:
-            bus.publish(event)
 
 
 #: Shared empty hub for controllers that were never given sinks.

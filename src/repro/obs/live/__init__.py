@@ -4,35 +4,21 @@ Everything else in :mod:`repro.obs` is post-hoc — events are collected,
 then summarized after ``repro.run`` returns.  This package observes
 *in-flight* runs:
 
-* :class:`LiveBus` / :class:`Subscription` — a thread-safe, bounded,
-  drop-counting pub/sub channel tapped into the run's
-  :class:`~repro.obs.hub.ObsHub`.  Worker-side liveness flows on it as
-  live-only events (:data:`~repro.obs.events.TASK_RUNNING`,
-  :data:`~repro.obs.events.WORKER_HEARTBEAT`) that never reach sinks,
-  so recorded traces and goldens are unchanged.
-* :class:`ProgressTracker` / :class:`StragglerDetector` — fold the
-  stream into per-rank progress, ETA, and straggler/stall alerts,
-  using the planner's cost estimates when available.
 * :func:`attach_live` / :class:`LiveConfig` — the arming gate
-  (``repro.run(..., live=True)`` or ``$REPRO_LIVE_DIR``); unarmed runs
-  construct none of this (the zero-cost contract).
-* :class:`LiveStatusWriter` — atomic JSON status snapshots for
-  out-of-process watchers: ``python -m repro.obs watch`` (terminal
-  view, :func:`render_status`) and ``python -m repro.obs serve``
-  (Prometheus text endpoint, :func:`prometheus_text`).
+  (``repro.run(..., live="<dir>")`` or ``$REPRO_LIVE_DIR``); unarmed
+  runs construct none of this (the zero-cost contract).
+* :class:`LiveStatus` — the one sink an armed run feeds: it queues
+  events, and its :class:`StatusWriter` thread folds them into progress,
+  ETA and straggler alerts and writes atomic JSON snapshots.  The
+  live-only :data:`~repro.obs.events.TASK_RUNNING` report goes to this
+  sink alone, so recorded traces and goldens are unchanged.
+* ``python -m repro.obs watch`` (terminal view, :func:`render_status`)
+  and ``python -m repro.obs serve`` (Prometheus text endpoint,
+  :func:`prometheus_text`) read the snapshots from another process.
 
 See ``docs/observability.md`` ("Live monitoring") for the full tour.
 """
 
-from repro.obs.live.bus import DEFAULT_QUEUE, LiveBus, Subscription
-from repro.obs.live.progress import (
-    Alert,
-    DEFAULT_HEARTBEAT_TIMEOUT,
-    DEFAULT_MIN_STRAGGLER_SECONDS,
-    DEFAULT_STRAGGLER_FACTOR,
-    ProgressTracker,
-    StragglerDetector,
-)
 from repro.obs.live.serve import (
     CONTENT_TYPE,
     LiveMetricsServer,
@@ -40,9 +26,11 @@ from repro.obs.live.serve import (
 )
 from repro.obs.live.status import (
     ENV_LIVE_DIR,
+    MIN_STRAGGLER_SECONDS,
+    STRAGGLER_FACTOR,
     LiveConfig,
-    LiveRun,
-    LiveStatusWriter,
+    LiveStatus,
+    StatusWriter,
     attach_live,
     find_status,
     read_status,
@@ -50,21 +38,14 @@ from repro.obs.live.status import (
 from repro.obs.live.watch import render_status
 
 __all__ = [
-    "Alert",
     "CONTENT_TYPE",
-    "DEFAULT_HEARTBEAT_TIMEOUT",
-    "DEFAULT_MIN_STRAGGLER_SECONDS",
-    "DEFAULT_QUEUE",
-    "DEFAULT_STRAGGLER_FACTOR",
     "ENV_LIVE_DIR",
-    "LiveBus",
     "LiveConfig",
     "LiveMetricsServer",
-    "LiveRun",
-    "LiveStatusWriter",
-    "ProgressTracker",
-    "StragglerDetector",
-    "Subscription",
+    "LiveStatus",
+    "MIN_STRAGGLER_SECONDS",
+    "STRAGGLER_FACTOR",
+    "StatusWriter",
     "attach_live",
     "find_status",
     "prometheus_text",

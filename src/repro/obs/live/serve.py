@@ -269,19 +269,10 @@ def prometheus_text(statuses: list[dict]) -> str:
             "Attempt retries so far.", lbl, status.get("retries"),
         )
         fam.add(
-            "repro_live_dropped_events_total", "counter",
-            "Events the live queue evicted (monitor fell behind).",
-            lbl, status.get("dropped"),
+            "repro_run_alerts", "gauge", "Standing alerts by kind.",
+            _labels(base, kind="straggler"),
+            float(len(status.get("alerts", []))),
         )
-        alerts: dict[str, int] = {}
-        for alert in status.get("alerts", []):
-            alerts[alert["kind"]] = alerts.get(alert["kind"], 0) + 1
-        for kind in ("straggler", "stall"):
-            fam.add(
-                "repro_run_alerts", "gauge",
-                "Standing alerts by kind.",
-                _labels(base, kind=kind), float(alerts.get(kind, 0)),
-            )
         _registry_families(fam, base, lbl, status)
     return fam.render()
 

@@ -1,9 +1,8 @@
 """Terminal rendering of live status snapshots (``obs watch``).
 
 Pure functions from a status dict (see
-:meth:`~repro.obs.live.progress.ProgressTracker.snapshot` plus the
-writer's envelope) to text — the CLI loop lives in
-:mod:`repro.obs.cli`.
+:meth:`~repro.obs.live.status.LiveStatus.snapshot` plus the writer's
+stamps) to text — the CLI loop lives in :mod:`repro.obs.cli`.
 """
 
 from __future__ import annotations
@@ -119,8 +118,7 @@ def render_status(status: dict, width: int = 40) -> str:
             f"messages {status.get('messages', 0)}  "
             f"bytes {_bytes(status.get('bytes_sent', 0))}  "
             f"faults {status.get('faults', 0)}  "
-            f"retries {status.get('retries', 0)}  "
-            f"dropped {status.get('dropped', 0)}"
+            f"retries {status.get('retries', 0)}"
         ),
     ]
     ranks = status.get("ranks", [])
@@ -130,12 +128,10 @@ def render_status(status: dict, width: int = 40) -> str:
         top = max((r["done"] for r in ranks), default=0) or 1
         lines.append("ranks:")
         for r in ranks[:32]:
-            hb = r.get("heartbeat_age")
-            hb_txt = f"  hb {hb:.1f}s ago" if hb is not None else ""
             run_txt = f"  running {r['running']}" if r.get("running") else ""
             lines.append(
                 f"  r{r['rank']:<3} [{_bar(r['done'] / top, 16)}] "
-                f"done {r['done']}{run_txt}{hb_txt}"
+                f"done {r['done']}{run_txt}"
             )
         if len(ranks) > 32:
             lines.append(f"  ... {len(ranks) - 32} more ranks")

@@ -81,10 +81,10 @@ class RunScaffold:
     Everything optional is ``None`` when off, so emission sites guard
     with one identity test and an unobserved run allocates no event,
     label, sketch, flight ring or live object (enforced by
-    ``tests/test_obs_overhead.py``): ``obs`` is the hub when a sink or
-    the live bus listens, ``ctx`` is True when a sink asked for causal
-    parents, ``t_task`` / ``t_queue`` / ``t_msg`` are the telemetry
-    sketches.
+    ``tests/test_obs_overhead.py``): ``obs`` is the hub when a sink
+    (the live plane's included) listens, ``ctx`` is True when a sink
+    asked for causal parents, ``t_task`` / ``t_queue`` / ``t_msg`` are
+    the telemetry sketches.
     """
 
     __slots__ = (
@@ -126,12 +126,14 @@ class RunScaffold:
                 graph=graph,
                 metrics=metrics,
             )
+            if live is not None:
+                sinks.append(live)
         self.live = live
-        hub = self.hub = ObsHub(sinks, bus=live.bus if live is not None else None)
+        hub = self.hub = ObsHub(sinks)
         # `None` rather than an empty hub when unobserved: the hot-path
         # guards become a C-level identity test instead of calling
         # ObsHub.__bool__ tens of thousands of times per run.
-        self.obs = hub if (sinks or live is not None) else None
+        self.obs = hub if sinks else None
         # Causal-parent tracking is a second opt-in on top of the sink
         # gate (exporters ask for it); plain sinks keep the exact
         # historical event shapes.

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import atexit
 import heapq
-import multiprocessing
 import os
 import pickle
 import signal
@@ -81,7 +80,6 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from queue import Empty
 from typing import Sequence
 
 from repro.core.callbacks import CallbackRegistry, validate_outputs
@@ -95,7 +93,6 @@ from repro.obs.events import (
     MESSAGE_DELIVERED,
     MESSAGE_SENT,
     TASK_RUNNING,
-    WORKER_HEARTBEAT,
     Event,
     EventSink,
 )
@@ -138,65 +135,6 @@ def default_workers() -> int:
     ``n_workers`` explicitly to use more.
     """
     return max(1, min(8, os.cpu_count() or 1))
-
-
-#: Worker-side live channel (process mode, live armed): installed by
-#: :func:`_live_worker_init` in each pool worker; ``None`` everywhere
-#: else, so the per-attempt check is a single global load.
-_LIVE_CHANNEL = None
-_LIVE_RANK = -1
-
-
-def _live_worker_init(channel, rank, hb_interval) -> None:
-    """Pool initializer (process mode, live armed).
-
-    Installs the worker->coordinator channel and starts the heartbeat
-    beacon thread.  ``rank`` is the worker's slot.
-    """
-    global _LIVE_CHANNEL, _LIVE_RANK
-    _LIVE_CHANNEL = channel
-    _LIVE_RANK = rank
-    threading.Thread(
-        target=_heartbeat_loop,
-        args=(channel, rank, hb_interval),
-        name="repro-live-heartbeat",
-        daemon=True,
-    ).start()
-
-
-def _heartbeat_loop(channel, rank, interval) -> None:
-    while True:
-        try:
-            channel.put(("hb", -1, rank, os.getpid(), time.time()))
-        except Exception:
-            return  # coordinator closed the channel: run is over
-        time.sleep(interval)
-
-
-def _drain_live_channel(channel, bus, wall0, stop) -> None:
-    """Coordinator-side relay: worker channel messages -> live bus.
-
-    Worker messages carry wall-clock ``time.time()`` stamps (workers
-    cannot see the coordinator's ``perf_counter`` origin); ``wall0`` is
-    the wall time of the run's t=0, so published events land on the
-    same run-relative timeline as everything else.
-    """
-    while not stop.is_set():
-        try:
-            msg = channel.get(timeout=0.2)
-        except Empty:
-            continue
-        except (EOFError, OSError):
-            return
-        try:
-            kind, tid, rank, pid, ts = msg
-        except (TypeError, ValueError):
-            continue
-        t = max(0.0, ts - wall0)
-        if kind == "start":
-            bus.publish(Event(TASK_RUNNING, t, proc=rank, task=tid))
-        elif kind == "hb":
-            bus.publish(Event(WORKER_HEARTBEAT, t, proc=rank))
 
 
 class _Terminated(SystemExit):
@@ -260,14 +198,6 @@ def _pool_run(fn, payloads, cid, tid, n_outputs, fail):
     """
     if fn is None:
         fn = _TABLE[cid]
-    channel = _LIVE_CHANNEL
-    if channel is not None:
-        # Real-time start report: the retroactive task_started (emitted
-        # when the future resolves) is invisible to in-flight monitors.
-        try:
-            channel.put(("start", tid, _LIVE_RANK, os.getpid(), time.time()))
-        except Exception:
-            pass
     t0 = time.perf_counter()
     outputs = validate_outputs(cid, fn(payloads, tid), tid, n_outputs)
     elapsed = time.perf_counter() - t0
@@ -381,13 +311,13 @@ class LocalPoolController(Controller):
         collect_trace: keep the run's event list on ``result.trace``.
         telemetry: bounded-memory telemetry, same contract as every
             other controller (off by default).
-        live: in-flight observability (:mod:`repro.obs.live`): ``True``
-            / a directory / a :class:`~repro.obs.live.LiveConfig` arms
-            a live bus plus status snapshots for ``python -m repro.obs
-            watch`` / ``serve``; in process mode workers additionally
-            report task starts and heartbeats in real time.  Off by
-            default (also armable via ``$REPRO_LIVE_DIR``), and free
-            when off.
+        live: in-flight status snapshots for ``python -m repro.obs
+            watch`` / ``serve`` (see :mod:`repro.obs.live`): a status
+            directory, a dict or a :class:`~repro.obs.live.LiveConfig`
+            attaches one more sink, which also hears each task start
+            as it is submitted.  ``True`` takes the directory from
+            ``$REPRO_LIVE_DIR`` (which also arms unset runs) and is an
+            error without it.  Off by default, and free when off.
         fault_plan: transient task faults to inject into real attempts.
             Rank deaths and link faults describe simulated hardware and
             raise :class:`~repro.core.errors.ControllerError`.
@@ -472,7 +402,7 @@ class LocalPoolController(Controller):
             return tm.shard
         return lambda tid: tm.shard(tid) % n_groups
 
-    def _make_pools(self, n_slots: int, live=None, live_channel=None) -> list:
+    def _make_pools(self, n_slots: int) -> list:
         """One single-worker executor per slot: per-slot FIFO order and
         real co-residency (the pool analogue of a rank), and in process
         mode an addressable worker to install the callback table on."""
@@ -480,17 +410,7 @@ class LocalPoolController(Controller):
             return [_InlineExecutor() for _ in range(n_slots)]
         if self.mode == "thread":
             return [ThreadPoolExecutor(max_workers=1) for _ in range(n_slots)]
-        if live_channel is None:
-            return [ProcessPoolExecutor(max_workers=1) for _ in range(n_slots)]
-        hb = live.config.heartbeat_interval
-        return [
-            ProcessPoolExecutor(
-                max_workers=1,
-                initializer=_live_worker_init,
-                initargs=(live_channel, slot, hb),
-            )
-            for slot in range(n_slots)
-        ]
+        return [ProcessPoolExecutor(max_workers=1) for _ in range(n_slots)]
 
     def _broadcast(self, pools: list, blob) -> None:
         """Set (``None``: clear) every worker's table and wait for all."""
@@ -557,60 +477,36 @@ class LocalPoolController(Controller):
                 {cid: registry.resolve(cid) for cid in graph.callbacks()}
             )
         run = RunScaffold(self, graph, n_slots)
-        live = run.live
-        live_channel = None
-        if live is not None and self.mode == "process":
-            # Worker->coordinator side channel for real-time task
-            # starts and heartbeats, installed via pool initializer.
-            live_channel = multiprocessing.get_context().Queue()
-        # Warm workers are borrowed from the spare; a live-armed run's
-        # workers must inherit its channel at fork, so they are private.
+        # Process workers are borrowed from the warm spare.
         pools = None
-        warm = blob is not None and live_channel is None
-        if warm:
+        if blob is not None:
             with _SPARE_LOCK:
                 pools = _SPARE.pop(n_slots, None)
         reused = pools is not None
         if not reused:
-            pools = self._make_pools(n_slots, live, live_channel)
-        self._live_drain_stop = None
-        self._live_drain_thread = None
+            pools = self._make_pools(n_slots)
 
         try:
             with _terminate_to_exception(
-                enabled=run.flight is not None or live is not None
+                enabled=run.flight is not None or run.live is not None
             ):
                 if blob is not None:
                     self._install_table(pools, reused, blob)
                 self._run_pools(
-                    graph, registry, inputs, pools, n_slots, group_of, run,
-                    live_channel,
+                    graph, registry, inputs, pools, n_slots, group_of, run
                 )
         except BaseException as exc:
-            self._stop_drain(live_channel)
             run.abort(exc)
             self._shutdown_pools(pools, graceful=False)
             raise
-        if warm:
+        if blob is not None:
             self._release(pools)
         else:
             self._shutdown_pools(pools, graceful=True)
         run.result.metrics = run.metrics.snapshot()
-        self._stop_drain(live_channel)
-        if live is not None:
-            live.close("finished")
+        if run.live is not None:
+            run.live.close("finished")
         return run.result
-
-    def _stop_drain(self, live_channel) -> None:
-        """Stop relaying worker reports and drop their channel (before
-        the live plane's final snapshot)."""
-        stop = self._live_drain_stop
-        if stop is not None:
-            stop.set()
-            self._live_drain_thread.join(timeout=1.0)
-        if live_channel is not None:
-            live_channel.close()
-            live_channel.cancel_join_thread()
 
     def _shutdown_pools(self, pools: list, *, graceful: bool) -> None:
         """Tear the executors down without ever hanging the coordinator.
@@ -635,7 +531,6 @@ class LocalPoolController(Controller):
         n_slots: int,
         group_of,
         run: RunScaffold,
-        live_channel=None,
     ) -> None:
         self.retries = 0
         inline = self.mode == "inline"
@@ -649,22 +544,8 @@ class LocalPoolController(Controller):
         t0 = time.perf_counter()
         now = lambda: time.perf_counter() - t0
 
-        bus = None
         if live is not None:
-            bus = live.bus
-            live.set_clock(now)
-            if live_channel is not None:
-                self._live_drain_stop = threading.Event()
-                self._live_drain_thread = threading.Thread(
-                    target=_drain_live_channel,
-                    args=(
-                        live_channel, bus, time.time() - now(),
-                        self._live_drain_stop,
-                    ),
-                    name="repro-live-drain",
-                    daemon=True,
-                )
-                self._live_drain_thread.start()
+            live.clock = now
 
         ready: list[TaskId] = []  # heap of dispatchable task ids
         delayed: list[tuple[float, TaskId]] = []  # retry backoff heap
@@ -725,13 +606,11 @@ class LocalPoolController(Controller):
                 task_inputs = kernel.inputs(tid, release=True)
             task = tasks[tid]
             fail = kernel.take_fault(tid)
-            if bus is not None and live_channel is None:
-                # Thread/inline pools share the coordinator's process:
-                # submission *is* (or immediately precedes) the real
-                # start, so the live start report comes from here.  In
-                # process mode the worker itself reports (see
-                # _pool_run), which also captures queueing delay.
-                bus.publish(Event(TASK_RUNNING, now(), proc=slot, task=tid))
+            if live is not None:
+                # A slot is handed a task only when it is free, so
+                # submission is the real start.  Straight to the live
+                # sink: the other sinks never see task.running.
+                live.emit(Event(TASK_RUNNING, now(), proc=slot, task=tid))
             # Process workers hold the run's table: ship the id, not fn.
             fn = None if process else registry.resolve(task.callback)
             fut = pools[slot].submit(

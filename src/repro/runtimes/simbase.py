@@ -110,6 +110,14 @@ class SimController(Controller):
             on faults or exceptions.  Default off:
             clean runs allocate no telemetry objects and their metric
             snapshots / event streams are bit-identical.
+        live: in-flight status snapshots (see :mod:`repro.obs.live`):
+            a status directory, a dict or a
+            :class:`~repro.obs.live.LiveConfig` attaches one more sink,
+            whose fold a writer thread snapshots into
+            ``live-<pid>.json`` on the virtual clock.  ``True`` takes
+            the directory from ``$REPRO_LIVE_DIR`` (which also arms
+            unset runs) and is an error without it.  Off by default,
+            and free when off.
         compile: opt into the ahead-of-time run plan (see
             :mod:`repro.sched.compile`): static-placement backends lower
             the (graph, task map, machine) into a cached
@@ -155,7 +163,7 @@ class SimController(Controller):
         self.telemetry = TelemetryConfig.coerce(telemetry)
         # In-flight observability (repro.obs.live); coerced per run by
         # attach_live so $REPRO_LIVE_DIR can arm it too.  Virtual-time
-        # runs replay through the same bus with virtual timestamps.
+        # runs feed the same sink with virtual timestamps.
         self.live = live
         if n_procs <= 0:
             raise ControllerError(f"n_procs must be positive, got {n_procs}")
@@ -314,7 +322,7 @@ class SimController(Controller):
         inputs: dict[TaskId, list[Payload]],
     ) -> RunResult:
         self._engine = Engine()
-        # On a live-armed run the writer's clock is left unset, so "now"
+        # On a live-armed run the sink's clock is left unset, so "now"
         # is the freshest event's virtual timestamp — the only
         # meaningful clock in a simulation.
         run = self._run = RunScaffold(self, graph, self.n_procs)

@@ -36,8 +36,11 @@ from repro.service.handle import (
 )
 from repro.service.options import RunOptions
 from repro.service.request import RunRequest, request_key
-from repro.service.service import DEFAULT_WORKERS, RunService
-from repro.service.status import ServiceStatusWriter, service_status_path
+from repro.service.service import (
+    DEFAULT_WORKERS,
+    RunService,
+    service_status_path,
+)
 
 __all__ = [
     "AdmissionError",
@@ -50,7 +53,6 @@ __all__ = [
     "RunRequest",
     "RunService",
     "ServiceClosed",
-    "ServiceStatusWriter",
     "TenantQuota",
     "request_key",
     "service_status_path",

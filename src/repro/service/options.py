@@ -59,8 +59,9 @@ class RunOptions:
         balancer: dynamic load-balancing strategy.
         telemetry: bounded-memory telemetry
             (:class:`~repro.obs.telemetry.TelemetryConfig` shapes).
-        live: in-flight monitoring (:class:`~repro.obs.live.LiveConfig`
-            shapes).
+        live: in-flight status snapshots (a directory, or the other
+            :class:`~repro.obs.live.LiveConfig` shapes; ``True`` needs
+            ``$REPRO_LIVE_DIR``).
         compile: lower static runs into cached ahead-of-time plans.
         mode: local backend pool flavor (``process``/``thread``/``inline``).
         idle_timeout: local backend idle watchdog.

@@ -46,6 +46,7 @@ from repro.obs.events import (
     SERVICE_SLO_BREACH,
     SERVICE_SUBMITTED,
 )
+from repro.obs.live.status import ENV_LIVE_DIR, StatusWriter
 from repro.obs.metrics import MetricsRegistry
 from repro.service.admission import FairShareQueue, TenantQuota
 from repro.service.handle import (
@@ -55,9 +56,8 @@ from repro.service.handle import (
     ServiceClosed,
 )
 from repro.service.request import RunRequest, request_key
-from repro.service.status import ServiceStatusWriter, service_status_path
 
-__all__ = ["RunService", "DEFAULT_WORKERS", "eval_spec"]
+__all__ = ["RunService", "DEFAULT_WORKERS", "eval_spec", "service_status_path"]
 
 #: Default controller slots for an explicitly constructed service.
 DEFAULT_WORKERS = 4
@@ -86,6 +86,13 @@ _COUNTERS = (
     "graph_cache_misses",
     "slo_breaches",
 )
+
+
+def service_status_path(status_dir: str) -> str:
+    """This process's service snapshot (the ``live-`` prefix keeps it
+    discoverable by :func:`repro.obs.live.find_status`; ``"kind":
+    "service"`` routes it to the service renderers)."""
+    return os.path.join(status_dir, f"live-service-{os.getpid()}.json")
 
 
 def eval_spec(metrics: dict[str, float], spec: dict) -> list[str]:
@@ -213,14 +220,11 @@ class RunService:
         for t in self._threads:
             t.start()
         self._status_writer = None
-        status_dir = status_dir or os.environ.get("REPRO_LIVE_DIR")
+        status_dir = status_dir or os.environ.get(ENV_LIVE_DIR)
         if status_dir:
-            self._status_writer = ServiceStatusWriter(
-                service_status_path(status_dir),
-                self.snapshot,
-                interval=status_interval,
+            self._status_writer = StatusWriter(
+                service_status_path(status_dir), self.snapshot, status_interval
             )
-            self._status_writer.start()
 
     # ------------------------------------------------------------------ #
     # Submission

@@ -5,6 +5,8 @@ and ``DESIGN.md`` must import or resolve as an attribute, and every
 backticked ``tests/…``, ``benchmarks/…`` or ``examples/…`` path must
 exist.  A trailing ``*`` (``repro.runtimes.calibrate_*``,
 ``benchmarks/bench_fig*.py``) is a prefix / glob, not a literal name.
+Inside fenced code blocks, every name a ``from repro… import`` line
+imports must resolve too.
 """
 
 import importlib
@@ -19,6 +21,7 @@ DOCS = sorted((REPO / "docs").glob("*.md")) + [
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
 NAME = re.compile(r"repro(?:\.[A-Za-z_]\w*)+\*?")
 PATH = re.compile(r"(?:tests|benchmarks|examples)/[\w.*/-]*")
+IMPORT = re.compile(r"\s*(?:>>>\s*)?from (repro(?:\.\w+)*) import (.+)")
 
 
 def _citations(kind):
@@ -29,6 +32,30 @@ def _citations(kind):
             if m:
                 found.add((doc.name, m.group()))
     return sorted(found)
+
+
+def _fenced_imports():
+    """``(doc, dotted name)`` of every name imported by a ``from repro…
+    import`` line in a fenced code block; a parenthesized list may run
+    over several lines."""
+    found = []
+    for doc in DOCS:
+        fenced, statement = False, ""
+        for line in doc.read_text().splitlines():
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+                continue
+            if not fenced or not (statement or IMPORT.match(line)):
+                continue
+            statement += " " + line.split("#")[0]
+            if statement.count("(") > statement.count(")"):
+                continue
+            module, names = IMPORT.match(statement).groups()
+            for name in names.strip(" ()").split(","):
+                if name.strip():
+                    found.append((doc.name, f"{module}.{name.split()[0]}"))
+            statement = ""
+    return found
 
 
 def _resolves(name: str) -> bool:
@@ -68,3 +95,10 @@ def test_cited_paths_exist():
         if not list(REPO.glob(path.rstrip("/")))
     ]
     assert not missing, f"docs cite paths that do not exist: {missing}"
+
+
+def test_fenced_imports_resolve():
+    imports = _fenced_imports()
+    assert len(imports) > 30
+    broken = [(doc, name) for doc, name in imports if not _resolves(name)]
+    assert not broken, f"doc code blocks import missing names: {broken}"

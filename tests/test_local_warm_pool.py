@@ -25,6 +25,7 @@ import repro
 from repro.core.errors import ControllerError
 from repro.core.payload import Payload
 from repro.graphs import Reduction
+from repro.obs.live import find_status, read_status
 from repro.runtimes import LocalPoolController
 from repro.runtimes.local import shutdown_workers
 from tests.golden_workloads import _leaf, _reduce
@@ -38,6 +39,14 @@ INPUTS = {tid: Payload([float(i + 1)]) for i, tid in enumerate(G.leaf_ids())}
 
 def _reduce_max(ins, tid):
     return [Payload([max(p.data[0] for p in ins)])]
+
+
+def _pid_leaf(ins, tid):
+    return [Payload([os.getpid()])]
+
+
+def _pids(ins, tid):
+    return [Payload(sorted({pid for p in ins for pid in p.data}))]
 
 
 def _die(ins, tid):
@@ -137,10 +146,13 @@ def test_an_idle_timeout_leaves_no_spare_behind():
     assert not worker_pids()
 
 
-def test_a_live_armed_run_keeps_its_workers_private(tmp_path):
-    result = run(live=str(tmp_path))
-    assert root(result) == root(run(runtime="serial"))
-    assert not worker_pids()  # forked with the run's channel, reaped with it
+def test_a_live_armed_run_borrows_the_warm_workers(tmp_path):
+    run()
+    pids = worker_pids()
+    result = run(callbacks(reduce=_pids, leaf=_pid_leaf), live=str(tmp_path))
+    assert set(root(result)) <= pids  # its tasks ran on the warm workers...
+    assert len(pids) == 2 and worker_pids() == pids  # ...now one spare set
+    assert read_status(find_status(str(tmp_path))[0])["state"] == "finished"
 
 
 def test_callbacks_from_a_module_written_after_the_fork(tmp_path, monkeypatch):

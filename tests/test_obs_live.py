@@ -1,11 +1,10 @@
-"""The live observability plane: bus, tracker, writer, end-to-end.
+"""The live observability plane: the sink, its fold, the writer, end-to-end.
 
 ``tests/test_obs_overhead.py`` proves the *absence* of this machinery
 on unarmed runs; this file proves its presence does what it claims —
-bounded drop-counting pub/sub, progress/ETA folding, straggler and
-stall detection, atomic status snapshots an out-of-process watcher can
-read mid-run, and (critically) that arming it changes nothing about
-the recorded event stream.
+progress/ETA folding, straggler detection, atomic status snapshots an
+out-of-process watcher can read mid-run, and (critically) that arming
+it changes nothing about the recorded event stream.
 """
 
 from __future__ import annotations
@@ -15,14 +14,13 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
 
 from repro.core.payload import Payload
 from repro.graphs import Reduction
-from repro.obs import ListSink, ObsHub
+from repro.obs import ListSink
 from repro.obs.events import (
     LIVE_VOCABULARY,
     RUN_FINISHED,
@@ -32,14 +30,13 @@ from repro.obs.events import (
     TASK_RUNNING,
     TASK_STARTED,
     VOCABULARY,
-    WORKER_HEARTBEAT,
     Event,
 )
 from repro.obs.live import (
-    LiveBus,
+    MIN_STRAGGLER_SECONDS,
     LiveConfig,
-    ProgressTracker,
-    StragglerDetector,
+    LiveStatus,
+    StatusWriter,
     attach_live,
     find_status,
     read_status,
@@ -49,161 +46,95 @@ from repro.runtimes import LocalPoolController, MPIController
 from repro.sched import UniformEstimate
 
 
-# ---------------------------------------------------------------------- #
-# Bus
-# ---------------------------------------------------------------------- #
-
-
-class TestLiveBus:
-    def test_publish_drain_round_trip_preserves_order(self):
-        bus = LiveBus()
-        sub = bus.subscribe()
-        events = [Event(TASK_STARTED, t=float(i), task=i) for i in range(5)]
-        for ev in events:
-            bus.publish(ev)
-        assert sub.drain() == events
-        assert sub.drain() == []
-
-    def test_full_queue_evicts_oldest_and_counts_drops(self):
-        bus = LiveBus()
-        sub = bus.subscribe(maxlen=3)
-        for i in range(10):
-            bus.publish(Event(TASK_STARTED, t=float(i), task=i))
-        assert sub.dropped == 7
-        assert [e.task for e in sub.drain()] == [7, 8, 9]
-
-    def test_each_subscriber_gets_every_event(self):
-        bus = LiveBus()
-        a, b = bus.subscribe(), bus.subscribe()
-        bus.publish(Event(TASK_STARTED, t=0.0, task=1))
-        assert len(a.drain()) == 1 and len(b.drain()) == 1
-
-    def test_unsubscribe_stops_delivery(self):
-        bus = LiveBus()
-        sub = bus.subscribe()
-        bus.unsubscribe(sub)
-        assert not bus.active
-        bus.publish(Event(TASK_STARTED, t=0.0, task=1))
-        assert sub.drain() == []
-        bus.unsubscribe(sub)  # idempotent
-
-    def test_closed_subscription_rejects_offers(self):
-        bus = LiveBus()
-        sub = bus.subscribe()
-        sub.close()
-        bus.publish(Event(TASK_STARTED, t=0.0, task=1))
-        assert len(sub) == 0
-
-    def test_queue_bound_must_be_positive(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            LiveBus().subscribe(maxlen=0)
-
-    def test_drain_cap_leaves_the_rest_queued(self):
-        bus = LiveBus()
-        sub = bus.subscribe()
-        for i in range(5):
-            bus.publish(Event(TASK_STARTED, t=float(i), task=i))
-        assert [e.task for e in sub.drain(max_events=2)] == [0, 1]
-        assert [e.task for e in sub.drain()] == [2, 3, 4]
-
-    def test_concurrent_publish_loses_nothing_under_capacity(self):
-        bus = LiveBus()
-        sub = bus.subscribe(maxlen=10_000)
-        n, threads = 500, []
-        for t in range(4):
-            threads.append(
-                threading.Thread(
-                    target=lambda: [
-                        bus.publish(Event(TASK_STARTED, t=0.0, task=i))
-                        for i in range(n)
-                    ]
-                )
-            )
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert len(sub.drain()) == 4 * n
-        assert sub.dropped == 0
-
-
 class TestHubBusTap:
-    def test_hub_with_only_a_bus_is_truthy(self):
-        assert not ObsHub(())
-        assert ObsHub((), bus=LiveBus())
-
-    def test_emit_reaches_sinks_and_bus(self):
-        sink, bus = ListSink(), LiveBus()
-        sub = bus.subscribe()
-        hub = ObsHub((sink,), bus=bus)
-        ev = Event(TASK_STARTED, t=1.0, task=3)
-        hub.emit(ev)
-        assert sink.events == [ev]
-        assert sub.drain() == [ev]
-
     def test_live_vocabulary_stays_out_of_the_sink_vocabulary(self):
-        # TASK_RUNNING / WORKER_HEARTBEAT exist only on the bus; the
-        # recorded stream (and every golden built from it) never sees
-        # them.
-        assert LIVE_VOCABULARY == {TASK_RUNNING, WORKER_HEARTBEAT}
+        # task.running is handed to the live sink alone; the recorded
+        # stream (and every golden built from it) never sees it.
+        assert LIVE_VOCABULARY == {TASK_RUNNING}
         assert not (LIVE_VOCABULARY & VOCABULARY)
 
 
 # ---------------------------------------------------------------------- #
-# Detector + tracker
+# The fold: progress, ETA, stragglers
 # ---------------------------------------------------------------------- #
+
+
+def _fed(live: LiveStatus, events) -> LiveStatus:
+    for ev in events:
+        live.emit(ev)
+    return live
+
+
+def _alerts(live: LiveStatus, now: float) -> list[dict]:
+    return live.snapshot(now)["alerts"]
 
 
 class TestStragglerDetector:
     def test_planned_estimate_wins_over_median(self):
-        det = StragglerDetector({7: 2.0}, factor=3.0, min_seconds=0.0)
-        det.observe_completed(0.1)
-        assert det.expected(7) == 2.0
-        assert det.threshold(7) == 6.0
+        live = _fed(
+            LiveStatus(3, estimates={7: 2.0}),
+            [
+                Event(TASK_FINISHED, t=0.1, proc=0, task=0, dur=0.1),
+                Event(TASK_STARTED, t=0.0, proc=0, task=7),
+            ],
+        )
+        assert live.snapshot(1.0)["running"][0]["expected"] == 2.0
+        assert _alerts(live, 8.0) == []  # 4 x 2.0 s, not exceeded yet
+        assert _alerts(live, 8.1)[0]["threshold"] == 8.0
 
     def test_median_fallback_for_unestimated_tasks(self):
-        det = StragglerDetector(factor=2.0, min_seconds=0.0)
-        for dur in (1.0, 5.0, 3.0):
-            det.observe_completed(dur)
-        assert det.expected(99) == 3.0
-        assert det.threshold(99) == 6.0
+        live = _fed(
+            LiveStatus(4),
+            [
+                Event(TASK_FINISHED, t=1.0, proc=0, task=i, dur=dur)
+                for i, dur in enumerate((1.0, 5.0, 3.0))
+            ]
+            + [Event(TASK_STARTED, t=1.0, proc=0, task=99)],
+        )
+        assert live.snapshot(2.0)["running"][0]["expected"] == 3.0
+        assert _alerts(live, 13.1)[0]["threshold"] == 12.0
 
     def test_abstains_with_no_information(self):
-        det = StragglerDetector()
-        assert det.expected(1) is None
-        assert det.threshold(1) is None
+        live = _fed(LiveStatus(2), [Event(TASK_STARTED, t=0.0, task=1)])
+        doc = live.snapshot(1e6)
+        assert doc["running"][0]["expected"] is None
+        assert doc["alerts"] == []
 
     def test_min_seconds_floors_tiny_thresholds(self):
-        det = StragglerDetector({1: 1e-6}, factor=4.0, min_seconds=0.05)
-        assert det.threshold(1) == 0.05
+        live = _fed(
+            LiveStatus(2, estimates={1: 1e-6}),
+            [Event(TASK_STARTED, t=0.0, task=1)],
+        )
+        assert _alerts(live, 0.04) == []
+        assert _alerts(live, 0.06)[0]["threshold"] == MIN_STRAGGLER_SECONDS
 
 
 class TestProgressTracker:
-    def _feed(self, tracker, events):
-        for ev in events:
-            tracker.observe(ev)
-
     def test_counts_and_progress(self):
-        tr = ProgressTracker(total=4, n_ranks=2)
-        self._feed(
-            tr,
+        live = _fed(
+            LiveStatus(4, 2),
             [
                 Event(RUN_STARTED, t=0.0, label="demo"),
                 Event(TASK_ENQUEUED, t=0.0, task=0),
                 Event(TASK_ENQUEUED, t=0.0, task=1),
+                Event(TASK_ENQUEUED, t=0.0, task=2),
                 Event(TASK_STARTED, t=0.1, proc=0, task=0),
                 Event(TASK_FINISHED, t=0.3, proc=0, task=0, dur=0.2),
+                # local reports an attempt at submit and again when it
+                # resolves: it left the queue once.
+                Event(TASK_RUNNING, t=0.3, proc=1, task=1),
+                Event(TASK_STARTED, t=0.3, proc=1, task=1),
             ],
         )
-        assert tr.done == 1 and tr.queued == 1
-        assert tr.progress() == 0.25
-        assert tr.run_label == "demo"
-        assert tr.running == {}
+        doc = live.snapshot(0.4)
+        assert doc["done"] == 1 and doc["queued"] == 1
+        assert doc["progress"] == 0.25
+        assert doc["run"] == "demo"
+        assert [r["task"] for r in doc["running"]] == [1]
 
     def test_failed_attempts_are_not_progress(self):
-        tr = ProgressTracker(total=2)
-        self._feed(
-            tr,
+        live = _fed(
+            LiveStatus(2),
             [
                 Event(TASK_STARTED, t=0.0, proc=0, task=0),
                 Event(
@@ -212,44 +143,43 @@ class TestProgressTracker:
                 ),
             ],
         )
-        assert tr.done == 0
-        self._feed(
-            tr,
+        assert live.snapshot(0.1)["done"] == 0
+        _fed(
+            live,
             [
                 Event(TASK_STARTED, t=0.2, proc=0, task=0),
                 Event(TASK_FINISHED, t=0.3, proc=0, task=0, dur=0.1),
             ],
         )
-        assert tr.done == 1
+        assert live.snapshot(0.3)["done"] == 1
 
     def test_run_finished_clears_running_and_sets_makespan(self):
-        tr = ProgressTracker(total=1)
-        self._feed(
-            tr,
+        live = _fed(
+            LiveStatus(1),
             [
                 Event(TASK_STARTED, t=0.0, proc=0, task=0),
                 Event(RUN_FINISHED, t=1.5, dur=1.5),
             ],
         )
-        assert tr.finished and tr.makespan == 1.5 and not tr.running
+        doc = live.snapshot()  # no clock: the freshest event's time
+        assert doc["t"] == 1.5
+        assert doc["finished"] and doc["makespan"] == 1.5
+        assert not doc["running"] and doc["eta"] == 0.0
 
     def test_eta_from_completion_rate(self):
-        tr = ProgressTracker(total=4)
-        self._feed(
-            tr,
+        live = _fed(
+            LiveStatus(4),
             [
                 Event(TASK_FINISHED, t=1.0, proc=0, task=0, dur=1.0),
                 Event(TASK_FINISHED, t=2.0, proc=0, task=1, dur=1.0),
             ],
         )
         # 2 done in 2s -> 1 task/s -> 2 remaining ~ 2s.
-        assert tr.eta(2.0) == pytest.approx(2.0)
+        assert live.snapshot(2.0)["eta"] == pytest.approx(2.0)
 
     def test_eta_is_weighted_by_expected_work(self):
-        det = StragglerDetector({0: 1.0, 1: 1.0, 2: 8.0})
-        tr = ProgressTracker(total=3, detector=det)
-        self._feed(
-            tr,
+        live = _fed(
+            LiveStatus(3, estimates={0: 1.0, 1: 1.0, 2: 8.0}),
             [
                 Event(TASK_FINISHED, t=1.0, proc=0, task=0, dur=1.0),
                 Event(TASK_FINISHED, t=2.0, proc=0, task=1, dur=1.0),
@@ -257,57 +187,47 @@ class TestProgressTracker:
         )
         # 2.0 expected-seconds done in 2s; 8.0 expected remain -> ~8s,
         # not the count-based (1 remaining / 1 per s) = 1s.
-        assert tr.eta(2.0) == pytest.approx(8.0)
+        assert live.snapshot(2.0)["eta"] == pytest.approx(8.0)
 
     def test_eta_abstains_before_first_completion(self):
-        tr = ProgressTracker(total=4)
-        assert tr.eta(1.0) is None
+        assert LiveStatus(4).snapshot(1.0)["eta"] is None
 
     def test_straggler_alert_is_sticky(self):
-        det = StragglerDetector({5: 0.1}, factor=2.0, min_seconds=0.0)
-        tr = ProgressTracker(total=2, detector=det)
-        tr.observe(Event(TASK_STARTED, t=0.0, proc=1, task=5))
-        assert tr.check(now=0.1) == []
-        fresh = tr.check(now=0.5)
-        assert [a.kind for a in fresh] == ["straggler"]
-        assert fresh[0].task == 5 and fresh[0].rank == 1
-        assert fresh[0].threshold == pytest.approx(0.2)
-        # Re-checking reports nothing new but the alert stands...
-        assert tr.check(now=0.6) == []
-        assert len(tr.alerts) == 1
+        live = _fed(
+            LiveStatus(2, estimates={5: 0.1}),
+            [Event(TASK_STARTED, t=0.0, proc=1, task=5)],
+        )
+        assert _alerts(live, 0.3) == []
+        (alert,) = _alerts(live, 0.5)
+        assert alert["kind"] == "straggler"
+        assert alert["task"] == 5 and alert["rank"] == 1
+        assert alert["threshold"] == pytest.approx(0.4)
+        assert alert["seconds"] == pytest.approx(0.5)
+        # Re-checking adds nothing, and the alert stands...
+        assert _alerts(live, 0.6) == [alert]
         # ...even after the task eventually finishes.
-        tr.observe(Event(TASK_FINISHED, t=0.7, proc=1, task=5, dur=0.7))
-        assert len(tr.alerts) == 1
-
-    def test_stall_alert_clears_when_heartbeat_resumes(self):
-        tr = ProgressTracker(total=2, heartbeat_timeout=1.0)
-        tr.observe(Event(WORKER_HEARTBEAT, t=0.0, proc=3))
-        assert [a.kind for a in tr.check(now=2.0)] == ["stall"]
-        assert len(tr.alerts) == 1
-        tr.observe(Event(WORKER_HEARTBEAT, t=2.5, proc=3))
-        assert tr.check(now=3.0) == []
-        assert tr.alerts == []
+        live.emit(Event(TASK_FINISHED, t=0.7, proc=1, task=5, dur=0.7))
+        assert _alerts(live, 0.8) == [alert]
 
     def test_snapshot_is_json_serializable(self):
-        det = StragglerDetector({0: 1.0})
-        tr = ProgressTracker(total=3, n_ranks=2, detector=det)
-        self._feed(
-            tr,
+        live = _fed(
+            LiveStatus(3, 2, estimates={0: 1.0}),
             [
                 Event(RUN_STARTED, t=0.0, label="snap"),
                 Event(TASK_STARTED, t=0.1, proc=0, task=0),
                 Event(TASK_FINISHED, t=0.4, proc=0, task=0, dur=0.3),
                 Event(TASK_STARTED, t=0.4, proc=1, task=1),
-                Event(WORKER_HEARTBEAT, t=0.5, proc=1),
             ],
         )
-        tr.check(now=0.6)
-        doc = json.loads(json.dumps(tr.snapshot(now=0.6)))
+        doc = json.loads(json.dumps(live.snapshot(0.6)))
         assert doc["done"] == 1 and doc["total"] == 3
         assert doc["running"][0]["task"] == 1
-        assert {r["rank"] for r in doc["ranks"]} == {0, 1}
+        assert doc["ranks"] == [
+            {"rank": 0, "done": 1, "running": 0},
+            {"rank": 1, "done": 0, "running": 1},
+        ]
         # render_status accepts the same dict (smoke the terminal view).
-        text = render_status({"pid": 1, "state": "running", **doc})
+        text = render_status({"state": "running", **doc})
         assert "1/3 tasks" in text
 
 
@@ -339,6 +259,17 @@ class TestLiveConfig:
         live.close("finished")
         assert find_status(str(tmp_path))
 
+    @pytest.mark.parametrize("value", [True, {"interval": 0.1}])
+    def test_arming_without_a_directory_is_an_error(self, value, monkeypatch):
+        monkeypatch.delenv("REPRO_LIVE_DIR", raising=False)
+        with pytest.raises(ValueError) as err:
+            attach_live(value, total=1, runtime="x")
+        assert 'live="<dir>"' in str(err.value)
+        assert "$REPRO_LIVE_DIR" in str(err.value)
+        # A run armed that way fails before it starts.
+        with pytest.raises(ValueError, match="REPRO_LIVE_DIR"):
+            _run_reduction(MPIController(4, live=value))
+
 
 # ---------------------------------------------------------------------- #
 # Writer + status files
@@ -353,10 +284,8 @@ class TestStatusWriter:
             runtime="TestRuntime",
             n_ranks=1,
         )
-        live.bus.publish(Event(TASK_STARTED, t=0.1, proc=0, task=0))
-        live.bus.publish(
-            Event(TASK_FINISHED, t=0.5, proc=0, task=0, dur=0.4)
-        )
+        live.emit(Event(TASK_STARTED, t=0.1, proc=0, task=0))
+        live.emit(Event(TASK_FINISHED, t=0.5, proc=0, task=0, dur=0.4))
         live.close("finished")
         paths = find_status(str(tmp_path))
         assert len(paths) == 1
@@ -365,6 +294,21 @@ class TestStatusWriter:
         assert doc["runtime"] == "TestRuntime"
         assert doc["done"] == 1 and doc["total"] == 2
         assert doc["pid"] == os.getpid()
+
+    def test_a_raising_snapshot_skips_the_tick(self, tmp_path):
+        calls = []
+
+        def snapshot():
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("half-updated registry")
+            return {"n": len(calls)}
+
+        path = str(tmp_path / "sub" / "live-1.json")
+        StatusWriter(path, snapshot, 60.0).close("closed")
+        doc = read_status(path)
+        assert doc["n"] == 2 and doc["state"] == "closed"
+        assert not os.path.exists(path + ".tmp")
 
     def test_read_status_raises_on_corrupt_json(self, tmp_path):
         p = tmp_path / "live-1.json"
@@ -421,24 +365,13 @@ class TestEndToEndSim:
         assert doc["metrics"]["counters"]["tasks_executed"] == 21
         assert "task_seconds" in doc["metrics"]["sketches"]
 
-    def test_arming_live_leaves_the_event_stream_bit_identical(self):
+    def test_arming_live_leaves_the_event_stream_bit_identical(self, tmp_path):
         plain, armed = ListSink(), ListSink()
         _run_reduction(MPIController(4), sink=plain)
-        live_bus = LiveBus()
-        _run_reduction(
-            MPIController(4, live=LiveConfig(bus=live_bus)), sink=armed
-        )
+        _run_reduction(MPIController(4, live=str(tmp_path)), sink=armed)
         assert [e.to_dict() for e in plain.events] == [
             e.to_dict() for e in armed.events
         ]
-
-    def test_in_process_bus_subscription_sees_the_run(self):
-        bus = LiveBus()
-        sub = bus.subscribe()
-        g, _ = _run_reduction(MPIController(4, live=LiveConfig(bus=bus)))
-        events = sub.drain()
-        finished = [e for e in events if e.type == TASK_FINISHED]
-        assert len(finished) == g.size()
 
     def test_aborted_run_stamps_the_terminal_state(self, tmp_path):
         c = MPIController(4, live=str(tmp_path))
@@ -474,16 +407,15 @@ def _slow_leaf(ins, tid):
 
 @pytest.mark.parallel
 class TestEndToEndLocal:
-    def test_thread_run_flags_the_injected_straggler(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_thread_run_flags_the_injected_straggler(self, mode, tmp_path):
         cfg = LiveConfig(
             dir=str(tmp_path),
             interval=0.05,
             estimate=UniformEstimate(seconds=0.02),
-            straggler_factor=4.0,
-            min_straggler_seconds=0.01,
         )
         g = Reduction(8, 2)
-        c = LocalPoolController(2, mode="thread", live=cfg)
+        c = LocalPoolController(2, mode=mode, live=cfg)
         c.initialize(g, None)
         c.register_callback(g.LEAF, _slow_leaf)
         c.register_callback(g.REDUCE, _add)
@@ -498,20 +430,6 @@ class TestEndToEndLocal:
         assert [a["task"] for a in stragglers] == [_SLOW_TID]
         assert stragglers[0]["seconds"] > stragglers[0]["threshold"]
 
-    def test_process_run_reports_worker_heartbeats(self, tmp_path):
-        cfg = LiveConfig(
-            dir=str(tmp_path), interval=0.05, heartbeat_interval=0.05
-        )
-        g, _ = _run_reduction(
-            LocalPoolController(2, mode="process", live=cfg)
-        )
-        doc = read_status(find_status(str(tmp_path))[0])
-        assert doc["state"] == "finished" and doc["done"] == g.size()
-        beating = [
-            r for r in doc["ranks"] if r["heartbeat_age"] is not None
-        ]
-        assert beating  # real worker processes reported liveness
-
     def test_inline_run_round_trips_too(self, tmp_path):
         g, _ = _run_reduction(
             LocalPoolController(2, mode="inline", live=str(tmp_path))
@@ -524,31 +442,38 @@ class TestEndToEndLocal:
 @pytest.mark.parametrize(
     "ctor",
     [
-        lambda cfg: MPIController(4, live=cfg),
-        lambda cfg: LocalPoolController(2, mode="process", live=cfg),
+        lambda live: MPIController(4, live=live),
+        lambda live: LocalPoolController(2, mode="process", live=live),
     ],
     ids=["mpi", "local-process"],
 )
-def test_bus_and_sinks_are_handed_the_same_records(ctor):
-    """``ObsHub.emit`` gives one ``Event`` to the sinks and to the bus, so
-    a subscriber's stream minus the live-only vocabulary *is* the
-    recorded stream; what the process pool's worker->coordinator channel
-    adds are ordinary ``Event`` records too."""
-    bus = LiveBus()
-    sub = bus.subscribe(maxlen=100_000)
+def test_bus_and_sinks_are_handed_the_same_records(
+    ctor, tmp_path, monkeypatch
+):
+    """The live sink is handed the very ``Event`` records the other
+    sinks are, plus the driver's ``task.running`` reports — one per
+    attempt on ``local``, none on a simulator."""
+    received: list[Event] = []
+    emit = LiveStatus.emit
+
+    def recording(self, ev):
+        received.append(ev)
+        emit(self, ev)
+
+    monkeypatch.setattr(LiveStatus, "emit", recording)
     sink = ListSink()
-    g, _ = _run_reduction(
-        ctor(LiveConfig(bus=bus, heartbeat_interval=0.05)), sink=sink
-    )
-    live = sub.drain()
-    assert sub.dropped == 0
-    assert all(type(e) is Event for e in live)
-    assert [e for e in live if e.type not in LIVE_VOCABULARY] == sink.events
+    c = ctor(str(tmp_path))
+    g, _ = _run_reduction(c, sink=sink)
+    assert all(type(e) is Event for e in received)
+    recorded = [e for e in received if e.type not in LIVE_VOCABULARY]
+    live_only = [e for e in received if e.type in LIVE_VOCABULARY]
+    assert recorded == sink.events
     assert {e.type for e in sink.events}.isdisjoint(LIVE_VOCABULARY)
-    for e in live:
-        if e.type == TASK_RUNNING:
-            assert e == Event(TASK_RUNNING, e.t, proc=e.proc, task=e.task)
-            assert 0 <= e.task < g.size()
+    local = isinstance(c, LocalPoolController)
+    assert len(live_only) == (g.size() if local else 0)
+    for e in live_only:
+        assert e == Event(TASK_RUNNING, e.t, proc=e.proc, task=e.task)
+        assert 0 <= e.task < g.size()
 
 
 # ---------------------------------------------------------------------- #

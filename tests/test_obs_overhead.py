@@ -228,19 +228,11 @@ def test_telemetry_poison_fires_when_opted_in(ctor, poisoned_telemetry):
 def poisoned_live(monkeypatch):
     """Make any live-plane object construction raise.
 
-    The live observability plane (bus, subscriptions, progress tracker,
-    status writer) is strictly opt-in via ``live=`` or
-    ``$REPRO_LIVE_DIR``; these poisons prove a clean run — sink-observed
-    or not — constructs none of it.
+    The live observability plane (its sink and status writer) is
+    strictly opt-in via ``live=`` or ``$REPRO_LIVE_DIR``; these poisons
+    prove a clean run — sink-observed or not — constructs none of it.
     """
-    import repro.obs.live.bus as livebus
-    from repro.obs.live import (
-        LiveBus,
-        LiveStatusWriter,
-        ProgressTracker,
-        StragglerDetector,
-        Subscription,
-    )
+    from repro.obs.live import LiveStatus, StatusWriter
 
     monkeypatch.delenv("REPRO_LIVE_DIR", raising=False)
 
@@ -250,19 +242,8 @@ def poisoned_live(monkeypatch):
 
         return _boom
 
-    monkeypatch.setattr(LiveBus, "__init__", boom("LiveBus"))
-    monkeypatch.setattr(Subscription, "__init__", boom("Subscription"))
-    monkeypatch.setattr(ProgressTracker, "__init__", boom("ProgressTracker"))
-    monkeypatch.setattr(
-        StragglerDetector, "__init__", boom("StragglerDetector")
-    )
-    monkeypatch.setattr(
-        LiveStatusWriter, "__init__", boom("LiveStatusWriter")
-    )
-    # The subscription's ring buffer, via the bus module's own deque ref
-    # (poisoning collections.deque itself would break the controllers'
-    # legitimate ready queues).
-    monkeypatch.setattr(livebus, "deque", boom("live queue"))
+    monkeypatch.setattr(LiveStatus, "__init__", boom("LiveStatus"))
+    monkeypatch.setattr(StatusWriter, "__init__", boom("StatusWriter"))
 
 
 def _local_inline():
@@ -293,16 +274,16 @@ def test_observed_run_constructs_no_live_plane(ctor, poisoned_live):
 @pytest.mark.parametrize(
     "ctor",
     [
-        lambda: MPIController(4, live=True),
-        lambda: __import__(
+        lambda live: MPIController(4, live=live),
+        lambda live: __import__(
             "repro.runtimes.local", fromlist=["LocalPoolController"]
-        ).LocalPoolController(2, mode="inline", live=True),
+        ).LocalPoolController(2, mode="inline", live=live),
     ],
     ids=["mpi", "local-inline"],
 )
-def test_live_poison_fires_when_opted_in(ctor, poisoned_live):
+def test_live_poison_fires_when_opted_in(ctor, poisoned_live, tmp_path):
     with pytest.raises(AssertionError, match="constructed without"):
-        run_reduction(ctor())
+        run_reduction(ctor(str(tmp_path)))
 
 
 def _scheduled_runs():
