@@ -6,59 +6,30 @@ runtime, so the paper plots a single curve (~100 s at 128 cores for the
 
 Here: one block per core, each leaf really ray-marches its block (output
 verified against the single-pass render in the tests); virtual cost is
-the calibrated render model.
+the calibrated render model.  The sweep and its shape claims live in
+:mod:`benchmarks.compositing_common`.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.harness import bench_field, observe, print_series, sweep_sizes
-from repro.analysis.rendering import RenderingWorkload
-from repro.core.payload import Payload
-from repro.graphs import DataParallel
-from repro.runtimes import MPIController
-from repro.runtimes.costs import CallableCost
-
-SIZES = sweep_sizes(small=[128, 512, 2048], full=[128, 512, 2048, 8192])
-FIELD = bench_field()
-
-
-def run_point(cores: int):
-    wl = RenderingWorkload(
-        FIELD, cores, image_shape=(24, 24), mode="reduction", valence=2,
-        sim_image_shape=(2048, 2048), sim_shape=(1024, 1024, 1024),
-    )
-    g = DataParallel(cores)
-    cost = CallableCost(lambda task, ins: wl.render_cost(task.id))
-    c = observe(MPIController(cores, cost_model=cost))
-    c.initialize(g)
-    c.register_callback(
-        g.WORK,
-        lambda ins, tid: [wl._fragment_payload(wl._render(ins[0].data, tid))],
-    )
-    inputs = {
-        b: Payload(wl.decomp.extract_block(FIELD, b)) for b in range(cores)
-    }
-    return c.run(inputs)
+from benchmarks.compositing_common import (
+    RENDER_SIZES as SIZES,
+    assert_fig10a_shape,
+    render_point,
+    rendering_sweep,
+)
+from benchmarks.harness import print_series
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return {"VTK volume rendering": {n: run_point(n).makespan for n in SIZES}}
+    return rendering_sweep(tuple(SIZES))
 
 
 def test_fig10a_rendering(sweep, benchmark):
-    benchmark.pedantic(run_point, args=(SIZES[0],), rounds=1, iterations=1)
+    benchmark.pedantic(render_point, args=(SIZES[0],), rounds=1, iterations=1)
     print_series("Figure 10a: volume rendering stage (1024^3 -> 2048^2 model)",
                  "cores", SIZES, sweep)
-    t = sweep["VTK volume rendering"]
-    # Strong scaling: near-ideal until block footprints stop dividing the
-    # image evenly.
-    for a, b in zip(SIZES, SIZES[1:]):
-        assert t[b] < t[a]
-    ideal = t[SIZES[0]] * SIZES[0] / SIZES[-1]
-    assert t[SIZES[-1]] < 4 * ideal
-    # Magnitude sanity: the 128-core point sits in the paper's ~100 s
-    # regime (calibrated, not fitted to the figure).
-    assert 20 < t[128] < 500
+    assert_fig10a_shape(SIZES, sweep)

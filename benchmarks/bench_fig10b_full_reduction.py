@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.compositing_common import SIZES, compositing_sweep, make_workload
+from benchmarks.compositing_common import (
+    SIZES,
+    assert_fig10bc_shape,
+    compositing_sweep,
+    make_workload,
+)
 from benchmarks.harness import observe, print_series
 from repro.runtimes import MPIController
 
@@ -24,16 +29,13 @@ def sweep():
     return compositing_sweep("reduction", True)
 
 
-def test_fig10b_full_reduction(sweep, benchmark):
+@pytest.fixture(scope="module")
+def binswap_sweep():
+    return compositing_sweep("binswap", True)
+
+
+def test_fig10b_full_reduction(sweep, binswap_sweep, benchmark):
     benchmark.pedantic(run_point, args=(SIZES[0],), rounds=1, iterations=1)
     print_series("Figure 10b: rendering + reduction compositing totals",
                  "cores", SIZES, sweep)
-    # Totals decrease with cores (rendering strong-scales) ...
-    for name in ("MPI", "Charm++", "Legion", "IceT"):
-        t = sweep[name]
-        assert t[SIZES[-1]] < t[SIZES[0]], name
-    # ... and the runtimes practically coincide: rendering dominates.
-    for n in SIZES:
-        vals = [sweep[name][n] for name in ("MPI", "Charm++", "Legion")]
-        assert max(vals) < 1.25 * min(vals), n
-        assert sweep["IceT"][n] < 1.25 * min(vals)
+    assert_fig10bc_shape(SIZES, sweep, binswap_sweep)

@@ -8,7 +8,12 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.compositing_common import SIZES, compositing_sweep, make_workload
+from benchmarks.compositing_common import (
+    SIZES,
+    assert_fig10bc_shape,
+    compositing_sweep,
+    make_workload,
+)
 from benchmarks.harness import observe, print_series
 from repro.runtimes import MPIController
 
@@ -23,13 +28,13 @@ def sweep():
     return compositing_sweep("binswap", True)
 
 
-def test_fig10c_full_binswap(sweep, benchmark):
+@pytest.fixture(scope="module")
+def reduction_sweep():
+    return compositing_sweep("reduction", True)
+
+
+def test_fig10c_full_binswap(sweep, reduction_sweep, benchmark):
     benchmark.pedantic(run_point, args=(SIZES[0],), rounds=1, iterations=1)
     print_series("Figure 10c: rendering + binary-swap compositing totals",
                  "cores", SIZES, sweep)
-    for name in ("MPI", "Charm++", "Legion", "IceT"):
-        t = sweep[name]
-        assert t[SIZES[-1]] < t[SIZES[0]], name
-    for n in SIZES:
-        vals = [sweep[name][n] for name in ("MPI", "Charm++", "Legion")]
-        assert max(vals) < 1.25 * min(vals), n
+    assert_fig10bc_shape(SIZES, reduction_sweep, sweep)

@@ -2,8 +2,8 @@
 
 The assertions live with the figure benchmarks (``benchmarks/bench_fig*``,
 which also need ``pytest-benchmark``; figs. 10e/f state theirs beside the
-shared sweep in ``benchmarks/compositing_common``); the figures cheap
-enough for tier-1 — 6, 9, 10e/f — are swept here at small scale through
+shared sweeps in ``benchmarks/compositing_common``); the figures cheap
+enough for tier-1 — 6, 9, 10a/b/c/e/f — are swept here at small scale through
 the same functions, so ``python -m pytest`` regression-tests the paper,
 not just the machinery.
 """
@@ -110,3 +110,45 @@ def test_fig10f_binswap_compositing_shape():
 def test_fig10ef_makespans_match_the_published_tables(mode, series, n):
     published = FIG10_MAKESPANS[mode][series][n]
     assert f"{fig10_sweep(mode)[series][n]:.4f}" == f"{published:.4f}"
+
+
+FIG10A_CORES = (128, 512, 2048)
+
+#: EXPERIMENTS.md, "Fig. 10a": the calibrated render model per core count.
+FIG10A_MAKESPANS = {128: 125.2699, 512: 31.3175, 2048: 7.8294}
+
+
+def test_fig10a_rendering_shape():
+    fig10.assert_fig10a_shape(FIG10A_CORES, fig10.rendering_sweep(FIG10A_CORES))
+
+
+@pytest.mark.parametrize("cores", FIG10A_CORES)
+def test_fig10a_makespans_match_the_published_table(cores):
+    t = fig10.rendering_sweep(FIG10A_CORES)["VTK volume rendering"][cores]
+    assert f"{t:.4f}" == f"{FIG10A_MAKESPANS[cores]:.4f}"
+
+
+#: EXPERIMENTS.md, "Fig. 10b/10c": rendering + compositing totals.
+FIG10BC_MAKESPANS = {
+    ("reduction", "IceT"): {64: 250.5536, 256: 62.6488, 1024: 15.6726},
+    ("binswap", "IceT"): {64: 250.5536, 256: 62.6488, 1024: 15.6726},
+    ("reduction", "MPI"): {64: 250.8694, 256: 63.0897, 1024: 16.2336},
+    ("binswap", "MPI"): {64: 250.5800, 256: 62.6761, 1024: 15.7001},
+}
+
+
+def fig10bc_sweep(mode):
+    return fig10.compositing_sweep(mode, True, FIG10_SIZES)
+
+
+def test_fig10bc_full_dataflow_shape():
+    fig10.assert_fig10bc_shape(
+        FIG10_SIZES, fig10bc_sweep("reduction"), fig10bc_sweep("binswap")
+    )
+
+
+@pytest.mark.parametrize("mode, series", list(FIG10BC_MAKESPANS))
+@pytest.mark.parametrize("n", FIG10_SIZES)
+def test_fig10bc_makespans_match_the_published_table(mode, series, n):
+    published = FIG10BC_MAKESPANS[mode, series][n]
+    assert f"{fig10bc_sweep(mode)[series][n]:.4f}" == f"{published:.4f}"
