@@ -3,7 +3,8 @@
 The second of the paper's three use cases: an embarrassingly parallel
 volume-rendering stage followed by image compositing, with both standard
 compositing dataflows — a k-way reduction to a single image and binary
-swap to per-task tiles — plus an IceT-model baseline for comparison.
+swap to per-task tiles, the latter as radix-k at ``k = 2`` — plus an
+IceT-model baseline for comparison.
 """
 
 from repro.analysis.rendering.icet import icet_composite_time
@@ -20,9 +21,7 @@ from repro.analysis.rendering.tiles import (
     power_layout,
     radix_region,
     region_shape,
-    split_region,
     split_region_k,
-    swap_region,
 )
 from repro.analysis.rendering.transfer import TransferFunction, fire, grayscale
 from repro.analysis.rendering.volume import OrthoCamera, render_block, render_volume
@@ -44,9 +43,7 @@ __all__ = [
     "region_shape",
     "render_block",
     "render_volume",
-    "split_region",
     "split_region_k",
-    "swap_region",
     "to_rgb8",
     "write_ppm",
 ]

@@ -8,10 +8,11 @@ pipeline on any controller:
   uses VTK's SmartVolumeMapper; here it is the from-scratch raycaster of
   :mod:`~repro.analysis.rendering.volume`);
 * the **compositing stage** is a k-way :class:`~repro.graphs.reduction.
-  Reduction` producing one final image at the root, a :class:`~repro.
-  graphs.binary_swap.BinarySwap` leaving one tile on each of the ``n``
-  final tasks (Figs. 10d/e/f), or — beyond the paper — a :class:`~repro.
-  graphs.radixk.RadixK` generalizing binary swap to arbitrary fan-in.
+  Reduction` producing one final image at the root, or a :class:`~repro.
+  graphs.radixk.RadixK` leaving one tile on each of the ``n`` final
+  tasks.  Binary swap (Figs. 10d/e/f) is ``RadixK(n, 2)``, so
+  ``mode="binswap"`` means exactly ``mode="radixk", valence=2``; other
+  radices go beyond the paper.
 
 Blocks are laid out with :func:`~repro.analysis.rendering.tiles.
 power_layout` so every dataflow composites depth-consistently (see that
@@ -31,19 +32,11 @@ import numpy as np
 
 from repro.analysis.mergetree.blocks import BlockDecomposition
 from repro.analysis.rendering.image import ImageFragment, composite_ordered, over
-from repro.analysis.rendering.tiles import (
-    power_layout,
-    radix_cuts,
-    radix_region,
-    swap_cuts,
-    swap_region,
-)
+from repro.analysis.rendering.tiles import power_layout, radix_cuts, radix_region
 from repro.analysis.rendering.transfer import TransferFunction, fire
 from repro.analysis.rendering.volume import OrthoCamera, render_block, render_volume
-from repro.core.errors import GraphError
 from repro.core.ids import TaskId
 from repro.core.payload import Payload
-from repro.graphs.binary_swap import BinarySwap
 from repro.graphs.radixk import RadixK
 from repro.graphs.reduction import Reduction
 from repro.runtimes.controller import Controller
@@ -74,7 +67,7 @@ class RenderingWorkload:
         image_shape: real output image (H, W).
         mode: ``"reduction"``, ``"binswap"`` or ``"radixk"``.
         valence: reduction fan-in / radix (ignored for binswap, which is
-            2-way).
+            radix-k at ``k = 2``).
         tf: transfer function (default: fire map over the field range).
         sim_shape: pretended volume shape for costs/wire sizes.
         sim_image_shape: pretended image shape for costs/wire sizes.
@@ -109,13 +102,11 @@ class RenderingWorkload:
         fanin = 2 if mode == "binswap" else valence
         layout = power_layout(n_blocks, fanin, self.field.shape, depth_axis=2)
         self.decomp = BlockDecomposition(self.field.shape, layout)
-        self.graph: Reduction | BinarySwap | RadixK
+        self.graph: Reduction | RadixK
         if mode == "reduction":
             self.graph = Reduction(n_blocks, valence)
-        elif mode == "binswap":
-            self.graph = BinarySwap(n_blocks)
         else:
-            self.graph = RadixK(n_blocks, valence)
+            self.graph = RadixK(n_blocks, fanin)
         self.n_blocks = n_blocks
 
         real_pixels = float(image_shape[0] * image_shape[1])
@@ -143,10 +134,6 @@ class RenderingWorkload:
             controller.register_callback(g.LEAF, self.render_leaf)
             controller.register_callback(g.REDUCE, self.composite_reduce)
             controller.register_callback(g.ROOT, self.composite_root)
-        elif self.mode == "binswap":
-            controller.register_callback(g.LEAF, self.binswap_leaf)
-            controller.register_callback(g.COMPOSITE, self.binswap_composite)
-            controller.register_callback(g.ROOT, self.binswap_root)
         else:
             controller.register_callback(g.LEAF, self.radix_leaf)
             controller.register_callback(g.COMPOSITE, self.radix_composite)
@@ -208,52 +195,7 @@ class RenderingWorkload:
         return [self._fragment_payload(frag)]
 
     # ------------------------------------------------------------------ #
-    # Binary-swap callbacks
-    # ------------------------------------------------------------------ #
-
-    def _split_for_stage(
-        self, frag: ImageFragment, stage: int, index: int
-    ) -> tuple[ImageFragment, ImageFragment]:
-        """Split a stage-``stage`` fragment into (kept, sent) halves."""
-        assert isinstance(self.graph, BinarySwap)
-        first, second = swap_cuts(
-            self.camera.image_shape, stage, index & ((1 << stage) - 1)
-        )
-        f = frag.crop(*first)
-        s = frag.crop(*second)
-        if (index >> stage) & 1:
-            return s, f
-        return f, s
-
-    def binswap_leaf(self, inputs: list[Payload], tid: TaskId) -> list[Payload]:
-        """Stage 0: render, then perform the first swap split."""
-        assert isinstance(self.graph, BinarySwap)
-        i = self.graph.index(tid)
-        frag = self._render(inputs[0].data, i)
-        kept, sent = self._split_for_stage(frag, 0, i)
-        return [self._fragment_payload(kept), self._fragment_payload(sent)]
-
-    def binswap_composite(self, inputs: list[Payload], tid: TaskId) -> list[Payload]:
-        """Stages 1..r-1: composite own+partner halves, split again."""
-        assert isinstance(self.graph, BinarySwap)
-        s, i = self.graph.stage(tid), self.graph.index(tid)
-        frag = over(inputs[0].data, inputs[1].data)
-        kept, sent = self._split_for_stage(frag, s, i)
-        return [self._fragment_payload(kept), self._fragment_payload(sent)]
-
-    def binswap_root(self, inputs: list[Payload], tid: TaskId) -> list[Payload]:
-        """Final stage: composite into the owned tile; also handles the
-        degenerate 1-task graph (render the single block)."""
-        assert isinstance(self.graph, BinarySwap)
-        i = self.graph.index(tid)
-        if len(inputs) == 1 and isinstance(inputs[0].data, np.ndarray):
-            tile = self._render(inputs[0].data, i)
-        else:
-            tile = over(inputs[0].data, inputs[1].data)
-        return [Payload((i, tile), nbytes=max(16, int(tile.nbytes * self.image_scale)))]
-
-    # ------------------------------------------------------------------ #
-    # Radix-k callbacks
+    # Radix-k callbacks (binary swap at k = 2)
     # ------------------------------------------------------------------ #
 
     def _radix_strips(
@@ -276,8 +218,10 @@ class RenderingWorkload:
     def radix_composite(self, inputs: list[Payload], tid: TaskId) -> list[Payload]:
         """Stages 1..m-1: composite the k received strips, split again."""
         assert isinstance(self.graph, RadixK)
-        s, i = self.graph.stage(tid), self.graph.index(tid)
-        frag = composite_ordered([p.data for p in inputs])
+        s, i = divmod(tid, self.graph.n)  # ids are ``stage * n + index``
+        frag = inputs[0].data
+        for p in inputs[1:]:
+            frag = over(frag, p.data)
         return self._radix_strips(frag, s, i)
 
     def radix_root(self, inputs: list[Payload], tid: TaskId) -> list[Payload]:
@@ -285,10 +229,11 @@ class RenderingWorkload:
         single block of the degenerate one-task graph)."""
         assert isinstance(self.graph, RadixK)
         i = self.graph.index(tid)
-        if len(inputs) == 1 and isinstance(inputs[0].data, np.ndarray):
-            tile = self._render(inputs[0].data, i)
-        else:
-            tile = composite_ordered([p.data for p in inputs])
+        tile = inputs[0].data
+        if isinstance(tile, np.ndarray):
+            tile = self._render(tile, i)
+        for p in inputs[1:]:
+            tile = over(tile, p.data)
         return [Payload((i, tile), nbytes=max(16, int(tile.nbytes * self.image_scale)))]
 
     # ------------------------------------------------------------------ #
@@ -296,20 +241,15 @@ class RenderingWorkload:
     # ------------------------------------------------------------------ #
 
     def assemble(self, result) -> ImageFragment:
-        """Final full image from a run (either mode)."""
-        if self.mode == "reduction":
-            assert isinstance(self.graph, Reduction)
-            return result.output(self.graph.root_id).data
+        """Final full image from a run (any mode)."""
+        g = self.graph
+        if isinstance(g, Reduction):
+            return result.output(g.root_id).data
         shape = self.camera.image_shape
         out = ImageFragment.blank(shape)
-        stages = self.graph.stages
-        for tid in self.graph.root_ids():
+        for tid in g.root_ids():
             i, tile = result.output(tid).data
-            if self.mode == "binswap":
-                y0, y1, x0, x1 = swap_region(shape, stages, i)
-            else:
-                assert isinstance(self.graph, RadixK)
-                y0, y1, x0, x1 = radix_region(shape, self.graph.radix, stages, i)
+            y0, y1, x0, x1 = radix_region(shape, g.radix, g.stages, i)
             out.rgba[y0:y1, x0:x1] = tile.rgba
             out.depth[y0:y1, x0:x1] = tile.depth
         return out

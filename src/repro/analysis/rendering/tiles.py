@@ -1,9 +1,11 @@
-"""Tile algebra for binary-swap compositing and depth-safe block layouts.
+"""Tile algebra for radix-k compositing and depth-safe block layouts.
 
-Binary swap halves each task's image extent every stage, alternating the
-split axis; after ``r`` stages task ``i`` owns the tile selected by bits
-``0..r-1`` of ``i``.  Both partners derive the same rectangles from this
-module, so no extents ever travel on the wire.
+Radix-k cuts each task's image extent into ``k`` strips every round,
+alternating the split axis; after ``m`` rounds task ``i`` owns the tile
+selected by base-``k`` digits ``0..m-1`` of ``i``.  At ``k = 2`` this is
+binary swap's halving, with digit ``s`` being bit ``s``.  Every group
+member derives the same rectangles from this module, so no extents ever
+travel on the wire.
 
 :func:`power_layout` builds block layouts whose z-extent (the view/depth
 axis) is a power of the compositing fan-in, which guarantees every
@@ -18,6 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.core.errors import GraphError
+from repro.util.partition import even_chunks, split_range
 
 #: A tile rectangle: (y0, y1, x0, x1), half-open.
 Region = tuple[int, int, int, int]
@@ -29,55 +32,19 @@ def full_region(shape: tuple[int, int]) -> Region:
     return (0, h, 0, w)
 
 
-def split_region(region: Region, stage: int) -> tuple[Region, Region]:
-    """Split a region in half for a given swap stage.
-
-    Even stages split rows, odd stages split columns, so repeated halving
-    keeps tiles close to square.  With odd extents the first half gets
-    the extra row/column.
-    """
-    y0, y1, x0, x1 = region
-    if stage % 2 == 0:
-        ym = y0 + (y1 - y0 + 1) // 2
-        return (y0, ym, x0, x1), (ym, y1, x0, x1)
-    xm = x0 + (x1 - x0 + 1) // 2
-    return (y0, y1, x0, xm), (y0, y1, xm, x1)
-
-
-def swap_region(shape: tuple[int, int], stage: int, index: int) -> Region:
-    """The tile task ``(stage, index)`` owns *entering* the stage.
-
-    Stage 0 owns the full image; afterwards bit ``s`` of ``index``
-    selects the half kept at stage ``s``.
-    """
-    region = full_region(shape)
-    for s in range(stage):
-        first, second = split_region(region, s)
-        region = second if (index >> s) & 1 else first
-    return region
-
-
 def _relative(region: Region, parts) -> tuple[Region, ...]:
     y0, _, x0, _ = region
     return tuple((r[0] - y0, r[1] - y0, r[2] - x0, r[3] - x0) for r in parts)
 
 
 @lru_cache(maxsize=8192)
-def swap_cuts(shape: tuple[int, int], stage: int, low_bits: int) -> tuple[Region, ...]:
-    """The two halves a stage-``stage`` task cuts its tile into, relative
-    to the tile's own origin.  Only the low ``stage`` bits of the task
-    index select the tile, so callers pass ``index & (2**stage - 1)`` and
-    a whole run shares ``2**stage`` entries per stage."""
-    region = swap_region(shape, stage, low_bits)
-    return _relative(region, split_region(region, stage))
-
-
-@lru_cache(maxsize=8192)
 def radix_cuts(
     shape: tuple[int, int], k: int, stage: int, low_digits: int
 ) -> tuple[Region, ...]:
-    """Radix-k twin of :func:`swap_cuts`: the ``k`` strips, relative to
-    the tile selected by ``index % k**stage``."""
+    """The ``k`` strips a stage-``stage`` task cuts its tile into,
+    relative to the tile's own origin.  Only the low ``stage`` digits of
+    the task index select the tile, so callers pass ``index % k**stage``
+    and a whole run shares ``k**stage`` entries per stage."""
     region = radix_region(shape, k, stage, low_digits)
     return _relative(region, split_region_k(region, k, stage))
 
@@ -91,29 +58,16 @@ def region_shape(region: Region) -> tuple[int, int]:
 def split_region_k(region: Region, k: int, stage: int) -> list[Region]:
     """Split a region into ``k`` near-equal strips for a radix-k stage.
 
-    Even stages split rows, odd stages split columns (as
-    :func:`split_region`, which equals the ``k == 2`` case).  Strip sizes
-    differ by at most one, earlier strips larger.
+    Even stages split rows, odd stages split columns, so repeated
+    splitting keeps tiles close to square.  Strip sizes differ by at most
+    one, earlier strips larger.
     """
     if k < 2:
         raise GraphError(f"radix must be at least 2, got {k}")
     y0, y1, x0, x1 = region
-    out: list[Region] = []
     if stage % 2 == 0:
-        n = y1 - y0
-        for lo, hi in _chunks(n, k):
-            out.append((y0 + lo, y0 + hi, x0, x1))
-    else:
-        n = x1 - x0
-        for lo, hi in _chunks(n, k):
-            out.append((y0, y1, x0 + lo, x0 + hi))
-    return out
-
-
-def _chunks(total: int, parts: int):
-    from repro.util.partition import even_chunks
-
-    return even_chunks(total, parts)
+        return [(y0 + lo, y0 + hi, x0, x1) for lo, hi in even_chunks(y1 - y0, k)]
+    return [(y0, y1, x0 + lo, x0 + hi) for lo, hi in even_chunks(x1 - x0, k)]
 
 
 def radix_region(
@@ -121,12 +75,20 @@ def radix_region(
 ) -> Region:
     """The tile task ``(stage, index)`` of a radix-k dataflow owns
     *entering* the stage: digit ``s`` of ``index`` (base ``k``) selects
-    the strip kept at round ``s``."""
-    region = full_region(shape)
+    the strip kept at round ``s`` — strip ``digit`` of
+    :func:`split_region_k`, cut here without building the other strips."""
+    if k < 2:
+        raise GraphError(f"radix must be at least 2, got {k}")
+    y0, y1, x0, x1 = full_region(shape)
     for s in range(stage):
         digit = (index // k**s) % k
-        region = split_region_k(region, k, s)[digit]
-    return region
+        if s % 2 == 0:
+            lo, hi = split_range(y1 - y0, k, digit)
+            y0, y1 = y0 + lo, y0 + hi
+        else:
+            lo, hi = split_range(x1 - x0, k, digit)
+            x0, x1 = x0 + lo, x0 + hi
+    return (y0, y1, x0, x1)
 
 
 def power_layout(

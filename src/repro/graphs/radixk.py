@@ -1,14 +1,15 @@
-"""Radix-k compositing dataflow (Peterka et al.; IceT's generalization).
+"""Radix-k compositing dataflow (Peterka et al.; IceT's strategy).
 
-Binary swap generalized to fan-in ``k``: with ``n = k**m`` tasks, round
-``s`` groups tasks whose indices differ only in base-``k`` digit ``s``.
-Every group member keeps ``1/k`` of its current image extent (the strip
-selected by its own digit) and direct-sends the other ``k - 1`` strips to
-the group members owning them.  After ``m`` rounds each task holds one
-``1/n`` tile.  ``k = 2`` coincides with :class:`~repro.graphs.
-binary_swap.BinarySwap`; ``k = n`` is single-round direct-send — radix-k
-spans the trade-off between message count and round count, which the
-ablation benchmark sweeps.
+Binary swap (Ma et al. 1994; paper Section V-B) generalized to fan-in
+``k``: with ``n = k**m`` tasks, round ``s`` groups tasks whose indices
+differ only in base-``k`` digit ``s``.  Every group member keeps ``1/k``
+of its current image extent (the strip selected by its own digit) and
+direct-sends the other ``k - 1`` strips to the group members owning them,
+so all ``n`` tasks stay busy while the image fraction per task shrinks.
+After ``m`` rounds each task holds one ``1/n`` tile.  ``k = 2`` *is*
+binary swap (the rendering workload's ``mode="binswap"``); ``k = n`` is
+single-round direct-send — radix-k spans the trade-off between message
+count and round count, which the ablation benchmark sweeps.
 
 Layout: stage ``s`` task ``i`` has id ``s*n + i``; stages ``0..m``.
 Channel ``t`` of a stage-``s`` task carries the strip for group-digit
@@ -46,9 +47,9 @@ class RadixK(TaskGraph):
     ROOT: CallbackId = 2
 
     def __init__(self, n: int, k: int) -> None:
-        self._m = exact_log(n, k) if n > 1 else 0
-        if n == 1 and k < 2:
+        if k < 2:
             raise GraphError(f"radix must be at least 2, got {k}")
+        self._m = exact_log(n, k)
         self._n = n
         self._k = k
 
@@ -122,21 +123,24 @@ class RadixK(TaskGraph):
 
     def task(self, tid: TaskId) -> Task:
         self._check(tid)
-        s, i = self.stage(tid), self.index(tid)
+        n, k = self._n, self._k
+        s, i = divmod(tid, n)
+        # A round-``r`` group is ``k`` indices ``stride = k**r`` apart:
+        # the member with digit 0 sits ``digit * stride`` below ``i``.
         if s == 0:
             incoming = [EXTERNAL]
         else:
-            incoming = [
-                self.task_id(s - 1, j) for j in self.group(s - 1, i)
-            ]
+            stride = k ** (s - 1)
+            first = (s - 1) * n + i - (i // stride) % k * stride
+            incoming = list(range(first, first + k * stride, stride))
         if s == self._m:
             cb = self.ROOT
             outgoing: list[list[TaskId]] = [[TNULL]]
         else:
             cb = self.LEAF if s == 0 else self.COMPOSITE
-            outgoing = [
-                [self.task_id(s + 1, j)] for j in self.group(s, i)
-            ]
+            stride = k**s
+            first = (s + 1) * n + i - (i // stride) % k * stride
+            outgoing = [[t] for t in range(first, first + k * stride, stride)]
         return Task(id=tid, callback=cb, incoming=incoming, outgoing=outgoing)
 
     def _check(self, tid: TaskId) -> None:

@@ -12,7 +12,6 @@ import pytest
 from repro.core.ids import TNULL, is_real_task
 from repro.core.taskmap import BlockMap, ModuloMap, validate_taskmap
 from repro.graphs import (
-    BinarySwap,
     Broadcast,
     DataParallel,
     HaloExchange2D,
@@ -30,8 +29,8 @@ ZOO = [
     KWayMerge(27, 3),
     Broadcast(16, 4),
     Broadcast(1, 3),
-    BinarySwap(8),
-    BinarySwap(1),
+    RadixK(8, 2),
+    RadixK(1, 2),
     RadixK(27, 3),
     RadixK(8, 8),
     DataParallel(7),

@@ -1,9 +1,9 @@
 """The call budget of the compositing callbacks.
 
 A wall-clock-free perf guard beside ``tests/test_runtime_call_budget.py``:
-on the benchmark's 24 x 24 image a binary-swap callback works on 2-576
-pixels, so its cost is the number of Python and C calls around the
-arrays, not arithmetic.  What the static description fixes — the tile a
+on the benchmark's 24 x 24 image a binary-swap (radix-k at ``k = 2``)
+callback works on 2-576 pixels, so its cost is the number of Python and
+C calls around the arrays, not arithmetic.  What the static description fixes — the tile a
 task owns and where it is cut, a block's image footprint — is looked up,
 not re-derived per task, so the count every ``sys.setprofile`` event
 gives is the same at every stage and repeats run to run.
@@ -19,17 +19,15 @@ from repro.analysis.rendering.tiles import (
     radix_cuts,
     radix_region,
     region_shape,
-    split_region,
     split_region_k,
-    swap_cuts,
-    swap_region,
 )
 from repro.core.payload import Payload
 
-#: Calls inside one warm ``binswap_composite`` / ``binswap_leaf`` of a
-#: 1,024-block workload.  Read 44 / 48 / 52 at stages 1 / 5 / 9 (the
-#: stage-long ``swap_region`` loop) and 226 before the cut and footprint
-#: tables; 37 and 94 with them.  Landed + 10 %.
+#: Calls inside one warm ``radix_composite`` / ``radix_leaf`` of a
+#: 1,024-block ``mode="binswap"`` workload.  Set at the landed counts of
+#: the cached cut and footprint tables + 10 % (a stage-long region loop
+#: read 44 / 48 / 52 at stages 1 / 5 / 9, and 226 before the tables);
+#: 35 and 96 read today.
 COMPOSITE_CALLS_CEILING = 40
 LEAF_CALLS_CEILING = 103
 
@@ -74,10 +72,10 @@ def test_composite_calls_do_not_grow_with_the_stage(workload):
     counts = {}
     for stage in (1, 5, 9):
         tid = g.task_id(stage, index)
-        tile = region_shape(swap_region((24, 24), stage, index))
+        tile = region_shape(radix_region((24, 24), 2, stage, index))
         inputs = fragments(tile, stage)
-        workload.binswap_composite(inputs, tid)  # warm: fills the cut table
-        counts[stage] = count_calls(workload.binswap_composite, inputs, tid)
+        workload.radix_composite(inputs, tid)  # warm: fills the cut table
+        counts[stage] = count_calls(workload.radix_composite, inputs, tid)
     assert len(set(counts.values())) == 1, counts
     assert counts[1] <= COMPOSITE_CALLS_CEILING, counts
 
@@ -85,8 +83,8 @@ def test_composite_calls_do_not_grow_with_the_stage(workload):
 def test_leaf_stays_in_its_call_budget(workload):
     leaf = workload.graph.leaf_ids()[5]
     inputs = [workload.initial_inputs()[leaf]]
-    workload.binswap_leaf(inputs, leaf)  # warm: fills the footprint table
-    calls = count_calls(workload.binswap_leaf, inputs, leaf)
+    workload.radix_leaf(inputs, leaf)  # warm: fills the footprint table
+    calls = count_calls(workload.radix_leaf, inputs, leaf)
     assert calls <= LEAF_CALLS_CEILING, calls
 
 
@@ -101,15 +99,15 @@ def test_cuts_are_keyed_by_image_shape(shape):
     """A second workload with another ``image_shape`` in the same process
     is never served the first one's cuts: every cached entry equals what
     the uncached tile algebra derives for *its* shape."""
-    swap_cuts((24, 24), 3, 5)  # another shape's entry is already cached
+    radix_cuts((24, 24), 2, 3, 5)  # another shape's entry is already cached
     for stage in range(6):
         for index in range(1 << stage):
-            region = swap_region(shape, stage, index)
-            expected = relative_to(region, split_region(region, stage))
+            region = radix_region(shape, 2, stage, index)
+            expected = relative_to(region, split_region_k(region, 2, stage))
             # Only the low ``stage`` bits select the tile.
             high = index | (5 << stage)
-            assert swap_region(shape, stage, high) == region
-            assert swap_cuts(shape, stage, index) == expected
+            assert radix_region(shape, 2, stage, high) == region
+            assert radix_cuts(shape, 2, stage, index) == expected
 
 
 def test_radix_cuts_match_the_uncached_algebra():

@@ -43,15 +43,6 @@ class TestRadixTiles:
                     seen.add((y, x))
         assert covered == shape[0] * shape[1]
 
-    def test_radix2_matches_binary_swap_regions(self):
-        from repro.analysis.rendering import swap_region
-
-        for stage in range(4):
-            for i in range(16):
-                assert radix_region((32, 32), 2, stage, i) == swap_region(
-                    (32, 32), stage, i
-                )
-
 
 class TestRadixWorkload:
     @pytest.mark.parametrize("n,k", [(9, 3), (16, 4), (8, 2), (1, 2)])

@@ -1,4 +1,4 @@
-"""Tests for binary-swap tile algebra and depth-safe layouts."""
+"""Tests for the tile algebra at ``k = 2`` (binary swap) and depth-safe layouts."""
 
 import pytest
 from hypothesis import given
@@ -7,44 +7,50 @@ from hypothesis import strategies as st
 from repro.analysis.rendering.tiles import (
     full_region,
     power_layout,
+    radix_region,
     region_shape,
-    split_region,
-    swap_region,
+    split_region_k,
 )
 from repro.core.errors import GraphError
 
 
 class TestSplitRegion:
     def test_even_stage_splits_rows(self):
-        first, second = split_region((0, 8, 0, 8), 0)
+        first, second = split_region_k((0, 8, 0, 8), 2, 0)
         assert first == (0, 4, 0, 8)
         assert second == (4, 8, 0, 8)
 
     def test_odd_stage_splits_cols(self):
-        first, second = split_region((0, 8, 0, 8), 1)
+        first, second = split_region_k((0, 8, 0, 8), 2, 1)
         assert first == (0, 8, 0, 4)
         assert second == (0, 8, 4, 8)
 
     def test_odd_extent_first_half_bigger(self):
-        first, second = split_region((0, 5, 0, 3), 0)
+        first, second = split_region_k((0, 5, 0, 3), 2, 0)
         assert region_shape(first) == (3, 3)
         assert region_shape(second) == (2, 3)
 
 
 class TestSwapRegion:
     def test_stage_zero_is_full(self):
-        assert swap_region((8, 8), 0, 3) == full_region((8, 8))
+        assert radix_region((8, 8), 2, 0, 3) == full_region((8, 8))
 
     def test_partners_get_complementary_halves(self):
         shape = (8, 8)
         for stage in range(3):
             for i in range(8):
                 j = i ^ (1 << stage)
-                ri = swap_region(shape, stage + 1, i)
-                rj = swap_region(shape, stage + 1, j)
-                parent_i = swap_region(shape, stage, i)
-                halves = split_region(parent_i, stage)
+                ri = radix_region(shape, 2, stage + 1, i)
+                rj = radix_region(shape, 2, stage + 1, j)
+                parent_i = radix_region(shape, 2, stage, i)
+                halves = split_region_k(parent_i, 2, stage)
+                # Bit ``stage`` of the index picks the half it keeps.
+                assert [ri, rj][(i >> stage) & 1] == halves[0]
                 assert {ri, rj} == set(halves)
+
+    def test_invalid_radix(self):
+        with pytest.raises(GraphError):
+            radix_region((4, 4), 1, 1, 0)
 
     @given(st.integers(1, 4), st.sampled_from([(16, 16), (33, 17), (8, 64)]))
     def test_final_tiles_partition_image(self, r, shape):
@@ -52,7 +58,7 @@ class TestSwapRegion:
         covered = set()
         total = 0
         for i in range(n):
-            y0, y1, x0, x1 = swap_region(shape, r, i)
+            y0, y1, x0, x1 = radix_region(shape, 2, r, i)
             for y in range(y0, y1):
                 for x in range(x0, x1):
                     assert (y, x) not in covered

@@ -9,7 +9,7 @@ from repro.core.errors import ControllerError
 from repro.core.ids import TNULL
 from repro.core.payload import Payload
 from repro.core.taskmap import BlockMap, ModuloMap
-from repro.graphs import BinarySwap, Broadcast, DataParallel, Reduction
+from repro.graphs import Broadcast, DataParallel, RadixK, Reduction
 from repro.obs.events import TASK_FINISHED
 from repro.runtimes import (
     BlockingMPIController,
@@ -68,32 +68,28 @@ class TestAllBackends:
         result = c.run({t: Payload(t) for t in range(10)})
         assert all(result.output(t).data == 2 * t for t in range(10))
 
-    def test_binary_swap_concatenation(self, ctor):
-        """Binary swap over string halves: tests the two-channel routing
-        and the input slot ordering (own before partner)."""
-        g = BinarySwap(4)
+    def test_radix2_concatenation(self, ctor):
+        """Binary swap (radix-k at k = 2) over string halves: tests the
+        two-channel routing and the input slot ordering (by donor digit)."""
+        g = RadixK(4, 2)
         c = ctor()
         c.initialize(g, None)
+        donors = {}
+
+        def halves(i, s):
+            half = len(s) // 2
+            return [Payload((i, s[:half])), Payload((i, s[half:]))]
 
         def leaf(ins, tid):
-            s = ins[0].data
-            half = len(s) // 2
-            kept, sent = s[:half], s[half:]
-            if g.index(tid) & 1:
-                kept, sent = sent, kept
-            return [Payload(kept), Payload(sent)]
+            return halves(g.index(tid), ins[0].data)
 
         def comp(ins, tid):
             stage, i = g.stage(tid), g.index(tid)
-            own, other = ins[0].data, ins[1].data
-            merged = "".join(sorted(own + other))
+            donors[tid] = [p.data[0] for p in ins]
+            merged = "".join(sorted("".join(p.data[1] for p in ins)))
             if stage == g.stages:
                 return [Payload(merged)]
-            half = len(merged) // 2
-            kept, sent = merged[:half], merged[half:]
-            if (i >> stage) & 1:
-                kept, sent = sent, kept
-            return [Payload(kept), Payload(sent)]
+            return halves(i, merged)
 
         c.register_callback(g.LEAF, leaf)
         c.register_callback(g.COMPOSITE, comp)
@@ -102,6 +98,10 @@ class TestAllBackends:
         result = c.run({t: Payload(data[i]) for i, t in enumerate(g.leaf_ids())})
         tiles = [result.output(t).data for t in g.root_ids()]
         assert sorted("".join(tiles)) == sorted("".join(data))
+        # Slot t holds the strip of the group member with digit t.
+        for tid, order in donors.items():
+            assert order == g.group(g.stage(tid) - 1, g.index(tid)), tid
+        assert len(donors) == 8
 
     def test_multi_sink_outputs_collected(self, ctor):
         g = DataParallel(3)
