@@ -82,6 +82,12 @@ class TestStructure:
 class TestRadix2:
     """``k = 2``: the paper's binary swap."""
 
+    def test_power_of_two_required(self):
+        with pytest.raises(GraphError):
+            RadixK(6, 2)
+        with pytest.raises(GraphError):
+            RadixK(0, 2)
+
     def test_size(self):
         g = RadixK(8, 2)
         assert g.stages == 3
