@@ -169,10 +169,18 @@ class TaskGraph(ABC):
         the graph to group the tasks into rounds of noninterfering
         tasks").
 
+        Computed once per graph instance and kept with its lowered
+        tables (:meth:`_memo`): every caller shares the returned lists
+        and must not mutate them.
+
         Raises:
             GraphError: if the graph contains a dependency cycle.
         """
-        return _rounds_from(self.tasks())
+        memo = self._memo()
+        rounds = memo.get("rounds")
+        if rounds is None:
+            rounds = memo["rounds"] = _rounds_from(self.tasks())
+        return rounds
 
     # ------------------------------------------------------------------ #
     # Validation
@@ -278,8 +286,8 @@ class TaskGraph(ABC):
 
     def _memo(self) -> dict:
         """Everything derived from this instance's structure (lowered
-        tables, fingerprint, planner arrays) in one dict, so one hook
-        drops it all and one rule keeps it out of pickles."""
+        tables, rounds, fingerprint, planner arrays) in one dict, so one
+        hook drops it all and one rule keeps it out of pickles."""
         memo = self.__dict__.get("_repro_memo")
         if memo is None:  # setdefault: racing first calls agree on one
             memo = self.__dict__.setdefault("_repro_memo", {})
@@ -336,9 +344,9 @@ class CachedGraph(TaskGraph):
     """Memoizing view of another graph (see :meth:`TaskGraph.cached`).
 
     ``task`` reads the base graph's tables (a private
-    :func:`functools.lru_cache` on a bounded view); ``rounds`` and
-    ``callbacks`` are computed once per view.  Unknown attributes
-    delegate to the wrapped graph, so graph-specific helpers
+    :func:`functools.lru_cache` on a bounded view); ``callbacks`` is
+    computed once per view, ``rounds`` once per base graph.  Unknown
+    attributes delegate to the wrapped graph, so graph-specific helpers
     (``leaf_ids()``, ``describe()``, ...) keep working on the view.
     """
 
@@ -352,7 +360,6 @@ class CachedGraph(TaskGraph):
             # straight to the C-implemented lru_cache wrapper.
             self.task = lru_cache(maxsize=maxsize)(base.task)
         self._callbacks: list[CallbackId] | None = None
-        self._rounds: list[list[TaskId]] | None = None
 
     def size(self) -> int:
         return self._base.size()
@@ -378,11 +385,6 @@ class CachedGraph(TaskGraph):
         if self._callbacks is None:
             self._callbacks = self._base.callbacks()
         return list(self._callbacks)
-
-    def rounds(self) -> list[list[TaskId]]:
-        if self._rounds is None:
-            self._rounds = super().rounds()
-        return self._rounds
 
     def cached(self, maxsize: int | None = None) -> "TaskGraph":
         """Already cached; returns itself or a view of the other kind."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from repro.core.ids import TaskId
 from repro.core.payload import Payload
-from repro.obs.events import MESSAGE_DELIVERED, MESSAGE_SENT, OVERHEAD, Event
 from repro.runtimes.mpi import MPIController
 
 
@@ -34,66 +33,24 @@ class BlockingMPIController(MPIController):
     def _send(
         self, sproc: int, producer: TaskId, dst: TaskId, slot: int, payload: Payload
     ) -> None:
-        dproc = self._proc_of(dst)
-        ser = self._serialize_cost(sproc, dproc, payload)
-        inject, latency = self._cluster.message_time(sproc, dproc, payload.nbytes)
-        self._cluster.messages_sent += 1
-        self._cluster.bytes_sent += payload.nbytes
-        wait = ser + inject + latency
-        stats = self._result.stats
-        stats.add("serialize", ser)
-        stats.add("blocked_send", inject + latency)
-        obs = self._obs
-        if wait > 0.0:
-            start, end = self._cluster.compute(
-                sproc, wait, self._receive, sproc, dproc, producer, dst, slot,
-                payload,
-            )
-            if obs:
-                # The send bypasses the NIC (the core blocks through the
-                # whole transfer), so the message events are emitted here
-                # rather than by Cluster.send: serialization is overhead,
-                # the rest of the occupancy is the wire interval.
-                mstart = min(start + ser / self.machine.core_speed, end)
-                if ser > 0.0:
-                    obs.emit(
-                        Event(
-                            OVERHEAD,
-                            mstart,
-                            proc=sproc,
-                            task=producer,
-                            dst_task=dst,
-                            dur=mstart - start,
-                            category=self._comm_category(),
-                            label=f"ser t{producer}->t{dst}",
-                        )
-                    )
-                edge = dict(
-                    proc=sproc,
-                    dst_proc=dproc,
-                    task=producer,
-                    dst_task=dst,
-                    nbytes=payload.nbytes,
-                    label=f"t{producer}->t{dst}",
-                )
-                obs.emit(Event(MESSAGE_SENT, mstart, **edge))
-                obs.emit(
-                    Event(MESSAGE_DELIVERED, end, dur=end - mstart, **edge)
-                )
+        dproc = self._proc[dst]
+        if sproc == dproc and self._local_free:
+            ser = 0.0
         else:
-            if obs:
-                now = self._engine.now
-                edge = dict(
-                    proc=sproc,
-                    dst_proc=dproc,
-                    task=producer,
-                    dst_task=dst,
-                    nbytes=payload.nbytes,
-                    label=f"t{producer}->t{dst}",
-                )
-                obs.emit(Event(MESSAGE_SENT, now, **edge))
-                obs.emit(Event(MESSAGE_DELIVERED, now, **edge))
-            self._receive(sproc, dproc, producer, dst, slot, payload)
+            ser = self._send_fixed + payload.nbytes / self._bandwidth
+        self._result.stats.add(self.comm_category, ser)
+        self._cluster.send_blocking(
+            sproc, dproc, payload.nbytes, ser, self.comm_category,
+            self._receive, sproc, dproc, producer, dst, slot, payload,
+            src_task=producer, dst_task=dst,
+        )
+
+    def _snapshot_metrics(self):
+        # The cluster owns the blocked wire seconds, retransmissions
+        # included; a run that sent nothing has no such category.
+        if self._cluster.messages_sent:
+            self._result.stats.add("blocked_send", self._cluster.blocked_time)
+        return super()._snapshot_metrics()
 
     def _prepare_run(self) -> None:
         super()._prepare_run()
@@ -109,7 +66,7 @@ class BlockingMPIController(MPIController):
     def _on_ready(self, tid: TaskId) -> None:
         r = self._round_of[tid]
         if r <= self._barrier_round:
-            self._enqueue(self._proc_of(tid), tid)
+            self._enqueue(self._proc[tid], tid)
         else:
             self._held[r].append(tid)
 
@@ -136,6 +93,6 @@ class BlockingMPIController(MPIController):
             released = self._held[self._barrier_round]
             self._held[self._barrier_round] = []
             for tid in released:
-                self._enqueue(self._proc_of(tid), tid)
+                self._enqueue(self._proc[tid], tid)
             if self._round_remaining[self._barrier_round] != 0:
                 break

@@ -6,10 +6,10 @@ Model highlights, matching the paper's description:
   map is needed.  Initial placement is the runtime's round-robin over
   processing elements (PEs), ``chare -> PE = id % n_procs``.
 * **Remote procedure calls.**  Dataflow edges are entry-method
-  invocations: each remote message pays an RPC overhead at the receiver
-  on top of de-/serialization; intra-PE messages avoid serialization
-  ("the Charm++ serialization functionality will avoid unnecessary
-  de-/serializations when possible").
+  invocations: every delivery pays an RPC overhead at the receiver,
+  remote ones on top of de-/serialization; intra-PE messages avoid
+  serialization ("the Charm++ serialization functionality will avoid
+  unnecessary de-/serializations when possible").
 * **Periodic load balancing.**  Every ``costs.charm_lb_period`` virtual
   seconds the runtime measures per-PE queue backlogs and migrates
   *queued, not-yet-started* chares from overloaded to underloaded PEs,
@@ -28,7 +28,6 @@ overhead — stay here, as the backend's ``_migrate_queued`` hook.
 from __future__ import annotations
 
 from repro.core.ids import TaskId
-from repro.core.payload import Payload
 from repro.obs.events import MIGRATION, OVERHEAD, Event
 from repro.sched.balance import PeriodicGreedyBalancer
 from repro.runtimes.simbase import SimController
@@ -55,18 +54,10 @@ class CharmController(SimController):
             self._balancer_builtin = True
 
     def _prepare_run(self) -> None:
-        self._chare_owner: dict[TaskId, int] = {}
+        # Chare array placement: chare t starts on PE t % n_procs.
+        tables = self._kernel.tables
+        self._proc = tables.by_id([tid % self.n_procs for tid in tables.ids])
         self._migrations = 0
-
-    def _proc_of(self, tid: TaskId) -> int:
-        owner = self._chare_owner.get(tid)
-        if owner is None:
-            owner = tid % self.n_procs
-            self._chare_owner[tid] = owner
-        return owner
-
-    def _set_placement(self, tid: TaskId, proc: int) -> None:
-        self._chare_owner[tid] = proc
 
     def _replace_task(self, tid: TaskId, new_proc: int) -> None:
         # Death recovery is a runtime-driven chare migration: bill the
@@ -75,24 +66,14 @@ class CharmController(SimController):
         self._migrations += 1
         self._result.stats.add("migrate", self.costs.charm_migration_cost)
 
-    # ------------------------------------------------------------------ #
-    # Communication costs
-    # ------------------------------------------------------------------ #
-
-    def _serialize_cost(self, sproc: int, dproc: int, payload: Payload) -> float:
-        if sproc == dproc:
-            return 0.0
+    def _wire(self) -> tuple[bool, float, float, float, float]:
+        # Every delivery is an entry-method invocation: the receiver pays
+        # the RPC overhead, intra-PE included, and de-serializes only
+        # what crossed PEs.
+        c = self.costs
         return (
-            self.costs.message_overhead
-            + payload.nbytes / self.costs.serialize_bandwidth
-        )
-
-    def _receive_cost(self, sproc: int, dproc: int, payload: Payload) -> float:
-        if sproc == dproc:
-            return self.costs.charm_rpc_overhead
-        return (
-            self.costs.charm_rpc_overhead
-            + payload.nbytes / self.costs.serialize_bandwidth
+            True, c.message_overhead, c.charm_rpc_overhead,
+            c.charm_rpc_overhead, c.serialize_bandwidth,
         )
 
     # ------------------------------------------------------------------ #
@@ -102,7 +83,7 @@ class CharmController(SimController):
     def _migrate_queued(self, tid: TaskId, src: int, dst: int) -> None:
         """Move a queued chare (inputs already buffered) to another PE."""
         self._kernel.dequeued(tid)
-        self._chare_owner[tid] = dst
+        self._proc[tid] = dst
         self._migrations += 1
         self._lb_migrations += 1
         # (A retry waits with its inputs already released: nothing moves.)

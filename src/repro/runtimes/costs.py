@@ -139,8 +139,10 @@ class RuntimeCosts:
     Charm++-specific:
 
     Attributes:
-        charm_rpc_overhead: extra receiver-side cost per remote method
-            invocation (on top of ``message_overhead``).
+        charm_rpc_overhead: receiver-side cost of every entry-method
+            invocation, intra-PE included; it replaces
+            ``message_overhead`` on the receiving side (the sender of a
+            remote message still pays that).
         charm_lb_period: virtual seconds between periodic load-balancing
             rounds (the paper's experiments use periodic LB).
         charm_lb_cost: per-PE cost of one LB round (statistics exchange).

@@ -28,28 +28,26 @@ shrinks.
 from __future__ import annotations
 
 from repro.core.ids import TaskId
-from repro.core.payload import Payload
-from repro.core.task import Task
 from repro.obs.events import OVERHEAD, Event
-from repro.runtimes.simbase import SimController
+from repro.runtimes.legion.base import LegionController
 from repro.sim.resource import Resource
 
 
-class LegionIndexController(SimController):
+class LegionIndexController(LegionController):
     """Task-graph execution on the simulated Legion runtime, index style.
 
     Ignores any task map: placement is round-robin within each round.
     """
 
     def _prepare_run(self) -> None:
-        graph = self._graph_run
-        self._rounds = graph.rounds()
+        tables = self._kernel.tables
+        self._rounds = self._graph_run.rounds()
         self._round_of: dict[TaskId, int] = {}
-        self._owner: dict[TaskId, int] = {}
+        self._proc = tables.by_id([0] * len(tables.ids))
         for r, tids in enumerate(self._rounds):
             for pos, tid in enumerate(tids):
                 self._round_of[tid] = r
-                self._owner[tid] = pos % self.n_procs
+                self._proc[tid] = pos % self.n_procs
         self._round_remaining = [len(tids) for tids in self._rounds]
         self._spawned: set[TaskId] = set()
         self._waiting_ready: set[TaskId] = set()
@@ -62,12 +60,6 @@ class LegionIndexController(SimController):
         self._parent = Resource(self._engine, name="parent")
         self._open_round(0)
 
-    def _proc_of(self, tid: TaskId) -> int:
-        return self._owner[tid]
-
-    def _set_placement(self, tid: TaskId, proc: int) -> None:
-        self._owner[tid] = proc
-
     def _on_recover(self, tid: TaskId) -> None:
         self._waiting_ready.discard(tid)
         if tid in self._launch_done:
@@ -75,7 +67,7 @@ class LegionIndexController(SimController):
             # issue the index point again (index re-launch).
             self._launch_done.discard(tid)
             self._spawned.discard(tid)
-            self._respawn(tid)
+            self._spawn(tid, f"respawn t{tid}")
         # else: the spawn is still queued at the parent and will land on
         # the new owner when it completes.
 
@@ -84,9 +76,10 @@ class LegionIndexController(SimController):
         # launch path again before it can be scheduled.
         self._launch_done.discard(tid)
         self._spawned.discard(tid)
-        self._respawn(tid)
+        self._spawn(tid, f"respawn t{tid}")
 
-    def _respawn(self, tid: TaskId) -> None:
+    def _spawn(self, tid: TaskId, label: str) -> None:
+        """The parent prepares one subtask; it may run once that is done."""
         spawn = self.costs.legion_spawn_overhead
         self._result.stats.add("spawn", spawn)
         start, end = self._parent.submit(spawn, self._spawn_done, tid)
@@ -99,7 +92,7 @@ class LegionIndexController(SimController):
                     task=tid,
                     dur=end - start,
                     category="spawn",
-                    label=f"respawn t{tid}",
+                    label=label,
                 )
             )
 
@@ -111,22 +104,8 @@ class LegionIndexController(SimController):
         if r >= len(self._rounds):
             return
         self._current_round = r
-        spawn = self.costs.legion_spawn_overhead
         for tid in self._rounds[r]:
-            self._result.stats.add("spawn", spawn)
-            start, end = self._parent.submit(spawn, self._spawn_done, tid)
-            if self._obs:
-                self._obs.emit(
-                    Event(
-                        OVERHEAD,
-                        end,
-                        proc=0,
-                        task=tid,
-                        dur=end - start,
-                        category="spawn",
-                        label=f"spawn t{tid} (round {r})",
-                    )
-                )
+            self._spawn(tid, f"spawn t{tid} (round {r})" if self._obs else "")
 
     def _spawn_done(self, tid: TaskId) -> None:
         self._spawned.add(tid)
@@ -134,12 +113,12 @@ class LegionIndexController(SimController):
             self._launch_done.add(tid)
         if tid in self._waiting_ready:
             self._waiting_ready.discard(tid)
-            self._enqueue(self._owner[tid], tid)
+            self._enqueue(self._proc[tid], tid)
 
     def _on_ready(self, tid: TaskId) -> None:
         if tid in self._spawned:
             self._spawned.discard(tid)
-            self._enqueue(self._owner[tid], tid)
+            self._enqueue(self._proc[tid], tid)
         else:
             self._waiting_ready.add(tid)
 
@@ -148,33 +127,3 @@ class LegionIndexController(SimController):
         self._round_remaining[r] -= 1
         if self._round_remaining[r] == 0 and r == self._current_round:
             self._open_round(r + 1)
-
-    # ------------------------------------------------------------------ #
-    # Costs (regions as in the SPMD controller, no phase barriers)
-    # ------------------------------------------------------------------ #
-
-    def _pre_compute_overhead(
-        self, proc: int, task: Task, inputs: list[Payload]
-    ) -> float:
-        regions = task.n_inputs + task.n_outputs
-        in_bytes = sum(p.nbytes for p in inputs)
-        return (
-            regions * self.costs.legion_staging_per_region
-            + in_bytes / self.costs.legion_staging_bandwidth
-        )
-
-    def _pre_compute_category(self) -> str:
-        return "staging"
-
-    def _serialize_cost(self, sproc: int, dproc: int, payload: Payload) -> float:
-        if sproc == dproc:
-            return 0.0
-        return payload.nbytes / self.costs.legion_staging_bandwidth
-
-    def _receive_cost(self, sproc: int, dproc: int, payload: Payload) -> float:
-        if sproc == dproc:
-            return 0.0
-        return payload.nbytes / self.costs.legion_staging_bandwidth
-
-    def _comm_category(self) -> str:
-        return "staging"

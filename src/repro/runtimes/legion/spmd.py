@@ -28,14 +28,12 @@ controller uses").
 from __future__ import annotations
 
 from repro.core.ids import TaskId
-from repro.core.payload import Payload
-from repro.core.task import Task
 from repro.obs.events import OVERHEAD, Event
-from repro.runtimes.simbase import SimController
+from repro.runtimes.legion.base import LegionController
 from repro.sim.resource import Resource
 
 
-class LegionSPMDController(SimController):
+class LegionSPMDController(LegionController):
     """Task-graph execution on the simulated Legion runtime, SPMD style."""
 
     # Placement is a static task map, which the base class defaults,
@@ -75,7 +73,7 @@ class LegionSPMDController(SimController):
         self._result.stats.add("spawn", per_shard * self.n_procs)
 
     def _on_ready(self, tid: TaskId) -> None:
-        proc = self._proc_of(tid)
+        proc = self._proc[tid]
         launch = self.costs.legion_single_launch_overhead
         self._result.stats.add("launch", launch)
         start, end = self._launchers[proc].submit(
@@ -94,38 +92,11 @@ class LegionSPMDController(SimController):
                 )
             )
 
-    # ------------------------------------------------------------------ #
-    # Costs
-    # ------------------------------------------------------------------ #
-
-    def _pre_compute_overhead(
-        self, proc: int, task: Task, inputs: list[Payload]
-    ) -> float:
-        regions = task.n_inputs + task.n_outputs
-        in_bytes = sum(p.nbytes for p in inputs)
+    def _wire(self) -> tuple[bool, float, float, float, float]:
+        # Cross-shard edges pay a phase barrier on both sides on top of
+        # the region copy.
+        c = self.costs
         return (
-            regions * self.costs.legion_staging_per_region
-            + in_bytes / self.costs.legion_staging_bandwidth
+            True, c.legion_barrier_overhead, c.legion_barrier_overhead, 0.0,
+            c.legion_staging_bandwidth,
         )
-
-    def _pre_compute_category(self) -> str:
-        return "staging"
-
-    def _serialize_cost(self, sproc: int, dproc: int, payload: Payload) -> float:
-        if sproc == dproc:
-            return 0.0
-        return (
-            self.costs.legion_barrier_overhead
-            + payload.nbytes / self.costs.legion_staging_bandwidth
-        )
-
-    def _receive_cost(self, sproc: int, dproc: int, payload: Payload) -> float:
-        if sproc == dproc:
-            return 0.0
-        return (
-            self.costs.legion_barrier_overhead
-            + payload.nbytes / self.costs.legion_staging_bandwidth
-        )
-
-    def _comm_category(self) -> str:
-        return "staging"

@@ -17,7 +17,6 @@ Model highlights, matching the paper's description:
 
 from __future__ import annotations
 
-from repro.core.payload import Payload
 from repro.runtimes.simbase import SimController
 
 
@@ -34,18 +33,9 @@ class MPIController(SimController):
     # table): compiled run plans apply.
     _compiled_placement = True
 
-    def _serialize_cost(self, sproc: int, dproc: int, payload: Payload) -> float:
-        if sproc == dproc and self.costs.mpi_in_memory:
-            return 0.0
+    def _wire(self) -> tuple[bool, float, float, float, float]:
+        c = self.costs
         return (
-            self.costs.message_overhead
-            + payload.nbytes / self.costs.serialize_bandwidth
-        )
-
-    def _receive_cost(self, sproc: int, dproc: int, payload: Payload) -> float:
-        if sproc == dproc and self.costs.mpi_in_memory:
-            return 0.0
-        return (
-            self.costs.message_overhead
-            + payload.nbytes / self.costs.serialize_bandwidth
+            c.mpi_in_memory, c.message_overhead, c.message_overhead, 0.0,
+            c.serialize_bandwidth,
         )

@@ -15,11 +15,16 @@ a discrete-event cluster (:mod:`repro.sim`):
    :class:`~repro.runtimes.costs.CostModel` converts it to virtual
    seconds, and the core is occupied for overhead + compute;
 4. on (virtual) completion the kernel *routes* its outputs and every
-   dataflow edge is serialized / shipped / deserialized according to the
-   backend's cost hooks.
+   dataflow edge is serialized / shipped / deserialized at the cost the
+   backend's wire tuple gives.
 
 The concrete backends (MPI, Charm++, Legion SPMD, Legion index-launch)
-override the placement and cost hooks.  All scheduling decisions are
+are data over this one driver: where a task runs is the per-run table
+``_proc`` (indexable by task id), what an edge costs is the tuple
+:meth:`SimController._wire`, and the stats categories are the class
+attributes ``pre_category`` and ``comm_category``.  A backend's code is
+what actually distinguishes it: launchers, barriers, rounds, chare
+migration, the blocking send.  All scheduling decisions are
 deterministic — FIFO queues, ``(time, seq)``-ordered events — so a given
 (graph, inputs, backend, parameters) tuple always produces the same
 results *and* the same virtual timings.
@@ -136,10 +141,15 @@ class SimController(Controller):
     #: SPMD): ``initialize`` defaults it to the paper's round-robin
     #: :class:`~repro.core.taskmap.ModuloMap`, and each run flattens it
     #: into ``_proc`` — or copies a compiled plan's table.
-    #: Dynamic-placement backends (Charm++, Legion index-launch) keep it
-    #: False, override the placement hooks and never take the compiled
-    #: path.
+    #: The other backends (Charm++, Legion index-launch) keep it False,
+    #: fill ``_proc`` themselves in :meth:`_prepare_run` and never take
+    #: the compiled path.
     _compiled_placement = False
+
+    #: Stats categories of the per-task pre-compute overhead and of edge
+    #: de-/serialization.
+    pre_category = "dispatch"
+    comm_category = "serialize"
 
     def __init__(
         self,
@@ -217,13 +227,21 @@ class SimController(Controller):
                 f"controller has {self.n_procs} ranks"
             )
 
-    def _proc_of(self, tid: TaskId) -> int:
-        """Proc currently owning task ``tid`` (default: the run's flat
-        table of a static task map)."""
-        return self._proc[tid]
-
     def _prepare_run(self) -> None:
-        """Called once per run before initial inputs are deposited."""
+        """Called once per run before initial inputs are deposited; a
+        backend without a static task map fills ``_proc`` here."""
+
+    def _wire(self) -> tuple[bool, float, float, float, float]:
+        """What an edge costs, read once per run: ``(local_free, send,
+        recv, recv_local, bandwidth)``.
+
+        With ``local = sproc == dproc and local_free``, serializing a
+        payload costs ``0.0`` if ``local``, else ``send + nbytes /
+        bandwidth``; deserializing costs ``recv_local`` if ``local``,
+        else ``recv + nbytes / bandwidth``.  The default: every edge is
+        free.
+        """
+        return True, 0.0, 0.0, 0.0, float("inf")
 
     # ------------------------------------------------------------------ #
     # Compiled fast path (opt-in via compile=True)
@@ -284,7 +302,7 @@ class SimController(Controller):
 
     def _on_ready(self, tid: TaskId) -> None:
         """A task's inputs are complete; default: enqueue on its proc."""
-        self._enqueue(self._proc_of(tid), tid)
+        self._enqueue(self._proc[tid], tid)
 
     def _on_task_done(self, proc: int, tid: TaskId) -> None:
         """Called after a task completed and its outputs were routed."""
@@ -294,22 +312,6 @@ class SimController(Controller):
     ) -> float:
         """Per-task overhead charged on the core before compute."""
         return self.costs.dispatch_overhead
-
-    def _pre_compute_category(self) -> str:
-        """Stats category of :meth:`_pre_compute_overhead`."""
-        return "dispatch"
-
-    def _serialize_cost(self, sproc: int, dproc: int, payload: Payload) -> float:
-        """Sender-side cost to put a payload on the wire."""
-        return 0.0
-
-    def _receive_cost(self, sproc: int, dproc: int, payload: Payload) -> float:
-        """Receiver-side cost to take a payload off the wire."""
-        return 0.0
-
-    def _comm_category(self) -> str:
-        """Stats category of de-/serialization costs."""
-        return "serialize"
 
     # ------------------------------------------------------------------ #
     # Execution skeleton
@@ -346,11 +348,13 @@ class SimController(Controller):
             latency_sketch=run.t_msg,
         )
         self._result = run.result
-        # Per-run hot-path caches: the category hooks return constants
-        # for every shipped backend, and binding the stats dicts once
-        # turns each accounting call into a plain ``dict[k] += v``.
-        self._comm_cat = self._comm_category()
-        self._pre_cat = self._pre_compute_category()
+        # Per-run hot-path caches: the wire tuple is constant for a run,
+        # and binding the stats dicts once turns each accounting call
+        # into a plain ``dict[k] += v``.
+        (
+            self._local_free, self._send_fixed, self._recv_fixed,
+            self._recv_local, self._bandwidth,
+        ) = self._wire()
         self._cat_time = self._result.stats.category_time
         self._cb_time = self._result.stats.callback_time
         self._needs_wall = self.cost_model.needs_wall_time
@@ -573,7 +577,7 @@ class SimController(Controller):
         migration semantics (Charm++'s chare migration) override this.
         """
         self._kernel.dequeued(tid)
-        self._set_placement(tid, dst)
+        self._proc[tid] = dst
         self._lb_migrations += 1
         # (A retry waits with its inputs already released: nothing moves.)
         nbytes = sum(
@@ -671,7 +675,7 @@ class SimController(Controller):
             if self._obs is not None:
                 self._emit_task(proc, tid, start, end, overhead, suffix)
             return
-        cat_time[self._pre_cat] += overhead
+        cat_time[self.pre_category] += overhead
         cat_time["compute"] += compute
         self._cb_time[task.callback] += compute
         start, end = self._cluster.compute(
@@ -707,7 +711,7 @@ class SimController(Controller):
         # this attempt — the causal edge set of the span.
         self._run.emit_attempt(
             proc, tid, cstart, end, end - cstart, ovh,
-            "wasted" if suffix else self._pre_cat, suffix,
+            "wasted" if suffix else self.pre_category, suffix,
             self._kernel.arrived.get(tid) if self._ctx else None,
         )
 
@@ -756,10 +760,13 @@ class SimController(Controller):
     def _send(
         self, sproc: int, producer: TaskId, dst: TaskId, slot: int, payload: Payload
     ) -> None:
-        dproc = self._proc_of(dst)
-        ser = self._serialize_cost(sproc, dproc, payload)
+        dproc = self._proc[dst]
+        if sproc == dproc and self._local_free:
+            ser = 0.0
+        else:
+            ser = self._send_fixed + payload.nbytes / self._bandwidth
         if ser > 0.0:
-            self._cat_time[self._comm_cat] += ser
+            self._cat_time[self.comm_category] += ser
             # Serialization occupies a sender core before injection.
             start, end = self._cluster.compute(
                 sproc, ser, self._inject, sproc, dproc, producer, dst, slot,
@@ -772,7 +779,7 @@ class SimController(Controller):
                 obs.emit(
                     Event(
                         OVERHEAD, end, sproc, producer, -1, dst,
-                        end - start, self._comm_cat, 0,
+                        end - start, self.comm_category, 0,
                         f"ser t{producer}->t{dst}",
                     )
                 )
@@ -816,9 +823,12 @@ class SimController(Controller):
     ) -> None:
         if self._dead_procs and dproc in self._dead_procs:
             return  # delivered to a dead rank; the payload is lost
-        deser = self._receive_cost(sproc, dproc, payload)
+        if sproc == dproc and self._local_free:
+            deser = self._recv_local
+        else:
+            deser = self._recv_fixed + payload.nbytes / self._bandwidth
         if deser > 0.0:
-            self._cat_time[self._comm_cat] += deser
+            self._cat_time[self.comm_category] += deser
             if self._inflight is None:
                 start, end = self._cluster.compute(
                     dproc, deser, self._deposit, dst, slot, payload, producer
@@ -839,7 +849,7 @@ class SimController(Controller):
                         proc=dproc,
                         task=dst,
                         dur=end - start,
-                        category=self._comm_cat,
+                        category=self.comm_category,
                         label=f"deser t{producer}->t{dst}",
                     )
                 )
@@ -859,8 +869,8 @@ class SimController(Controller):
     # ------------------------------------------------------------------ #
 
     def _target_proc(self, tid: TaskId) -> int:
-        """Like :meth:`_proc_of` but never resolves to a dead rank."""
-        proc = self._proc_of(tid)
+        """``tid``'s proc, but never a dead rank."""
+        proc = self._proc[tid]
         if self._dead_procs and proc in self._dead_procs:
             proc = self._survivor_for(tid)
         return proc
@@ -870,11 +880,6 @@ class SimController(Controller):
         survivors = self._survivors
         return survivors[tid % len(survivors)]
 
-    def _set_placement(self, tid: TaskId, proc: int) -> None:
-        """Pin ``tid``'s placement to ``proc`` (recovery, balancing);
-        default: overwrite its entry of the run's flat table."""
-        self._proc[tid] = proc
-
     def _on_recover(self, tid: TaskId) -> None:
         """Backend hook: purge stale scheduling state of a recovered task."""
 
@@ -883,7 +888,7 @@ class SimController(Controller):
 
     def _replace_task(self, tid: TaskId, new_proc: int) -> None:
         """Move a task off a dead rank onto ``new_proc``."""
-        self._set_placement(tid, new_proc)
+        self._proc[tid] = new_proc
         self._tasks_migrated += 1
         if self._obs is not None:
             self._obs.emit(
@@ -940,7 +945,7 @@ class SimController(Controller):
                     # full; keep only the burned fraction.
                     self._cat_time["wasted"] += raw * (frac - 1.0)
                 else:
-                    self._cat_time[self._pre_cat] -= overhead
+                    self._cat_time[self.pre_category] -= overhead
                     self._cat_time["compute"] -= compute
                     self._cb_time[cb] -= compute
                     self._cat_time["wasted"] += raw * frac
@@ -950,7 +955,7 @@ class SimController(Controller):
         lost = [
             tid
             for tid in self._graph_run.task_ids()
-            if tid not in self._done and self._proc_of(tid) == proc
+            if tid not in self._done and self._proc[tid] == proc
         ]
         for tid in lost:
             self._recover_task(tid)
@@ -1005,7 +1010,7 @@ class SimController(Controller):
             return
         self._replaying.add(tid)
         self._tasks_replayed += 1
-        if self._proc_of(tid) in self._dead_procs:
+        if self._proc[tid] in self._dead_procs:
             self._replace_task(tid, self._survivor_for(tid))
         self._on_replay(tid)
         self._rebuild_task(tid)

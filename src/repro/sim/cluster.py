@@ -21,11 +21,18 @@ when a sink is attached.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.errors import FaultError, SimulationError
-from repro.obs.events import FAULT_INJECTED, MESSAGE_DELIVERED, MESSAGE_SENT, Event
+from repro.obs.events import (
+    FAULT_INJECTED,
+    MESSAGE_DELIVERED,
+    MESSAGE_SENT,
+    OVERHEAD,
+    Event,
+)
 from repro.obs.hub import NULL_HUB, ObsHub
 from repro.sim.engine import Engine
 from repro.sim.machine import MachineSpec
@@ -61,6 +68,7 @@ class Cluster:
         "_single_core", "bytes_sent", "messages_sent",
         "_link_faults", "_retry", "messages_dropped",
         "messages_retransmitted", "first_drop_time", "_latency_sketch",
+        "blocked_time",
     )
 
     def __init__(
@@ -115,6 +123,9 @@ class Cluster:
         self._single_core = cores_per_proc == 1
         self.bytes_sent = 0
         self.messages_sent = 0
+        #: wire seconds (injection + latency) cores spent blocked in
+        #: :meth:`send_blocking`.
+        self.blocked_time = 0.0
         # Fault layer: None on the clean path, so the per-send guard is
         # a single identity test (zero-cost when no plan is installed).
         self._link_faults = link_faults
@@ -275,8 +286,11 @@ class Cluster:
             )
             if dropped:
                 return self._drop(
-                    src, dst, nbytes, fn, args, label, src_task, dst_task,
-                    _attempt,
+                    src, dst, nbytes, label, src_task, dst_task, _attempt,
+                    partial(
+                        self.send, src, dst, nbytes, fn, *args, label=label,
+                        src_task=src_task, dst_task=dst_task,
+                    ),
                 )
         # Inlined NIC bookkeeping (see compute); inject >= 0 because
         # nbytes was validated above, so deliver >= now always.
@@ -297,6 +311,75 @@ class Cluster:
                 src, dst, nbytes, start, deliver, label, src_task, dst_task
             )
         return deliver
+
+    def send_blocking(
+        self,
+        src: int,
+        dst: int,
+        nbytes: int,
+        ser: float,
+        category: str,
+        fn: Callable[..., Any],
+        *args: Any,
+        src_task: int = -1,
+        dst_task: int = -1,
+        _attempt: int = 1,
+    ) -> None:
+        """:meth:`send` without a NIC: a blocking send.
+
+        ``src``'s core is occupied for ``ser`` seconds of serialization
+        (an ``overhead`` event of ``category``) plus the whole transfer,
+        and ``fn(*args)`` fires when the core is released — at once, in
+        the caller's frame, when there is nothing to occupy it for.  The
+        counters, the latency sketch, link faults and retransmission are
+        :meth:`send`'s; faults are looked up when the send is issued.  A
+        dropped message was already serialized: its core still pays
+        ``ser``, and the retransmission blocks for the transfer alone.
+        """
+        self.messages_sent += 1
+        self.bytes_sent += nbytes
+        inject, latency = self.message_time(src, dst, nbytes)
+        dropped = False
+        if src != dst and self._link_faults is not None:
+            inject, latency, dropped = self._link_faults.apply(
+                src, dst, self.engine._now, inject, latency
+            )
+        if dropped:
+            inject = latency = 0.0
+        else:
+            self.blocked_time += inject + latency
+        wait = ser + inject + latency
+        if wait > 0.0:
+            if dropped:
+                start, end = self.compute(src, wait)
+            else:
+                start, end = self.compute(src, wait, fn, *args)
+            sent = min(start + ser / self._core_speed, end)
+            if ser > 0.0 and self._observed:
+                self.obs.emit(
+                    Event(
+                        OVERHEAD, sent, src, src_task, -1, dst_task,
+                        sent - start, category, 0,
+                        "ser " + _edge_label(src_task, dst_task, dst),
+                    )
+                )
+        else:
+            sent = end = self.engine._now
+        if dropped:
+            self._drop(
+                src, dst, nbytes, "", src_task, dst_task, _attempt,
+                partial(
+                    self.send_blocking, src, dst, nbytes, 0.0, category, fn,
+                    *args, src_task=src_task, dst_task=dst_task,
+                ),
+            )
+            return
+        if self._latency_sketch is not None:
+            self._latency_sketch.observe(end - sent)
+        if self._observed:
+            self._emit_message(src, dst, nbytes, sent, end, "", src_task, dst_task)
+        if wait == 0.0:
+            fn(*args)
 
     def _emit_message(
         self,
@@ -335,18 +418,18 @@ class Cluster:
         src: int,
         dst: int,
         nbytes: int,
-        fn: Callable[..., Any],
-        args: tuple,
         label: str,
         src_task: int,
         dst_task: int,
         attempt: int,
+        resend: Callable[..., Any],
     ) -> float:
         """A link fault lost the message; schedule a retransmission.
 
         The sender keeps the payload buffered until delivery (standard
         reliable-transport semantics), so recovery is a deterministic
-        re-send after the policy's backoff — no upstream replay needed.
+        ``resend(_attempt=attempt + 1)`` after the policy's backoff — no
+        upstream replay needed.
         """
         now = self.engine._now
         self.messages_dropped += 1
@@ -374,31 +457,13 @@ class Cluster:
             )
         key = dst_task if dst_task >= 0 else dst
         self.engine.call_after(
-            policy.delay(key, attempt),
-            self._resend,
-            src, dst, nbytes, fn, args, label, src_task, dst_task,
-            attempt + 1,
+            policy.delay(key, attempt), self._resend, resend, attempt + 1
         )
         return now
 
-    def _resend(
-        self,
-        src: int,
-        dst: int,
-        nbytes: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        label: str,
-        src_task: int,
-        dst_task: int,
-        attempt: int,
-    ) -> None:
+    def _resend(self, resend: Callable[..., Any], attempt: int) -> None:
         self.messages_retransmitted += 1
-        self.send(
-            src, dst, nbytes, fn, *args,
-            label=label, src_task=src_task, dst_task=dst_task,
-            _attempt=attempt,
-        )
+        resend(_attempt=attempt)
 
     # ------------------------------------------------------------------ #
     # Internals

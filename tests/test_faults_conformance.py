@@ -222,11 +222,12 @@ class TestLegacyPolicy:
             MPIController(2, fault_retry_delay=0.1)
 
 
+@pytest.mark.parametrize("ctor", SIM_CONTROLLERS, ids=IDS)
 class TestLinkFaults:
-    def test_dropped_messages_retransmit(self):
+    def test_dropped_messages_retransmit(self, ctor):
         sink = ListSink()
         g, c = build(
-            MPIController,
+            ctor,
             sink=sink,
             fault_plan=FaultPlan(
                 link_faults=[LinkFault(drop=True, start=0.0, end=0.02)]
@@ -242,10 +243,10 @@ class TestLinkFaults:
         assert r.metrics.counters["messages_dropped"] == len(drops)
         assert r.metrics.counters["messages_retransmitted"] >= len(drops)
 
-    def test_degraded_link_slows_the_run(self):
-        g1, c1 = build(MPIController)
+    def test_degraded_link_slows_the_run(self, ctor):
+        g1, c1 = build(ctor)
         g2, c2 = build(
-            MPIController,
+            ctor,
             fault_plan=FaultPlan(
                 link_faults=[LinkFault(bandwidth_factor=0.01,
                                        extra_latency=0.001)]
@@ -255,14 +256,20 @@ class TestLinkFaults:
         assert degraded.output(g2.root_id).data == LEAVES
         assert degraded.makespan > clean.makespan
 
-    def test_permanent_drop_exhausts_retransmissions(self):
+    def test_permanent_drop_exhausts_retransmissions(self, ctor):
         g, c = build(
-            MPIController,
+            ctor,
             fault_plan=FaultPlan(link_faults=[LinkFault(drop=True)]),
             retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.001),
         )
         with pytest.raises(FaultError, match="retransmission budget"):
             run(c, g)
+
+    def test_every_message_feeds_the_latency_sketch(self, ctor):
+        g, c = build(ctor, telemetry=True)
+        r = run(c, g)
+        assert r.stats.messages > 0
+        assert r.metrics.sketches["message_seconds"]["count"] == r.stats.messages
 
 
 class TestPlanValidation:

@@ -15,24 +15,31 @@ it does at all.
 
 import sys
 
+import pytest
+
 import repro
 from repro.core.payload import Payload
 from repro.graphs import Reduction
 
-#: Calls per task on ``Reduction(1024, 4)`` / ``mpi`` / 256 procs.  Read
-#: 85.4 with per-run materialization, slot-map and cursor dicts and one
-#: record object per task; 60.9 with the lowered tables.  Landed + 10 %.
-CALLS_PER_TASK_CEILING = 67.0
+#: Calls per task on ``Reduction(1024, 4)`` / 256 procs, one ceiling per
+#: kind of placement table: a flattened task map (``mpi``), the chare
+#: round robin (``charm``) and a task map behind per-shard launchers
+#: (``legion-spmd``).  ``mpi`` read 85.4 with per-run materialization,
+#: slot-map and cursor dicts and one record object per task; 60.9 with
+#: the lowered tables.  With placement and wire cost as plain data the
+#: three read 56.9 / 55.0 / 69.7 (from 60.9 / 61.0 / 73.7).  Landed + 10 %.
+CALLS_PER_TASK_CEILING = {"mpi": 62.6, "charm": 60.5, "legion-spmd": 76.6}
 
 
-def test_a_warm_run_stays_in_its_call_budget_and_never_rematerializes():
+@pytest.mark.parametrize("runtime", sorted(CALLS_PER_TASK_CEILING))
+def test_a_warm_run_stays_in_its_call_budget_and_never_rematerializes(runtime):
     g = Reduction(1024, 4)
     add = lambda ins, tid: [Payload(sum(p.data for p in ins))]
     callbacks = {g.LEAF: lambda ins, tid: [ins[0]], g.REDUCE: add, g.ROOT: add}
 
     def run():
         inputs = {t: Payload(i + 1) for i, t in enumerate(g.leaf_ids())}
-        return repro.run(g, callbacks, inputs, runtime="mpi", n_procs=256)
+        return repro.run(g, callbacks, inputs, runtime=runtime, n_procs=256)
 
     expected = run().output(g.root_id).data  # cold: lowers the graph
     materialize = Reduction.task.__code__
@@ -54,7 +61,8 @@ def test_a_warm_run_stays_in_its_call_budget_and_never_rematerializes():
     assert result.output(g.root_id).data == expected
     assert materialized == 0
     per_task = calls / g.size()
-    assert per_task <= CALLS_PER_TASK_CEILING, (
-        f"{per_task:.1f} calls per task on a warm unobserved run "
-        f"(ceiling {CALLS_PER_TASK_CEILING})"
+    ceiling = CALLS_PER_TASK_CEILING[runtime]
+    assert per_task <= ceiling, (
+        f"{per_task:.1f} calls per task on a warm unobserved {runtime} run "
+        f"(ceiling {ceiling})"
     )

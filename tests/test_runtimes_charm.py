@@ -3,10 +3,15 @@ load balancing via migration."""
 
 import pytest
 
+from repro.core.ids import EXTERNAL, TNULL
 from repro.core.payload import Payload
+from repro.core.task import Task
 from repro.graphs import DataParallel
+from repro.obs import ListSink
+from repro.obs.events import TASK_STARTED
 from repro.runtimes import DEFAULT_COSTS, CharmController
 from repro.runtimes.costs import CallableCost
+from tests.test_core_graph import ListGraph
 
 
 def imbalanced_flat(c, n_tasks=64, heavy_every=4):
@@ -23,14 +28,16 @@ def imbalanced_flat(c, n_tasks=64, heavy_every=4):
 
 class TestPlacement:
     def test_round_robin_initial_placement(self):
-        c = CharmController(4)
+        sink = ListSink()
+        c = CharmController(4, sinks=[sink])
         g = DataParallel(8)
         c.initialize(g)
         c.register_callback(g.WORK, lambda ins, tid: [ins[0]])
         c.run({t: Payload(1) for t in range(8)})
-        # _proc_of reflects the final placement; with no queueing there
-        # is nothing to migrate, so it stays round robin.
-        assert [c._chare_owner[t] for t in range(8)] == [t % 4 for t in range(8)]
+        # With no queueing there is nothing to migrate, so every chare
+        # runs where the round robin put it.
+        started = {e.task: e.proc for e in sink.by_type(TASK_STARTED)}
+        assert started == {t: t % 4 for t in range(8)}
 
     def test_ignores_task_map(self):
         from repro.core.taskmap import ModuloMap
@@ -109,8 +116,18 @@ class TestLoadBalancing:
 
 class TestRpcCosts:
     def test_remote_messages_cost_more_than_local(self):
-        p_local = Payload(1, nbytes=10**6)
-        c = CharmController(4)
-        local = c._receive_cost(1, 1, p_local)
-        remote = c._receive_cost(0, 1, p_local)
+        # One 1 MB edge, chare 0 -> chare 1: on 1 PE it stays on the PE,
+        # on 2 PEs it crosses them.  Both deliveries pay the RPC.
+        g = ListGraph(
+            [Task(0, 0, [EXTERNAL], [[1]]), Task(1, 0, [0], [[TNULL]])]
+        )
+
+        def serialize_seconds(n_pes):
+            c = CharmController(n_pes)
+            c.initialize(g)
+            c.register_callback(0, lambda ins, tid: [Payload(1, nbytes=10**6)])
+            return c.run({0: Payload(1)}).stats.get("serialize")
+
+        local, remote = serialize_seconds(1), serialize_seconds(2)
+        assert local == DEFAULT_COSTS.charm_rpc_overhead
         assert remote > local > 0.0

@@ -18,10 +18,16 @@ from collections import Counter
 
 import pytest
 
+from repro.core import graph as graph_module
 from repro.core.payload import Payload
 from repro.core.tables import GraphTables
 from repro.graphs import Reduction
-from repro.runtimes import LocalPoolController, MPIController
+from repro.runtimes import (
+    BlockingMPIController,
+    LegionIndexController,
+    LocalPoolController,
+    MPIController,
+)
 from tests.conftest import all_controllers
 
 
@@ -94,6 +100,29 @@ def test_the_memo_is_per_graph_instance_across_runs_and_controllers():
     # Fourteen runs on seven backends: every task materialized once.
     assert set(g.calls.values()) == {1} and len(g.calls) == g.size()
     assert g.tables() is g.cached().tables()
+
+
+@pytest.mark.parametrize(
+    "controller",
+    [BlockingMPIController(4), LegionIndexController(4)],
+    ids=lambda c: type(c).__name__,
+)
+def test_rounds_are_computed_once_per_graph_instance(controller, monkeypatch):
+    """The two round-driven backends read ``rounds()`` every run; the
+    instance computes it once, so a warm run crawls nothing."""
+    g = CountingReduction(16, 4)
+    controller.initialize(g, None)
+    first = run_once(controller, g)
+    crawls = []
+    real = graph_module._rounds_from
+    monkeypatch.setattr(
+        graph_module, "_rounds_from", lambda tasks: crawls.append(1) or real(tasks)
+    )
+    second = run_once(controller, g)
+    assert second.output(0).data == first.output(0).data
+    assert second.makespan == first.makespan
+    assert crawls == []
+    assert g.rounds() is g.cached().rounds()
 
 
 def test_a_different_instance_gets_its_own_tables():
