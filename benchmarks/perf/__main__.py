@@ -77,7 +77,8 @@ def _explain_regressions(
     baseline_traces: Path | None,
 ) -> None:
     """Print per-benchmark attribution for each failed benchmark."""
-    from repro.obs import attribution_report, load_events, render_diff
+    from repro.obs import load_events, render_diff
+    from repro.obs.cli import summarize_run
     from repro.obs.diff import diff_traces
 
     failed = {f.split(":", 1)[0] for f in failures}
@@ -97,7 +98,7 @@ def _explain_regressions(
                 "[perf] (no baseline trace; single-run attribution)",
                 file=sys.stderr,
             )
-            print(attribution_report(current), file=sys.stderr)
+            print(summarize_run(current, 0, 5), file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

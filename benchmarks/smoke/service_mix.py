@@ -7,14 +7,17 @@ past its bound of two.  Mid-flight the service is rendered by
 ``python -m repro.obs watch --once`` and scraped over HTTP from the
 Prometheus endpoint; afterwards the terminal status snapshot must show
 >= 50 % coalescing, exactly 6 quota rejections, every admitted request
-completed, no errors and a clean SLO.  Last, a deliberately breached
+completed, no errors and a clean SLO.  A ``live=``-armed run then
+writes its snapshot beside the service's, and one scrape of the shared
+directory must hold no series twice and no family carrying both a
+``run=`` and a ``service=`` label.  Last, a deliberately breached
 objective must trip the SLO gate.
 
 ``python benchmarks/smoke/service_mix.py [--quick] [--out DIR]`` from
 anywhere; exit 0 = pass.  ``--quick`` shrinks the sleeps (~2 s instead
-of ~12 s); ``--out`` keeps the status snapshots, ``watch.txt`` and
-``metrics.txt`` there.  Run by tier-1 (``tests/test_service_smoke.py``)
-and by the ``service-smoke`` CI job.
+of ~12 s); ``--out`` keeps the status snapshots, ``watch.txt``,
+``metrics.txt`` and ``mixed_metrics.txt`` there.  Run by tier-1
+(``tests/test_service_smoke.py``) and by the ``service-smoke`` CI job.
 """
 
 from __future__ import annotations
@@ -28,11 +31,13 @@ import sys
 import tempfile
 import time
 import urllib.request
+from collections import defaultdict
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(_ROOT / "src"))
 
+import repro
 from repro.core.payload import Payload
 from repro.graphs import Reduction
 from repro.obs.live import LiveMetricsServer, read_status
@@ -56,6 +61,26 @@ def check(ok: bool, message: str) -> None:
 
 def add(ins, tid):
     return [Payload(sum(p.data for p in ins))]
+
+
+def exposition_defects(text: str) -> list[str]:
+    """Series that appear twice, and families that mix a run's samples
+    with a service's, in one Prometheus exposition."""
+    defects, seen, owners, family = [], set(), defaultdict(set), ""
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            family = line.split()[2]
+        elif line and not line.startswith("#"):
+            series = line.rsplit(" ", 1)[0]
+            if series in seen:
+                defects.append(f"series twice: {series}")
+            seen.add(series)
+            owners[family].update(re.findall(r'[{,](run|service)="', series))
+    defects += [
+        f"family shared by a run and a service: {f}"
+        for f, kinds in owners.items() if len(kinds) > 1
+    ]
+    return defects
 
 
 def scrape(status_dir: str, until: str, timeout: float = 30.0) -> str:
@@ -126,10 +151,17 @@ def storm(out: Path, leaf_sleep: float, wave_pause: float) -> dict:
     for h in handles:
         h.result(300)
     svc.close(wait=True)
+    # One live-armed run beside the service: a scrape of the shared
+    # directory must keep the two apart.
+    inputs = {t: Payload(i + 1) for i, t in enumerate(g.leaf_ids())}
+    repro.run(g, callbacks, inputs, runtime="mpi", n_procs=4,
+              telemetry=True, live=status_dir)
+    mixed = scrape(status_dir, until="repro_run_info")
 
     frame = watch.communicate(timeout=60)[0]
     (out / "watch.txt").write_text(frame)
     (out / "metrics.txt").write_text(metrics)
+    (out / "mixed_metrics.txt").write_text(mixed)
     check(watch.returncode == 0, f"obs watch exited {watch.returncode}")
     for needle in ("ci-service", "tenants:"):
         check(needle in frame, f"watch frame lacks {needle!r}")
@@ -139,6 +171,9 @@ def storm(out: Path, leaf_sleep: float, wave_pause: float) -> dict:
         'repro_service_tenant_queued{.*tenant="alice"',
     ):
         check(re.search(pattern, metrics), f"scrape lacks {pattern!r}")
+    check("repro_service_info" in mixed, "mixed scrape lacks the service")
+    defects = exposition_defects(mixed)
+    check(not defects, "mixed scrape: " + "; ".join(defects[:5]))
     return read_status(service_status_path(status_dir))
 
 
@@ -149,7 +184,7 @@ def slo_gate_trips() -> str:
     with RunService(workers=1, slo={"max_runs_executed": 0}) as svc:
         svc.submit(RunRequest(g, cb, inputs, runtime="serial")).result(60)
         violations = svc.slo_violations()
-        breaches = svc.snapshot()["slo_breaches"]
+        breaches = svc.snapshot()["metrics"]["counters"]["slo_breaches"]
     check(
         bool(violations) and breaches == 1,
         f"a breached SLO went unflagged: {violations!r} / {breaches}",
@@ -168,23 +203,24 @@ def main() -> int:
         # (seconds per leaf task, seconds between waves)
         doc = storm(out, *((0.008, 0.08) if args.quick else (0.08, 1.0)))
     check(doc["kind"] == "service" and doc["state"] == "closed", "not closed")
+    c = doc["metrics"]["counters"]
     submitted = WAVES * SPECS + SPECS
-    check(doc["submitted"] == submitted, f"submitted {doc['submitted']}")
+    check(c["submitted"] == submitted, f"submitted {c['submitted']}")
     # >= 50 % of the admitted storm coalesced onto in-flight twins.
-    check(doc["dedup_hits"] >= WAVES * SPECS // 2, f"dedup {doc['dedup_hits']}")
+    check(c["dedup_hits"] >= WAVES * SPECS // 2, f"dedup {c['dedup_hits']}")
     check(
-        doc["rejected_by_reason"]["tenant-quota"] == SPECS - GREEDY_QUOTA,
-        f"rejections {doc['rejected_by_reason']}",
+        c["rejected_quota"] == SPECS - GREEDY_QUOTA,
+        f"quota rejections {c['rejected_quota']}",
     )
     check(
-        doc["completed"] == doc["submitted"] - doc["rejected"],
-        f"completed {doc['completed']} of {doc['submitted']}",
+        c["completed"] == c["submitted"] - c["rejected"],
+        f"completed {c['completed']} of {c['submitted']}",
     )
-    check(doc["errors"] == 0 and doc["slo_breaches"] == 0, "errors or breaches")
+    check(c["errors"] == 0 and c["slo_breaches"] == 0, "errors or breaches")
     violation = slo_gate_trips()
     print(
-        f"ok: coalesced {doc['dedup_hits']} of {doc['submitted']} submissions, "
-        f"{doc['runs_executed']} executed, {doc['rejected']} rejected; "
+        f"ok: coalesced {c['dedup_hits']} of {c['submitted']} submissions, "
+        f"{c['runs_executed']} executed, {c['rejected']} rejected; "
         f"SLO gate tripped on {violation!r}"
     )
     return 0

@@ -112,7 +112,7 @@ def main() -> None:
     assert (results[0].output(g.root_id).data
             == baseline.output(g.root_id).data)
     print(f"3 tenants submitted the same request -> 1 shared execution, "
-          f"{snap['dedup_hits']} coalesced "
+          f"{snap['metrics']['counters']['dedup_hits']} coalesced "
           f"(root={results[0].output(g.root_id).data}, "
           f"makespan={results[0].makespan:.4f}s, "
           f"bit-identical to repro.run)")
@@ -128,7 +128,7 @@ def main() -> None:
     print("\nwhat `python -m repro.obs serve` exposes (excerpt):")
     for line in prometheus_text([snap]).splitlines():
         if line.startswith(("repro_service_submitted", "repro_service_dedup",
-                            "repro_service_rejected_by_reason",
+                            "repro_service_rejected_quota",
                             "repro_service_tenant_completed")):
             print(f"  {line}")
 

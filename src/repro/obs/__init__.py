@@ -77,7 +77,6 @@ from repro.obs.export import (
 )
 from repro.obs.diff import (
     RunDiff,
-    attribution_report,
     diff_runs,
     diff_traces,
     render_diff,
@@ -162,7 +161,6 @@ __all__ = [
     "VOCABULARY",
     "ascii_timeline",
     "attach_live",
-    "attribution_report",
     "causal_dag",
     "critical_path",
     "diff_runs",

@@ -40,19 +40,10 @@ import sys
 from typing import Iterator
 
 from repro.obs.critical_path import critical_path
-from repro.obs.events import (
-    MESSAGE_DELIVERED,
-    MESSAGE_SENT,
-    OVERHEAD,
-    RUN_FINISHED,
-    RUN_STARTED,
-    TASK_FINISHED,
-    Event,
-)
-from repro.obs.export import iter_events, iter_runs, load_events, split_runs
-from repro.obs.spans import recovery_accounting
+from repro.obs.events import TASK_FINISHED, Event
+from repro.obs.export import iter_events, iter_runs
+from repro.obs.spans import recovery_accounting, run_label, run_stats
 from repro.obs.timeline import resource_timelines
-from repro.sim.trace import Stats
 
 
 def __getattr__(name: str):
@@ -65,26 +56,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _run_label(run: list[Event], index: int) -> str:
-    for ev in run:
-        if ev.type == RUN_STARTED:
-            return ev.label or f"run {index}"
-    return f"run {index}"
-
-
-def _load(path: str) -> list[Event]:
-    """Load a trace or raise ValueError with a one-line reason."""
-    events = load_events(path)
-    if not events:
-        raise ValueError(f"{path}: no events found")
-    return events
-
-
-def _stream_runs(path: str) -> Iterator[list[Event]]:
+def _runs(path: str) -> Iterator[list[Event]]:
     """Stream a trace one run at a time (JSONL never fully in memory).
 
     Raises ValueError (after yielding nothing) when the file holds no
-    events, matching :func:`_load`'s contract.
+    events.
     """
     n = 0
     for run in iter_runs(iter_events(path)):
@@ -94,37 +70,14 @@ def _stream_runs(path: str) -> Iterator[list[Event]]:
         raise ValueError(f"{path}: no events found")
 
 
-def _stats_from_events(events: list[Event]) -> Stats:
-    """Aggregate one run's events into :class:`~repro.sim.trace.Stats`.
-
-    ``network`` (send-to-delivery time, which occupies no core and so
-    is absent from a live run's ``Stats``) is its own category.
-    """
-    stats = Stats()
-    for ev in events:
-        if ev.type == TASK_FINISHED:
-            stats.tasks_executed += 1
-            stats.add("compute", ev.dur)
-            stats.makespan = max(stats.makespan, ev.t)
-        elif ev.type == OVERHEAD:
-            stats.add(ev.category or "overhead", ev.dur)
-        elif ev.type == MESSAGE_SENT:
-            stats.messages += 1
-            stats.bytes_sent += ev.nbytes
-        elif ev.type == MESSAGE_DELIVERED:
-            if ev.dur > 0.0:
-                stats.add("network", ev.dur)
-        elif ev.type == RUN_FINISHED:
-            stats.makespan = max(stats.makespan, ev.t)
-    return stats
-
-
 def summarize_run(run: list[Event], index: int, top: int) -> str:
-    """Render one run's summary block."""
-    stats = _stats_from_events(run)
+    """The one single-run report: where the time went, the longest
+    tasks, load imbalance, the critical path and, when the run saw
+    faults, the recovery accounting."""
+    stats = run_stats(run)
     procs = max((ev.proc for ev in run if ev.proc >= 0), default=-1) + 1
     lines = [
-        f"== {_run_label(run, index)} ({procs} procs) ==",
+        f"== {run_label(run, f'run {index}')} ({procs} procs) ==",
         f"makespan {stats.makespan:.6f}s  tasks {stats.tasks_executed}  "
         f"messages {stats.messages}  bytes {stats.bytes_sent}",
         "",
@@ -186,7 +139,7 @@ def summarize_run(run: list[Event], index: int, top: int) -> str:
 def _cmd_summarize(args: argparse.Namespace) -> int:
     # Runs are summarized as they stream off disk: peak memory is one
     # run's events, however many runs (or gigabytes) the log holds.
-    for i, run in enumerate(_stream_runs(args.trace)):
+    for i, run in enumerate(_runs(args.trace)):
         if i:
             _print("")
         _print(summarize_run(run, i, args.top))
@@ -194,9 +147,9 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _select_runs(
-    events: list[Event], which: int | None, path: str
+    path: str, which: int | None
 ) -> list[tuple[int, list[Event]]]:
-    runs = split_runs(events)
+    runs = list(_runs(path))
     if which is None:
         return list(enumerate(runs))
     if not 0 <= which < len(runs):
@@ -209,12 +162,11 @@ def _select_runs(
 def _cmd_timeline(args: argparse.Namespace) -> int:
     from repro.obs.timeline import ascii_timeline, svg_timeline
 
-    events = _load(args.trace)
-    selected = _select_runs(events, args.run, args.trace)
+    selected = _select_runs(args.trace, args.run)
     blocks = []
     for i, run in selected:
         blocks.append(
-            f"== {_run_label(run, i)} ==\n"
+            f"== {run_label(run, f'run {i}')} ==\n"
             + ascii_timeline(run, width=args.width, max_procs=args.max_procs)
         )
     _print("\n\n".join(blocks))
@@ -238,12 +190,10 @@ def _suffixed(path: str, suffix: str) -> str:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    from repro.obs.diff import diff_traces, render_diff
+    from repro.obs.diff import diff_runs, render_diff
 
-    events_a = _load(args.base)
-    events_b = _load(args.current)
-    runs_a, runs_b = split_runs(events_a), split_runs(events_b)
-    diffs = diff_traces(events_a, events_b)
+    runs_a, runs_b = list(_runs(args.base)), list(_runs(args.current))
+    diffs = [diff_runs(a, b) for a, b in zip(runs_a, runs_b)]
     blocks = [render_diff(d, top=args.top) for d in diffs]
     if len(runs_a) != len(runs_b):
         blocks.append(

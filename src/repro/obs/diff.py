@@ -23,19 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.obs.critical_path import BUCKETS, critical_path
-from repro.obs.events import (
-    MESSAGE_DELIVERED,
-    OVERHEAD,
-    RUN_FINISHED,
-    RUN_STARTED,
-    TASK_FINISHED,
-    Event,
-)
+from repro.obs.events import Event
 from repro.obs.export import split_runs
-from repro.obs.spans import causal_dag, recovery_accounting
+from repro.obs.spans import (
+    causal_dag,
+    recovery_accounting,
+    run_label,
+    run_stats,
+)
 
-__all__ = ["RunDiff", "diff_runs", "diff_traces", "render_diff",
-           "attribution_report"]
+__all__ = ["RunDiff", "diff_runs", "diff_traces", "render_diff"]
 
 #: Deltas below this are virtual-clock float residue, not a change.
 _EPS = 1e-12
@@ -46,34 +43,6 @@ _RECOVERY_KEYS = (
     "messages_dropped", "wasted_seconds", "replayed_seconds",
     "recovery_tail_seconds",
 )
-
-
-def _phase_totals(events: list[Event]) -> dict[str, float]:
-    """Per-category seconds summed over all ranks (compute + overheads)."""
-    totals: dict[str, float] = {}
-    for ev in events:
-        if ev.type == TASK_FINISHED:
-            totals["compute"] = totals.get("compute", 0.0) + ev.dur
-        elif ev.type == MESSAGE_DELIVERED and ev.dur > 0:
-            totals["network"] = totals.get("network", 0.0) + ev.dur
-        elif ev.type == OVERHEAD and ev.category:
-            totals[ev.category] = totals.get(ev.category, 0.0) + ev.dur
-    return totals
-
-
-def _makespan(events: list[Event]) -> float:
-    m = 0.0
-    for ev in events:
-        if ev.type in (RUN_FINISHED, TASK_FINISHED, MESSAGE_DELIVERED):
-            m = max(m, ev.t)
-    return m
-
-
-def _label(events: list[Event]) -> str:
-    for ev in events:
-        if ev.type == RUN_STARTED:
-            return ev.label or "run"
-    return "run"
 
 
 @dataclass
@@ -100,12 +69,6 @@ class RunDiff:
     def makespan_delta(self) -> float:
         return self.makespan_b - self.makespan_a
 
-    @property
-    def makespan_ratio(self) -> float:
-        return (
-            self.makespan_b / self.makespan_a if self.makespan_a > 0 else 0.0
-        )
-
     def attribution(self) -> dict[str, float]:
         """Critical-path bucket deltas — where the makespan change sits."""
         return {
@@ -129,11 +92,6 @@ class RunDiff:
         out.sort(key=lambda x: (-abs(x[1]), x[0]))
         return out
 
-    def slowest_task(self) -> tuple[int, float] | None:
-        """The task whose compute grew the most, if any grew."""
-        deltas = self.task_deltas()
-        return deltas[0] if deltas and deltas[0][1] > _EPS else None
-
     def has_fault_activity(self) -> bool:
         return any(
             self.recovery_a.get(k) or self.recovery_b.get(k)
@@ -143,13 +101,14 @@ class RunDiff:
 
 def diff_runs(events_a: list[Event], events_b: list[Event]) -> RunDiff:
     """Diff two single-run event streams."""
+    sa, sb = run_stats(events_a), run_stats(events_b)
     d = RunDiff(
-        label_a=_label(events_a),
-        label_b=_label(events_b),
-        makespan_a=_makespan(events_a),
-        makespan_b=_makespan(events_b),
+        label_a=run_label(events_a, "run"),
+        label_b=run_label(events_b, "run"),
+        makespan_a=sa.makespan,
+        makespan_b=sb.makespan,
     )
-    pa, pb = _phase_totals(events_a), _phase_totals(events_b)
+    pa, pb = sa.category_time, sb.category_time
     for cat in sorted(set(pa) | set(pb)):
         d.phases[cat] = (pa.get(cat, 0.0), pb.get(cat, 0.0))
     dag_a, dag_b = causal_dag(events_a), causal_dag(events_b)
@@ -240,34 +199,3 @@ def _id_list(ids: list[int], limit: int = 12) -> str:
     if len(ids) > limit:
         shown += f", ... ({len(ids) - limit} more)"
     return shown
-
-
-def attribution_report(events: list[Event], top: int = 5) -> str:
-    """Single-run attribution (used when no baseline trace exists).
-
-    Summarizes where one run's time went: phase totals, the longest
-    tasks, and the critical-path breakdown.
-    """
-    lines = []
-    totals = _phase_totals(events)
-    if totals:
-        lines.append(
-            "phases: "
-            + ", ".join(
-                f"{c} {v:.6f}s"
-                for c, v in sorted(totals.items(), key=lambda kv: -kv[1])
-            )
-        )
-    dag = causal_dag(events)
-    longest = sorted(
-        dag.spans.values(), key=lambda s: (-s.compute, s.task)
-    )[:top]
-    if longest:
-        lines.append(
-            "longest tasks: "
-            + ", ".join(f"t{s.task} {s.compute:.6f}s" for s in longest)
-        )
-    cp = critical_path(events)
-    if cp.steps:
-        lines.append(f"critical path: {cp.breakdown()}")
-    return "\n".join(lines)

@@ -247,83 +247,62 @@ def events_from_chrome(doc: dict) -> list[Event]:
 
 def events_from_jsonl(lines: Iterable[str]) -> list[Event]:
     """Parse a JSONL event log."""
-    return list(iter_events_jsonl(lines))
-
-
-def iter_events_jsonl(lines: Iterable[str]) -> Iterator[Event]:
-    """Stream a JSONL event log one event at a time."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield Event.from_dict(json.loads(line))
-
-
-def load_events(path: str) -> list[Event]:
-    """Load an event stream from a Chrome-trace or JSONL file.
-
-    The format is sniffed from the content, not the extension.
-
-    Raises:
-        ValueError: when the file is neither format.
-    """
-    with open(path) as fp:
-        head = fp.read(1)
-        fp.seek(0)
-        if head == "{":
-            try:
-                return events_from_chrome(json.load(fp))
-            except json.JSONDecodeError:
-                fp.seek(0)
-                return events_from_jsonl(fp)
-        if head in ("[", ""):
-            doc = json.load(fp) if head else {}
-            if isinstance(doc, list):  # bare traceEvents array
-                return events_from_chrome({"traceEvents": doc})
-            return []
-        raise ValueError(f"{path}: not a Chrome trace or JSONL event log")
+    return [Event.from_dict(json.loads(line)) for line in lines if line.strip()]
 
 
 def iter_events(path: str) -> Iterator[Event]:
-    """Stream an event log without materializing it.
+    """Stream an event log from a Chrome-trace or JSONL file.
 
-    JSONL files — the telemetry-scale format — are read line by line in
-    O(1) memory; Chrome traces are a single JSON document, so they fall
-    back to :func:`load_events` (full parse) transparently.  The CLI's
-    ``summarize`` consumes this one run at a time, so multi-gigabyte
-    JSONL traces never sit in memory.
+    The format is sniffed from the content, not the extension: a first
+    line that parses as an event means JSONL, read line by line in O(1)
+    memory (the telemetry-scale format — the CLI's ``summarize``
+    consumes it one run at a time, so multi-gigabyte logs never sit in
+    memory); anything else starting with ``{`` or ``[`` is a Chrome
+    trace, a single JSON document parsed in full.
 
     Raises:
         ValueError: when the file is neither format (raised on first
             iteration — generators are lazy).
     """
     with open(path) as fp:
-        head = fp.read(1)
-        fp.seek(0)
-        if head == "{":
-            first = fp.readline()
-            try:
-                obj = json.loads(first)
-            except json.JSONDecodeError:
-                obj = None  # multi-line JSON document: Chrome trace
-            if isinstance(obj, dict) and "type" in obj and "t" in obj:
-                yield Event.from_dict(obj)
-                yield from iter_events_jsonl(fp)
-                return
-            # Chrome traces (even single-line ones) need the full parse.
-            yield from load_events(path)
+        first = fp.readline()
+        try:
+            obj = json.loads(first)
+        except json.JSONDecodeError:
+            obj = None  # a multi-line document, or not JSON at all
+        if isinstance(obj, dict) and "type" in obj and "t" in obj:
+            yield Event.from_dict(obj)
+            for line in fp:
+                if line.strip():
+                    yield Event.from_dict(json.loads(line))
             return
-        if head in ("[", ""):
-            yield from load_events(path)
-            return
-        raise ValueError(f"{path}: not a Chrome trace or JSONL event log")
+        if first[:1] not in ("{", "[", ""):
+            raise ValueError(f"{path}: not a Chrome trace or JSONL event log")
+        if obj is None and first:
+            fp.seek(0)
+            obj = json.load(fp)
+    if isinstance(obj, list):  # bare traceEvents array
+        obj = {"traceEvents": obj}
+    yield from events_from_chrome(obj or {})
+
+
+def load_events(path: str) -> list[Event]:
+    """:func:`iter_events`, materialized.
+
+    Raises:
+        ValueError: when the file is neither format.
+    """
+    return list(iter_events(path))
 
 
 def iter_runs(events: Iterable[Event]) -> Iterator[list[Event]]:
     """Stream run partitions from a (possibly streaming) event source.
 
-    Like :func:`split_runs`, but holds only one run's events at a time —
-    pairs with :func:`iter_events` so per-run analyses over a huge
-    multi-run log never see more than the largest single run.
+    A new run starts at every ``run_started``; events preceding the
+    first one (legacy streams) form their own run.  Holds one run's
+    events at a time, so per-run analyses over a huge multi-run log
+    (paired with :func:`iter_events`) never see more than the largest
+    single run.
     """
     current: list[Event] = []
     for ev in events:
@@ -336,21 +315,8 @@ def iter_runs(events: Iterable[Event]) -> Iterator[list[Event]]:
 
 
 def split_runs(events: Iterable[Event]) -> list[list[Event]]:
-    """Partition a multi-run stream at ``run_started`` boundaries.
-
-    Events preceding the first ``run_started`` (legacy streams) form
-    their own run.
-    """
-    runs: list[list[Event]] = []
-    current: list[Event] = []
-    for ev in events:
-        if ev.type == RUN_STARTED and current:
-            runs.append(current)
-            current = []
-        current.append(ev)
-    if current:
-        runs.append(current)
-    return runs
+    """:func:`iter_runs`, materialized."""
+    return list(iter_runs(events))
 
 
 __all__ = [
@@ -359,7 +325,6 @@ __all__ = [
     "events_from_chrome",
     "events_from_jsonl",
     "iter_events",
-    "iter_events_jsonl",
     "iter_runs",
     "load_events",
     "split_runs",

@@ -5,6 +5,8 @@ snapshots) in the Prometheus text format (version 0.0.4):
 run-level gauges (progress, ETA, running/queued tasks), the run's
 :class:`~repro.obs.metrics.MetricsRegistry` counters and gauges, and
 telemetry sketches as summaries with p50/p95/p99 quantile samples.
+A service snapshot's registry renders the same way under the
+``repro_service_`` prefix, so no family mixes a run with a service.
 :class:`LiveMetricsServer` is a stdlib ``ThreadingHTTPServer`` serving
 that text on ``/metrics``, re-reading the snapshots on every scrape so
 an in-flight run's numbers move between scrapes.
@@ -84,22 +86,25 @@ class _Families:
         return "\n".join(lines) + "\n"
 
 
-def _registry_families(fam: "_Families", base: dict, lbl: str, status: dict) -> None:
-    """Emit a snapshot's embedded MetricsRegistry (shared by runs and
-    services)."""
+def _registry_families(
+    fam: "_Families", prefix: str, base: dict, status: dict
+) -> None:
+    """Emit a snapshot's embedded MetricsRegistry as ``<prefix><name>``
+    families (``repro_`` for runs, ``repro_service_`` for services)."""
+    lbl = _labels(base)
     metrics = status.get("metrics") or {}
     for name, value in sorted((metrics.get("counters") or {}).items()):
         fam.add(
-            f"repro_{_name(name)}_total", "counter",
+            f"{prefix}{_name(name)}_total", "counter",
             f"MetricsRegistry counter {name}.", lbl, value,
         )
     for name, value in sorted((metrics.get("gauges") or {}).items()):
         fam.add(
-            f"repro_{_name(name)}", "gauge",
+            f"{prefix}{_name(name)}", "gauge",
             f"MetricsRegistry gauge {name}.", lbl, value,
         )
     for name, sk in sorted((metrics.get("sketches") or {}).items()):
-        family = f"repro_{_name(name)}"
+        family = f"{prefix}{_name(name)}"
         help_ = f"Telemetry quantile sketch {name}."
         for q_label, q_key in (
             ("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99"),
@@ -115,7 +120,8 @@ def _registry_families(fam: "_Families", base: dict, lbl: str, status: dict) -> 
 
 
 def _service_families(fam: "_Families", status: dict) -> None:
-    """Emit the ``repro_service_*`` families of one service snapshot."""
+    """Emit the ``repro_service_*`` families of one service snapshot:
+    its registry, plus what the registry does not hold."""
     base = {
         "service": status.get("name", "service"),
         "pid": str(status.get("pid", "")),
@@ -131,52 +137,10 @@ def _service_families(fam: "_Families", status: dict) -> None:
         lbl, status.get("workers"),
     )
     fam.add(
-        "repro_service_queue_depth", "gauge",
-        "Requests queued (admitted, not yet running).",
-        lbl, status.get("queue_depth"),
-    )
-    fam.add(
         "repro_service_queue_max", "gauge", "Queue capacity bound.",
         lbl, status.get("queue_max"),
     )
-    fam.add(
-        "repro_service_running", "gauge", "Requests executing right now.",
-        lbl, status.get("running"),
-    )
-    for counter, help_ in (
-        ("submitted", "Submissions received (admitted or not)."),
-        ("admitted", "Submissions admitted to the queue."),
-        ("completed", "Handles resolved successfully."),
-        ("errors", "Handles resolved with an execution error."),
-        ("cancelled", "Queued handles withdrawn by their submitter."),
-        ("rejected", "Submissions rejected at admission."),
-        ("dedup_hits", "Submissions coalesced onto an in-flight twin."),
-        ("runs_executed", "Distinct executions performed."),
-        ("slo_breaches", "Distinct SLO violations observed."),
-    ):
-        fam.add(
-            f"repro_service_{counter}_total", "counter", help_,
-            lbl, status.get(counter),
-        )
-    for reason, n in sorted((status.get("rejected_by_reason") or {}).items()):
-        fam.add(
-            "repro_service_rejected_by_reason_total", "counter",
-            "Rejections by admission reason.",
-            _labels(base, reason=reason), n,
-        )
-    cache = status.get("cache") or {}
-    for key, help_ in (
-        ("plan_hits", "Requests that found a warm compiled plan."),
-        ("plan_misses", "Requests that compiled a plan cold."),
-        ("graph_hits", "Requests served a shared materialized graph."),
-        ("graph_misses", "Requests that materialized a graph."),
-    ):
-        fam.add(
-            f"repro_service_cache_{key}_total", "counter",
-            help_, lbl, cache.get(key),
-        )
     for tenant, st in sorted((status.get("tenants") or {}).items()):
-        t_lbl_args = {"tenant": tenant}
         for key, kind in (
             ("queued", "gauge"),
             ("outstanding", "gauge"),
@@ -189,9 +153,9 @@ def _service_families(fam: "_Families", status: dict) -> None:
             fam.add(
                 f"repro_service_tenant_{key}{suffix}", kind,
                 f"Per-tenant {key}.",
-                _labels(base, **t_lbl_args), st.get(key),
+                _labels(base, tenant=tenant), st.get(key),
             )
-    _registry_families(fam, base, lbl, status)
+    _registry_families(fam, "repro_service_", base, status)
 
 
 def prometheus_text(statuses: list[dict]) -> str:
@@ -273,7 +237,7 @@ def prometheus_text(statuses: list[dict]) -> str:
             _labels(base, kind="straggler"),
             float(len(status.get("alerts", []))),
         )
-        _registry_families(fam, base, lbl, status)
+        _registry_families(fam, "repro_", base, status)
     return fam.render()
 
 

@@ -32,6 +32,23 @@ def _bytes(n: int) -> str:
     return f"{n:.1f}GB"  # pragma: no cover - loop always returns
 
 
+def _tail(status: dict) -> list[str]:
+    """The alert and sketch lines every snapshot kind ends with."""
+    lines = []
+    alerts = status.get("alerts", [])
+    if alerts:
+        lines.append("alerts:")
+        for a in alerts[-8:]:
+            lines.append(f"  [{a['t']:8.2f}s] {a['kind']}: {a['message']}")
+    sketches = (status.get("metrics") or {}).get("sketches") or {}
+    for name, sk in sorted(sketches.items()):
+        lines.append(
+            f"{name}: n={sk.get('count', 0)} p50={sk.get('p50', 0):.3g} "
+            f"p95={sk.get('p95', 0):.3g} p99={sk.get('p99', 0):.3g}"
+        )
+    return lines
+
+
 def render_service_status(status: dict, width: int = 40) -> str:
     """A run-service snapshot (``"kind": "service"``) as a text block."""
     name = status.get("name", "service")
@@ -40,8 +57,7 @@ def render_service_status(status: dict, width: int = 40) -> str:
     depth = status.get("queue_depth", 0)
     q_max = status.get("queue_max", 0)
     fill = depth / q_max if q_max else 0.0
-    rejected = status.get("rejected_by_reason", {})
-    cache = status.get("cache", {})
+    c = (status.get("metrics") or {}).get("counters") or {}
     lines = [
         f"== {name} (pid {pid}) [{state}] ==",
         (
@@ -50,21 +66,21 @@ def render_service_status(status: dict, width: int = 40) -> str:
             f"{status.get('workers', 0)} workers"
         ),
         (
-            f"submitted {status.get('submitted', 0)}  "
-            f"completed {status.get('completed', 0)}  "
-            f"errors {status.get('errors', 0)}  "
-            f"cancelled {status.get('cancelled', 0)}  "
-            f"dedup {status.get('dedup_hits', 0)}  "
-            f"executed {status.get('runs_executed', 0)}"
+            f"submitted {c.get('submitted', 0)}  "
+            f"completed {c.get('completed', 0)}  "
+            f"errors {c.get('errors', 0)}  "
+            f"cancelled {c.get('cancelled', 0)}  "
+            f"dedup {c.get('dedup_hits', 0)}  "
+            f"executed {c.get('runs_executed', 0)}"
         ),
         (
-            f"rejected {status.get('rejected', 0)} "
-            f"(quota {rejected.get('tenant-quota', 0)}, "
-            f"queue-full {rejected.get('queue-full', 0)})  "
-            f"plan cache {cache.get('plan_hits', 0)}h/"
-            f"{cache.get('plan_misses', 0)}m  "
-            f"graph cache {cache.get('graph_hits', 0)}h/"
-            f"{cache.get('graph_misses', 0)}m"
+            f"rejected {c.get('rejected', 0)} "
+            f"(quota {c.get('rejected_quota', 0)}, "
+            f"queue-full {c.get('rejected_queue_full', 0)})  "
+            f"plan cache {c.get('plan_cache_hits', 0)}h/"
+            f"{c.get('plan_cache_misses', 0)}m  "
+            f"graph cache {c.get('graph_cache_hits', 0)}h/"
+            f"{c.get('graph_cache_misses', 0)}m"
         ),
     ]
     tenants = status.get("tenants", {})
@@ -82,18 +98,7 @@ def render_service_status(status: dict, width: int = 40) -> str:
                 f"rejected {s.get('rejected', 0):<4} "
                 f"dedup {s.get('dedup', 0)}"
             )
-    alerts = status.get("alerts", [])
-    if alerts:
-        lines.append("alerts:")
-        for a in alerts[-8:]:
-            lines.append(f"  [{a['t']:8.2f}s] {a['kind']}: {a['message']}")
-    sketches = (status.get("metrics") or {}).get("sketches") or {}
-    for name, sk in sorted(sketches.items()):
-        lines.append(
-            f"{name}: n={sk.get('count', 0)} p50={sk.get('p50', 0):.3g} "
-            f"p95={sk.get('p95', 0):.3g} p99={sk.get('p99', 0):.3g}"
-        )
-    return "\n".join(lines)
+    return "\n".join(lines + _tail(status))
 
 
 def render_status(status: dict, width: int = 40) -> str:
@@ -155,15 +160,4 @@ def render_status(status: dict, width: int = 40) -> str:
             )
         if len(running) > 8:
             lines.append(f"  ... {len(running) - 8} more in flight")
-    alerts = status.get("alerts", [])
-    if alerts:
-        lines.append("alerts:")
-        for a in alerts[-8:]:
-            lines.append(f"  [{a['t']:8.2f}s] {a['kind']}: {a['message']}")
-    sketches = (status.get("metrics") or {}).get("sketches") or {}
-    for name, sk in sorted(sketches.items()):
-        lines.append(
-            f"{name}: n={sk.get('count', 0)} p50={sk.get('p50', 0):.3g} "
-            f"p95={sk.get('p95', 0):.3g} p99={sk.get('p99', 0):.3g}"
-        )
-    return "\n".join(lines)
+    return "\n".join(lines + _tail(status))

@@ -17,6 +17,9 @@ module is its query layer:
 * :func:`recovery_accounting` — the fault-tolerance overhead of a run
   (wasted attempt seconds, replayed compute, recovery tail, fault
   counters), derived purely from the ``FAULT_VOCABULARY`` events.
+* :func:`run_stats` / :func:`run_label` — the one fold of a finished
+  run into :class:`~repro.sim.trace.Stats` (makespan, per-category
+  seconds, counts), read by ``summarize`` and :mod:`repro.obs.diff`.
 
 Everything here is offline analysis over an already-captured stream —
 nothing touches the simulator hot path.
@@ -30,21 +33,30 @@ from repro.obs.critical_path import CriticalPath, critical_path
 from repro.obs.events import (
     FAULT_INJECTED,
     MESSAGE_DELIVERED,
+    MESSAGE_SENT,
+    OVERHEAD,
     RANK_DEAD,
     RUN_FINISHED,
+    RUN_STARTED,
     TASK_FINISHED,
     TASK_MIGRATED,
     TASK_RETRY,
     TASK_STARTED,
     Event,
 )
+from repro.sim.trace import Stats
 
 __all__ = [
     "TaskSpan",
     "CausalDag",
     "causal_dag",
     "recovery_accounting",
+    "run_label",
+    "run_stats",
 ]
+
+#: The events whose time can end a run: the makespan is the last of them.
+_RUN_END = (TASK_FINISHED, MESSAGE_DELIVERED, RUN_FINISHED)
 
 
 @dataclass(frozen=True)
@@ -108,9 +120,6 @@ class CausalDag:
         if span is None:
             return ()
         return tuple(dict.fromkeys(span.parents))
-
-    def children_of(self, task: int) -> tuple[int, ...]:
-        return self.children.get(task, ())
 
     def sources(self) -> list[int]:
         """Tasks with no causal parents (externally fed)."""
@@ -270,9 +279,7 @@ def recovery_accounting(events: list[Event]) -> dict[str, float]:
                 first_fault = ev.t
         elif ev.type == TASK_MIGRATED:
             acc["tasks_migrated"] += 1
-        elif ev.type == RUN_FINISHED:
-            makespan = max(makespan, ev.t)
-        elif ev.type == TASK_FINISHED:
+        elif ev.type in _RUN_END:
             makespan = max(makespan, ev.t)
     if acc["faults_injected"] or acc["rank_deaths"]:
         dag = causal_dag(events)
@@ -287,3 +294,36 @@ def recovery_accounting(events: list[Event]) -> dict[str, float]:
         acc["recovery_tail_seconds"] = max(0.0, makespan - first_fault)
     return acc
 
+
+def run_stats(events: list[Event]) -> Stats:
+    """Fold one finished run's events into :class:`~repro.sim.trace.Stats`.
+
+    The makespan is the last ``task_finished``, ``message_delivered`` or
+    ``run_finished`` time (the rule :class:`~repro.obs.timeline.RunTimelines`
+    uses).  ``network`` (send-to-delivery time, which occupies no core
+    and so is absent from a live run's ``Stats``) is its own category,
+    and an overhead without a category counts as ``overhead``.
+    """
+    stats = Stats()
+    for ev in events:
+        if ev.type == TASK_FINISHED:
+            stats.tasks_executed += 1
+            stats.add("compute", ev.dur)
+        elif ev.type == OVERHEAD:
+            stats.add(ev.category or "overhead", ev.dur)
+        elif ev.type == MESSAGE_SENT:
+            stats.messages += 1
+            stats.bytes_sent += ev.nbytes
+        elif ev.type == MESSAGE_DELIVERED and ev.dur > 0.0:
+            stats.add("network", ev.dur)
+        if ev.type in _RUN_END:
+            stats.makespan = max(stats.makespan, ev.t)
+    return stats
+
+
+def run_label(events: list[Event], default: str) -> str:
+    """The label of the run's ``run_started`` event, else ``default``."""
+    for ev in events:
+        if ev.type == RUN_STARTED:
+            return ev.label or default
+    return default

@@ -508,11 +508,13 @@ class RunService:
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> dict:
-        """One JSON-serializable status document (see docs/service.md)."""
+        """One JSON-serializable status document (see docs/service.md).
+
+        Every counter is the registry's, under ``metrics.counters``.
+        """
         from repro.sched.compile import PLAN_CACHE
 
         with self._lock:
-            c = lambda name: self.metrics.counter(name).value
             tenants = {}
             queued = self._queue.queued_by_tenant()
             for tenant in sorted(
@@ -535,28 +537,9 @@ class RunService:
                 "queue_depth": self._queue.depth,
                 "queue_max": self._queue.max_depth,
                 "running": self._running,
-                "submitted": c("submitted"),
-                "admitted": c("admitted"),
-                "completed": c("completed"),
-                "errors": c("errors"),
-                "cancelled": c("cancelled"),
-                "rejected": c("rejected"),
-                "rejected_by_reason": {
-                    "tenant-quota": c("rejected_quota"),
-                    "queue-full": c("rejected_queue_full"),
-                },
-                "dedup_hits": c("dedup_hits"),
-                "runs_executed": c("runs_executed"),
-                "cache": {
-                    "plan_hits": c("plan_cache_hits"),
-                    "plan_misses": c("plan_cache_misses"),
-                    "graph_hits": c("graph_cache_hits"),
-                    "graph_misses": c("graph_cache_misses"),
-                    "plan_cache": PLAN_CACHE.stats(),
-                },
+                "plan_cache": PLAN_CACHE.stats(),
                 "tenants": tenants,
                 "alerts": list(self._alerts),
-                "slo_breaches": c("slo_breaches"),
                 "metrics": self.metrics.snapshot().to_dict(),
             }
             if self._slo:

@@ -8,12 +8,12 @@ import pytest
 
 from benchmarks.perf.suite import capture_trace
 from repro.obs import (
-    attribution_report,
     diff_runs,
     diff_traces,
     load_events,
     render_diff,
 )
+from repro.obs.cli import summarize_run
 
 SLOW_TASK = 3
 SLOW_FACTOR = 50.0
@@ -43,10 +43,9 @@ def test_injected_slowdown_names_the_task(trace_pair):
     events_a, events_b, *_ = trace_pair
     d = diff_runs(events_a, events_b)
     assert d.makespan_delta > 0
-    assert d.makespan_ratio > 1.0
-    slow = d.slowest_task()
-    assert slow is not None
-    task, delta = slow
+    assert d.makespan_b / d.makespan_a > 1.0
+    task, delta = d.task_deltas()[0]
+    assert delta > 0
     assert task == SLOW_TASK
     a, b = d.tasks[SLOW_TASK]
     assert b == pytest.approx(a * SLOW_FACTOR)
@@ -69,7 +68,7 @@ def test_identical_traces_diff_to_nothing(trace_pair):
     events_a, *_ = trace_pair
     d = diff_runs(events_a, events_a)
     assert d.makespan_delta == 0.0
-    assert d.slowest_task() is None
+    assert d.task_deltas()[0][1] == 0.0
     assert not d.new_tasks and not d.removed_tasks
     assert all(abs(v) == 0.0 for v in d.attribution().values())
 
@@ -88,7 +87,7 @@ def test_diff_traces_pairs_runs_positionally(trace_pair):
     events_a, events_b, *_ = trace_pair
     diffs = diff_traces(events_a, events_b)
     assert len(diffs) == 1
-    assert diffs[0].slowest_task()[0] == SLOW_TASK
+    assert diffs[0].task_deltas()[0][0] == SLOW_TASK
 
 
 def test_new_and_removed_tasks_detected(trace_pair, tmp_path):
@@ -102,12 +101,13 @@ def test_new_and_removed_tasks_detected(trace_pair, tmp_path):
     assert "removed tasks" in render_diff(d)
 
 
-def test_attribution_report_summarizes_single_run(trace_pair):
+def test_summarize_run_attributes_a_single_run(trace_pair):
     _, events_b, *_ = trace_pair
-    out = attribution_report(events_b)
-    assert "phases:" in out
-    assert f"t{SLOW_TASK}" in out  # the inflated task is the longest
-    assert "critical path:" in out
+    out = summarize_run(events_b, 0, 5)
+    assert "where the time went" in out
+    longest = out.split("tasks by compute time:\n", 1)[1].splitlines()[0]
+    assert longest.split()[0] == f"t{SLOW_TASK}"  # the inflated task
+    assert "critical path (" in out
 
 
 def test_capture_trace_rejects_untraceable():

@@ -18,6 +18,7 @@ from repro.obs import (
     load_events,
     split_runs,
 )
+from repro.obs.cli import main
 from repro.obs.export import _jsonl_line, iter_events, iter_runs
 from repro.runtimes import MPIController
 
@@ -347,6 +348,16 @@ class TestStreamingReaders:
         streamed = list(iter_runs(iter_events(str(jpath))))
         assert streamed == split_runs(load_events(str(jpath)))
         assert len(streamed) == 2
+
+    def test_one_event_jsonl_is_read_by_every_verb(self, tmp_path):
+        # A one-line log is also one JSON document: it must still read
+        # as JSONL everywhere, not as an empty Chrome trace.
+        ev = Event("task_finished", 1.0, proc=0, task=0, dur=1.0)
+        p = tmp_path / "one.jsonl"
+        p.write_text(json.dumps(ev.to_dict()) + "\n")
+        assert load_events(str(p)) == [ev]
+        assert main(["timeline", str(p)]) == 0
+        assert main(["diff", str(p), str(p)]) == 0
 
     def test_iter_runs_without_markers_is_one_run(self):
         evs = [Event("task_finished", 1.0, task=0, dur=1.0)]

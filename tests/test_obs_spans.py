@@ -50,7 +50,7 @@ def test_children_edges_invert_parent_edges(name):
     dag = causal_dag(events)
     for tid in dag.spans:
         for p in dag.parents_of(tid):
-            assert tid in dag.children_of(p)
+            assert tid in dag.children[p]
     # Sources are exactly the externally-fed leaves; the root is a sink.
     assert dag.sources() == sorted(g.leaf_ids())
     assert dag.sinks() == [g.root_id]

@@ -9,6 +9,10 @@ process-mode pickling error story.
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -175,3 +179,57 @@ class TestReuse:
         b = c2.run(inputs)
         assert a.output(g.root_id) == b.output(g.root_id)
         assert a.stats.tasks_executed == b.stats.tasks_executed == 63
+
+
+_SEEDED_RUNS = """
+import hashlib
+
+import repro
+from repro.core.payload import Payload
+from repro.graphs import Reduction
+from repro.runtimes.local import shutdown_workers
+from tests.golden_workloads import _leaf, _reduce
+
+g = Reduction(64, 4)
+callbacks = {g.LEAF: _leaf, g.REDUCE: _reduce, g.ROOT: _reduce}
+inputs = {t: Payload([f"leaf{i}", i]) for i, t in enumerate(g.leaf_ids())}
+digests = []
+for runtime, options in (
+    ("serial", {}),
+    ("local", {"n_procs": 2, "mode": "thread"}),
+    ("local", {"n_procs": 2, "mode": "process"}),
+):
+    result = repro.run(g, callbacks, inputs, runtime=runtime, **options)
+    outputs = sorted(
+        (tid, channel, payload.data)
+        for tid, by_channel in result.outputs.items()
+        for channel, payload in by_channel.items()
+    )
+    digests.append(hashlib.sha256(repr(outputs).encode()).hexdigest())
+shutdown_workers()
+print(" ".join(digests))
+"""
+
+
+def test_real_pools_do_not_depend_on_the_hash_seed():
+    # String hashing is salted per interpreter: a pool whose slot order
+    # leaned on set or dict iteration of hashed keys would give other
+    # outputs under another seed.  Subprocesses, because the seed is
+    # fixed at interpreter start.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    seen = set()
+    for seed in ("0", "1"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", _SEEDED_RUNS], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        serial, thread, process = done.stdout.split()
+        assert thread == serial and process == serial, seed
+        seen.add(serial)
+    assert len(seen) == 1

@@ -119,11 +119,12 @@ class TestDedupFanBack:
             results = [h.result(30) for h in handles]
             blocker.result(30)
             snap = svc.snapshot()
+            counters = snap["metrics"]["counters"]
         first = results[0]
         assert all(r is first for r in results)  # same object: bit-identical
-        assert snap["dedup_hits"] == 5
-        assert snap["runs_executed"] == 2  # the blocker + one shared run
-        assert snap["completed"] == 7
+        assert counters["dedup_hits"] == 5
+        assert counters["runs_executed"] == 2  # the blocker + one shared run
+        assert counters["completed"] == 7
 
     def test_followers_resolve_even_when_the_run_errors(self):
         g2 = Reduction(16, 4)
@@ -148,7 +149,7 @@ class TestDedupFanBack:
                 with pytest.raises(RuntimeError, match="callback exploded"):
                     h.result(30)
             assert [h.status for h in hs] == ["error"] * 3
-            assert svc.snapshot()["errors"] == 3
+            assert svc.snapshot()["metrics"]["counters"]["errors"] == 3
 
 
 class TestQuotasAndBackpressure:
@@ -175,8 +176,9 @@ class TestQuotasAndBackpressure:
             for h in (blocker, h1, h2, other):
                 h.result(30)
             snap = svc.snapshot()
-            assert snap["rejected"] == 1
-            assert snap["rejected_by_reason"]["tenant-quota"] == 1
+            counters = snap["metrics"]["counters"]
+            assert counters["rejected"] == 1
+            assert counters["rejected_quota"] == 1
             assert snap["tenants"]["greedy"]["rejected"] == 1
         finally:
             svc.close()
@@ -260,9 +262,10 @@ class TestCancellation:
             gate.set()
             running.result(30)
             snap = svc.snapshot()
-            assert snap["cancelled"] == 1
+            counters = snap["metrics"]["counters"]
+            assert counters["cancelled"] == 1
             assert snap["queue_depth"] == 0
-            assert snap["runs_executed"] == 1  # the cancelled one never ran
+            assert counters["runs_executed"] == 1  # the cancelled one never ran
         finally:
             svc.close()
 
@@ -319,6 +322,7 @@ class TestMixedTenantStormAcceptance:
             for b in blockers:
                 b.result(60)
             snap = svc.snapshot()
+            counters = snap["metrics"]["counters"]
         finally:
             svc.close()
 
@@ -331,9 +335,9 @@ class TestMixedTenantStormAcceptance:
                 ref.stats.category_time
             )
         # >=50% duplicates, each distinct request executed exactly once.
-        assert snap["dedup_hits"] == n_total - n_unique >= n_total / 2
-        assert snap["runs_executed"] == n_unique + workers
-        assert snap["completed"] == n_total + workers
+        assert counters["dedup_hits"] == n_total - n_unique >= n_total / 2
+        assert counters["runs_executed"] == n_unique + workers
+        assert counters["completed"] == n_total + workers
         # The quota'd tenant was never starved: everything it submitted
         # completed, nothing was rejected.
         quotad = snap["tenants"]["quotad"]

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import repro
+from benchmarks.smoke.service_mix import exposition_defects
 from repro.core.payload import Payload
 from repro.core.taskmap import ModuloMap
 from repro.graphs import Reduction
@@ -18,6 +19,7 @@ from repro.obs.live.watch import render_status
 from repro.obs.live.serve import prometheus_text
 from repro.sched.compile import PLAN_CACHE
 from repro.service import RunRequest, RunService, ServiceClosed
+from repro.service.service import _COUNTERS
 
 
 def reduction_spec(scale=1):
@@ -45,9 +47,9 @@ class TestCacheAccounting:
             svc.submit(mk(2)).result(30)          # warm: same fingerprint
             svc.submit(mk(3)).result(30)
             snap = svc.snapshot()
-        assert snap["cache"]["plan_misses"] == 1
-        assert snap["cache"]["plan_hits"] == 2
-        assert snap["cache"]["plan_cache"]["hits"] >= 2
+        assert snap["metrics"]["counters"]["plan_cache_misses"] == 1
+        assert snap["metrics"]["counters"]["plan_cache_hits"] == 2
+        assert snap["plan_cache"]["hits"] >= 2
 
     def test_counters_follow_what_each_run_saw_in_the_cache(self):
         # The service reads Controller.plan_cache_hit after the run, not
@@ -64,8 +66,9 @@ class TestCacheAccounting:
             seen = []
             for req in (mk(), mk(), mk(telemetry=True)):
                 svc.submit(req).result(30)
-                cache = svc.snapshot()["cache"]
-                seen.append((cache["plan_misses"], cache["plan_hits"]))
+                counters = svc.snapshot()["metrics"]["counters"]
+                seen.append((counters["plan_cache_misses"],
+                             counters["plan_cache_hits"]))
         assert seen == [(1, 0), (1, 1), (1, 1)]
 
     def test_plan_probe_skips_non_compiled_requests(self):
@@ -74,8 +77,8 @@ class TestCacheAccounting:
             svc.submit(RunRequest(g, cb, ins, runtime="mpi",
                                   n_procs=4)).result(30)
             snap = svc.snapshot()
-        assert snap["cache"]["plan_hits"] == 0
-        assert snap["cache"]["plan_misses"] == 0
+        assert snap["metrics"]["counters"]["plan_cache_hits"] == 0
+        assert snap["metrics"]["counters"]["plan_cache_misses"] == 0
 
     def test_graphs_are_shared_across_tenants(self):
         g, cb, _ = reduction_spec()
@@ -89,8 +92,8 @@ class TestCacheAccounting:
             svc.submit(mk(1, "alice")).result(30)
             svc.submit(mk(2, "bob")).result(30)   # distinct run, same graph
             snap = svc.snapshot()
-        assert snap["cache"]["graph_misses"] == 1
-        assert snap["cache"]["graph_hits"] == 1
+        assert snap["metrics"]["counters"]["graph_cache_misses"] == 1
+        assert snap["metrics"]["counters"]["graph_cache_hits"] == 1
 
     def test_stats_shape_of_the_process_plan_cache(self):
         stats = PLAN_CACHE.stats()
@@ -109,7 +112,7 @@ class TestServiceSLO:
         finally:
             svc.close()
         assert violations and "runs_executed" in violations[0]
-        assert snap["slo_breaches"] == 1
+        assert snap["metrics"]["counters"]["slo_breaches"] == 1
         assert any(a["kind"] == "slo" for a in snap["alerts"])
 
     def test_quantile_bounds_work_on_telemetry_sketches(self):
@@ -150,7 +153,7 @@ class TestLiveSnapshots:
                     paths = []  # can land after a millisecond-long run
                 if paths:
                     status = read_status(paths[0])
-                    if status.get("submitted"):
+                    if status["metrics"]["counters"].get("submitted"):
                         break
                 time.sleep(0.02)
         finally:
@@ -174,7 +177,7 @@ class TestLiveSnapshots:
         assert "repro_service_submitted_total" in text
         assert "repro_service_queue_depth" in text
         assert 'tenant="alice"' in text
-        assert "repro_submit_to_done_seconds" in text  # telemetry sketch
+        assert "repro_service_submit_to_done_seconds" in text  # telemetry sketch
 
     def test_run_and_service_snapshots_coexist(self):
         # A mixed scrape: one run status, one service status.
@@ -186,6 +189,32 @@ class TestLiveSnapshots:
             text = prometheus_text([run_status, svc.snapshot()])
         assert "repro_run_progress_ratio" in text
         assert "repro_service_submitted_total" in text
+
+
+    def test_a_scrape_of_a_run_and_a_service_keeps_them_apart(self, tmp_path):
+        g, cb, ins = reduction_spec()
+        repro.run(g, cb, ins, runtime="mpi", n_procs=4, telemetry=True,
+                  live=str(tmp_path))
+        with RunService(workers=1, status_dir=str(tmp_path)) as svc:
+            svc.submit(RunRequest(g, cb, ins, runtime="serial")).result(30)
+        statuses = [read_status(p) for p in find_status(str(tmp_path))]
+        assert sorted(s.get("kind", "run") for s in statuses) == [
+            "run", "service",
+        ]
+        text = prometheus_text(statuses)
+        # No series twice, no family holding both a run= and a service=.
+        assert exposition_defects(text) == []
+        samples = [
+            line.split("{", 1)[0] for line in text.splitlines()
+            if 'service="' in line and not line.startswith("#")
+        ]
+        for counter in _COUNTERS:
+            copies = [
+                name for name in samples
+                if name.removeprefix("repro_").removeprefix("service_")
+                == f"{counter}_total"
+            ]
+            assert len(copies) == 1, (counter, copies)
 
 
 class TestServiceEvents:
