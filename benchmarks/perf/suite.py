@@ -200,7 +200,7 @@ def bench_plan_cache_hit(reps: int, leaves: int = 1024, shards: int = 256) -> di
 def bench_compiled_events(reps: int, n_events: int = 200_000) -> dict:
     """Static-schedule throughput: the same tick workload as
     ``engine_events`` driven through :meth:`Engine.replay` (one cursor,
-    no per-event heap ops) — the compiled run plan's dispatch path."""
+    no per-event heap ops), a path no run takes any more."""
     from repro.sim.engine import Engine
 
     def once() -> int:

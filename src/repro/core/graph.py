@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.errors import GraphError
@@ -316,25 +315,19 @@ class TaskGraph(ABC):
             tables = memo["tables"] = GraphTables(self)
         return tables
 
-    def cached(self, maxsize: int | None = None) -> "TaskGraph":
+    def cached(self) -> "TaskGraph":
         """A view of this graph that memoizes :meth:`task` materializations.
 
         **Caching contract — per graph instance, immutable after first
-        use:** the unbounded view reads the instance's :meth:`tables`,
+        use:** the view reads the instance's :meth:`tables`,
         which materialize every task once, on the first query, and then
         serve every view, run, controller and service worker of that
         instance.  The graph must be a pure function of ``tid``, and one
         that changes in place (:class:`~repro.core.composition.
         ComposedGraph` under ``add`` / ``link``) must call
         :meth:`_structure_changed`.  All shipped graphs satisfy this.
-
-        Args:
-            maxsize: ``None`` (default) is the shared view above.  A
-                number gives a private LRU of that capacity, which
-                re-materializes evicted tasks and never touches the
-                tables — for walking a graph too large to pin.
         """
-        return CachedGraph(self, maxsize)
+        return CachedGraph(self)
 
     def __len__(self) -> int:
         return self.size()
@@ -343,28 +336,22 @@ class TaskGraph(ABC):
 class CachedGraph(TaskGraph):
     """Memoizing view of another graph (see :meth:`TaskGraph.cached`).
 
-    ``task`` reads the base graph's tables (a private
-    :func:`functools.lru_cache` on a bounded view); ``callbacks`` is
-    computed once per view, ``rounds`` once per base graph.  Unknown
+    ``task`` reads the base graph's tables; ``callbacks`` is computed
+    once per view, ``rounds`` once per base graph.  Unknown
     attributes delegate to the wrapped graph, so graph-specific helpers
     (``leaf_ids()``, ``describe()``, ...) keep working on the view.
     """
 
-    def __init__(self, base: TaskGraph, maxsize: int | None = None) -> None:
+    def __init__(self, base: TaskGraph) -> None:
         while isinstance(base, CachedGraph):  # never stack caches
             base = base._base
         self._base = base
-        self._bounded = maxsize is not None
-        if self._bounded:
-            # Instance attribute shadows the class method: lookups go
-            # straight to the C-implemented lru_cache wrapper.
-            self.task = lru_cache(maxsize=maxsize)(base.task)
         self._callbacks: list[CallbackId] | None = None
 
     def size(self) -> int:
         return self._base.size()
 
-    def task(self, tid: TaskId) -> Task:  # shadowed on a bounded view
+    def task(self, tid: TaskId) -> Task:
         if tid >= 0:
             try:
                 return self._base.tables().tasks[tid]
@@ -386,10 +373,9 @@ class CachedGraph(TaskGraph):
             self._callbacks = self._base.callbacks()
         return list(self._callbacks)
 
-    def cached(self, maxsize: int | None = None) -> "TaskGraph":
-        """Already cached; returns itself or a view of the other kind."""
-        unbounded = maxsize is None and not self._bounded
-        return self if unbounded else CachedGraph(self._base, maxsize)
+    def cached(self) -> "TaskGraph":
+        """Already cached; returns itself."""
+        return self
 
     def __getattr__(self, name: str):
         # Only called when normal lookup fails: delegate graph-specific

@@ -57,7 +57,7 @@ class LegionIndexController(LegionController):
         self._launch_done: set[TaskId] = set()
         self._current_round = -1
         # The parent task spawning subtasks is a serial resource on proc 0.
-        self._parent = Resource(self._engine, name="parent")
+        self._parent = Resource(self._engine)
         self._open_round(0)
 
     def _on_recover(self, tid: TaskId) -> None:

@@ -51,8 +51,7 @@ class LegionSPMDController(LegionController):
         # One serial launcher per shard: the shard task issues its single
         # task launchers one after the other.
         self._launchers = [
-            Resource(self._engine, name=f"launcher{s}")
-            for s in range(self.n_procs)
+            Resource(self._engine) for _ in range(self.n_procs)
         ]
         # The must-epoch launch itself: the top-level task prepares the
         # shard tasks serially, so shard s starts with a skewed delay.

@@ -262,8 +262,15 @@ def _reap(pools: list, timeout: float) -> None:
     for p in procs:
         p.join(max(0.0, deadline - time.monotonic()))
     stuck = [p for p in procs if p.is_alive()]
+    if not stuck:
+        return
     for p in stuck:
         p.kill()
+    # A killed worker breaks its executor, whose manager thread then
+    # reaps it: the same race as above, so wait for the managers again.
+    for thread in managers:
+        if thread is not None:
+            thread.join(1.0)
     for p in stuck:
         p.join(1.0)
 

@@ -125,10 +125,10 @@ class SimController(Controller):
             and free when off.
         compile: opt into the ahead-of-time run plan (see
             :mod:`repro.sched.compile`): static-placement backends lower
-            the (graph, task map, machine) into a cached
+            the (graph, task map) into a cached
             :class:`~repro.sched.compile.CompiledPlan` — the placement
-            table flattened once, initial deposits replayed as a static
-            schedule — reused across runs via the process-wide
+            table flattened once — reused across runs, machines and rank
+            counts via the process-wide
             :data:`~repro.sched.compile.PLAN_CACHE`.  Results are
             bit-identical to the interpreted path.  Runs that need
             dynamic behavior (``fault_plan=``, ``balancer=``,
@@ -280,23 +280,11 @@ class SimController(Controller):
             run_plan_key,
         )
 
-        ppn = self.procs_per_node
-        if ppn is None:
-            ppn = max(1, self.machine.cores_per_node // self.cores_per_proc)
-        key = run_plan_key(
-            graph, self._task_map, self.machine, self.n_procs, ppn
-        )
+        key = run_plan_key(graph, self._task_map)
         plan = PLAN_CACHE.get(key)
         self.plan_cache_hit = plan is not None
         if plan is None:
-            plan = compile_plan(
-                graph,
-                self._task_map,
-                self.machine,
-                self.costs,
-                procs_per_node=ppn,
-                cores_per_proc=self.cores_per_proc,
-            )
+            plan = compile_plan(graph, self._task_map)
             PLAN_CACHE.put(key, plan)
         return plan, None
 
@@ -423,26 +411,11 @@ class SimController(Controller):
             for death in plan.rank_deaths:
                 self._engine.call_at(death.at, self._rank_death, death.proc)
         if inputs:
-            if cplan is not None:
-                # The compiled path replays the deposits through the
-                # engine's static-schedule cursor: the whole batch
-                # reserves its seq block up front, so the relative
-                # (time, seq) order — and therefore every downstream
-                # event — is identical to the batched event below.
-                self._initial_deposited = True
-                deposit = self._deposit
-                self._engine.replay(
-                    [
-                        (0.0, deposit, (tid, slot, payload, EXTERNAL))
-                        for tid, slot, payload in kernel.external(inputs)
-                    ]
-                )
-            else:
-                # One batched time-zero event instead of one per source
-                # task: the deposits run in the same (ascending) order,
-                # so every downstream event keeps its relative
-                # (time, seq) position.
-                self._engine.call_at(0.0, self._deposit_initial, inputs)
+            # One batched time-zero event instead of one per source
+            # task: the deposits run in the same (ascending) order, so
+            # every downstream event keeps its relative (time, seq)
+            # position.
+            self._engine.call_at(0.0, self._deposit_initial, inputs)
         if self._idle_hook is not None:
             # Scheduled after the initial deposits: procs the task map
             # left without any work would otherwise never be pumped, so

@@ -19,9 +19,9 @@ hand-rolled maps the controllers shipped with:
   or a profile measured from an observed baseline run
   (:meth:`ProfiledEstimate.from_events`).
 * **Plan compilation** (:mod:`repro.sched.compile`): lowering a static
-  ``(graph, task_map, machine)`` into a :class:`CompiledPlan` the
-  simulated controllers replay without re-deriving per-task state, and
-  the fingerprint-keyed LRU :class:`PlanCache` (:data:`PLAN_CACHE`)
+  ``(graph, task_map)`` into a :class:`CompiledPlan` — the placement
+  table the simulated controllers copy instead of flattening the map —
+  and the fingerprint-keyed LRU :class:`PlanCache` (:data:`PLAN_CACHE`)
   reusing planner and compiler artifacts across ``repro.run()`` calls.
 * **Dynamic balancing** (:mod:`repro.sched.balance`): the
   :class:`Balancer` strategy interface generalizing Charm++'s periodic

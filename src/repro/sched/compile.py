@@ -4,19 +4,17 @@ What a run needs from the *graph* alone — materialized tasks, input-slot
 layout, sources, the slot every edge fills — is lowered once per graph
 instance into :class:`~repro.core.tables.GraphTables` and read by the
 interpreted and the compiled path alike.  :func:`compile_plan` lowers
-what additionally depends on *placement*: a ``(graph, task_map,
-machine)`` tuple becomes a :class:`CompiledPlan` — the task map
-flattened, per-edge wire constants — and :class:`PlanCache` keys plans
+the one thing a run additionally reads from its *placement*: a
+``(graph, task_map)`` pair becomes a :class:`CompiledPlan` — the task
+map flattened into a per-task table — and :class:`PlanCache` keys plans
 by a structural fingerprint so repeated ``repro.run()`` invocations of
-the same workload reuse the compiled artifact outright.
+the same workload reuse the table outright.
 
 The compiled fast path never changes *results*: it differs from the
-interpreted one in two places only — the placement table is copied from
-the plan instead of flattened from the task map, and initial deposits go
-through :meth:`repro.sim.engine.Engine.replay` with the same relative
-``(time, seq)`` order — and anything dynamic (fault plans, balancers,
-telemetry) makes the controller fall back to the interpreted path with a
-``plan.fallback`` observability event.
+interpreted one in one place only — the placement table is copied from
+the plan instead of flattened from the task map — and anything dynamic
+(fault plans, balancers, telemetry) makes the controller fall back to
+the interpreted path with a ``plan.fallback`` observability event.
 
 Fingerprints are *memoized on the fingerprinted instance* (graphs and
 task maps are immutable once run — the caching contract of
@@ -35,10 +33,9 @@ from typing import TYPE_CHECKING
 
 from repro.core.errors import GraphError
 from repro.core.graph import CachedGraph, TaskGraph
-from repro.core.ids import TaskId
 from repro.core.taskmap import BlockMap, ModuloMap, RangeMap, TaskMap
-from repro.runtimes.costs import DEFAULT_COSTS, RuntimeCosts
-from repro.sim.machine import SHAHEEN_II, MachineSpec
+from repro.runtimes.costs import RuntimeCosts
+from repro.sim.machine import MachineSpec
 
 if TYPE_CHECKING:
     from repro.sched.estimate import CostEstimate
@@ -157,22 +154,10 @@ def placement_key(
     )
 
 
-def run_plan_key(
-    graph: TaskGraph,
-    task_map: TaskMap,
-    machine: MachineSpec,
-    n_procs: int,
-    procs_per_node: int,
-) -> tuple:
-    """Cache key of one compiled run plan."""
-    return (
-        "run-plan",
-        graph_fingerprint(graph),
-        taskmap_fingerprint(task_map),
-        machine_fingerprint(machine),
-        n_procs,
-        procs_per_node,
-    )
+def run_plan_key(graph: TaskGraph, task_map: TaskMap) -> tuple:
+    """Cache key of one compiled run plan: exactly what it is computed
+    from, so one plan serves every machine and rank count."""
+    return ("run-plan", graph_fingerprint(graph), taskmap_fingerprint(task_map))
 
 
 # ---------------------------------------------------------------------- #
@@ -263,84 +248,22 @@ class CompiledPlan:
     """The placement-dependent half of a static run, lowered.
 
     The graph-only half (tasks, slot layout, sources, edge slots) is the
-    graph's :class:`~repro.core.tables.GraphTables`; the plan adds:
-
-    * ``proc`` — placement table (``task_map.shard`` flattened), which a
-      compiled run copies instead of flattening the map again.
-    * ``ready_order`` — task ids grouped by dependency round, flattened:
-      the order tasks *can* first become ready in.
-    * ``edge_src`` / ``edge_dst`` / ``edge_inv_bw`` / ``edge_latency`` —
-      per unique real edge, the endpoints and the wire constants of the
-      placement (``0.0`` for co-located edges): the delivery offset of
-      an ``nbytes`` message on edge ``i`` is
-      ``nbytes * edge_inv_bw[i] + edge_latency[i]``.
+    graph's :class:`~repro.core.tables.GraphTables`; the plan adds
+    ``proc``, the placement table (``task_map.shard`` flattened), which
+    a compiled run copies instead of flattening the map again.
     """
 
-    n: int
-    n_procs: int
     proc: list[int]
-    ready_order: list[TaskId]
-    edge_src: list[int]
-    edge_dst: list[int]
-    edge_inv_bw: list[float]
-    edge_latency: list[float]
-
-    def delivery_offset(self, edge: int, nbytes: float) -> float:
-        """Wire time of an ``nbytes`` message on unique edge ``edge``
-        (zero for co-located endpoints; excludes NIC queueing)."""
-        return nbytes * self.edge_inv_bw[edge] + self.edge_latency[edge]
 
 
-def compile_plan(
-    graph: TaskGraph,
-    task_map: TaskMap,
-    machine: MachineSpec = SHAHEEN_II,
-    costs: RuntimeCosts = DEFAULT_COSTS,
-    *,
-    procs_per_node: int | None = None,
-    cores_per_proc: int = 1,
-) -> CompiledPlan:
-    """Lower a static ``(graph, placement, machine)`` into a run plan.
-
-    ``costs`` rides along for parity with the planner's signature (the
-    lowering itself only needs the machine's wire constants — runtime
-    overheads are charged by the controller either way).
+def compile_plan(graph: TaskGraph, task_map: TaskMap) -> CompiledPlan:
+    """Lower a static ``(graph, placement)`` into a run plan.
 
     Raises:
         TaskMapError: non-contiguous graph id space (via the planner's
             validation; compiled plans index per-task arrays by id).
     """
-    from repro.sched.plan import _contiguous_ids, _plan_structure
+    from repro.sched.plan import _contiguous_ids
 
-    del costs  # see docstring
-    graph = graph.cached()
-    ids = _contiguous_ids(graph)
-    n = len(ids)
-    st = _plan_structure(graph, n)
-    proc = [task_map.shard(t) for t in range(n)]
-    ready_order = [t for rnd in graph.rounds() for t in rnd]
-    if procs_per_node is None:
-        procs_per_node = max(1, machine.cores_per_node // cores_per_proc)
-    edge_inv_bw: list[float] = []
-    edge_latency: list[float] = []
-    for s, dst in zip(st.src_list, st.dst_list):
-        sp, dp = proc[s], proc[dst]
-        if sp == dp:
-            edge_inv_bw.append(0.0)
-            edge_latency.append(0.0)
-        elif sp // procs_per_node == dp // procs_per_node:
-            edge_inv_bw.append(1.0 / machine.intra_bandwidth)
-            edge_latency.append(machine.intra_latency)
-        else:
-            edge_inv_bw.append(1.0 / machine.inter_bandwidth)
-            edge_latency.append(machine.inter_latency)
-    return CompiledPlan(
-        n,
-        task_map.shard_count,
-        proc,
-        ready_order,
-        list(st.src_list),
-        list(st.dst_list),
-        edge_inv_bw,
-        edge_latency,
-    )
+    ids = _contiguous_ids(graph.cached())
+    return CompiledPlan(list(map(task_map.shard, ids)))

@@ -10,7 +10,7 @@ time here, which is what the scaling benchmarks measure.
 """
 
 from repro.sim.cluster import Cluster
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim.machine import SHAHEEN_II, MachineSpec
 from repro.sim.resource import MultiResource, Resource
 from repro.sim.trace import Stats
@@ -18,7 +18,6 @@ from repro.sim.trace import Stats
 __all__ = [
     "Cluster",
     "Engine",
-    "Event",
     "MachineSpec",
     "MultiResource",
     "Resource",

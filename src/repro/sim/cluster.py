@@ -106,16 +106,13 @@ class Cluster:
         # proc is one core (the common case).
         if cores_per_proc == 1:
             self._cores: list[Resource | MultiResource] = [
-                Resource(engine, name=f"core{p}") for p in range(n_procs)
+                Resource(engine) for _ in range(n_procs)
             ]
         else:
             self._cores = [
-                MultiResource(engine, cores_per_proc, name=f"core{p}")
-                for p in range(n_procs)
+                MultiResource(engine, cores_per_proc) for _ in range(n_procs)
             ]
-        self._nics = [
-            Resource(engine, name=f"nic{p}") for p in range(n_procs)
-        ]
+        self._nics = [Resource(engine) for _ in range(n_procs)]
         # Hot-path constants hoisted out of compute()/send().  The hub's
         # sink tuple is frozen at construction, so its truthiness is too.
         self._core_speed = machine.core_speed
@@ -192,7 +189,6 @@ class Cluster:
         end = start + dur
         core._free_at = end
         core.busy_time += dur
-        core.jobs_served += 1
         if fn is not None:
             heappush(engine._heap, (end, engine._next_seq(), fn, args))
         return start, end
@@ -301,7 +297,6 @@ class Cluster:
         inj_end = start + inject
         nic._free_at = inj_end
         nic.busy_time += inject
-        nic.jobs_served += 1
         deliver = inj_end + latency
         heappush(engine._heap, (deliver, engine._next_seq(), fn, args))
         if self._latency_sketch is not None:

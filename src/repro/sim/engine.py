@@ -8,26 +8,23 @@ advance only through event timestamps, never through wall-clock time.
 
 Hot path: the heap stores plain ``(time, seq, fn, args)`` tuples, so
 ordering is resolved by C tuple comparison (``seq`` is unique, so the
-comparison never reaches ``fn``) and the common non-cancellable schedule
-allocates no handle object.  :meth:`Engine.call_at` / :meth:`Engine.call_after`
-are that fast path; :meth:`Engine.at` / :meth:`Engine.after` layer the
-cancellable :class:`Event` handle API on top by pushing
-``(time, seq, None, handle)`` entries that the loop checks for
-cancellation before firing.
+comparison never reaches ``fn``) and a schedule allocates no handle
+object.  :meth:`Engine.call_at` / :meth:`Engine.call_after` are the two
+ways to schedule, and :meth:`Engine.run` is the one loop that drains
+them.
 
-Two further fast paths avoid the heap entirely while preserving the
-``(time, seq)`` total order:
+Events scheduled *at the current time* (same-rank message delivery is
+the big producer) skip the heap: :meth:`Engine.call_at` reroutes them to
+a FIFO of already-due entries instead of a ``heappush``/``heappop``
+round trip.  An entry appended at ``now`` with a fresh ``seq`` is by
+construction ``>=`` every entry already in the FIFO and ``<`` nothing it
+could be reordered against, so the FIFO stays sorted for free and the
+``(time, seq)`` total order is preserved.
 
-* Events scheduled *at the current time* (same-rank message delivery is
-  the big producer) go through a FIFO of already-due entries instead of
-  a ``heappush``/``heappop`` round trip — an entry appended at ``now``
-  with a fresh ``seq`` is by construction ``>=`` every entry already in
-  the FIFO and ``<`` nothing it could be reordered against, so the FIFO
-  stays sorted for free.  :meth:`Engine.call_now` is the explicit entry
-  point; :meth:`Engine.call_at` reroutes automatically.
-* :meth:`Engine.replay` feeds a presorted static schedule (a compiled
-  run plan's deposits, a trace) through a plain cursor, merging against
-  any dynamically scheduled events by ``(time, seq)``.
+:meth:`Engine.replay` feeds a presorted static schedule through a plain
+cursor, merging against any dynamically scheduled events by
+``(time, seq)``.  Nothing in the runtimes calls it; it is kept for the
+perf ledger's replay-throughput probe.
 """
 
 from __future__ import annotations
@@ -40,35 +37,13 @@ from typing import Any, Callable, Sequence
 from repro.core.errors import SimulationError
 
 
-class Event:
-    """Handle to a cancellable scheduled event."""
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
-
-    def __init__(
-        self, time: float, seq: int, fn: Callable[..., Any], args: tuple
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (no-op if already fired)."""
-        self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
 class Engine:
     """Deterministic discrete-event loop.
 
     Typical use::
 
         eng = Engine()
-        eng.after(1.0, print, "one virtual second later")
+        eng.call_after(1.0, print, "one virtual second later")
         eng.run()
         assert eng.now == 1.0
     """
@@ -76,8 +51,7 @@ class Engine:
     __slots__ = ("_heap", "_due", "_now", "_seq", "_next_seq", "_running")
 
     def __init__(self) -> None:
-        # Entries: (time, seq, fn, args) — or (time, seq, None, Event)
-        # for cancellable events scheduled through at()/after().
+        # Entries: (time, seq, fn, args).
         self._heap: list[tuple] = []
         # Already-due FIFO: entries appended at the then-current time.
         # Invariant: sorted by (time, seq) — times are non-decreasing
@@ -93,21 +67,17 @@ class Engine:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def pending(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
-        return len(self._heap) + len(self._due)
-
     # ------------------------------------------------------------------ #
     # Scheduling
     # ------------------------------------------------------------------ #
 
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> float:
-        """Schedule ``fn(*args)`` at absolute virtual ``time`` (fast path).
+        """Schedule ``fn(*args)`` at absolute virtual ``time``.
 
-        No handle is allocated, so the event cannot be cancelled; use
-        :meth:`at` when cancellation is needed.  Returns the effective
-        fire time (clamped to ``now``).
+        Returns the effective fire time (clamped to ``now``).  An event
+        due now skips the heap: it orders after everything already due
+        and before nothing it could displace, so it lands in a plain
+        FIFO.
 
         Raises:
             SimulationError: when scheduling into the past.
@@ -124,23 +94,10 @@ class Engine:
         heappush(self._heap, (time, self._next_seq(), fn, args))
         return time
 
-    def call_now(self, fn: Callable[..., Any], *args: Any) -> float:
-        """Schedule ``fn(*args)`` at the current virtual time (fast path).
-
-        Equivalent to ``call_at(now, fn, *args)`` but skips the heap: an
-        event created at ``now`` orders after everything already due and
-        before nothing it could displace, so it lands in a plain FIFO.
-        The cluster's same-rank message delivery uses this — the dominant
-        event source on dense graphs.  Returns the fire time (``now``).
-        """
-        now = self._now
-        self._due.append((now, self._next_seq(), fn, args))
-        return now
-
     def call_after(
         self, delay: float, fn: Callable[..., Any], *args: Any
     ) -> float:
-        """Schedule ``fn(*args)`` after ``delay`` virtual seconds (fast path).
+        """Schedule ``fn(*args)`` after ``delay`` virtual seconds.
 
         Raises:
             SimulationError: for negative delays.
@@ -149,60 +106,12 @@ class Engine:
             raise SimulationError(f"negative delay {delay}")
         return self.call_at(self._now + delay, fn, *args)
 
-    def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute virtual ``time``.
-
-        Returns a cancellable :class:`Event` handle.
-
-        Raises:
-            SimulationError: when scheduling into the past.
-        """
-        if time < self._now - 1e-12:
-            raise SimulationError(
-                f"cannot schedule event at {time} before now={self._now}"
-            )
-        ev = Event(max(time, self._now), self._next_seq(), fn, args)
-        heappush(self._heap, (ev.time, ev.seq, None, ev))
-        return ev
-
-    def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` after ``delay`` virtual seconds.
-
-        Returns a cancellable :class:`Event` handle.
-
-        Raises:
-            SimulationError: for negative delays.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.at(self._now + delay, fn, *args)
-
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
 
-    def step(self) -> bool:
-        """Fire the next event.  Returns False when the queue is empty."""
-        heap = self._heap
-        due = self._due
-        while heap or due:
-            # The due FIFO is sorted, so a (time, seq) tuple compare of
-            # the two heads picks the global minimum (seq is unique).
-            if due and (not heap or due[0] < heap[0]):
-                time, _seq, fn, args = due.popleft()
-            else:
-                time, _seq, fn, args = heappop(heap)
-            if fn is None:
-                if args.cancelled:
-                    continue
-                fn, args = args.fn, args.args
-            self._now = time
-            fn(*args)
-            return True
-        return False
-
-    def run(self, until: float | None = None) -> float:
-        """Run events until the queue drains (or virtual ``until``).
+    def run(self) -> float:
+        """Run events until the queue drains.
 
         Returns the final virtual time.  Re-entrant calls are rejected —
         event handlers must schedule, not recurse into ``run``.
@@ -213,41 +122,20 @@ class Engine:
         heap = self._heap
         due = self._due
         try:
-            if until is None:
-                # Hot loop: pop-and-fire with no peeking.  The due FIFO
-                # (usually empty or the head) merges by tuple compare.
-                while True:
-                    if due:
-                        if heap and heap[0] < due[0]:
-                            time, _seq, fn, args = heappop(heap)
-                        else:
-                            time, _seq, fn, args = due.popleft()
-                    elif heap:
+            # Hot loop: pop-and-fire with no peeking.  The due FIFO
+            # (usually empty or the head) merges by tuple compare.
+            while True:
+                if due:
+                    if heap and heap[0] < due[0]:
                         time, _seq, fn, args = heappop(heap)
                     else:
-                        break
-                    if fn is None:
-                        if args.cancelled:
-                            continue
-                        fn, args = args.fn, args.args
-                    self._now = time
-                    fn(*args)
-            else:
-                while heap or due:
-                    if due and (not heap or due[0] < heap[0]):
-                        nxt = due[0]
-                    else:
-                        nxt = heap[0]
-                        if nxt[2] is None and nxt[3].cancelled:
-                            heappop(heap)
-                            continue
-                    if nxt[0] > until:
-                        self._now = until
-                        break
-                    self.step()
+                        time, _seq, fn, args = due.popleft()
+                elif heap:
+                    time, _seq, fn, args = heappop(heap)
                 else:
-                    if until > self._now:
-                        self._now = until
+                    break
+                self._now = time
+                fn(*args)
         finally:
             self._running = False
         return self._now
@@ -256,11 +144,10 @@ class Engine:
         """Fire a presorted static schedule without per-event heap ops.
 
         ``entries`` is a sequence of ``(time, fn, args)`` tuples with
-        non-decreasing times, none in the past.  This is the compiled
-        fast path: the whole batch reserves a contiguous ``seq`` block up
-        front (so its entries order exactly as if they had been scheduled
-        one by one before anything they spawn) and is then driven by a
-        plain cursor.  Events the entries schedule *dynamically* are
+        non-decreasing times, none in the past.  The whole batch
+        reserves a contiguous ``seq`` block up front (so its entries
+        order exactly as if they had been scheduled one by one before
+        anything they spawn) and is then driven by a plain cursor.  Events the entries schedule *dynamically* are
         merged in by ``(time, seq)`` — a dynamic event fires mid-replay
         only when it is due strictly before the next static entry.
         Dynamic events left over when the schedule is exhausted stay
@@ -320,10 +207,6 @@ class Engine:
                         dfn, dargs = nxt[2], nxt[3]
                     else:
                         break
-                    if dfn is None:
-                        if dargs.cancelled:
-                            continue
-                        dfn, dargs = dargs.fn, dargs.args
                     self._now = nxt[0]
                     dfn(*dargs)
                 self._now = time

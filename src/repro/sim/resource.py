@@ -27,14 +27,12 @@ class Resource:
         busy_time: total virtual seconds spent serving (for utilization).
     """
 
-    __slots__ = ("_engine", "name", "_free_at", "busy_time", "jobs_served")
+    __slots__ = ("_engine", "_free_at", "busy_time")
 
-    def __init__(self, engine: Engine, name: str = "") -> None:
+    def __init__(self, engine: Engine) -> None:
         self._engine = engine
-        self.name = name
         self._free_at = 0.0
         self.busy_time = 0.0
-        self.jobs_served = 0
 
     def submit(
         self, duration: float, fn: Callable[..., Any] | None = None, *args: Any
@@ -53,39 +51,24 @@ class Resource:
         end = start + duration
         self._free_at = end
         self.busy_time += duration
-        self.jobs_served += 1
         if fn is not None:
             engine.call_at(end, fn, *args)
         return start, end
-
-    @property
-    def free_at(self) -> float:
-        """Virtual time at which the server next becomes idle."""
-        return max(self._free_at, self._engine.now)
-
-    def backlog(self) -> float:
-        """Queued-but-unserved virtual seconds as of now."""
-        return max(0.0, self._free_at - self._engine.now)
 
 
 class MultiResource:
     """``k`` identical FIFO servers with earliest-available dispatch."""
 
-    __slots__ = (
-        "_engine", "name", "servers", "_free", "busy_time", "jobs_served"
-    )
+    __slots__ = ("_engine", "_free", "busy_time")
 
-    def __init__(self, engine: Engine, servers: int, name: str = "") -> None:
+    def __init__(self, engine: Engine, servers: int) -> None:
         if servers <= 0:
             raise SimulationError(f"servers must be positive, got {servers}")
         self._engine = engine
-        self.name = name
-        self.servers = servers
         # Heap of (free_at, server_index); lazily clamped to `now`.
         self._free: list[tuple[float, int]] = [(0.0, i) for i in range(servers)]
         heapq.heapify(self._free)
         self.busy_time = 0.0
-        self.jobs_served = 0
 
     def submit(
         self, duration: float, fn: Callable[..., Any] | None = None, *args: Any
@@ -103,11 +86,6 @@ class MultiResource:
         end = start + duration
         heapq.heappush(self._free, (end, idx))
         self.busy_time += duration
-        self.jobs_served += 1
         if fn is not None:
             self._engine.call_at(end, fn, *args)
         return start, end
-
-    def earliest_free(self) -> float:
-        """Virtual time at which some server is next idle."""
-        return max(self._free[0][0], self._engine.now)

@@ -8,8 +8,6 @@ from repro.core.errors import ControllerError
 from repro.graphs import Broadcast, DataParallel, Reduction
 from repro.runtimes import MPIController, SerialController
 from repro.runtimes.result import RunResult
-from repro.sim.engine import Engine
-from repro.sim.resource import Resource
 
 
 class TestRunResult:
@@ -56,30 +54,6 @@ class TestInputNormalization:
         c.register_callback(0, lambda ins, tid: [ins[0]])
         with pytest.raises(ControllerError, match="expected Payload"):
             c.run({0: [42]})
-
-
-class TestEngineSmall:
-    def test_pending_counts_queue(self):
-        eng = Engine()
-        eng.after(1.0, lambda: None)
-        eng.after(2.0, lambda: None)
-        assert eng.pending == 2
-        eng.run()
-        assert eng.pending == 0
-
-    def test_run_until_beyond_queue_advances_clock(self):
-        eng = Engine()
-        eng.after(1.0, lambda: None)
-        assert eng.run(until=5.0) == 5.0
-
-
-class TestResourceSmall:
-    def test_free_at_tracks_backlog(self):
-        eng = Engine()
-        res = Resource(eng)
-        res.submit(2.0)
-        assert res.free_at == 2.0
-        assert res.backlog() == 2.0
 
 
 class TestGraphHelpers:

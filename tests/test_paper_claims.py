@@ -5,11 +5,13 @@ which also need ``pytest-benchmark``; figs. 10e/f state theirs beside the
 shared sweeps in ``benchmarks/compositing_common``); the figures cheap
 enough for tier-1 — 6, 9, 10a/b/c/e/f — are swept here at small scale through
 the same functions, so ``python -m pytest`` regression-tests the paper,
-not just the machinery.
+not just the machinery.  The ablation tables of EXPERIMENTS.md
+("Ablations") join them one at a time, on the same template.
 """
 
 import pytest
 
+from benchmarks import bench_ablation_inmemory as inmemory
 from benchmarks import bench_fig6_mergetree_runtimes as fig6
 from benchmarks import bench_fig9_registration as fig9
 from benchmarks import compositing_common as fig10
@@ -152,3 +154,31 @@ def test_fig10bc_full_dataflow_shape():
 def test_fig10bc_makespans_match_the_published_table(mode, series, n):
     published = FIG10BC_MAKESPANS[mode, series][n]
     assert f"{fig10bc_sweep(mode)[series][n]:.4f}" == f"{published:.4f}"
+
+
+#: EXPERIMENTS.md, "Ablations", in-memory messages: makespan and the
+#: serialization seconds charged, shortcut on and off, locality map.
+INMEMORY_TABLE = {
+    "makespan on": {16: 5.0272, 64: 2.2120},
+    "makespan off": {16: 5.8148, 64: 2.3754},
+    "serialize on": {16: 0.0055, 64: 0.0093},
+    "serialize off": {16: 12.6956, 64: 12.6956},
+}
+
+
+@pytest.fixture(scope="module")
+def inmemory_sweep():
+    return inmemory.run_sweep(inmemory.make_workload(), inmemory.CORES)
+
+
+def test_inmemory_ablation_shape(inmemory_sweep):
+    inmemory.assert_inmemory_shape(inmemory.CORES, inmemory_sweep)
+
+
+@pytest.mark.parametrize("series", list(INMEMORY_TABLE))
+@pytest.mark.parametrize("cores", inmemory.CORES)
+def test_inmemory_ablation_matches_the_published_table(
+    inmemory_sweep, series, cores
+):
+    published = INMEMORY_TABLE[series][cores]
+    assert f"{inmemory_sweep[series][cores]:.4f}" == f"{published:.4f}"

@@ -106,3 +106,60 @@ def test_trace_busy_fraction_bounded(n_jobs, procs):
     for p in range(tl.n_procs):
         assert tl.busy_seconds(p) <= tl.makespan * (1 + 1e-9)
     assert 0.0 < tl.utilization_mean() <= 1.0
+
+
+# Delays are drawn so that same-time ties are common: zero delays land
+# in the engine's due FIFO, the rest collide on the heap.
+_DELAYS = st.sampled_from([0, 0, 0.5, 1, 1, 2.5])
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 39), st.integers(0, 3), _DELAYS),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_events_fire_in_time_then_scheduling_order(nodes):
+    """Against a brute-force oracle: every pending entry carries
+    ``(time, scheduling counter)`` and the smallest fires next, so
+    same-time events fire in the order they were scheduled, whichever
+    of the heap and the due FIFO holds them.
+
+    ``nodes`` is a random nested program, flattened: node ``i`` is a
+    root scheduled at integer ``time`` when ``parent % (i + 1) == i``,
+    else a child its parent's handler schedules ``delay`` later.
+    """
+    roots, children = [], [[] for _ in nodes]
+    for i, (parent, time, delay) in enumerate(nodes):
+        parent %= i + 1
+        if parent == i:
+            roots.append((time, i))
+        else:
+            children[parent].append((delay, i))
+
+    eng = Engine()
+    fired = []
+
+    def fire(node):
+        fired.append((eng.now, node))
+        for delay, child in children[node]:
+            eng.call_after(delay, fire, child)
+
+    for time, node in roots:
+        eng.call_at(time, fire, node)
+    eng.run()
+
+    pending = [(time, seq, node) for seq, (time, node) in enumerate(roots)]
+    counter = len(pending)
+    expected = []
+    while pending:
+        entry = min(pending)
+        pending.remove(entry)
+        now, _, node = entry
+        expected.append((now, node))
+        for delay, child in children[node]:
+            pending.append((now + delay, counter, child))
+            counter += 1
+    assert fired == expected

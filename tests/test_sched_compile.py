@@ -2,22 +2,27 @@
 
 Fingerprints (value equality across instances, instance memoization),
 the LRU :class:`PlanCache`, :func:`compile_plan` lowering (placement
-flattened, graph-only facts left to the graph's tables, wire constants
-match the cluster's classification), and the planner's ``cache=``
-integration.
+flattened, graph-only facts left to the graph's tables), the run-plan
+key (graph and map only: one plan serves every machine and rank count),
+and the planner's ``cache=`` integration.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.core.errors import TaskMapError
 from repro.core.explicit import ExplicitGraph
 from repro.core.ids import EXTERNAL, TNULL
+from repro.core.payload import Payload
 from repro.core.task import Task
 from repro.core.taskmap import BlockMap, ModuloMap, RangeMap
 from repro.graphs import MergeTreeGraph, Reduction
-from repro.runtimes.costs import DEFAULT_COSTS
+from repro.runtimes import MPIController
+from repro.runtimes.costs import DEFAULT_COSTS, CallableCost
 from repro.sched import (
     PLAN_CACHE,
     CallbackWeightEstimate,
@@ -32,8 +37,6 @@ from repro.sched.compile import (
     run_plan_key,
     taskmap_fingerprint,
 )
-from repro.sim.cluster import Cluster
-from repro.sim.engine import Engine
 from repro.sim.machine import SHAHEEN_II
 
 
@@ -92,12 +95,47 @@ def test_generic_taskmap_fingerprint_enumerates() -> None:
 def test_run_plan_key_distinguishes_inputs() -> None:
     g = Reduction(16, 2)
     m = ModuloMap(4, g.size())
-    base = run_plan_key(g, m, SHAHEEN_II, 4, 16)
-    assert base == run_plan_key(Reduction(16, 2), ModuloMap(4, g.size()),
-                                SHAHEEN_II, 4, 16)
-    assert base != run_plan_key(g, m, SHAHEEN_II, 5, 16)
-    assert base != run_plan_key(g, m, SHAHEEN_II, 4, 8)
-    assert base != run_plan_key(g, BlockMap(4, g.size()), SHAHEEN_II, 4, 16)
+    base = run_plan_key(g, m)
+    assert base == run_plan_key(Reduction(16, 2), ModuloMap(4, g.size()))
+    assert base != run_plan_key(g, BlockMap(4, g.size()))
+    assert base != run_plan_key(Reduction(16, 4), m)
+
+
+def test_one_plan_serves_every_machine_and_rank_count() -> None:
+    # The plan is the flattened map, so neither the machine nor the rank
+    # count may split the cache; each compiled run must still price its
+    # own machine exactly as the interpreted run does.
+    slow = replace(SHAHEEN_II, inter_bandwidth=SHAHEEN_II.inter_bandwidth / 4)
+    PLAN_CACHE.clear()
+    makespans = {}
+    for machine, n_procs in ((SHAHEEN_II, 8), (slow, 8), (SHAHEEN_II, 16)):
+        for compiled in (True, False):
+            g = Reduction(64, 4)
+            c = MPIController(
+                n_procs,
+                machine=machine,
+                procs_per_node=2,
+                cost_model=CallableCost(lambda t, i: 1e-3),
+                compile=compiled,
+            )
+            c.initialize(g, ModuloMap(8, g.size()))
+            c.register_callback(g.LEAF, lambda ins, tid: [ins[0]])
+            add = lambda ins, tid: [Payload(sum(p.data for p in ins))]
+            c.register_callback(g.REDUCE, add)
+            c.register_callback(g.ROOT, add)
+            result = c.run(
+                {t: Payload(np.full(4096, i)) for i, t in
+                 enumerate(g.leaf_ids())}
+            )
+            makespans[machine is slow, n_procs, compiled] = (
+                result.stats.makespan
+            )
+    stats = PLAN_CACHE.stats()
+    assert (stats["misses"], stats["hits"]) == (1, 2)
+    for (slow_net, n_procs, compiled), makespan in makespans.items():
+        if compiled:
+            assert makespan == makespans[slow_net, n_procs, False]
+    assert makespans[True, 8, True] > makespans[False, 8, True]
 
 
 def test_placement_key_distinguishes_estimators() -> None:
@@ -179,7 +217,6 @@ def test_compile_plan_templates_match_interpreter() -> None:
     g = MergeTreeGraph(16, 2).cached()
     tm = ModuloMap(4, g.size())
     plan = compile_plan(g, tm)
-    assert plan.n == g.size() and plan.n_procs == 4
     # What a compiled run reads that does not depend on placement lives
     # in the graph's tables, once — not a second time on the plan.
     tables = g.tables()
@@ -194,19 +231,7 @@ def test_compile_plan_templates_match_interpreter() -> None:
         if EXTERNAL in t.incoming:
             sources.append(tid)
     assert tables.sources == sources  # ascending deposit order
-    assert sorted(plan.ready_order) == list(range(g.size()))
-
-
-def test_compile_plan_wire_constants_match_cluster() -> None:
-    g = Reduction(64, 2).cached()
-    tm = ModuloMap(6, g.size())
-    ppn = 4
-    plan = compile_plan(g, tm, SHAHEEN_II, procs_per_node=ppn)
-    cluster = Cluster(Engine(), SHAHEEN_II, 6, procs_per_node=ppn)
-    nbytes = 4096
-    for e, (s, d) in enumerate(zip(plan.edge_src, plan.edge_dst)):
-        inj, lat = cluster.message_time(tm.shard(s), tm.shard(d), nbytes)
-        assert plan.delivery_offset(e, nbytes) == inj + lat
+    assert len(plan.proc) == g.size()
 
 
 def test_compile_plan_rejects_noncontiguous_ids() -> None:

@@ -12,9 +12,9 @@ class TestScheduling:
     def test_events_fire_in_time_order(self):
         eng = Engine()
         log = []
-        eng.after(2.0, log.append, "b")
-        eng.after(1.0, log.append, "a")
-        eng.after(3.0, log.append, "c")
+        eng.call_after(2.0, log.append, "b")
+        eng.call_after(1.0, log.append, "a")
+        eng.call_after(3.0, log.append, "c")
         eng.run()
         assert log == ["a", "b", "c"]
         assert eng.now == 3.0
@@ -23,7 +23,7 @@ class TestScheduling:
         eng = Engine()
         log = []
         for i in range(10):
-            eng.at(1.0, log.append, i)
+            eng.call_at(1.0, log.append, i)
         eng.run()
         assert log == list(range(10))
 
@@ -34,42 +34,23 @@ class TestScheduling:
         def chain(n):
             log.append(n)
             if n < 5:
-                eng.after(1.0, chain, n + 1)
+                eng.call_after(1.0, chain, n + 1)
 
-        eng.after(0.0, chain, 0)
+        eng.call_after(0.0, chain, 0)
         eng.run()
         assert log == [0, 1, 2, 3, 4, 5]
         assert eng.now == 5.0
 
-    def test_cancel(self):
-        eng = Engine()
-        log = []
-        ev = eng.after(1.0, log.append, "x")
-        eng.after(0.5, ev.cancel)
-        eng.run()
-        assert log == []
-
-    def test_run_until(self):
-        eng = Engine()
-        log = []
-        eng.after(1.0, log.append, 1)
-        eng.after(5.0, log.append, 5)
-        eng.run(until=2.0)
-        assert log == [1]
-        assert eng.now == 2.0
-        eng.run()
-        assert log == [1, 5]
-
     def test_past_scheduling_rejected(self):
         eng = Engine()
-        eng.after(1.0, lambda: None)
+        eng.call_after(1.0, lambda: None)
         eng.run()
         with pytest.raises(SimulationError):
-            eng.at(0.5, lambda: None)
+            eng.call_at(0.5, lambda: None)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
-            Engine().after(-1.0, lambda: None)
+            Engine().call_after(-1.0, lambda: None)
 
     def test_not_reentrant(self):
         eng = Engine()
@@ -77,24 +58,16 @@ class TestScheduling:
         def recurse():
             eng.run()
 
-        eng.after(0.0, recurse)
+        eng.call_after(0.0, recurse)
         with pytest.raises(SimulationError):
             eng.run()
-
-    def test_step(self):
-        eng = Engine()
-        log = []
-        eng.after(1.0, log.append, 1)
-        assert eng.step() is True
-        assert eng.step() is False
-        assert log == [1]
 
     @given(st.lists(st.floats(0, 100, allow_nan=False), max_size=50))
     def test_time_is_monotone(self, delays):
         eng = Engine()
         times = []
         for d in delays:
-            eng.after(d, lambda: times.append(eng.now))
+            eng.call_after(d, lambda: times.append(eng.now))
         eng.run()
         assert times == sorted(times)
 
@@ -109,7 +82,7 @@ class TestDueFifoAndReplay:
         def handler():
             # Scheduled *while handling* an event at t=1: fires at t=1,
             # after everything already due, before the t=2 event.
-            eng.call_now(log.append, "now")
+            eng.call_at(eng.now, log.append, "now")
 
         eng.call_at(1.0, handler)
         eng.call_at(1.0, log.append, "due")
@@ -138,31 +111,14 @@ class TestDueFifoAndReplay:
         log = []
 
         def handler():
-            eng.call_now(log.append, 1)      # seq k   (FIFO)
+            eng.call_at(eng.now, log.append, 1)  # seq k   (FIFO)
             eng.call_at(1.0, log.append, 2)  # seq k+1 (FIFO: t == now)
             eng.call_at(1.5, log.append, 3)  # heap
-            eng.call_now(log.append, 4)      # seq k+3 — after the pops?
+            eng.call_at(eng.now, log.append, 4)  # seq k+3 — after the pops?
 
         eng.call_at(1.0, handler)
         eng.run()
         assert log == [1, 2, 4, 3]
-
-    def test_pending_counts_due_entries(self):
-        eng = Engine()
-        eng.call_now(lambda: None)
-        eng.call_after(1.0, lambda: None)
-        assert eng.pending == 2
-        eng.run()
-        assert eng.pending == 0
-
-    def test_step_drains_due_before_equal_heap(self):
-        eng = Engine()
-        log = []
-        eng.call_now(log.append, "due")  # seq 0, t=0
-        eng.call_at(0.5, log.append, "heap")
-        assert eng.step() and log == ["due"]
-        assert eng.step() and log == ["due", "heap"]
-        assert not eng.step()
 
     def test_replay_fires_static_schedule(self):
         eng = Engine()
@@ -196,7 +152,6 @@ class TestDueFifoAndReplay:
         # dyn-tie (t=2.0) has seq >= base+n, so it orders *after* the
         # static s2 entry at the same time — and fires only in run().
         assert log == ["s0", "dyn-mid", "s1", "s2"]
-        assert eng.pending == 2
         eng.run()
         assert log == ["s0", "dyn-mid", "s1", "s2", "dyn-tie", "dyn-late"]
 
@@ -208,7 +163,7 @@ class TestDueFifoAndReplay:
 
         def spawn():
             log.append("s0")
-            eng.call_now(log.append, "dyn")
+            eng.call_at(eng.now, log.append, "dyn")
 
         eng.replay([(1.0, spawn, ()), (1.0, log.append, ("s1",))])
         assert log == ["s0", "s1"]
@@ -260,3 +215,9 @@ class TestDueFifoAndReplay:
         e2.replay(entries2)
         e2.run()
         assert log1 == log2
+
+
+def test_surface_is_what_the_controllers_call():
+    # Two ways to schedule, one loop, and replay for the ledger probe.
+    public = [n for n in dir(Engine) if not n.startswith("_")]
+    assert public == ["call_after", "call_at", "now", "replay", "run"]

@@ -18,7 +18,6 @@ class TestResource:
         assert s1 == (0.0, 2.0)
         assert s2 == (2.0, 5.0)
         assert res.busy_time == 5.0
-        assert res.jobs_served == 2
 
     def test_completion_callbacks_fire_at_end(self):
         eng = Engine()
@@ -33,16 +32,10 @@ class TestResource:
         eng = Engine()
         res = Resource(eng)
         res.submit(1.0)
-        eng.after(5.0, lambda: None)
+        eng.call_after(5.0, lambda: None)
         eng.run()
         start, end = res.submit(1.0)
         assert start == 5.0 and end == 6.0
-
-    def test_backlog(self):
-        eng = Engine()
-        res = Resource(eng)
-        res.submit(4.0)
-        assert res.backlog() == 4.0
 
     def test_negative_duration_rejected(self):
         with pytest.raises(SimulationError):
