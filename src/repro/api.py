@@ -120,7 +120,9 @@ def run(
             watch`` / ``serve``; ``$REPRO_LIVE_DIR`` arms every run and
             is the directory ``live=True`` needs),
             ``compile`` (``True`` to lower static runs into cached
-            ahead-of-time plans reused across invocations — see
+            ahead-of-time plans reused across invocations: an
+            unobserved run records its simulated timing on the plan and
+            later ones execute only the callbacks — see
             :mod:`repro.sched.compile`; results are bit-identical and
             dynamic runs fall back automatically), ...  Unknown names
             are rejected with a did-you-mean hint.

@@ -150,6 +150,17 @@ class GraphTables:
         )
         self.slot_start, self.edge_start = by_id(slot_start), by_id(edge_start)
 
+    def external(self, inputs):
+        """A run's initial deposits as ``(task, slot, payload)``, in
+        ascending task order, from ``inputs`` (source id -> payload
+        list); a source ``inputs`` lacks gets nothing."""
+        ext_start, ext_slot = self.ext_start, self.ext_slot
+        for j, tid in enumerate(self.sources):
+            a = ext_start[j]
+            for payload in inputs.get(tid, ()):
+                yield tid, ext_slot[a], payload
+                a += 1
+
     def by_id(self, column):
         """``column`` — one entry per task, in ``ids`` order — as
         something indexable by task id."""

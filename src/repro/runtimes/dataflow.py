@@ -349,17 +349,6 @@ class DataflowKernel:
 
     # -- what is ready ------------------------------------------------- #
 
-    def external(self, inputs: dict[TaskId, list[Payload]]):
-        """The run's initial deposits as ``(task, slot, payload)``, in
-        ascending task order (a source ``inputs`` lacks gets nothing)."""
-        tables = self.tables
-        ext_start, ext_slot = tables.ext_start, tables.ext_slot
-        for j, tid in enumerate(tables.sources):
-            a = ext_start[j]
-            for payload in inputs.get(tid, ()):
-                yield tid, ext_slot[a], payload
-                a += 1
-
     def deposit(
         self, tid: TaskId, slot: int, payload: Payload, producer: TaskId
     ) -> bool:

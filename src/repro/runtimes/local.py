@@ -335,9 +335,9 @@ class LocalPoolController(Controller):
         balancer: accepted for config portability but inapplicable — the
             pool's dispatch is already dynamic; the run degrades
             gracefully and narrates it with a ``plan.fallback`` event.
-        compile: accepted for config portability; compiled run plans
-            replay *simulated* deposit schedules, so real runs fall back
-            (with a ``plan.fallback`` event) and execute normally.
+        compile: accepted for config portability; a compiled run plan
+            records *simulated* timing, so real runs fall back (with a
+            ``plan.fallback`` event) and execute normally.
         idle_timeout: real seconds without a single completion before
             the run is declared stuck and fails fast (a deadlocked or
             died-silently pool surfaces as a
@@ -637,7 +637,7 @@ class LocalPoolController(Controller):
                 "balancer",
                 "balancer inapplicable: pool dispatch is already dynamic",
             )
-        for tid, slot, payload in kernel.external(inputs):
+        for tid, slot, payload in kernel.tables.external(inputs):
             if kernel.deposit(tid, slot, payload, EXTERNAL):
                 enqueue(tid)
 

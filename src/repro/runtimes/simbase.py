@@ -129,9 +129,12 @@ class SimController(Controller):
             :class:`~repro.sched.compile.CompiledPlan` — the placement
             table flattened once — reused across runs, machines and rank
             counts via the process-wide
-            :data:`~repro.sched.compile.PLAN_CACHE`.  Results are
-            bit-identical to the interpreted path.  Runs that need
-            dynamic behavior (``fault_plan=``, ``balancer=``,
+            :data:`~repro.sched.compile.PLAN_CACHE`.  An unobserved run
+            records its timing on the plan; later unobserved runs with
+            the same :meth:`_timing_key` execute only the callbacks and
+            reuse it while every task's duration and input sizes match.
+            Results are bit-identical to the interpreted path.  Runs
+            that need dynamic behavior (``fault_plan=``, ``balancer=``,
             ``telemetry=``, or a dynamic-placement backend) fall back
             automatically, emitting a ``plan.fallback`` event when
             observed.
@@ -288,6 +291,15 @@ class SimController(Controller):
             PLAN_CACHE.put(key, plan)
         return plan, None
 
+    def _timing_key(self) -> tuple:
+        """What a static run's timing reads besides its plan and the
+        per-task guards: a recorded timing serves equal keys only."""
+        return (
+            type(self), self.n_procs, self.cores_per_proc,
+            self.procs_per_node, self.machine, self.costs, self.retry_policy,
+            getattr(self._task_map, "plan_seconds", None),
+        )
+
     def _on_ready(self, tid: TaskId) -> None:
         """A task's inputs are complete; default: enqueue on its proc."""
         self._enqueue(self._proc[tid], tid)
@@ -311,11 +323,33 @@ class SimController(Controller):
         registry: CallbackRegistry,
         inputs: dict[TaskId, list[Payload]],
     ) -> RunResult:
-        self._engine = Engine()
         # On a live-armed run the sink's clock is left unset, so "now"
         # is the freshest event's virtual timestamp — the only
         # meaningful clock in a simulation.
         run = self._run = RunScaffold(self, graph, self.n_procs)
+        # A planned map (repro.sched.plan) narrates its provenance.
+        run.begin(self._task_map)
+        cplan = recorder = None
+        if self.compile:
+            cplan, fallback = self._resolve_compiled_plan(graph)
+            if cplan is None:
+                # Narrated only when compilation was asked for, so clean
+                # streams keep their exact shape.
+                run.plan_fallback(fallback)
+            elif run.obs is None and not self.cost_model.needs_wall_time:
+                # Unobserved and static: the plan's record under this
+                # key, if its guards hold, is the run's timing.
+                from repro.sched.compile import TimingRecorder, run_lowered
+
+                key = self._timing_key()
+                result = run_lowered(
+                    cplan, key, graph.tables(), registry, self.cost_model, inputs
+                )
+                if result is not None:
+                    self.retries = 0
+                    return result
+                recorder = TimingRecorder(self.cost_model)
+        self._engine = Engine()
         self._metrics = run.metrics
         self._t_task = run.t_task
         self._t_queue = run.t_queue
@@ -346,6 +380,7 @@ class SimController(Controller):
         self._cat_time = self._result.stats.category_time
         self._cb_time = self._result.stats.callback_time
         self._needs_wall = self.cost_model.needs_wall_time
+        self._duration = (recorder or self.cost_model).duration
         self._graph_run = graph
         self._registry_run = registry
         kernel = self._kernel = DataflowKernel(
@@ -384,15 +419,6 @@ class SimController(Controller):
         self._finish_time = 0.0
         self._lb_migrations = 0
 
-        # A planned map (repro.sched.plan) narrates its provenance.
-        run.begin(self._task_map)
-        cplan = None
-        if self.compile:
-            cplan, fallback = self._resolve_compiled_plan(graph)
-            if cplan is None:
-                # Narrated only when compilation was asked for, so clean
-                # streams keep their exact shape.
-                run.plan_fallback(fallback)
         self._prepare_run()
         if cplan is not None:
             self._proc = cplan.proc.copy()
@@ -436,6 +462,8 @@ class SimController(Controller):
         stats.messages = self._cluster.messages_sent
         stats.bytes_sent = self._cluster.bytes_sent
         self._result.metrics = self._snapshot_metrics()
+        if recorder is not None and not self.retries:
+            recorder.commit(cplan, key, self._result)
         if run.live is not None:
             # After the metric snapshot, so the terminal status file
             # carries the finalized counters/gauges.
@@ -496,7 +524,7 @@ class SimController(Controller):
         # or are still on their way in this very batch.
         self._initial_deposited = True
         deposit, on_ready = self._kernel_deposit, self._on_ready
-        for tid, slot, payload in self._kernel.external(inputs):
+        for tid, slot, payload in self._kernel.tables.external(inputs):
             if deposit(tid, slot, payload, EXTERNAL):
                 on_ready(tid)
 
@@ -613,7 +641,7 @@ class SimController(Controller):
                     task.callback, task_inputs, tid, task.n_outputs
                 )
                 wall = 0.0
-            compute = self.cost_model.duration(task, task_inputs, wall)
+            compute = self._duration(task, task_inputs, wall)
             overhead = self._pre_compute_overhead(proc, task, task_inputs)
         else:
             outputs, compute, overhead = stash

@@ -20,9 +20,11 @@ hand-rolled maps the controllers shipped with:
   (:meth:`ProfiledEstimate.from_events`).
 * **Plan compilation** (:mod:`repro.sched.compile`): lowering a static
   ``(graph, task_map)`` into a :class:`CompiledPlan` — the placement
-  table the simulated controllers copy instead of flattening the map —
-  and the fingerprint-keyed LRU :class:`PlanCache` (:data:`PLAN_CACHE`)
-  reusing planner and compiler artifacts across ``repro.run()`` calls.
+  table the simulated controllers copy instead of flattening the map,
+  and the recorded timing later unobserved runs reuse instead of
+  simulating — and the fingerprint-keyed LRU :class:`PlanCache`
+  (:data:`PLAN_CACHE`) reusing planner and compiler artifacts across
+  ``repro.run()`` calls.
 * **Dynamic balancing** (:mod:`repro.sched.balance`): the
   :class:`Balancer` strategy interface generalizing Charm++'s periodic
   load balancer so *any* simulated controller can opt in via

@@ -4,17 +4,25 @@ What a run needs from the *graph* alone — materialized tasks, input-slot
 layout, sources, the slot every edge fills — is lowered once per graph
 instance into :class:`~repro.core.tables.GraphTables` and read by the
 interpreted and the compiled path alike.  :func:`compile_plan` lowers
-the one thing a run additionally reads from its *placement*: a
+what a run additionally reads from its *placement*: a
 ``(graph, task_map)`` pair becomes a :class:`CompiledPlan` — the task
 map flattened into a per-task table — and :class:`PlanCache` keys plans
 by a structural fingerprint so repeated ``repro.run()`` invocations of
 the same workload reuse the table outright.
 
-The compiled fast path never changes *results*: it differs from the
-interpreted one in one place only — the placement table is copied from
-the plan instead of flattened from the task map — and anything dynamic
-(fault plans, balancers, telemetry) makes the controller fall back to
-the interpreted path with a ``plan.fallback`` observability event.
+A plan also lowers its runs' *timing*.  On a static run the simulated
+schedule depends only on the plan, the controller's configuration (its
+timing key) and each task's cost-model duration and input sizes, never
+on payload values.  The first unobserved run of a plan under a key runs
+the interpreted engine and records, through :class:`TimingRecorder`, a
+:class:`Timing` on the plan.  Later runs under that key go through
+:func:`run_lowered`: the callbacks alone, in the recorded order, checked
+against the recorded durations and sizes, returning the recorded stats
+and metrics.  Any mismatch or error sends the run back to the
+interpreted engine, which records again, so results never change;
+anything dynamic (fault plans, balancers, telemetry) makes the
+controller fall back to the interpreted path with a ``plan.fallback``
+observability event.
 
 Fingerprints are *memoized on the fingerprinted instance* (graphs and
 task maps are immutable once run — the caching contract of
@@ -27,15 +35,23 @@ than a cold plan: a lookup is a few attribute reads and one dict probe.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from dataclasses import astuple, dataclass
-from typing import TYPE_CHECKING
+from array import array
+from collections import OrderedDict, defaultdict
+from dataclasses import astuple
+from typing import TYPE_CHECKING, NamedTuple
 
+from repro.core.callbacks import CallbackRegistry
 from repro.core.errors import GraphError
 from repro.core.graph import CachedGraph, TaskGraph
+from repro.core.ids import TaskId
+from repro.core.payload import Payload
+from repro.core.tables import GraphTables
 from repro.core.taskmap import BlockMap, ModuloMap, RangeMap, TaskMap
-from repro.runtimes.costs import RuntimeCosts
+from repro.obs.metrics import MetricsSnapshot
+from repro.runtimes.costs import CostModel, RuntimeCosts
+from repro.runtimes.result import RunResult
 from repro.sim.machine import MachineSpec
+from repro.sim.trace import Stats
 
 if TYPE_CHECKING:
     from repro.sched.estimate import CostEstimate
@@ -170,8 +186,9 @@ class PlanCache:
 
     Keys are the fingerprint tuples above; values are
     :class:`~repro.sched.plan.PlannedMap` or :class:`CompiledPlan`
-    instances (both immutable once built, so sharing across runs is
-    safe).  ``hits`` / ``misses`` make reuse observable in tests and
+    instances, safe to share across runs: both are immutable once
+    built, but for a plan's timing record, which is only ever replaced
+    whole.  ``hits`` / ``misses`` make reuse observable in tests and
     benchmarks.
 
     Thread-safe: the run service's worker pool resolves plans from many
@@ -243,17 +260,47 @@ PLAN_CACHE = PlanCache()
 # ---------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, slots=True)
+class Timing(NamedTuple):
+    """One recorded run of a plan: what its simulated timing read, and
+    what it produced.
+
+    ``key`` is the controller's timing key
+    (:meth:`~repro.runtimes.simbase.SimController._timing_key`).
+    ``order`` lists the task ids in dispatch order, a topological order:
+    a task dispatches only once every input has arrived.  The guard is
+    ``durations``, the cost model's seconds per task, and ``nbytes``, the
+    size of each input payload in slot order, both in ``order``.
+    ``sinks`` lists the returned ``(task, channels)`` in result order;
+    ``stats`` and ``metrics`` are the run's, copied out.  Never mutated.
+    """
+
+    key: tuple
+    order: array
+    durations: array
+    nbytes: array
+    sinks: tuple
+    stats: Stats
+    metrics: MetricsSnapshot
+
+
 class CompiledPlan:
     """The placement-dependent half of a static run, lowered.
 
     The graph-only half (tasks, slot layout, sources, edge slots) is the
     graph's :class:`~repro.core.tables.GraphTables`; the plan adds
     ``proc``, the placement table (``task_map.shard`` flattened), which
-    a compiled run copies instead of flattening the map again.
+    a compiled run copies instead of flattening the map again, and
+    ``timing``, the last recorded run's :class:`Timing` (or ``None``),
+    which later runs under the same timing key execute instead of
+    simulating.  ``timing`` is replaced whole by one attribute store, so
+    threads sharing the plan read either the old record or the new one.
     """
 
-    proc: list[int]
+    __slots__ = ("proc", "timing")
+
+    def __init__(self, proc: list[int]) -> None:
+        self.proc = proc
+        self.timing: Timing | None = None
 
 
 def compile_plan(graph: TaskGraph, task_map: TaskMap) -> CompiledPlan:
@@ -267,3 +314,143 @@ def compile_plan(graph: TaskGraph, task_map: TaskMap) -> CompiledPlan:
 
     ids = _contiguous_ids(graph.cached())
     return CompiledPlan(list(map(task_map.shard, ids)))
+
+
+# ---------------------------------------------------------------------- #
+# Recording a run, and running it lowered
+# ---------------------------------------------------------------------- #
+
+
+class TimingRecorder(CostModel):
+    """The cost model of a recording run, wrapping the run's own.
+
+    The interpreted engine calls :meth:`duration` once per task, at
+    dispatch, with the task's complete input list, so the wrapper sees
+    the dispatch order, every duration and every deposited payload's
+    size exactly once, and the engine's hot path does no extra work.
+    """
+
+    needs_wall_time = False
+
+    def __init__(self, inner: CostModel) -> None:
+        self._inner = inner.duration
+        self.order = array("q")
+        self.durations = array("d")
+        self.nbytes = array("q")
+
+    def duration(self, task, inputs, wall_time: float) -> float:
+        seconds = self._inner(task, inputs, wall_time)
+        self.order.append(task.id)
+        self.durations.append(seconds)
+        self.nbytes.extend([p.nbytes for p in inputs])
+        return seconds
+
+    def commit(self, plan: CompiledPlan, key: tuple, result: RunResult) -> None:
+        """Make ``result``, a run that dispatched every task once and
+        retried none, ``plan``'s record under ``key``."""
+        plan.timing = Timing(
+            key,
+            self.order,
+            self.durations,
+            self.nbytes,
+            tuple((tid, tuple(chs)) for tid, chs in result.outputs.items()),
+            _fresh_stats(result.stats),
+            _fresh_metrics(result.metrics),
+        )
+
+
+def run_lowered(
+    plan: CompiledPlan,
+    key: tuple,
+    tables: GraphTables,
+    registry: CallbackRegistry,
+    cost_model: CostModel,
+    inputs: dict[TaskId, list[Payload]],
+) -> RunResult | None:
+    """Run a static run without simulating it: execute the callbacks in
+    the recorded order and return fresh copies of the recorded stats and
+    metrics.
+
+    Returns ``None`` when ``plan`` holds no record under ``key``, when a
+    task's duration or input sizes differ from the record, when an input
+    slot is empty, or when a callback or the cost model raises.  The
+    caller then runs the interpreted engine, which raises or stalls
+    exactly as it would have, and records again.
+    """
+    timing = plan.timing
+    if timing is None or timing.key != key:
+        return None
+    try:
+        outputs = _execute_lowered(timing, tables, registry, cost_model, inputs)
+    except Exception:
+        # Not swallowed: the interpreted run that follows raises it again,
+        # where and as it would have without a record.
+        return None
+    if outputs is None:
+        return None
+    return RunResult(
+        outputs, _fresh_stats(timing.stats), None, _fresh_metrics(timing.metrics)
+    )
+
+
+def _execute_lowered(timing, tables, registry, cost_model, inputs):
+    """The callbacks of one run in ``timing.order``, its flat slots
+    filled through ``tables``; the returned payloads, or ``None`` at the
+    first task whose input sizes or duration differ from the record."""
+    slots: list = [None] * tables.n_slots
+    for _, slot, payload in tables.external(inputs):
+        slots[slot] = payload
+    tasks, slot_start, n_inputs = tables.tasks, tables.slot_start, tables.n_inputs
+    edge_start, n_edges = tables.edge_start, tables.n_edges
+    edge_ch, edge_dst, edge_slot = tables.edge_ch, tables.edge_dst, tables.edge_slot
+    invoke, duration = registry.invoke, cost_model.duration
+    rec_durations, rec_nbytes = timing.durations, timing.nbytes
+    k = 0
+    returned = {}
+    for i, tid in enumerate(timing.order):
+        task = tasks[tid]
+        a = slot_start[tid]
+        b = a + n_inputs[tid]
+        ins = slots[a:b]
+        slots[a:b] = [None] * (b - a)
+        for p in ins:  # before the callback: an empty slot raises here
+            if p.nbytes != rec_nbytes[k]:
+                return None
+            k += 1
+        outs = invoke(task.callback, ins, tid, task.n_outputs)
+        if duration(task, ins, 0.0) != rec_durations[i]:
+            return None
+        first = edge_start[tid]
+        for e in range(first, first + n_edges[tid]):
+            dst = edge_dst[e]
+            if dst >= 0:
+                slots[edge_slot[e]] = outs[edge_ch[e]]
+            else:
+                returned[tid, edge_ch[e]] = outs[edge_ch[e]]
+    return {tid: {ch: returned[tid, ch] for ch in chs} for tid, chs in timing.sinks}
+
+
+def _fresh_stats(stats: Stats) -> Stats:
+    return Stats(
+        stats.makespan,
+        defaultdict(float, stats.category_time),
+        defaultdict(float, stats.callback_time),
+        stats.tasks_executed,
+        stats.messages,
+        stats.bytes_sent,
+    )
+
+
+def _fresh_metrics(m: MetricsSnapshot) -> MetricsSnapshot:
+    return MetricsSnapshot(
+        *map(_fresh, (m.counters, m.gauges, m.histograms, m.timeseries, m.sketches))
+    )
+
+
+def _fresh(obj):
+    """``obj``'s nested dicts and lists copied; only leaves are shared."""
+    if isinstance(obj, dict):
+        return {k: _fresh(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_fresh(v) for v in obj]
+    return obj

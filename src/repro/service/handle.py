@@ -65,7 +65,6 @@ class RunHandle:
     """
 
     __slots__ = (
-        "request",
         "tenant",
         "dedup",
         "submitted_ts",
@@ -80,7 +79,6 @@ class RunHandle:
     )
 
     def __init__(self, request, service, entry=None) -> None:
-        self.request = request
         self.tenant = request.tenant
         self.dedup = False
         self.submitted_ts = time.monotonic()

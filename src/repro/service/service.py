@@ -324,13 +324,21 @@ class RunService:
         except Exception as e:
             exc = e
         finished = time.monotonic()
+        # What the controller itself saw in PLAN_CACHE; None (a
+        # fallback, compile off, a failed build) counts neither way.
+        plan_hit = None if controller is None else controller.plan_cache_hit
+        # Dropped before any handle resolves: a handle the caller keeps
+        # must pin none of the request's inputs.
+        del req, controller
         with self._lock:
             entry.state = "resolved"
             if entry.key is not None and self._inflight.get(entry.key) is entry:
                 del self._inflight[entry.key]
             # Handles keep their entry; the key (a token per input
-            # payload) is only good for coalescing while in flight.
+            # payload) is only good for coalescing while in flight, and
+            # the request (every input) only until the run ends.
             entry.key = None
+            entry.request = None
             self._queue.release(entry.tenant)
             self._running -= 1
             self._gauge_queue()
@@ -340,9 +348,6 @@ class RunService:
             self.metrics.counter(kind).inc(len(waiters))
             for h in waiters:
                 self._tenant_stat(h.tenant, kind)
-            # What the controller itself saw in PLAN_CACHE; None (a
-            # fallback, compile off, a failed build) counts neither way.
-            plan_hit = None if controller is None else controller.plan_cache_hit
             if plan_hit is not None:
                 self.metrics.counter(
                     "plan_cache_hits" if plan_hit else "plan_cache_misses"
@@ -354,7 +359,7 @@ class RunService:
                 lat.observe(max(0.0, finished - h.submitted_ts))
             self._emit(
                 SERVICE_RUN_FINISHED,
-                tenant=req.tenant,
+                tenant=entry.tenant,
                 dur=finished - t_started,
                 ok=exc is None,
             )

@@ -13,7 +13,6 @@ from repro.util.partition import (
 )
 from repro.util.fmt import format_bytes, format_time
 from repro.util.timer import Timer
-from repro.util.logging import get_logger
 
 __all__ = [
     "block_bounds",
@@ -24,5 +23,4 @@ __all__ = [
     "format_bytes",
     "format_time",
     "Timer",
-    "get_logger",
 ]

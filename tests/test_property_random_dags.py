@@ -6,7 +6,9 @@ external inputs, sinks at arbitrary layers — runs them with a
 deterministic content-hashing callback on every controller, and asserts
 the collected outputs match the serial reference exactly.  This is the
 paper's regression-testing claim quantified over the *space of graphs*
-rather than three hand-picked workloads.
+rather than three hand-picked workloads.  On the static-placement
+backends, compiled runs — the one that records a plan's timing and the
+lowered one that reuses it — must reproduce the interpreted run exactly.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.runtimes import (
     MPIController,
     SerialController,
 )
+from repro.runtimes.costs import CallableCost
 
 
 class RandomLayeredGraph(TaskGraph):
@@ -155,3 +158,61 @@ def test_random_dags_independent_of_cluster_size(sizes, seed, n_procs):
     reference = run_on(graph, SerialController)
     assert run_on(graph, lambda: MPIController(n_procs)) == reference
     assert run_on(graph, lambda: CharmController(n_procs)) == reference
+
+
+def hashed_cost(task, inputs) -> float:
+    """Virtual seconds read off the input payloads' content."""
+    digest = hashlib.sha256(repr([p.data for p in inputs]).encode()).digest()
+    return (1 + digest[0]) * 1e-5
+
+
+def run_full(graph: RandomLayeredGraph, ctor, pad: int) -> tuple:
+    """Outputs in result order, stats and metrics of one run whose
+    external payloads grow with ``pad``."""
+    c = ctor()
+    c.initialize(graph)
+    c.register_callback(
+        0, lambda ins, tid: hashing_callback(ins, tid, graph.task(tid).n_outputs)
+    )
+    inputs = {}
+    for tid in graph.task_ids():
+        ext = graph.task(tid).external_inputs()
+        if ext:
+            inputs[tid] = [
+                Payload("x" * pad + f"seed-{tid}-{s}") for s in range(len(ext))
+            ]
+    result = c.run(inputs)
+    return (
+        [
+            (tid, ch, p.data)
+            for tid, by_ch in result.outputs.items()
+            for ch, p in by_ch.items()
+        ],
+        result.stats,
+        result.metrics.counters,
+        result.metrics.gauges,
+        result.metrics.histograms,
+    )
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    st.integers(0, 10_000),
+    st.lists(st.integers(0, 40), min_size=2, max_size=2),
+)
+def test_random_dags_compiled_runs_match_interpreted(sizes, seed, pads):
+    graph = RandomLayeredGraph(sizes, seed)
+    for cls in (MPIController, BlockingMPIController, LegionSPMDController):
+        def make(compiled: bool):
+            return lambda: cls(
+                3, cost_model=CallableCost(hashed_cost), compile=compiled
+            )
+
+        # The second payload size finds the first one's record on the
+        # plan: its guards miss (unless the pads are equal) and it records
+        # anew.
+        for pad in pads:
+            interpreted = run_full(graph, make(False), pad)
+            for _ in range(2):  # the recording run, then the lowered one
+                assert run_full(graph, make(True), pad) == interpreted

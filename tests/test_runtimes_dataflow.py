@@ -67,7 +67,7 @@ def run_bare(graph, fn, inputs, **kw):
             ready.append(consumer)
 
     kernel, run = make_kernel(graph, **kw)
-    for tid, slot, payload in kernel.external(inputs):
+    for tid, slot, payload in kernel.tables.external(inputs):
         if kernel.deposit(tid, slot, payload, EXTERNAL):
             ready.append(tid)
     while ready:

@@ -8,6 +8,9 @@ the request fingerprinting that drives dedup keys structurally-identical
 submissions equal.
 """
 
+import weakref
+
+import numpy as np
 import pytest
 
 import repro
@@ -224,6 +227,27 @@ class TestTopLevelSubmit:
             handle = repro.submit(g, callbacks, inputs, n_procs=4, service=svc)
             assert handle.result(timeout=10).output(probe).data == expected
             assert handle._entry.key is None and not svc._inflight
+
+    def test_a_resolved_handle_pins_no_input(self):
+        """A caller that keeps its handles must not keep every input of
+        every finished request alive."""
+        g = Reduction(16, 4)
+        add = lambda ins, tid: [Payload(sum(p.data for p in ins))]
+        leaf = lambda ins, tid: [Payload(float(ins[0].data.sum()))]
+        arrays = [np.full(4, float(i)) for i in range(16)]
+        # Payload has no weakref slot: watch the array only it holds.
+        watched = weakref.ref(arrays[0])
+        request = RunRequest(
+            g, {g.LEAF: leaf, g.REDUCE: add, g.ROOT: add},
+            {t: Payload(a) for t, a in zip(g.leaf_ids(), arrays)},
+            n_procs=4,
+        )
+        del arrays
+        with RunService(workers=1) as svc:
+            handle = svc.submit(request)
+            del request
+            assert handle.result(timeout=10).output(g.root_id).data == 480.0
+            assert watched() is None
 
     def test_default_service_is_shared_and_lazy(self):
         svc = repro.default_service()
