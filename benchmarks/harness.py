@@ -22,8 +22,9 @@ observability events into one file — Chrome trace-event JSON by default
 ``.jsonl``.  All runs of the process share the file; each run becomes
 its own process track.
 
-Flight recording: set ``REPRO_FLIGHT_DIR=<dir>`` to arm the telemetry
-flight recorder (:mod:`repro.obs.telemetry`) on every benchmarked run.
+Flight recording: set ``REPRO_FLIGHT_DIR=<dir>`` to attach a
+:class:`~repro.obs.telemetry.FlightRecorder` sink to every benchmarked
+run.
 Clean runs write nothing; a run that crashes or injects a fault dumps
 its last events to ``<dir>`` for post-mortem (CI uploads the directory
 as an artifact on failure).
@@ -66,16 +67,18 @@ def trace_exporter() -> EventSink | None:
 
 def observe(controller):
     """Attach the ``REPRO_TRACE`` exporter and the ``REPRO_FLIGHT_DIR``
-    flight recorder (when configured) and return the controller, so
-    benchmark call sites stay one-liners."""
+    flight recorder (when configured; unless the controller already has
+    a recorder) and return the controller, so benchmark call sites stay
+    one-liners."""
     exporter = trace_exporter()
     if exporter is not None:
         controller.add_sink(exporter)
-    flight_dir = os.environ.get("REPRO_FLIGHT_DIR")
-    if flight_dir and getattr(controller, "telemetry", None) is None:
-        from repro.obs.telemetry import TelemetryConfig
+    dump_dir = os.environ.get("REPRO_FLIGHT_DIR")
+    if dump_dir:
+        from repro.obs.telemetry import FlightRecorder
 
-        controller.telemetry = TelemetryConfig(flight_dir=flight_dir)
+        if not any(isinstance(s, FlightRecorder) for s in controller._sinks):
+            controller.add_sink(FlightRecorder(dump_dir))
     return controller
 
 

@@ -20,6 +20,7 @@ from repro.analysis.mergetree import MergeTreeWorkload
 from repro.data import hcci_proxy
 from repro.obs import (
     ChromeTraceExporter,
+    ListSink,
     ascii_timeline,
     critical_path,
     load_events,
@@ -51,11 +52,11 @@ def main() -> None:
     # --- 2. Observe a run: events kept in memory + a Chrome trace. ------
     trace_path = tempfile.mktemp(suffix=".json")
     exporter = ChromeTraceExporter(trace_path)
-    c = MPIController(4, cost_model=wl.cost_model(), collect_trace=True)
-    c.add_sink(exporter)
+    kept = ListSink()
+    c = MPIController(4, cost_model=wl.cost_model(), sinks=[kept, exporter])
     result = wl.run(c)
     exporter.close()
-    events = result.trace  # the run's event list
+    events = kept.events  # the run's event list
     types = {e.type for e in events}
     print(f"\nmakespan: {result.makespan:.4f}s virtual")
     print(f"lifecycle events observed: {len(events)} "
@@ -88,8 +89,9 @@ def main() -> None:
     print(ascii_timeline(events, width=64))
 
     # --- 5. Same events from a different runtime (regression testing). --
-    charm = CharmController(4, cost_model=wl.cost_model(), collect_trace=True)
-    shared = types & {e.type for e in wl.run(charm).trace}
+    charm_kept = ListSink()
+    wl.run(CharmController(4, cost_model=wl.cost_model(), sinks=[charm_kept]))
+    shared = types & charm_kept.types()
     print(f"\nMPI and Charm++ share {len(shared)} event types — one "
           f"consumer profiles every backend")
 

@@ -107,13 +107,18 @@ def run(
             (``mpi``, ``blocking-mpi``, ``legion-spmd``, ``local``);
             pass a :func:`repro.sched.plan_placement` result for
             cost-aware placement.
-        sinks: observability sinks attached for this run.
+        sinks: observability sinks attached for this run — the one way
+            to attach one: a kept trace is a
+            :class:`~repro.obs.events.ListSink` (read ``sink.events``),
+            a post-mortem ring a
+            :class:`~repro.obs.telemetry.FlightRecorder`.  Every sink
+            hears :meth:`~repro.obs.events.EventSink.abort` when the run
+            raises.
         **kwargs: any :class:`~repro.service.RunOptions` field —
             ``cost_model``, ``machine``, ``costs``, ``cores_per_proc``,
             ``fault_plan``, ``retry_policy``, ``balancer``,
-            ``telemetry`` (``True`` or a
-            :class:`~repro.obs.telemetry.TelemetryConfig` for streaming
-            p50/p95/p99 latency sketches and the flight recorder),
+            ``telemetry`` (``True`` for streaming p50/p95/p99 latency
+            sketches on ``result.metrics``),
             ``live`` (a status directory path or a
             :class:`~repro.obs.live.LiveConfig` to write in-flight
             progress/ETA/straggler snapshots for ``python -m repro.obs

@@ -13,8 +13,8 @@ watch / serve), including critical-path attribution
 (:mod:`repro.obs.critical_path`), causal-DAG queries
 (:mod:`repro.obs.spans`), per-rank resource timelines
 (:mod:`repro.obs.timeline`), and trace diffing (:mod:`repro.obs.diff`).
-A run's kept trace (``collect_trace=True``) is that same event list, so
-every view here reads it unchanged.
+A run's kept trace (``sinks=[ListSink()]``, read as ``sink.events``) is
+that same event list, so every view here reads it unchanged.
 
 For production-scale capture there is a bounded-memory telemetry layer
 (:mod:`repro.obs.telemetry`): streaming quantile sketches, an
@@ -94,7 +94,6 @@ from repro.obs.telemetry import (
     FlightRecorder,
     Ledger,
     QuantileSketch,
-    TelemetryConfig,
 )
 from repro.obs.spans import (
     CausalDag,
@@ -156,7 +155,6 @@ __all__ = [
     "TASK_RUNNING",
     "TASK_STARTED",
     "TaskSpan",
-    "TelemetryConfig",
     "TimeSeries",
     "VOCABULARY",
     "ascii_timeline",

@@ -46,16 +46,6 @@ from repro.obs.spans import recovery_accounting, run_label, run_stats
 from repro.obs.timeline import resource_timelines
 
 
-def __getattr__(name: str):
-    # ``eval_spec`` lives with its one caller, the run service; the old
-    # import path keeps working without this module importing it.
-    if name == "eval_spec":
-        from repro.service.service import eval_spec
-
-        return eval_spec
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _runs(path: str) -> Iterator[list[Event]]:
     """Stream a trace one run at a time (JSONL never fully in memory).
 

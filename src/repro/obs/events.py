@@ -260,7 +260,9 @@ class EventSink:
     """Receives the event stream of one or more controller runs.
 
     Subclasses override :meth:`emit`; :meth:`close` flushes any buffered
-    state (file exporters write their output here).  A sink may be
+    state (file exporters write their output here), and :meth:`abort`
+    hears a run that raised (the flight recorder dumps its ring there,
+    the live plane stamps ``aborted``).  A sink may be
     attached to several controllers in sequence — runs are delimited by
     ``run_started`` / ``run_finished`` events.
 
@@ -279,6 +281,11 @@ class EventSink:
 
     def close(self) -> None:
         """Flush and release resources (idempotent)."""
+
+    def abort(self, exc: BaseException | None = None) -> None:
+        """The run died mid-stream with ``exc``; no ``run_finished``
+        follows.  Every controller calls it once on each attached sink
+        from its exception path (a SIGTERM'd ``local`` run included)."""
 
 
 class ListSink(EventSink):

@@ -233,6 +233,9 @@ class LiveStatus(EventSink):
         """Stop the writer, stamping the run's terminal state."""
         self.writer.close(state)
 
+    def abort(self, exc: BaseException | None = None) -> None:
+        self.close("aborted")
+
     def emit(self, ev) -> None:
         # Ordered by frequency; overhead and message_delivered events
         # move only the clock.

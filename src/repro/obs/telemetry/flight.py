@@ -10,13 +10,15 @@ file readable by every ``python -m repro.obs`` subcommand, plus a
 captured.  Clean runs write nothing.
 
 This is the post-mortem story for *unobserved* production runs: attach
-a recorder (cheaply — no full trace is retained) and the moments before
-any anomaly are on disk without having planned for it.
+a recorder (``sinks=[FlightRecorder(dir)]``; cheaply — no full trace is
+retained) and the moments before any anomaly are on disk without having
+planned for it.
 
 "Aborts with an exception" includes being killed: the ``local`` backend
-converts SIGTERM (and Ctrl-C's KeyboardInterrupt) on an armed run into
-its normal exception path, so :meth:`FlightRecorder.abort` still runs
-and the ring survives the kill instead of dying with the process (see
+converts SIGTERM (and Ctrl-C's KeyboardInterrupt) on a run with a sink
+that hears aborts into its normal exception path, so
+:meth:`FlightRecorder.abort` still runs and the ring survives the kill
+instead of dying with the process (see
 ``repro.runtimes.local._terminate_to_exception``).
 """
 

@@ -46,11 +46,22 @@ class Controller(ABC):
     #: backend without compiled plans).
     plan_cache_hit: bool | None = None
 
-    def __init__(self) -> None:
+    def __init__(
+        self, sinks: Sequence[EventSink] = (), telemetry: bool | None = None
+    ) -> None:
+        """``sinks`` and ``telemetry`` are every backend's observation
+        arguments: the sinks hear each run's events (and its abort), and
+        ``telemetry=True`` adds the latency sketches to its metrics."""
+        if telemetry is not None and not isinstance(telemetry, bool):
+            raise TypeError(
+                f"telemetry must be None or a bool, got "
+                f"{type(telemetry).__name__}"
+            )
         self._graph: TaskGraph | None = None
         self._task_map: TaskMap | None = None
         self._registry: CallbackRegistry | None = None
-        self._sinks: list[EventSink] = []
+        self._sinks: list[EventSink] = list(sinks)
+        self.telemetry = bool(telemetry)
 
     # ------------------------------------------------------------------ #
     # Setup

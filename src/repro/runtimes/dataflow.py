@@ -6,11 +6,11 @@ part that is the same, in two halves that know nothing of each other.
 
 **Run scaffolding** (:class:`RunScaffold`) has no dataflow semantics: it
 builds, once per run, everything the run is observed through — sinks,
-the kept event list, metrics registry, the opt-in telemetry sketches and flight
-recorder, the opt-in live plane, the hub and its two gates — and owns
-the events and metrics that read the same on every backend: the
-``run_started`` / ``sched.planned`` / ``plan.fallback`` prologue, the
-overhead / started / finished triple of one attempt, and the counter and
+metrics registry, the opt-in telemetry sketches, the opt-in live plane,
+the hub and its two gates — and owns the events and metrics that read
+the same on every backend: the ``run_started`` / ``sched.planned`` /
+``plan.fallback`` prologue, the overhead / started / finished triple of
+one attempt, the abort every attached sink hears, and the counter and
 gauge epilogue.  Every controller uses it, the serial reference included.
 
 **The dataflow kernel** (:class:`DataflowKernel`) is the state machine of
@@ -51,12 +51,10 @@ from repro.obs.events import (
     TASK_RETRY,
     TASK_STARTED,
     Event,
-    ListSink,
 )
 from repro.obs.hub import ObsHub
 from repro.obs.live import attach_live
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import FlightRecorder
 from repro.runtimes.result import RunResult
 
 
@@ -73,14 +71,14 @@ def _task_label(tid: TaskId, suffix: str = "") -> str:
 class RunScaffold:
     """Everything one run is observed through, built once per run.
 
-    ``controller`` supplies ``_sinks``, ``collect_trace`` and
-    ``telemetry``; ``n_ranks`` is the rank count of the live plane and
-    ``None`` on a backend without one (the serial reference), which then
-    never consults ``live=`` or ``$REPRO_LIVE_DIR``.
+    ``controller`` supplies ``_sinks`` and ``telemetry``; ``n_ranks`` is
+    the rank count of the live plane and ``None`` on a backend without
+    one (the serial reference), which then never consults ``live=`` or
+    ``$REPRO_LIVE_DIR``.
 
     Everything optional is ``None`` when off, so emission sites guard
     with one identity test and an unobserved run allocates no event,
-    label, sketch, flight ring or live object (enforced by
+    label, sketch or live object (enforced by
     ``tests/test_obs_overhead.py``): ``obs`` is the hub when a sink
     (the live plane's included) listens, ``ctx`` is True when a sink
     asked for causal parents, ``t_task`` / ``t_queue`` / ``t_msg`` are
@@ -88,34 +86,21 @@ class RunScaffold:
     """
 
     __slots__ = (
-        "name", "result", "metrics", "flight", "live", "hub", "obs", "ctx",
+        "name", "result", "metrics", "live", "hub", "obs", "ctx",
         "t_task", "t_queue", "t_msg", "m_task_seconds", "m_message_bytes",
     )
 
     def __init__(self, controller, graph: TaskGraph, n_ranks: int | None = None):
         self.name = type(controller).__name__
         sinks = list(controller._sinks)
-        trace = None
-        if controller.collect_trace:
-            # The kept trace is the run's event stream, one sink like any other.
-            kept = ListSink()
-            sinks.append(kept)
-            trace = kept.events
-        self.result = RunResult(trace=trace)
+        self.result = RunResult()
         metrics = self.metrics = MetricsRegistry()
-        tel = controller.telemetry
-        self.flight = None
-        if tel is None:
-            self.t_task = self.t_queue = self.t_msg = None
+        if controller.telemetry:
+            self.t_task = metrics.sketch("task_seconds")
+            self.t_queue = metrics.sketch("queue_wait_seconds")
+            self.t_msg = metrics.sketch("message_seconds")
         else:
-            self.t_task = metrics.sketch("task_seconds", tel.rel_err)
-            self.t_queue = metrics.sketch("queue_wait_seconds", tel.rel_err)
-            self.t_msg = metrics.sketch("message_seconds", tel.rel_err)
-            if tel.flight_dir:
-                self.flight = FlightRecorder(
-                    tel.flight_dir, capacity=tel.flight_capacity
-                )
-                sinks.append(self.flight)
+            self.t_task = self.t_queue = self.t_msg = None
         live = None
         if n_ranks is not None:
             live = attach_live(
@@ -203,12 +188,9 @@ class RunScaffold:
         emit(Event(TASK_FINISHED, end, proc, tid, -1, -1, dur, "", 0, label))
 
     def abort(self, exc: BaseException) -> None:
-        """The run died mid-stream: dump the flight recorder's ring (the
-        moments before the failure) and stamp the live snapshot."""
-        if self.flight is not None:
-            self.flight.abort(exc)
-        if self.live is not None:
-            self.live.close("aborted")
+        """The run died mid-stream: tell every attached sink, once."""
+        for sink in {id(s): s for s in self.hub.sinks}.values():
+            sink.abort(exc)
 
     def finish(
         self,

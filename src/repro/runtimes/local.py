@@ -68,6 +68,7 @@ import atexit
 import heapq
 import os
 import pickle
+import queue
 import signal
 import threading
 import time
@@ -75,7 +76,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -97,7 +97,6 @@ from repro.obs.events import (
     EventSink,
 )
 from repro.obs.live import LiveConfig
-from repro.obs.telemetry import TelemetryConfig
 from repro.runtimes.controller import Controller
 from repro.runtimes.dataflow import DataflowKernel, RunScaffold
 from repro.runtimes.result import RunResult
@@ -139,23 +138,23 @@ def default_workers() -> int:
 
 class _Terminated(SystemExit):
     """SIGTERM surfaced as an exception, so the run's cleanup path —
-    flight-recorder dump, live 'aborted' snapshot, pool teardown — runs
-    before the process dies (exit code stays 128+SIGTERM)."""
+    each sink's ``abort``, pool teardown — runs before the process dies
+    (exit code stays 128+SIGTERM)."""
 
 
 @contextmanager
-def _terminate_to_exception(enabled: bool):
+def _terminate_to_exception(sinks: Sequence[EventSink]):
     """Route SIGTERM through the run's ``except BaseException`` cleanup.
 
     Without this, ``kill <pid>`` ends the interpreter without unwinding
     the coordinator: the flight recorder's ring — the post-mortem of an
     aborted run — dies with it.  Installed only when something wants
-    that cleanup (flight recorder or live plane armed), only in the
+    that cleanup (an attached sink overrides ``abort``), only in the
     main thread (signal handlers cannot be set elsewhere), and always
     restored, so nested/background runs keep the surrounding handler.
     """
     if (
-        not enabled
+        all(type(sink).abort is EventSink.abort for sink in sinks)
         or threading.current_thread() is not threading.main_thread()
     ):
         yield
@@ -296,14 +295,56 @@ class _InlineExecutor:
 
     def submit(self, fn, /, *args) -> Future:
         f: Future = Future()
-        try:
-            f.set_result(fn(*args))
-        except BaseException as exc:  # delivered via future, like a pool
-            f.set_exception(exc)
+        _run_item(f, fn, args)
         return f
 
     def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
         pass
+
+
+def _run_item(f: Future, fn, args) -> None:
+    """Run one submission into its future (unless it was cancelled)."""
+    if f.set_running_or_notify_cancel():
+        try:
+            f.set_result(fn(*args))
+        except BaseException as exc:  # delivered via future, like a pool
+            f.set_exception(exc)
+
+
+class _SlotThread:
+    """A one-worker thread executor whose worker is a daemon.
+
+    ``ThreadPoolExecutor`` workers are joined at interpreter exit, so a
+    callback still running when a run is terminated would hold the
+    process until it returned; a daemon slot is abandoned instead.
+    """
+
+    def __init__(self) -> None:
+        self._work: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread = threading.Thread(
+            target=self._loop, name="repro-slot", daemon=True
+        )
+        self._thread.start()
+
+    def _loop(self) -> None:
+        while (item := self._work.get()) is not None:
+            _run_item(*item)
+            item = None  # no payload outlives its task
+
+    def submit(self, fn, /, *args) -> Future:
+        f: Future = Future()
+        self._work.put((f, fn, args))
+        return f
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        try:
+            while cancel_futures:
+                self._work.get_nowait()[0].cancel()
+        except queue.Empty:
+            pass
+        self._work.put(None)
+        if wait:
+            self._thread.join()
 
 
 class LocalPoolController(Controller):
@@ -314,10 +355,11 @@ class LocalPoolController(Controller):
             :func:`default_workers`.  With a task map installed, shards
             fold onto ``min(n_workers, shard_count)`` pinned groups.
         mode: ``"process"`` (default), ``"thread"``, or ``"inline"``.
-        sinks: observability sinks receiving wall-clock lifecycle events.
-        collect_trace: keep the run's event list on ``result.trace``.
-        telemetry: bounded-memory telemetry, same contract as every
-            other controller (off by default).
+        sinks: observability sinks receiving wall-clock lifecycle events;
+            with one that overrides ``abort`` attached, SIGTERM unwinds
+            the run through it before the process exits.
+        telemetry: ``True`` turns on the latency sketches, same contract
+            as every other controller (off by default).
         live: in-flight status snapshots for ``python -m repro.obs
             watch`` / ``serve`` (see :mod:`repro.obs.live`): a status
             directory, a dict or a :class:`~repro.obs.live.LiveConfig`
@@ -350,8 +392,7 @@ class LocalPoolController(Controller):
         mode: str = "process",
         *,
         sinks: Sequence[EventSink] = (),
-        collect_trace: bool = False,
-        telemetry: "TelemetryConfig | bool | dict | None" = None,
+        telemetry: bool | None = None,
         live: "LiveConfig | bool | str | dict | None" = None,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -359,7 +400,7 @@ class LocalPoolController(Controller):
         compile: bool = False,
         idle_timeout: float | None = DEFAULT_IDLE_TIMEOUT,
     ) -> None:
-        super().__init__()
+        super().__init__(sinks, telemetry)
         if mode not in MODES:
             raise ControllerError(
                 f"unknown local mode {mode!r}; valid modes: {', '.join(MODES)}"
@@ -381,9 +422,6 @@ class LocalPoolController(Controller):
             )
         self.n_workers = n_workers
         self.mode = mode
-        self._sinks.extend(sinks)
-        self.collect_trace = collect_trace
-        self.telemetry = TelemetryConfig.coerce(telemetry)
         # Coerced per run by attach_live (the env var can arm it even
         # when unset here); keep the raw value for config portability.
         self.live = live
@@ -416,7 +454,7 @@ class LocalPoolController(Controller):
         if self.mode == "inline":
             return [_InlineExecutor() for _ in range(n_slots)]
         if self.mode == "thread":
-            return [ThreadPoolExecutor(max_workers=1) for _ in range(n_slots)]
+            return [_SlotThread() for _ in range(n_slots)]
         return [ProcessPoolExecutor(max_workers=1) for _ in range(n_slots)]
 
     def _broadcast(self, pools: list, blob) -> None:
@@ -494,9 +532,7 @@ class LocalPoolController(Controller):
             pools = self._make_pools(n_slots)
 
         try:
-            with _terminate_to_exception(
-                enabled=run.flight is not None or run.live is not None
-            ):
+            with _terminate_to_exception(run.hub.sinks):
                 if blob is not None:
                     self._install_table(pools, reused, blob)
                 self._run_pools(
@@ -519,9 +555,10 @@ class LocalPoolController(Controller):
         """Tear the executors down without ever hanging the coordinator.
 
         Process pools get :func:`_reap`'s bounded join.  Thread and
-        inline pools keep the plain waiting shutdown (their workers
-        cannot be killed, and on the success path every future is
-        already resolved).
+        inline pools keep the plain waiting shutdown (on the success
+        path every future is already resolved); after a failure a
+        thread slot still running a callback is left to finish alone,
+        and being a daemon it never holds the process at exit.
         """
         if self.mode == "process":
             _reap(pools, POOL_JOIN_TIMEOUT if graceful else 1.0)

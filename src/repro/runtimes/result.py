@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from repro.core.ids import TaskId
 from repro.core.payload import Payload
-from repro.obs.events import Event
 from repro.obs.metrics import MetricsSnapshot
 from repro.sim.trace import Stats
 
@@ -20,8 +19,6 @@ class RunResult:
             output channel (a channel is returned when its consumer list
             is empty or contains TNULL).
         stats: aggregate timing statistics (virtual time).
-        trace: the run's event stream when ``collect_trace`` was on,
-            else None; read it with :mod:`repro.obs.timeline`.
         metrics: always-on metrics snapshot (task latency distribution,
             bytes on the wire, queue depths, utilization); populated by
             every backend at the end of the run.
@@ -29,7 +26,6 @@ class RunResult:
 
     outputs: dict[TaskId, dict[int, Payload]] = field(default_factory=dict)
     stats: Stats = field(default_factory=Stats)
-    trace: list[Event] | None = None
     metrics: MetricsSnapshot | None = None
 
     def output(self, tid: TaskId, channel: int = 0) -> Payload:

@@ -42,7 +42,6 @@ from repro.obs.events import (
     Event,
     EventSink,
 )
-from repro.obs.telemetry import TelemetryConfig
 from repro.runtimes.controller import Controller
 from repro.runtimes.dataflow import RunScaffold
 from repro.runtimes.result import RunResult
@@ -61,10 +60,9 @@ class SerialController(Controller):
     clock).
 
     Args:
-        sinks: observability sinks receiving the run's lifecycle events.
-        collect_trace: keep the run's event list on ``result.trace``
+        sinks: observability sinks receiving the run's lifecycle events
             (every event on proc 0, wall-clock timestamps).
-        telemetry: bounded-memory telemetry (see
+        telemetry: ``True`` turns on the latency sketches (see
             :mod:`repro.obs.telemetry`); same contract as the simulated
             controllers — off by default, zero allocations when off.
     """
@@ -72,13 +70,9 @@ class SerialController(Controller):
     def __init__(
         self,
         sinks: Sequence[EventSink] = (),
-        collect_trace: bool = False,
-        telemetry: "TelemetryConfig | bool | dict | None" = None,
+        telemetry: bool | None = None,
     ) -> None:
-        super().__init__()
-        self._sinks.extend(sinks)
-        self.collect_trace = collect_trace
-        self.telemetry = TelemetryConfig.coerce(telemetry)
+        super().__init__(sinks, telemetry)
 
     def _execute(
         self,

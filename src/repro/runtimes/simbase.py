@@ -54,7 +54,6 @@ from repro.obs.events import (
     EventSink,
 )
 from repro.obs.live import LiveConfig
-from repro.obs.telemetry import TelemetryConfig
 from repro.runtimes import dataflow  # _task_label via the module: poisonable
 from repro.runtimes.controller import Controller
 from repro.runtimes.costs import DEFAULT_COSTS, CostModel, NullCost, RuntimeCosts
@@ -81,8 +80,6 @@ class SimController(Controller):
         cost_model: virtual compute-cost model; defaults to
             :class:`~repro.runtimes.costs.NullCost`.
         costs: runtime overhead constants.
-        collect_trace: keep the run's event list on ``result.trace``
-            (debugging; read it with :mod:`repro.obs.timeline`).
         procs_per_node: how many procs share a node; defaults to
             ``cores_per_node // cores_per_proc``.
         fault_plan: full fault schedule (transient task faults, permanent
@@ -105,16 +102,15 @@ class SimController(Controller):
         sinks: observability sinks receiving the run's structured
             lifecycle events (see :mod:`repro.obs.events`); equivalent to
             calling :meth:`~repro.runtimes.controller.Controller.add_sink`.
-        telemetry: bounded-memory telemetry (see
-            :mod:`repro.obs.telemetry`).  ``True`` or a
-            :class:`~repro.obs.telemetry.TelemetryConfig` feeds
-            streaming quantile sketches — task compute, queue wait,
-            message latency — into ``RunResult.metrics.sketches``
-            without retaining events, and (when ``flight_dir`` is set)
-            attaches a flight recorder that dumps the recent event ring
-            on faults or exceptions.  Default off:
-            clean runs allocate no telemetry objects and their metric
-            snapshots / event streams are bit-identical.
+            A kept trace is a :class:`~repro.obs.events.ListSink` (read
+            it with :mod:`repro.obs.timeline`), a post-mortem ring a
+            :class:`~repro.obs.telemetry.FlightRecorder`.
+        telemetry: ``True`` feeds streaming quantile sketches — task
+            compute, queue wait, message latency — into
+            ``RunResult.metrics.sketches`` without retaining events (see
+            :mod:`repro.obs.telemetry`).  Default off: clean runs
+            allocate no telemetry objects and their metric snapshots /
+            event streams are bit-identical.
         live: in-flight status snapshots (see :mod:`repro.obs.live`):
             a status directory, a dict or a
             :class:`~repro.obs.live.LiveConfig` attaches one more sink,
@@ -161,19 +157,16 @@ class SimController(Controller):
         cores_per_proc: int = 1,
         cost_model: CostModel | None = None,
         costs: RuntimeCosts = DEFAULT_COSTS,
-        collect_trace: bool = False,
         procs_per_node: int | None = None,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
         balancer: "Balancer | None" = None,
         sinks: Sequence[EventSink] = (),
-        telemetry: "TelemetryConfig | bool | dict | None" = None,
+        telemetry: bool | None = None,
         live: "LiveConfig | bool | str | dict | None" = None,
         compile: bool = False,
     ) -> None:
-        super().__init__()
-        self._sinks.extend(sinks)
-        self.telemetry = TelemetryConfig.coerce(telemetry)
+        super().__init__(sinks, telemetry)
         # In-flight observability (repro.obs.live); coerced per run by
         # attach_live so $REPRO_LIVE_DIR can arm it too.  Virtual-time
         # runs feed the same sink with virtual timestamps.
@@ -185,7 +178,6 @@ class SimController(Controller):
         self.cores_per_proc = cores_per_proc
         self.cost_model = cost_model if cost_model is not None else NullCost()
         self.costs = costs
-        self.collect_trace = collect_trace
         self.procs_per_node = procs_per_node
         if fault_plan is not None:
             fault_plan.validate(n_procs)
@@ -265,7 +257,7 @@ class SimController(Controller):
             return "faults"
         if self.balancer is not None:
             return "balancer"
-        if self.telemetry is not None:
+        if self.telemetry:
             return "telemetry"
         return None
 

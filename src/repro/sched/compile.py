@@ -389,7 +389,7 @@ def run_lowered(
     if outputs is None:
         return None
     return RunResult(
-        outputs, _fresh_stats(timing.stats), None, _fresh_metrics(timing.metrics)
+        outputs, _fresh_stats(timing.stats), _fresh_metrics(timing.metrics)
     )
 
 

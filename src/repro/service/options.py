@@ -5,7 +5,6 @@ to the controller constructor; a typo surfaced as a bare ``TypeError``
 deep inside a backend's ``__init__``.  :class:`RunOptions` is the typed
 replacement: one frozen dataclass naming every supported option, with
 the same ``coerce`` normalization pattern as
-:class:`~repro.obs.telemetry.TelemetryConfig` /
 :class:`~repro.obs.live.LiveConfig` and a did-you-mean rejection of
 unknown names (mirroring :func:`repro.runtimes.resolve_runtime`).
 """
@@ -53,12 +52,11 @@ class RunOptions:
         costs: per-runtime overhead constants (simulated backends).
         cores_per_proc: simulated cores per proc.
         procs_per_node: simulated procs per node.
-        collect_trace: keep the run's event list on ``result.trace``.
         fault_plan: fault schedule (see :mod:`repro.faults`).
         retry_policy: retry/backoff policy for failed attempts.
         balancer: dynamic load-balancing strategy.
-        telemetry: bounded-memory telemetry
-            (:class:`~repro.obs.telemetry.TelemetryConfig` shapes).
+        telemetry: ``True`` turns on the latency sketches
+            (:mod:`repro.obs.telemetry`).
         live: in-flight status snapshots (a directory, or the other
             :class:`~repro.obs.live.LiveConfig` shapes; ``True`` needs
             ``$REPRO_LIVE_DIR``).
@@ -73,7 +71,6 @@ class RunOptions:
     costs: object = None
     cores_per_proc: int | None = None
     procs_per_node: int | None = None
-    collect_trace: bool | None = None
     fault_plan: object = None
     retry_policy: object = None
     balancer: object = None

@@ -92,15 +92,11 @@ class RunRequest:
         """Whether this request may share an execution with an identical
         in-flight one.
 
-        Side-effect-bearing options opt out: per-run sinks, a span
-        trace, or a live-monitoring plane belong to *their* run and
-        must not be silently skipped because a twin got there first.
+        Side-effect-bearing options opt out: per-run sinks (a kept
+        trace included) or a live-monitoring plane belong to *their* run
+        and must not be silently skipped because a twin got there first.
         """
-        return (
-            not self.sinks
-            and not self.options.collect_trace
-            and self.options.live is None
-        )
+        return not self.sinks and self.options.live is None
 
 
 def _runtime_token(runtime) -> tuple:

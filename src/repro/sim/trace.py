@@ -3,8 +3,8 @@
 Controllers charge what happened on the simulated cluster — compute,
 messages, runtime overheads — to a :class:`Stats`, which is always
 collected.  The full record of a run is its event stream
-(:mod:`repro.obs.events`): ``collect_trace=True`` keeps that stream on
-``RunResult.trace``, and :mod:`repro.obs.timeline` /
+(:mod:`repro.obs.events`): a :class:`~repro.obs.events.ListSink` keeps
+that stream, and :mod:`repro.obs.timeline` /
 :mod:`repro.obs.critical_path` read it.
 """
 

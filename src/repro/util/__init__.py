@@ -11,8 +11,6 @@ from repro.util.partition import (
     factor3d,
     split_range,
 )
-from repro.util.fmt import format_bytes, format_time
-from repro.util.timer import Timer
 
 __all__ = [
     "block_bounds",
@@ -20,7 +18,4 @@ __all__ = [
     "even_chunks",
     "factor3d",
     "split_range",
-    "format_bytes",
-    "format_time",
-    "Timer",
 ]

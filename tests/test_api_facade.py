@@ -153,13 +153,13 @@ class TestRegistry:
         from repro.runtimes import SerialController
 
         assert SerialController.supported_kwargs() == {
-            "sinks", "collect_trace", "telemetry",
+            "sinks", "telemetry",
         }
         for bad in ({"retry_policy": RetryPolicy()}, {"balancer": object()}):
             with pytest.raises(ControllerError) as exc:
                 make_controller("serial", **bad)
             assert f"does not support {sorted(bad)}" in str(exc.value)
-            assert "collect_trace, sinks, telemetry" in str(exc.value)
+            assert "sinks, telemetry" in str(exc.value)
 
     def test_none_valued_kwargs_are_not_given(self):
         # The facade forwards every knob as None when unset; that must

@@ -7,7 +7,7 @@ from repro.analysis.mergetree import MergeTreeWorkload, reference_segmentation
 from repro.analysis.mergetree.placement import leaf_shard, mergetree_locality_map
 from repro.core.taskmap import ModuloMap, validate_taskmap
 from repro.graphs import MergeTreeGraph
-from repro.obs.events import MESSAGE_DELIVERED
+from repro.obs.events import MESSAGE_DELIVERED, ListSink
 from repro.runtimes import MPIController
 
 
@@ -54,10 +54,10 @@ class TestLocalityMap:
             ("modulo", ModuloMap(4, wl.graph.size())),
             ("locality", mergetree_locality_map(wl.graph, 4)),
         ]:
-            c = MPIController(4, collect_trace=True)
-            r = wl.run(c, tmap)
+            sink = ListSink()
+            r = wl.run(MPIController(4, sinks=[sink]), tmap)
             inter = sum(
-                e.dur for e in r.trace
+                e.dur for e in sink.events
                 if e.type == MESSAGE_DELIVERED and e.dur > 0
             )
             results[name] = (r, inter)

@@ -5,6 +5,7 @@ import benchmarks.harness as harness
 from repro.core.payload import Payload
 from repro.graphs import DataParallel
 from repro.obs import ChromeTraceExporter, JsonlExporter, load_events
+from repro.obs.telemetry import FlightRecorder
 from repro.runtimes import MPIController
 
 
@@ -61,24 +62,26 @@ def test_observed_runs_land_in_the_file(monkeypatch, tmp_path):
 def test_no_env_means_no_flight_telemetry(monkeypatch):
     fresh(monkeypatch, None)
     c = harness.observe(MPIController(2))
-    assert c.telemetry is None
+    assert c.telemetry is False
+    assert c._sinks == []
 
 
 def test_flight_env_arms_the_recorder(monkeypatch, tmp_path):
     flight = tmp_path / "flight"
     fresh(monkeypatch, None, flight_dir=flight)
     c = harness.observe(MPIController(2))
-    assert c.telemetry is not None
-    assert c.telemetry.flight_dir == str(flight)
+    [recorder] = c._sinks
+    assert isinstance(recorder, FlightRecorder)
+    assert recorder.out_dir == str(flight)
     # A clean observed run still leaves the dump directory untouched.
     run_flat(c)
     assert not flight.exists()
 
 
 def test_flight_env_respects_explicit_telemetry(monkeypatch, tmp_path):
-    from repro.obs.telemetry import TelemetryConfig
-
+    # An explicitly attached recorder is the only one the run gets.
     fresh(monkeypatch, None, flight_dir=tmp_path / "flight")
-    mine = TelemetryConfig(rel_err=0.05)
-    c = harness.observe(MPIController(2, telemetry=mine))
-    assert c.telemetry is mine
+    mine = FlightRecorder(str(tmp_path / "mine"))
+    c = harness.observe(MPIController(2, sinks=[mine], telemetry=True))
+    assert c._sinks == [mine]
+    assert c.telemetry is True

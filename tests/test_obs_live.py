@@ -485,6 +485,7 @@ import sys, time
 from repro.core.payload import Payload
 from repro.graphs import Reduction
 
+from repro.obs.telemetry import FlightRecorder
 from repro.runtimes import LocalPoolController
 
 def leaf(ins, tid):
@@ -494,12 +495,12 @@ def leaf(ins, tid):
 def add(ins, tid):
     return [Payload(sum(p.data for p in ins))]
 
-flight_dir, live_dir = sys.argv[1], sys.argv[2]
+flight_dir, live_dir, mode = sys.argv[1], sys.argv[2], sys.argv[3]
 g = Reduction(4, 2)
 c = LocalPoolController(
     2,
-    mode="thread",
-    telemetry={"flight_dir": flight_dir},
+    mode=mode,
+    sinks=[FlightRecorder(flight_dir)],
     live=live_dir,
 )
 c.initialize(g, None)
@@ -512,7 +513,8 @@ c.run({t: Payload(i + 1) for i, t in enumerate(g.leaf_ids())})
 
 
 @pytest.mark.parallel
-def test_sigterm_dumps_flight_ring_and_marks_status_aborted(tmp_path):
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_sigterm_dumps_flight_ring_and_marks_status_aborted(mode, tmp_path):
     flight_dir = tmp_path / "flight"
     live_dir = tmp_path / "live"
     flight_dir.mkdir()
@@ -523,7 +525,7 @@ def test_sigterm_dumps_flight_ring_and_marks_status_aborted(tmp_path):
     proc = subprocess.Popen(
         [
             sys.executable, "-c", _SIGTERM_SCRIPT,
-            str(flight_dir), str(live_dir),
+            str(flight_dir), str(live_dir), mode,
         ],
         stdout=subprocess.PIPE,
         text=True,
@@ -533,11 +535,15 @@ def test_sigterm_dumps_flight_ring_and_marks_status_aborted(tmp_path):
         assert proc.stdout.readline().strip() == "RUNNING"
         time.sleep(1.0)  # let the run enter the pool wait
         proc.send_signal(signal.SIGTERM)
+        killed = time.monotonic()
         rc = proc.wait(timeout=30)
+        exited = time.monotonic() - killed
     finally:
         if proc.poll() is None:
             proc.kill()
     assert rc == 128 + signal.SIGTERM
+    # A callback still sleeping in its slot does not hold the exit.
+    assert exited <= 3.0, f"exit took {exited:.1f}s after SIGTERM"
     # The flight ring was dumped instead of lost...
     dumps = list(flight_dir.glob("*.jsonl"))
     assert dumps, "SIGTERM must dump the flight-recorder ring"

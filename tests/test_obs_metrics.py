@@ -15,9 +15,9 @@ from repro.runtimes import (
 
 FAMILIES = [
     ("serial", SerialController),
-    ("mpi", lambda: MPIController(4, collect_trace=True)),
-    ("charm", lambda: CharmController(4, collect_trace=True)),
-    ("legion-spmd", lambda: LegionSPMDController(4, collect_trace=True)),
+    ("mpi", lambda: MPIController(4, sinks=[ListSink()])),
+    ("charm", lambda: CharmController(4, sinks=[ListSink()])),
+    ("legion-spmd", lambda: LegionSPMDController(4, sinks=[ListSink()])),
 ]
 
 
@@ -188,9 +188,9 @@ class TestSnapshotConsistency:
         assert len(sink.by_type("message_sent")) == result.stats.messages
         assert m.histograms["message_nbytes"]["count"] == result.stats.messages
 
-        # The kept trace (when collected) is the same event stream.
-        if result.trace is not None:
-            assert result.trace == sink.events
+        # The kept trace (when the ctor attached one) is the same stream.
+        for kept in c._sinks:
+            assert kept.events == sink.events
 
     def test_gauges_are_sane(self, ctor):
         c = ctor()
@@ -208,8 +208,7 @@ class TestSnapshotConsistency:
     def test_metrics_collected_without_sinks(self, ctor):
         """Metrics are always on — no sinks, no tracing needed."""
         c = ctor()
-        if hasattr(c, "collect_trace"):
-            c.collect_trace = False
+        c._sinks.clear()
         _, result = run_reduction(c)
         assert result.metrics is not None
         assert result.metrics.counter("tasks_executed") == 21

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from tests.golden_workloads import CONTROLLERS, run_workload
-from repro.obs import ascii_timeline, resource_timelines, svg_timeline
+from repro.obs import ListSink, ascii_timeline, resource_timelines, svg_timeline
 from repro.obs.metrics import TimeSeries
 
 
@@ -159,8 +159,9 @@ def test_one_definition_of_busy(mergetree_64, runtime):
 
     ctor = {"mpi": MPIController, "charm": CharmController}[runtime]
     wl = mergetree_64
-    result = wl.run(ctor(16, cost_model=wl.cost_model(), collect_trace=True))
-    tl = resource_timelines(result.trace)
+    sink = ListSink()
+    result = wl.run(ctor(16, cost_model=wl.cost_model(), sinks=[sink]))
+    tl = resource_timelines(sink.events)
     m = result.metrics
     assert tl.utilization_mean() == pytest.approx(
         m.gauge("utilization_mean"), abs=1e-12

@@ -10,7 +10,7 @@ from repro.core.ids import TNULL
 from repro.core.payload import Payload
 from repro.core.taskmap import BlockMap, ModuloMap
 from repro.graphs import Broadcast, DataParallel, RadixK, Reduction
-from repro.obs.events import TASK_FINISHED
+from repro.obs.events import TASK_FINISHED, ListSink
 from repro.runtimes import (
     BlockingMPIController,
     CharmController,
@@ -164,10 +164,11 @@ class TestSimBackends:
 
     def test_trace_collection(self, ctor):
         c = ctor()
-        c.collect_trace = True
+        sink = ListSink()
+        c.add_sink(sink)
         g, result = run_sum_reduction(c)
-        assert result.trace is not None
-        finished = [e for e in result.trace if e.type == TASK_FINISHED]
+        assert sink.events
+        finished = [e for e in sink.events if e.type == TASK_FINISHED]
         assert len(finished) == g.size()
 
 

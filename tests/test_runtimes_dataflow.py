@@ -51,9 +51,7 @@ class TableGraph(TaskGraph):
 
 
 def make_kernel(graph, error=ControllerError, sinks=(), **kw):
-    host = SimpleNamespace(
-        _sinks=list(sinks), collect_trace=False, telemetry=None
-    )
+    host = SimpleNamespace(_sinks=list(sinks), telemetry=False)
     run = RunScaffold(host, graph)
     return DataflowKernel(graph, run, error, **kw), run
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.payload import Payload
 from repro.graphs import DataParallel, Reduction
-from repro.obs.events import TASK_FINISHED
+from repro.obs.events import TASK_FINISHED, ListSink
 from repro.runtimes import (
     DEFAULT_COSTS,
     LegionIndexController,
@@ -43,15 +43,16 @@ class TestIndexLaunch:
     def test_rounds_are_barriered(self):
         """No round r+1 task may start before round r finished."""
         g = Reduction(8, 2)
-        c = LegionIndexController(8, collect_trace=True,
+        sink = ListSink()
+        c = LegionIndexController(8, sinks=[sink],
                                   cost_model=CallableCost(lambda t, i: 0.01))
         c.initialize(g)
         c.register_callback(g.LEAF, lambda ins, tid: [ins[0]])
         add = lambda ins, tid: [Payload(sum(p.data for p in ins))]
         c.register_callback(g.REDUCE, add)
         c.register_callback(g.ROOT, add)
-        r = c.run({t: Payload(1) for t in g.leaf_ids()})
-        done = {e.task: e for e in r.trace if e.type == TASK_FINISHED}
+        c.run({t: Payload(1) for t in g.leaf_ids()})
+        done = {e.task: e for e in sink.events if e.type == TASK_FINISHED}
         rounds = g.rounds()
         for earlier, later in zip(rounds, rounds[1:]):
             end_of_round = max(done[t].t for t in earlier)
@@ -102,12 +103,13 @@ class TestSPMD:
         """Two tasks on one shard cannot launch simultaneously even with
         many cores available."""
         g = DataParallel(2)
-        c = LegionSPMDController(1, cores_per_proc=4, collect_trace=True)
+        sink = ListSink()
+        c = LegionSPMDController(1, cores_per_proc=4, sinks=[sink])
         c.initialize(g)
         c.register_callback(g.WORK, lambda ins, tid: [ins[0]])
-        r = c.run({t: Payload(1) for t in range(2)})
+        c.run({t: Payload(1) for t in range(2)})
         starts = sorted(
-            e.t - e.dur for e in r.trace if e.type == TASK_FINISHED
+            e.t - e.dur for e in sink.events if e.type == TASK_FINISHED
         )
         assert starts[1] >= starts[0] + DEFAULT_COSTS.legion_single_launch_overhead - 1e-12
 

@@ -126,7 +126,7 @@ class TestRegistryKwargErrors:
         with pytest.raises(ControllerError) as err:
             make_controller("serial", fault_plan=FaultPlan(task_faults={0: 1}))
         msg = str(err.value)
-        assert "sinks" in msg and "collect_trace" in msg
+        assert "sinks" in msg and "telemetry" in msg
 
     def test_forwarding_constructors_inherit_base_roster(self):
         # Charm++'s __init__ is (*args, **kwargs): the roster resolves
@@ -197,13 +197,14 @@ class TestRunRequest:
 
     def test_side_effect_bearing_requests_never_coalesce(self):
         g, callbacks, inputs, _, _ = reduction_spec()
+        # A kept trace is a ListSink like any other per-run sink.
         with_sink = RunRequest(g, callbacks, inputs, sinks=[ListSink()])
-        with_trace = RunRequest(g, callbacks, inputs,
-                                options={"collect_trace": True})
+        with_live = RunRequest(g, callbacks, inputs,
+                               options={"live": "status-dir"})
         assert not with_sink.coalescible
-        assert not with_trace.coalescible
+        assert not with_live.coalescible
         assert request_key(with_sink) is None
-        assert request_key(with_trace) is None
+        assert request_key(with_live) is None
 
 
 class TestTopLevelSubmit:

@@ -12,14 +12,13 @@ from benchmarks.smoke.service_mix import exposition_defects
 from repro.core.payload import Payload
 from repro.core.taskmap import ModuloMap
 from repro.graphs import Reduction
-from repro.obs.cli import eval_spec
 from repro.obs.events import SERVICE_VOCABULARY, ListSink
 from repro.obs.live.status import find_status, read_status
 from repro.obs.live.watch import render_status
 from repro.obs.live.serve import prometheus_text
 from repro.sched.compile import PLAN_CACHE
 from repro.service import RunRequest, RunService, ServiceClosed
-from repro.service.service import _COUNTERS
+from repro.service.service import _COUNTERS, eval_spec
 
 
 def reduction_spec(scale=1):

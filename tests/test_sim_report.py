@@ -5,7 +5,13 @@ import pytest
 
 from repro.core.payload import Payload
 from repro.graphs import DataParallel, Reduction
-from repro.obs.events import MESSAGE_DELIVERED, OVERHEAD, TASK_FINISHED, Event
+from repro.obs.events import (
+    MESSAGE_DELIVERED,
+    OVERHEAD,
+    TASK_FINISHED,
+    Event,
+    ListSink,
+)
 from repro.obs.timeline import ascii_timeline, resource_timelines
 from repro.runtimes import MPIController
 from repro.runtimes.costs import CallableCost
@@ -92,7 +98,8 @@ class TestGantt:
 class TestOnRealRun:
     def test_controller_trace_profiles(self):
         g = Reduction(16, 4)
-        c = MPIController(4, collect_trace=True,
+        sink = ListSink()
+        c = MPIController(4, sinks=[sink],
                           cost_model=CallableCost(lambda t, i: 0.01))
         c.initialize(g)
         c.register_callback(g.LEAF, lambda ins, tid: [ins[0]])
@@ -100,17 +107,18 @@ class TestOnRealRun:
         c.register_callback(g.REDUCE, add)
         c.register_callback(g.ROOT, add)
         r = c.run({t: Payload(1) for t in g.leaf_ids()})
-        tl = resource_timelines(r.trace)
+        tl = resource_timelines(sink.events)
         assert all(tl.utilization(p) > 0 for p in range(4))
         assert tl.imbalance() >= 1.0
         assert "compute" in r.stats.breakdown()
-        assert "#" in ascii_timeline(r.trace)
+        assert "#" in ascii_timeline(sink.events)
 
     def test_imbalance_detects_skew(self):
         g = DataParallel(8)
         skew = CallableCost(lambda t, i: 1.0 if t.id == 0 else 0.01)
-        c = MPIController(8, collect_trace=True, cost_model=skew)
+        sink = ListSink()
+        c = MPIController(8, sinks=[sink], cost_model=skew)
         c.initialize(g)
         c.register_callback(g.WORK, lambda ins, tid: [ins[0]])
-        r = c.run({t: Payload(1) for t in range(8)})
-        assert resource_timelines(r.trace).imbalance() > 4.0
+        c.run({t: Payload(1) for t in range(8)})
+        assert resource_timelines(sink.events).imbalance() > 4.0

@@ -17,8 +17,13 @@ from repro.obs.events import (
     TASK_FINISHED,
     Event,
 )
-from repro.obs.telemetry import FlightRecorder, TelemetryConfig
-from repro.runtimes import MPIController, SerialController
+from repro.obs.telemetry import FlightRecorder
+from repro.runtimes import (
+    LegionSPMDController,
+    LocalPoolController,
+    MPIController,
+    SerialController,
+)
 
 
 def feed_run(rec, n_tasks=5, makespan=1.0, fault=False, finish=True):
@@ -119,7 +124,7 @@ def run_reduction(controller):
 class TestControllerWiring:
     def test_clean_simulated_run_leaves_no_dir(self, tmp_path):
         out = tmp_path / "flight"
-        c = MPIController(4, telemetry=TelemetryConfig(flight_dir=str(out)))
+        c = MPIController(4, sinks=[FlightRecorder(str(out))])
         g, result = run_reduction(c)
         assert result.stats.tasks_executed == g.size()
         assert not out.exists()
@@ -130,7 +135,7 @@ class TestControllerWiring:
         c = MPIController(
             4,
             fault_plan=FaultPlan(task_faults={leaf: 1}),
-            telemetry=TelemetryConfig(flight_dir=str(out)),
+            sinks=[FlightRecorder(str(out))],
         )
         g, result = run_reduction(c)
         assert result.stats.tasks_executed == g.size()
@@ -141,7 +146,7 @@ class TestControllerWiring:
 
     def test_crashing_callback_dumps_abort(self, tmp_path):
         out = tmp_path / "flight"
-        c = MPIController(4, telemetry=TelemetryConfig(flight_dir=str(out)))
+        c = MPIController(4, sinks=[FlightRecorder(str(out))])
         g = Reduction(16, 4)
         c.initialize(g, None)
 
@@ -160,7 +165,7 @@ class TestControllerWiring:
 
     def test_serial_crash_dumps_abort(self, tmp_path):
         out = tmp_path / "flight"
-        c = SerialController(telemetry=TelemetryConfig(flight_dir=str(out)))
+        c = SerialController(sinks=[FlightRecorder(str(out))])
         g = Reduction(16, 4)
         c.initialize(g, None)
 
@@ -194,3 +199,44 @@ class TestControllerWiring:
     def test_telemetry_coerce_rejects_garbage(self):
         with pytest.raises(TypeError, match="telemetry"):
             MPIController(4, telemetry="yes")
+        with pytest.raises(TypeError, match="telemetry"):
+            SerialController(telemetry={"rel_err": 0.05})
+
+
+ABORTING = {
+    "serial": lambda sinks: SerialController(sinks=sinks),
+    "mpi": lambda sinks: MPIController(4, sinks=sinks),
+    "legion-spmd": lambda sinks: LegionSPMDController(4, sinks=sinks),
+    "local-inline": lambda sinks: LocalPoolController(
+        2, mode="inline", sinks=sinks
+    ),
+    "local-thread": lambda sinks: LocalPoolController(
+        2, mode="thread", sinks=sinks
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(ABORTING))
+def test_a_recorder_passed_as_a_sink_dumps_on_abort(backend, tmp_path):
+    """A flight recorder attached through ``sinks=`` hears the abort of
+    a run whose callback raises, on every backend."""
+    out = tmp_path / "flight"
+    recorder = FlightRecorder(str(out))
+    c = ABORTING[backend]([recorder])
+    g = Reduction(8, 2)
+    c.initialize(g, None)
+
+    def boom(ins, tid):
+        raise RuntimeError("reduce exploded")
+
+    c.register_callback(g.LEAF, lambda ins, tid: [ins[0]])
+    c.register_callback(g.REDUCE, boom)
+    c.register_callback(g.ROOT, boom)
+    with pytest.raises(RuntimeError, match="reduce exploded"):
+        c.run({t: Payload(i + 1) for i, t in enumerate(g.leaf_ids())})
+    assert recorder.dumps == [str(out / "flight-0000.jsonl")]
+    assert (out / "flight-0000.manifest.json").exists()
+    manifest = json.loads((out / "flight-0000.manifest.json").read_text())
+    assert manifest["reasons"][0] == "abort: RuntimeError: reduce exploded"
+    events = load_events(recorder.dumps[0])
+    assert events[0].type == RUN_STARTED
