@@ -48,6 +48,12 @@ def validate_outputs(
         CallbackError: when the callback returned anything other than a
             list of ``n_outputs`` payloads.
     """
+    if type(outputs) is list and len(outputs) == n_outputs:
+        for out in outputs:
+            if type(out) is not Payload:
+                break
+        else:
+            return outputs  # the common case, without a call per item
     if outputs is None and n_outputs == 0:
         return []
     if not isinstance(outputs, list) or len(outputs) != n_outputs:

@@ -120,7 +120,9 @@ class Payload:
     def __init__(self, data: Any = None, nbytes: int | None = None) -> None:
         self.data = data
         if nbytes is None:
-            nbytes = estimate_nbytes(data)
+            # A scalar is what estimate_nbytes sizes first, sized here
+            # without the call.
+            nbytes = 8 if type(data) in _SCALAR_TYPES else estimate_nbytes(data)
         elif nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
         # Plain attributes, not properties: every simulated message reads

@@ -7,7 +7,9 @@ memory however long the run.  When the run saw a fault-layer event
 exception, the ring is dumped to disk: a ``flight-NNNN.jsonl`` event
 file readable by every ``python -m repro.obs`` subcommand, plus a
 ``flight-NNNN.manifest.json`` sidecar recording why, when, and what was
-captured.  Clean runs write nothing.
+captured.  ``NNNN`` is the first number no dump in the directory has
+taken yet, so recorders may share a directory.  Clean runs write
+nothing.
 
 This is the post-mortem story for *unobserved* production runs: attach
 a recorder (``sinks=[FlightRecorder(dir)]``; cheaply — no full trace is
@@ -61,6 +63,7 @@ class FlightRecorder(EventSink):
         #: Paths of every dump written, in order.
         self.dumps: list[str] = []
         self._run_idx = 0
+        self._next = 0  # the number the next dump tries first
         self._seen = 0  # events observed this run (ring may be smaller)
         self._fault: Event | None = None  # first fault event of this run
 
@@ -115,9 +118,18 @@ class FlightRecorder(EventSink):
 
     def _dump(self, reasons: list[str]) -> str:
         os.makedirs(self.out_dir, exist_ok=True)
-        stem = f"flight-{len(self.dumps):04d}"
-        path = os.path.join(self.out_dir, stem + ".jsonl")
-        with open(path, "w", encoding="utf-8") as fh:
+        while True:
+            # The first number free in out_dir, claimed by an exclusive
+            # create: recorders sharing a directory never overwrite.
+            stem = f"flight-{self._next:04d}"
+            self._next += 1
+            path = os.path.join(self.out_dir, stem + ".jsonl")
+            try:
+                fh = open(path, "x", encoding="utf-8")
+            except FileExistsError:
+                continue
+            break
+        with fh:
             for e in self.ring:
                 fh.write(json.dumps(e.to_dict(), separators=(",", ":")))
                 fh.write("\n")

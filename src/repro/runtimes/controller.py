@@ -18,6 +18,7 @@ returned to the caller plus timing statistics.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from abc import ABC, abstractmethod
 from typing import Mapping, Sequence
@@ -68,8 +69,12 @@ class Controller(ABC):
     # ------------------------------------------------------------------ #
 
     @classmethod
+    @functools.cache
     def supported_kwargs(cls) -> "frozenset[str] | None":
         """Constructor kwarg names this backend accepts, or ``None``.
+
+        Memoized per class: a constructor's signature never changes, and
+        every ``repro.run`` and service build asks.
 
         Walks the MRO to the first ``__init__`` with a fully explicit
         signature (subclasses that take ``*args, **kwargs`` and forward
@@ -199,6 +204,9 @@ class Controller(ABC):
                     f"but none were provided"
                 )
             value = initial_inputs[tid]
+            if type(value) is Payload and n_ext == 1:
+                out[tid] = [value]  # the common case, without the checks
+                continue
             payloads: list[Payload]
             if isinstance(value, Payload):
                 payloads = [value]

@@ -36,7 +36,7 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.callbacks import CallbackRegistry
+from repro.core.callbacks import CallbackRegistry, validate_outputs
 from repro.core.errors import ControllerError, FaultError, SimulationError
 from repro.core.graph import TaskGraph
 from repro.core.ids import EXTERNAL, TaskId
@@ -375,6 +375,8 @@ class SimController(Controller):
         self._duration = (recorder or self.cost_model).duration
         self._graph_run = graph
         self._registry_run = registry
+        #: callback id -> implementation, resolved once per run.
+        self._fns: dict = {}
         kernel = self._kernel = DataflowKernel(
             graph, run, SimulationError, plan, self.retry_policy
         )
@@ -622,17 +624,19 @@ class SimController(Controller):
             # idempotent by contract), so the buffered payloads need not
             # stay pinned through fault/retry cycles.
             task_inputs = kernel.inputs(tid, release=True)
+            cid = task.callback
+            try:
+                fn = self._fns[cid]
+            except KeyError:  # first use this run (or unregistered: raises)
+                fn = self._fns[cid] = self._registry_run.resolve(cid)
             if self._needs_wall:
                 t0 = time.perf_counter()
-                outputs = self._registry_run.invoke(
-                    task.callback, task_inputs, tid, task.n_outputs
-                )
+                outputs = fn(task_inputs, tid)
                 wall = time.perf_counter() - t0
             else:
-                outputs = self._registry_run.invoke(
-                    task.callback, task_inputs, tid, task.n_outputs
-                )
+                outputs = fn(task_inputs, tid)
                 wall = 0.0
+            outputs = validate_outputs(cid, outputs, tid, len(task.outgoing))
             compute = self._duration(task, task_inputs, wall)
             overhead = self._pre_compute_overhead(proc, task, task_inputs)
         else:

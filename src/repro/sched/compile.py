@@ -18,9 +18,11 @@ the interpreted engine and records, through :class:`TimingRecorder`, a
 :class:`Timing` on the plan.  Later runs under that key go through
 :func:`run_lowered`: the callbacks alone, in the recorded order, checked
 against the recorded durations and sizes, returning the recorded stats
-and metrics.  Any mismatch or error sends the run back to the
-interpreted engine, which records again, so results never change;
-anything dynamic (fault plans, balancers, telemetry) makes the
+and metrics.  The first such run resolves the record against the
+graph's tables into a :class:`StepTable` of flat per-step columns that
+later runs read front to back.  Any mismatch or error sends the run
+back to the interpreted engine, which records again, so results never
+change; anything dynamic (fault plans, balancers, telemetry) makes the
 controller fall back to the interpreted path with a ``plan.fallback``
 observability event.
 
@@ -40,7 +42,7 @@ from collections import OrderedDict, defaultdict
 from dataclasses import astuple
 from typing import TYPE_CHECKING, NamedTuple
 
-from repro.core.callbacks import CallbackRegistry
+from repro.core.callbacks import CallbackRegistry, validate_outputs
 from repro.core.errors import GraphError
 from repro.core.graph import CachedGraph, TaskGraph
 from repro.core.ids import TaskId
@@ -292,15 +294,18 @@ class CompiledPlan:
     a compiled run copies instead of flattening the map again, and
     ``timing``, the last recorded run's :class:`Timing` (or ``None``),
     which later runs under the same timing key execute instead of
-    simulating.  ``timing`` is replaced whole by one attribute store, so
-    threads sharing the plan read either the old record or the new one.
+    simulating.  ``steps`` is the :class:`StepTable` of that record,
+    built by the first run that executes it.  Each is replaced whole by
+    one attribute store, so threads sharing the plan read either the old
+    value or the new one.
     """
 
-    __slots__ = ("proc", "timing")
+    __slots__ = ("proc", "timing", "steps")
 
     def __init__(self, proc: list[int]) -> None:
         self.proc = proc
         self.timing: Timing | None = None
+        self.steps: StepTable | None = None
 
 
 def compile_plan(graph: TaskGraph, task_map: TaskMap) -> CompiledPlan:
@@ -359,6 +364,84 @@ class TimingRecorder(CostModel):
         )
 
 
+class StepTable:
+    """A :class:`Timing` record resolved against the graph's tables into
+    flat per-step columns: everything a lowered run reads, in the order
+    it reads it.
+
+    The run's input slots are laid out in step order: step ``i`` (task
+    ``timing.order[i]``) takes the slots from ``hi[i - 1]`` (0 for the
+    first) to ``hi[i]``, runs callback ``callbacks[cb[i]]`` and expects
+    ``n_out[i]`` outputs.  Its edges are the ``fwd_ch`` / ``fwd_slot``
+    entries up to ``fwd_end[i]`` (from the previous step's end): output
+    channel and the slot it fills.  A channel returned to the caller
+    fills one of the ``n_slots - n_inputs`` result slots after the input
+    slots, in the order of ``timing.sinks``.  ``ext_slot`` is the slot
+    of each EXTERNAL input, in the tables' ``ext_slot`` order.
+
+    Callback *ids* only: tenants with different implementations share
+    one plan, so each run resolves its own registry's.  Columns are
+    32-bit arrays, which pin no int objects.  Never mutated.
+
+    Raises:
+        GraphError, KeyError: the record does not fit the tables (an
+            edge with no slot left, which the interpreted run raises
+            for, or a return missing on either side).
+    """
+
+    __slots__ = (
+        "timing", "callbacks", "cb", "hi", "n_out", "fwd_end", "fwd_ch",
+        "fwd_slot", "ext_slot", "n_inputs", "n_slots",
+    )
+
+    def __init__(self, timing: Timing, tables: GraphTables) -> None:
+        self.timing = timing
+        tasks, slot_start, n_inputs = tables.tasks, tables.slot_start, tables.n_inputs
+        edge_start, n_edges = tables.edge_start, tables.n_edges
+        edge_ch, edge_dst, edge_slot = tables.edge_ch, tables.edge_dst, tables.edge_slot
+        n = self.n_inputs = tables.n_slots
+        # Step-order position of each of the tables' slots.
+        pos = array("i", [0]) * n
+        hi = array("i")
+        a = 0
+        for tid in timing.order:
+            first = slot_start[tid]
+            for s in range(n_inputs[tid]):
+                pos[first + s] = a
+                a += 1
+            hi.append(a)
+        returned = {}
+        for tid, chs in timing.sinks:
+            for ch in chs:
+                returned[tid, ch] = n + len(returned)
+        self.n_slots = n + len(returned)
+        index: dict = {}  # callback id -> position in self.callbacks
+        cb, n_out, fwd_end = array("i"), array("i"), array("i")
+        fwd_ch, fwd_slot = array("i"), array("i")
+        for tid in timing.order:
+            task = tasks[tid]
+            cb.append(index.setdefault(task.callback, len(index)))
+            n_out.append(len(task.outgoing))
+            first = edge_start[tid]
+            for e in range(first, first + n_edges[tid]):
+                ch = edge_ch[e]
+                if edge_dst[e] < 0:
+                    slot = returned.pop((tid, ch))
+                elif edge_slot[e] < 0:
+                    raise GraphError(f"task {edge_dst[e]} has no slot left for {tid}")
+                else:
+                    slot = pos[edge_slot[e]]
+                fwd_ch.append(ch)
+                fwd_slot.append(slot)
+            fwd_end.append(len(fwd_ch))
+        if returned:
+            raise GraphError(f"no task returns {sorted(returned)}")
+        self.callbacks = tuple(index)
+        self.cb, self.hi, self.n_out, self.fwd_end = cb, hi, n_out, fwd_end
+        self.fwd_ch, self.fwd_slot = fwd_ch, fwd_slot
+        self.ext_slot = array("i", [pos[s] for s in tables.ext_slot])
+
+
 def run_lowered(
     plan: CompiledPlan,
     key: tuple,
@@ -373,7 +456,8 @@ def run_lowered(
 
     Returns ``None`` when ``plan`` holds no record under ``key``, when a
     task's duration or input sizes differ from the record, when an input
-    slot is empty, or when a callback or the cost model raises.  The
+    slot is empty, or when a callback or the cost model raises or a
+    callback returns anything :func:`validate_outputs` rejects.  The
     caller then runs the interpreted engine, which raises or stalls
     exactly as it would have, and records again.
     """
@@ -381,7 +465,10 @@ def run_lowered(
     if timing is None or timing.key != key:
         return None
     try:
-        outputs = _execute_lowered(timing, tables, registry, cost_model, inputs)
+        steps = plan.steps
+        if steps is None or steps.timing is not timing:
+            steps = plan.steps = StepTable(timing, tables)
+        outputs = _execute_lowered(steps, tables, registry, cost_model, inputs)
     except Exception:
         # Not swallowed: the interpreted run that follows raises it again,
         # where and as it would have without a record.
@@ -393,41 +480,54 @@ def run_lowered(
     )
 
 
-def _execute_lowered(timing, tables, registry, cost_model, inputs):
-    """The callbacks of one run in ``timing.order``, its flat slots
-    filled through ``tables``; the returned payloads, or ``None`` at the
-    first task whose input sizes or duration differ from the record."""
-    slots: list = [None] * tables.n_slots
-    for _, slot, payload in tables.external(inputs):
-        slots[slot] = payload
-    tasks, slot_start, n_inputs = tables.tasks, tables.slot_start, tables.n_inputs
-    edge_start, n_edges = tables.edge_start, tables.n_edges
-    edge_ch, edge_dst, edge_slot = tables.edge_ch, tables.edge_dst, tables.edge_slot
-    invoke, duration = registry.invoke, cost_model.duration
-    rec_durations, rec_nbytes = timing.durations, timing.nbytes
-    k = 0
-    returned = {}
-    for i, tid in enumerate(timing.order):
-        task = tasks[tid]
-        a = slot_start[tid]
-        b = a + n_inputs[tid]
+def _execute_lowered(steps, tables, registry, cost_model, inputs):
+    """The callbacks of one run in ``steps``' order; the returned
+    payloads, or ``None`` at the first task whose input sizes or
+    duration differ from the record.
+
+    Each callback id is resolved once per run.  A return that is an
+    exact ``list`` of exact :class:`Payload` items of the task's arity
+    passes inline; anything else goes through :func:`validate_outputs`.
+    """
+    timing = steps.timing
+    slots: list = [None] * steps.n_slots
+    ext_start, ext_slot = tables.ext_start, steps.ext_slot
+    for j, tid in enumerate(tables.sources):
+        x = ext_start[j]
+        for payload in inputs[tid]:
+            slots[ext_slot[x]] = payload
+            x += 1
+    cids = steps.callbacks
+    fns = [registry.resolve(cid) for cid in cids]
+    fwd_ch, fwd_slot = steps.fwd_ch, steps.fwd_slot
+    tasks, duration, rec_nbytes = tables.tasks, cost_model.duration, timing.nbytes
+    a = e = k = 0
+    for tid, c, b, n, end, seconds in zip(
+        timing.order, steps.cb, steps.hi, steps.n_out, steps.fwd_end,
+        timing.durations,
+    ):
         ins = slots[a:b]
         slots[a:b] = [None] * (b - a)
+        a = b
         for p in ins:  # before the callback: an empty slot raises here
             if p.nbytes != rec_nbytes[k]:
                 return None
             k += 1
-        outs = invoke(task.callback, ins, tid, task.n_outputs)
-        if duration(task, ins, 0.0) != rec_durations[i]:
+        outs = fns[c](ins, tid)
+        if type(outs) is not list or len(outs) != n:
+            outs = validate_outputs(cids[c], outs, tid, n)
+        else:
+            for p in outs:
+                if type(p) is not Payload:
+                    outs = validate_outputs(cids[c], outs, tid, n)
+                    break
+        if duration(tasks[tid], ins, 0.0) != seconds:
             return None
-        first = edge_start[tid]
-        for e in range(first, first + n_edges[tid]):
-            dst = edge_dst[e]
-            if dst >= 0:
-                slots[edge_slot[e]] = outs[edge_ch[e]]
-            else:
-                returned[tid, edge_ch[e]] = outs[edge_ch[e]]
-    return {tid: {ch: returned[tid, ch] for ch in chs} for tid, chs in timing.sinks}
+        while e < end:
+            slots[fwd_slot[e]] = outs[fwd_ch[e]]
+            e += 1
+    results = iter(slots[steps.n_inputs:])
+    return {tid: {ch: next(results) for ch in chs} for tid, chs in timing.sinks}
 
 
 def _fresh_stats(stats: Stats) -> Stats:

@@ -46,6 +46,12 @@ class HandleTimeout(TimeoutError):
     """``result(timeout=...)`` expired before the run resolved."""
 
 
+#: The event of every resolved handle.  A handle drops its own event
+#: (a lock, a condition and a deque, ~1 KB) once it resolves: callers
+#: keep handles for as long as they keep results.  Set, never cleared.
+_RESOLVED = threading.Event()
+_RESOLVED.set()
+
 #: Handle lifecycle states (``RunHandle.status``).
 QUEUED = "queued"
 RUNNING = "running"
@@ -169,9 +175,14 @@ class RunHandle:
         else:
             self._result = result
             self._status = DONE
-        self._event.set()
+        self._set()
 
     def _mark_cancelled(self) -> None:
         self._status = CANCELLED
         self.finished_ts = time.monotonic()
-        self._event.set()
+        self._set()
+
+    def _set(self) -> None:
+        # A caller already blocked holds the handle's own event and wakes.
+        event, self._event = self._event, _RESOLVED
+        event.set()

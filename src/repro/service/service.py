@@ -126,6 +126,31 @@ def eval_spec(metrics: dict[str, float], spec: dict) -> list[str]:
     return violations
 
 
+class _HashedKey:
+    """A request key that hashes once.
+
+    The in-flight table probes, inserts and deletes a request's key up
+    to four times; the key holds a token per input payload, so hashing
+    it is the expensive part of each probe.
+    """
+
+    __slots__ = ("key", "hash")
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        self.hash = hash(key)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, _HashedKey)
+            and self.hash == other.hash
+            and self.key == other.key
+        )
+
+
 class _Entry:
     """One queued-or-running execution, shared by its waiters."""
 
@@ -244,13 +269,16 @@ class RunService:
                 f"submit() takes a RunRequest, got {type(request).__name__}"
             )
         handle = RunHandle(request, self)
+        # Off the lock: a token per input payload, the costliest step.
+        key = request_key(request)
+        if key is not None:
+            key = _HashedKey(key)
         with self._lock:
             if self._closed:
                 raise ServiceClosed("submit() on a closed RunService")
             self.metrics.counter("submitted").inc()
             self._tenant_stat(request.tenant, "submitted")
             self._emit(SERVICE_SUBMITTED, tenant=request.tenant)
-            key = request_key(request)
             if key is not None:
                 twin = self._inflight.get(key)
                 if twin is not None and twin.state != "resolved":

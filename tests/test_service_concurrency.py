@@ -126,6 +126,38 @@ class TestDedupFanBack:
         assert counters["runs_executed"] == 2  # the blocker + one shared run
         assert counters["completed"] == 7
 
+    def test_callers_blocked_before_resolution_wake_with_the_result(self):
+        """A resolved handle swaps its own event for a shared set one;
+        callers already blocked on the old event still wake."""
+        from repro.service import handle as handle_module
+
+        gate = threading.Event()
+        g, cb, ins = reduction_spec()
+        with RunService(workers=1) as svc:
+            blocker = svc.submit(gate_spec(gate))
+            wait_running(blocker)
+            h = svc.submit(RunRequest(g, cb, ins, runtime="mpi", n_procs=4))
+            own = h._event
+            got = []
+            threads = [
+                threading.Thread(target=lambda: got.append(h.result(30)))
+                for _ in range(4)
+            ]
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 10
+            while len(own._cond._waiters) < 4:  # all four are blocked
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+            assert not h.done()
+            gate.set()
+            for t in threads:
+                t.join(30)
+            blocker.result(30)
+        assert len(got) == 4 and all(r is got[0] for r in got)
+        assert h._event is handle_module._RESOLVED and own.is_set()
+        assert h.done() and h.wait(0) and h.result(0) is got[0]
+
     def test_followers_resolve_even_when_the_run_errors(self):
         g2 = Reduction(16, 4)
 

@@ -240,3 +240,36 @@ def test_a_recorder_passed_as_a_sink_dumps_on_abort(backend, tmp_path):
     assert manifest["reasons"][0] == "abort: RuntimeError: reduce exploded"
     events = load_events(recorder.dumps[0])
     assert events[0].type == RUN_STARTED
+
+
+def test_two_recorders_on_one_directory_keep_both_crashes(tmp_path):
+    """Dump names are claimed in the directory, not counted per
+    recorder: a second crashing run beside the first adds a dump."""
+    out = tmp_path / "flight"
+    recorders = [FlightRecorder(str(out)), FlightRecorder(str(out))]
+    for k, recorder in enumerate(recorders):
+        c = MPIController(4, sinks=[recorder])
+        g = Reduction(8, 2)
+        c.initialize(g, None)
+
+        def boom(ins, tid, k=k):
+            raise RuntimeError(f"run {k} exploded")
+
+        c.register_callback(g.LEAF, lambda ins, tid: [ins[0]])
+        c.register_callback(g.REDUCE, boom)
+        c.register_callback(g.ROOT, boom)
+        with pytest.raises(RuntimeError, match=f"run {k} exploded"):
+            c.run({t: Payload(i + 1) for i, t in enumerate(g.leaf_ids())})
+    assert [r.dumps for r in recorders] == [
+        [str(out / "flight-0000.jsonl")],
+        [str(out / "flight-0001.jsonl")],
+    ]
+    reasons = [
+        json.loads((out / f"flight-000{k}.manifest.json").read_text())["reasons"][0]
+        for k in range(2)
+    ]
+    assert reasons == [
+        "abort: RuntimeError: run 0 exploded",
+        "abort: RuntimeError: run 1 exploded",
+    ]
+    assert len(load_events(str(out / "flight-0001.jsonl"))) > 0
