@@ -127,7 +127,8 @@ def run(
             ``compile`` (``True`` to lower static runs into cached
             ahead-of-time plans reused across invocations: an
             unobserved run records its simulated timing on the plan and
-            later ones execute only the callbacks — see
+            later ones with equal task durations and payload sizes
+            reuse it instead of simulating — see
             :mod:`repro.sched.compile`; results are bit-identical and
             dynamic runs fall back automatically), ...  Unknown names
             are rejected with a did-you-mean hint.

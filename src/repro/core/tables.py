@@ -7,8 +7,9 @@ same graph: every task materialized once, and what a run would otherwise
 re-derive from the tasks — the sources, the input counts, the input slot
 each outgoing edge fills — resolved into flat int arrays.  Built by
 :meth:`TaskGraph.tables <repro.core.graph.TaskGraph.tables>`, once per
-graph instance, and never mutated, so every run, controller and service
-worker thread shares one object.
+graph instance, and never mutated but for the memo of its topological
+order (equal whichever thread computes it), so every run, controller and
+service worker thread shares one object.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class GraphTables:
             deposit order of a run's initial inputs).
         ext_start / ext_slot: ``len(sources) + 1`` offsets into
             ``ext_slot``, each source's EXTERNAL flat slots in order.
+        n_outputs: by id — the task's output arity (channel count).
         n_edges / edge_start: by id — task ``t``'s outgoing edges are the
             ``n_edges[t]`` entries from ``edge_start[t]``, in channel order.
         edge_ch / edge_dst / edge_slot: per edge, its output channel, the
@@ -57,8 +59,8 @@ class GraphTables:
 
     __slots__ = (
         "n", "ids", "tasks", "n_inputs", "slot_start", "n_slots",
-        "sources", "ext_start", "ext_slot",
-        "n_edges", "edge_start", "edge_ch", "edge_dst", "edge_slot",
+        "sources", "ext_start", "ext_slot", "n_outputs",
+        "n_edges", "edge_start", "edge_ch", "edge_dst", "edge_slot", "_order",
     )
 
     def __init__(self, graph: "TaskGraph") -> None:
@@ -109,6 +111,7 @@ class GraphTables:
         # Producer side, ascending producer id: each consumer's sorted
         # slot list is consumed front to back by one cursor.
         cursor = fed_start[:n]
+        n_outputs = [0] * n
         n_edges = [0] * n
         edge_start = array("l", [0]) * n
         edge_ch = self.edge_ch = []
@@ -117,6 +120,7 @@ class GraphTables:
         for i, task in enumerate(tasks):
             tid = task.id
             edge_start[i] = len(edge_dst)
+            n_outputs[i] = len(task.outgoing)
             for ch, channel in enumerate(task.outgoing):
                 if not channel or TNULL in channel:
                     edge_ch.append(ch)
@@ -145,10 +149,44 @@ class GraphTables:
             n_edges[i] = len(edge_dst) - edge_start[i]
 
         by_id = self.by_id
-        self.tasks, self.n_inputs, self.n_edges = map(
-            by_id, (tasks, n_inputs, n_edges)
+        self.tasks, self.n_inputs, self.n_outputs, self.n_edges = map(
+            by_id, (tasks, n_inputs, n_outputs, n_edges)
         )
         self.slot_start, self.edge_start = by_id(slot_start), by_id(edge_start)
+        self._order: array | None = None
+
+    def order(self) -> array:
+        """The ids of the tasks a run executes, in a topological order.
+
+        A task is in it once every slot fills: EXTERNAL slots from the
+        initial inputs, the others from edges of earlier tasks (a task
+        with no inputs, or a slot no edge fills, never runs: its run
+        stalls).  Ready tasks go on a stack, so a consumer runs right
+        after its last producer and outputs wait as briefly as the graph
+        allows.  Computed on first use and kept.
+        """
+        if self._order is not None:
+            return self._order
+        edge_start, n_edges = self.edge_start, self.n_edges
+        edge_dst, edge_slot = self.edge_dst, self.edge_slot
+        need = self.n_inputs.copy()
+        for j, tid in enumerate(self.sources):
+            need[tid] -= self.ext_start[j + 1] - self.ext_start[j]
+        stack = [tid for tid in reversed(self.sources) if need[tid] == 0]
+        order = array("l")
+        while stack:
+            tid = stack.pop()
+            order.append(tid)
+            first = edge_start[tid]
+            # Backwards, so the stack pops consumers in channel order.
+            for e in range(first + n_edges[tid] - 1, first - 1, -1):
+                dst = edge_dst[e]
+                if dst >= 0 and edge_slot[e] >= 0:
+                    need[dst] -= 1
+                    if need[dst] == 0:
+                        stack.append(dst)
+        self._order = order
+        return order
 
     def external(self, inputs):
         """A run's initial deposits as ``(task, slot, payload)``, in

@@ -17,7 +17,6 @@ difference measured is blocking vs asynchronous progress.
 from __future__ import annotations
 
 from repro.core.ids import TaskId
-from repro.core.payload import Payload
 from repro.runtimes.mpi import MPIController
 
 
@@ -31,17 +30,17 @@ class BlockingMPIController(MPIController):
     """
 
     def _send(
-        self, sproc: int, producer: TaskId, dst: TaskId, slot: int, payload: Payload
+        self, sproc: int, producer: TaskId, dst: TaskId, slot: int, nbytes: int
     ) -> None:
         dproc = self._proc[dst]
         if sproc == dproc and self._local_free:
             ser = 0.0
         else:
-            ser = self._send_fixed + payload.nbytes / self._bandwidth
+            ser = self._send_fixed + nbytes / self._bandwidth
         self._result.stats.add(self.comm_category, ser)
         self._cluster.send_blocking(
-            sproc, dproc, payload.nbytes, ser, self.comm_category,
-            self._receive, sproc, dproc, producer, dst, slot, payload,
+            sproc, dproc, nbytes, ser, self.comm_category,
+            self._receive, sproc, dproc, producer, dst, slot, nbytes,
             src_task=producer, dst_task=dst,
         )
 

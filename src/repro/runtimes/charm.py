@@ -87,9 +87,7 @@ class CharmController(SimController):
         self._migrations += 1
         self._lb_migrations += 1
         # (A retry waits with its inputs already released: nothing moves.)
-        nbytes = sum(
-            p.nbytes for p in self._kernel.inputs(tid) if p is not None
-        )
+        nbytes = sum(s for s in self._kernel.inputs(tid) if s is not None)
         self._result.stats.add("migrate", self.costs.charm_migration_cost)
         if self._obs:
             self._obs.emit(

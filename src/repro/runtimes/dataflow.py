@@ -22,15 +22,15 @@ slot filled) and *who receives this output*
 (:meth:`~DataflowKernel.route` hands each ``(consumer, payload)`` to the
 driver) — and never *when* or *where*: clocks, queues, cores, processes
 and placement belong to the driver.  Two drivers sit on it, the
-virtual-time :class:`~repro.runtimes.simbase.SimController` and the pool
-:class:`~repro.runtimes.local.LocalPoolController`.  The serial
-controller deliberately does not: it keeps a naive slot store of its own
-as the oracle the kernel is tested against.
+virtual-time :class:`~repro.runtimes.simbase.SimController` (on payload
+sizes) and the pool :class:`~repro.runtimes.local.LocalPoolController`.
+The serial controller deliberately does not: it keeps a naive slot store
+of its own as the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 
 from repro.core.errors import FaultError
 from repro.core.graph import TaskGraph
@@ -265,11 +265,14 @@ class DataflowKernel:
         fault_plan: its transient task faults are materialized into a
             fresh per-run budget (running twice injects them twice).
         policy: retry budget and backoff of failed attempts.
+        sizes / overflow: make a *sized* kernel, whose slots and edges
+            carry ``nbytes`` instead of payloads: the size in each flat
+            input slot, and of each edge with no slot left (by edge).
     """
 
     __slots__ = (
         "tables", "slots", "remaining", "attempts", "enq_t", "arrived",
-        "done", "total", "budget", "policy", "retries",
+        "done", "total", "budget", "policy", "retries", "_sizes", "_overflow",
         "_outputs", "_observe_bytes", "_error", "_obs", "_ctx", "_track_wait",
     )
 
@@ -280,10 +283,13 @@ class DataflowKernel:
         error: type[Exception],
         fault_plan: FaultPlan | None = None,
         policy: RetryPolicy | None = None,
+        sizes: "Sequence[int] | None" = None,
+        overflow: "Mapping[int, int] | None" = None,
     ) -> None:
         tables = self.tables = graph.tables()
-        #: every input slot of the graph, laid out as ``tables.slot_start``.
-        self.slots: list[Payload | None] = [None] * tables.n_slots
+        #: every input slot of the graph (payload or size), laid out as
+        #: ``tables.slot_start``.
+        self.slots: list[Payload | int | None] = [None] * tables.n_slots
         #: per task id: its empty slots, then 0 (ready), queued, done.
         self.remaining = tables.n_inputs.copy()
         #: failed attempts so far, of the tasks that had any.
@@ -300,6 +306,8 @@ class DataflowKernel:
         self.policy = policy
         #: failed attempts so far (each is also one injected fault).
         self.retries = 0
+        self._sizes = sizes
+        self._overflow = overflow
         self._outputs = run.result.outputs
         self._observe_bytes = run.m_message_bytes.observe
         self._error = error
@@ -309,9 +317,10 @@ class DataflowKernel:
 
     # -- per-task state ------------------------------------------------ #
 
-    def inputs(self, tid: TaskId, release: bool = False) -> list[Payload]:
-        """The payloads deposited on ``tid``, in slot order; ``release``
-        empties the slots (the caller keeps what a retry needs)."""
+    def inputs(self, tid: TaskId, release: bool = False) -> list:
+        """What was deposited on ``tid`` (payloads, or sizes on a sized
+        kernel), in slot order; ``release`` empties the slots (the caller
+        keeps what a retry needs)."""
         a = self.tables.slot_start[tid]
         b = a + self.tables.n_inputs[tid]
         inputs = self.slots[a:b]
@@ -332,7 +341,7 @@ class DataflowKernel:
     # -- what is ready ------------------------------------------------- #
 
     def deposit(
-        self, tid: TaskId, slot: int, payload: Payload, producer: TaskId
+        self, tid: TaskId, slot: int, payload: "Payload | int", producer: TaskId
     ) -> bool:
         """Fill flat slot ``slot`` of ``tid`` — the one the tables
         resolved for this edge, whatever order its messages arrive in;
@@ -391,9 +400,9 @@ class DataflowKernel:
     def route(
         self,
         tid: TaskId,
-        outputs: list[Payload],
+        outputs: "Sequence[Payload] | Mapping[int, Payload] | None",
         origin: int,
-        deliver: Callable[[int, TaskId, TaskId, int, Payload], None],
+        deliver: Callable[[int, TaskId, TaskId, int, "Payload | int"], None],
         only: "set[TaskId] | None" = None,
     ) -> None:
         """``tid`` completed: retire it, collect sink channels into the
@@ -401,6 +410,9 @@ class DataflowKernel:
         ``deliver(origin, tid, consumer, slot, payload)`` — in channel
         order, ``slot`` being what :meth:`deposit` takes.  The kernel
         keeps no reference to its driver.
+
+        ``outputs`` is indexed by channel; a sized kernel delivers sizes
+        and reads it only for returned channels (``None`` if none).
 
         ``only`` restricts delivery to those consumers and collects
         nothing — a lineage replay re-feeds just the tasks that lost this
@@ -413,16 +425,22 @@ class DataflowKernel:
             self.arrived.pop(tid, None)
         edge_ch, edge_dst = tables.edge_ch, tables.edge_dst
         edge_slot, observe = tables.edge_slot, self._observe_bytes
+        sizes = self._sizes
         first = tables.edge_start[tid]
         for e in range(first, first + tables.n_edges[tid]):
             dst = edge_dst[e]
-            payload = outputs[edge_ch[e]]
             if dst >= 0:  # is_real_task, inlined
                 if only is None or dst in only:
-                    observe(payload.nbytes)
-                    deliver(origin, tid, dst, edge_slot[e], payload)
+                    slot = edge_slot[e]
+                    if sizes is None:
+                        payload = outputs[edge_ch[e]]
+                        observe(payload.nbytes)
+                    else:
+                        payload = sizes[slot] if slot >= 0 else self._overflow[e]
+                        observe(payload)
+                    deliver(origin, tid, dst, slot, payload)
             elif only is None:
-                self._outputs.setdefault(tid, {})[edge_ch[e]] = payload
+                self._outputs.setdefault(tid, {})[edge_ch[e]] = outputs[edge_ch[e]]
 
     # -- attempt accounting -------------------------------------------- #
 

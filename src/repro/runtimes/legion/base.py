@@ -9,7 +9,8 @@ alone; SPMD adds its phase barriers in its own :meth:`_wire`.
 
 from __future__ import annotations
 
-from repro.core.payload import Payload
+from typing import Sequence
+
 from repro.core.task import Task
 from repro.runtimes.simbase import SimController
 
@@ -20,10 +21,10 @@ class LegionController(SimController):
     pre_category = comm_category = "staging"
 
     def _pre_compute_overhead(
-        self, proc: int, task: Task, inputs: list[Payload]
+        self, proc: int, task: Task, sizes: Sequence[int]
     ) -> float:
-        regions = task.n_inputs + task.n_outputs
-        in_bytes = sum(p.nbytes for p in inputs)
+        regions = len(sizes) + len(task.outgoing)
+        in_bytes = sum(sizes)
         return (
             regions * self.costs.legion_staging_per_region
             + in_bytes / self.costs.legion_staging_bandwidth

@@ -1,19 +1,23 @@
 """The virtual-time driver of the simulator-backed controllers.
 
-The dataflow itself — input slots, readiness, routing, attempt
-accounting — is :class:`~repro.runtimes.dataflow.DataflowKernel`, and
-what a run is observed through is
-:class:`~repro.runtimes.dataflow.RunScaffold`.  :class:`SimController`
-answers the two questions the kernel leaves open, *when* and *where*, on
-a discrete-event cluster (:mod:`repro.sim`):
+A controller decides only where and when an idempotent task runs (the
+paper's §III), and a schedule reads only each task's cost-model seconds
+and each payload's ``nbytes``.  So a run takes two passes: the *callback
+pass* (:func:`run_callbacks`) executes every callback once and yields
+those two flat arrays; the *timing pass* simulates the run from them on a
+discrete-event cluster (:mod:`repro.sim`), holding no payload.  Its
+dataflow — slots, readiness, routing, attempt accounting — is a sized
+:class:`~repro.runtimes.dataflow.DataflowKernel`, and what a run is
+observed through is :class:`~repro.runtimes.dataflow.RunScaffold`.
+:class:`SimController` answers the two questions the kernel leaves open,
+*when* and *where*:
 
-1. payloads *deposit* into the kernel (initial inputs at time zero,
+1. sizes *deposit* into the kernel (initial inputs at time zero,
    dataflow messages on delivery);
 2. a task the kernel reports *ready* enters its proc's run queue
    (backends may interpose extra steps, e.g. Legion's launcher);
-3. a free core *dispatches* it: the callback runs for real, the configured
-   :class:`~repro.runtimes.costs.CostModel` converts it to virtual
-   seconds, and the core is occupied for overhead + compute;
+3. a free core *dispatches* it for overhead + the task's seconds (a
+   retry, timeout or lineage replay charges them again);
 4. on (virtual) completion the kernel *routes* its outputs and every
    dataflow edge is serialized / shipped / deserialized at the cost the
    backend's wire tuple gives.
@@ -33,14 +37,16 @@ results *and* the same virtual timings.
 from __future__ import annotations
 
 import time
+from array import array
 from collections import deque
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from repro.core.callbacks import CallbackRegistry, validate_outputs
 from repro.core.errors import ControllerError, FaultError, SimulationError
 from repro.core.graph import TaskGraph
 from repro.core.ids import EXTERNAL, TaskId
 from repro.core.payload import Payload
+from repro.core.tables import GraphTables
 from repro.core.task import Task
 from repro.core.taskmap import ModuloMap
 from repro.faults.plan import FaultPlan
@@ -66,6 +72,122 @@ from repro.sim.machine import SHAHEEN_II, MachineSpec
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.sched imports us)
     from repro.sched.balance import Balancer
     from repro.sched.compile import CompiledPlan
+
+
+class Callbacks(NamedTuple):
+    """What the callback pass of one run hands its timing pass.
+
+    By task id: ``returned``, the ``{channel: payload}`` a task returned
+    to the caller (``None`` if none), and ``durations``, the cost model's
+    seconds.  ``nbytes`` is the payload size in each flat input slot,
+    ``overflow`` the size of each edge with no slot left (edge index ->
+    nbytes), ``errors`` the exception of each task that raised.  A task
+    downstream of a failed one never ran: its entries stay zero.
+    """
+
+    returned: Sequence
+    durations: Sequence[float]
+    nbytes: array
+    overflow: dict
+    errors: dict
+
+
+def run_callbacks(
+    tables: GraphTables,
+    registry: CallbackRegistry,
+    cost_model: CostModel,
+    inputs: dict[TaskId, list[Payload]],
+) -> Callbacks:
+    """The callback pass: every task of ``tables.order()`` once.
+
+    Each callback id is resolved once per run; an exact ``list`` of exact
+    :class:`Payload` items of the task's arity passes inline, anything
+    else goes through :func:`validate_outputs`.  A task's input slots are
+    emptied as it runs.  Wall time is measured only for a cost model that
+    reads it.  Never raises an :class:`Exception`: a task's first one —
+    from its callback, the output check or the cost model — goes to
+    ``errors`` and every task downstream of it is skipped; the timing
+    pass raises it when that task dispatches.
+    """
+    tasks, slot_start, n_inputs = tables.tasks, tables.slot_start, tables.n_inputs
+    n_outputs, edge_start, n_edges = tables.n_outputs, tables.edge_start, tables.n_edges
+    edge_ch, edge_dst, edge_slot = tables.edge_ch, tables.edge_dst, tables.edge_slot
+    n = tables.n
+    slots: list = [None] * tables.n_slots
+    nbytes = array("q", [0]) * tables.n_slots
+    durations = tables.by_id(array("d", [0.0]) * n)
+    returned = tables.by_id([None] * n)
+    ext_start, ext_slot = tables.ext_start, tables.ext_slot
+    for j, tid in enumerate(tables.sources):
+        x = ext_start[j]
+        for payload in inputs[tid]:
+            s = ext_slot[x]
+            slots[s] = payload
+            nbytes[s] = payload.nbytes
+            x += 1
+    duration, wall = cost_model.duration, cost_model.needs_wall_time
+    clock = time.perf_counter
+    fns: dict = {}
+    overflow: dict[int, int] = {}
+    errors: dict[TaskId, Exception] = {}
+    skip: set[TaskId] = set()  # downstream of a failed task
+    for tid in tables.order():
+        e = edge_start[tid]
+        end = e + n_edges[tid]
+        if skip and tid in skip:
+            while e < end:
+                skip.add(edge_dst[e])
+                e += 1
+            continue
+        a = slot_start[tid]
+        b = a + n_inputs[tid]
+        ins = slots[a:b]
+        slots[a:b] = [None] * (b - a)
+        task = tasks[tid]
+        cid = task.callback
+        try:
+            try:
+                fn = fns[cid]
+            except KeyError:  # first use this run (or unregistered: raises)
+                fn = fns[cid] = registry.resolve(cid)
+            if wall:
+                t0 = clock()
+                outs = fn(ins, tid)
+                seconds = clock() - t0
+            else:
+                outs = fn(ins, tid)
+                seconds = 0.0
+            k = n_outputs[tid]
+            if type(outs) is not list or len(outs) != k:
+                outs = validate_outputs(cid, outs, tid, k)
+            else:
+                for p in outs:
+                    if type(p) is not Payload:
+                        outs = validate_outputs(cid, outs, tid, k)
+                        break
+            durations[tid] = duration(task, ins, seconds)
+        except Exception as exc:
+            errors[tid] = exc
+            while e < end:
+                skip.add(edge_dst[e])
+                e += 1
+            continue
+        while e < end:
+            p = outs[edge_ch[e]]
+            if edge_dst[e] >= 0:
+                s = edge_slot[e]
+                if s >= 0:
+                    slots[s] = p
+                    nbytes[s] = p.nbytes
+                else:
+                    overflow[e] = p.nbytes
+            else:
+                r = returned[tid]
+                if r is None:
+                    r = returned[tid] = {}
+                r[edge_ch[e]] = p
+            e += 1
+    return Callbacks(returned, durations, nbytes, overflow, errors)
 
 
 class SimController(Controller):
@@ -126,10 +248,11 @@ class SimController(Controller):
             table flattened once — reused across runs, machines and rank
             counts via the process-wide
             :data:`~repro.sched.compile.PLAN_CACHE`.  An unobserved run
-            records its timing on the plan; later unobserved runs with
-            the same :meth:`_timing_key` execute only the callbacks and
-            reuse it while every task's duration and input sizes match.
-            Results are bit-identical to the interpreted path.  Runs
+            records its timing pass on the plan; a later unobserved run
+            with the same :meth:`_timing_key` whose callback pass yields
+            equal durations and input sizes returns that record instead
+            of simulating.  Results are bit-identical to the interpreted
+            path.  Runs
             that need dynamic behavior (``fault_plan=``, ``balancer=``,
             ``telemetry=``, or a dynamic-placement backend) fall back
             automatically, emitting a ``plan.fallback`` event when
@@ -197,7 +320,6 @@ class SimController(Controller):
         self._engine: Engine
         self._cluster: Cluster
         self._result: RunResult
-        self._registry_run: CallbackRegistry
         self._graph_run: TaskGraph
         self._run: RunScaffold
         self._kernel: DataflowKernel
@@ -300,9 +422,10 @@ class SimController(Controller):
         """Called after a task completed and its outputs were routed."""
 
     def _pre_compute_overhead(
-        self, proc: int, task: Task, inputs: list[Payload]
+        self, proc: int, task: Task, sizes: Sequence[int]
     ) -> float:
-        """Per-task overhead charged on the core before compute."""
+        """Per-task overhead charged on the core before compute;
+        ``sizes`` are the task's input sizes in slot order."""
         return self.costs.dispatch_overhead
 
     # ------------------------------------------------------------------ #
@@ -321,26 +444,32 @@ class SimController(Controller):
         run = self._run = RunScaffold(self, graph, self.n_procs)
         # A planned map (repro.sched.plan) narrates its provenance.
         run.begin(self._task_map)
-        cplan = recorder = None
+        cplan = key = None
         if self.compile:
             cplan, fallback = self._resolve_compiled_plan(graph)
             if cplan is None:
                 # Narrated only when compilation was asked for, so clean
                 # streams keep their exact shape.
                 run.plan_fallback(fallback)
-            elif run.obs is None and not self.cost_model.needs_wall_time:
-                # Unobserved and static: the plan's record under this
-                # key, if its guards hold, is the run's timing.
-                from repro.sched.compile import TimingRecorder, run_lowered
+        try:
+            calls = run_callbacks(graph.tables(), registry, self.cost_model, inputs)
+        except BaseException as exc:
+            run.abort(exc)
+            raise
+        if (
+            cplan is not None
+            and run.obs is None
+            and not self.cost_model.needs_wall_time
+        ):
+            # Unobserved and static: the plan's record under this key, if
+            # its arrays equal this run's, is the run's timing.
+            from repro.sched.compile import replay_timing
 
-                key = self._timing_key()
-                result = run_lowered(
-                    cplan, key, graph.tables(), registry, self.cost_model, inputs
-                )
-                if result is not None:
-                    self.retries = 0
-                    return result
-                recorder = TimingRecorder(self.cost_model)
+            key = self._timing_key()
+            result = replay_timing(cplan, key, calls)
+            if result is not None:
+                self.retries = 0
+                return result
         self._engine = Engine()
         self._metrics = run.metrics
         self._t_task = run.t_task
@@ -371,22 +500,21 @@ class SimController(Controller):
         ) = self._wire()
         self._cat_time = self._result.stats.category_time
         self._cb_time = self._result.stats.callback_time
-        self._needs_wall = self.cost_model.needs_wall_time
-        self._duration = (recorder or self.cost_model).duration
         self._graph_run = graph
-        self._registry_run = registry
-        #: callback id -> implementation, resolved once per run.
-        self._fns: dict = {}
+        #: the callback pass's arrays, read by every attempt.
+        self._durations = calls.durations
+        self._sizes = calls.nbytes
+        self._returned = calls.returned
+        self._errors = calls.errors
         kernel = self._kernel = DataflowKernel(
-            graph, run, SimulationError, plan, self.retry_policy
+            graph, run, SimulationError, plan, self.retry_policy,
+            calls.nbytes, calls.overflow,
         )
         # Bound once per run: the kernel's state under the names the
         # backends and balancers read, its hot methods as plain attributes.
         self._done = kernel.done
         self._fault_budget = kernel.budget
         self._kernel_deposit = kernel.deposit
-        #: what a failed first dispatch keeps for its retries.
-        self._stash: dict[TaskId, tuple] = {}
         self._timeout_raw = (
             self.retry_policy.task_timeout * self.machine.core_speed
             if self.retry_policy is not None
@@ -401,7 +529,6 @@ class SimController(Controller):
         self._replay_targets: dict[TaskId, set[TaskId]] = {}
         track_deaths = plan is not None and plan.has_rank_deaths
         self._inflight: dict[TaskId, tuple] | None = {} if track_deaths else None
-        self._initial_inputs = inputs
         self._initial_deposited = False
         self._tasks_replayed = 0
         self._tasks_migrated = 0
@@ -435,7 +562,7 @@ class SimController(Controller):
             # task: the deposits run in the same (ascending) order, so
             # every downstream event keeps its relative (time, seq)
             # position.
-            self._engine.call_at(0.0, self._deposit_initial, inputs)
+            self._engine.call_at(0.0, self._deposit_initial)
         if self._idle_hook is not None:
             # Scheduled after the initial deposits: procs the task map
             # left without any work would otherwise never be pumped, so
@@ -456,8 +583,10 @@ class SimController(Controller):
         stats.messages = self._cluster.messages_sent
         stats.bytes_sent = self._cluster.bytes_sent
         self._result.metrics = self._snapshot_metrics()
-        if recorder is not None and not self.retries:
-            recorder.commit(cplan, key, self._result)
+        if key is not None and not self.retries:
+            from repro.sched.compile import record_timing
+
+            record_timing(cplan, key, calls, self._result)
         if run.live is not None:
             # After the metric snapshot, so the terminal status file
             # carries the finalized counters/gauges.
@@ -512,20 +641,20 @@ class SimController(Controller):
     # Input deposit
     # ------------------------------------------------------------------ #
 
-    def _deposit_initial(self, inputs: dict[TaskId, list[Payload]]) -> None:
+    def _deposit_initial(self) -> None:
         # Flag first: a task rebuilt after a later rank death must know
         # whether its external inputs were already delivered (and lost)
         # or are still on their way in this very batch.
         self._initial_deposited = True
-        deposit, on_ready = self._kernel_deposit, self._on_ready
-        for tid, slot, payload in self._kernel.tables.external(inputs):
-            if deposit(tid, slot, payload, EXTERNAL):
-                on_ready(tid)
+        deposit, on_ready, sizes = self._kernel_deposit, self._on_ready, self._sizes
+        tables = self._kernel.tables
+        for j, tid in enumerate(tables.sources):
+            for slot in tables.ext_slot[tables.ext_start[j]:tables.ext_start[j + 1]]:
+                if deposit(tid, slot, sizes[slot], EXTERNAL):
+                    on_ready(tid)
 
-    def _deposit(
-        self, tid: TaskId, slot: int, payload: Payload, producer: TaskId
-    ) -> None:
-        if self._kernel_deposit(tid, slot, payload, producer):
+    def _deposit(self, tid: TaskId, slot: int, nbytes: int, producer: TaskId) -> None:
+        if self._kernel_deposit(tid, slot, nbytes, producer):
             self._on_ready(tid)
 
     # ------------------------------------------------------------------ #
@@ -575,9 +704,7 @@ class SimController(Controller):
         self._proc[tid] = dst
         self._lb_migrations += 1
         # (A retry waits with its inputs already released: nothing moves.)
-        nbytes = sum(
-            p.nbytes for p in self._kernel.inputs(tid) if p is not None
-        )
+        nbytes = sum(s for s in self._kernel.inputs(tid) if s is not None)
         obs = self._obs
         if obs is not None:
             obs.emit(
@@ -616,31 +743,21 @@ class SimController(Controller):
             self._t_queue.observe(
                 max(0.0, self._engine._now - kernel.enq_t[tid])
             )
+        errors = self._errors
+        if errors and tid in errors:
+            # Where the callback pass's error surfaces: the run dies at
+            # the failing task's dispatch, as if its callback ran here.
+            raise errors[tid]
         task = kernel.tables.tasks[tid]
-        stash = self._stash.pop(tid, None) if self._stash else None
-        if stash is None:
-            # Inputs are released at the *first* dispatch, failed or not;
-            # retries reuse the stashed outputs below (tasks are
-            # idempotent by contract), so the buffered payloads need not
-            # stay pinned through fault/retry cycles.
-            task_inputs = kernel.inputs(tid, release=True)
-            cid = task.callback
-            try:
-                fn = self._fns[cid]
-            except KeyError:  # first use this run (or unregistered: raises)
-                fn = self._fns[cid] = self._registry_run.resolve(cid)
-            if self._needs_wall:
-                t0 = time.perf_counter()
-                outputs = fn(task_inputs, tid)
-                wall = time.perf_counter() - t0
-            else:
-                outputs = fn(task_inputs, tid)
-                wall = 0.0
-            outputs = validate_outputs(cid, outputs, tid, len(task.outgoing))
-            compute = self._duration(task, task_inputs, wall)
-            overhead = self._pre_compute_overhead(proc, task, task_inputs)
-        else:
-            outputs, compute, overhead = stash
+        # Inputs are released at the *first* dispatch, failed or not; a
+        # retry is charged from the callback pass's arrays again (tasks
+        # are idempotent by contract).
+        sizes = kernel.inputs(tid, release=True)
+        if kernel.attempts and tid in kernel.attempts:
+            a = kernel.tables.slot_start[tid]
+            sizes = self._sizes[a:a + len(sizes)]
+        compute = self._durations[tid]
+        overhead = self._pre_compute_overhead(proc, task, sizes)
         cat_time = self._cat_time
         self._m_task_seconds.observe(compute)
         if self._t_task is not None:
@@ -657,7 +774,6 @@ class SimController(Controller):
             # budget and raises FaultError in _attempt_failed.
             kind, suffix = "timeout", " (timed out)"
         if kind is not None:
-            self._stash[tid] = (outputs, compute, overhead)
             if kind == "timeout":
                 compute, overhead = self._timeout_raw, 0.0
             cat_time["wasted"] += overhead + compute
@@ -676,7 +792,7 @@ class SimController(Controller):
         cat_time["compute"] += compute
         self._cb_time[task.callback] += compute
         start, end = self._cluster.compute(
-            proc, overhead + compute, self._task_done, proc, tid, outputs
+            proc, overhead + compute, self._task_done, proc, tid
         )
         if self._inflight is not None:
             self._inflight[tid] = (
@@ -723,7 +839,7 @@ class SimController(Controller):
         delay = self._kernel.retry(tid, target, self._engine._now)
         self._engine.call_after(delay, self._enqueue, target, tid)
 
-    def _task_done(self, proc: int, tid: TaskId, outputs: list[Payload]) -> None:
+    def _task_done(self, proc: int, tid: TaskId) -> None:
         if self._dead_procs and proc in self._dead_procs:
             return  # the attempt's rank died; recovery replays the task
         self._busy[proc] -= 1
@@ -741,7 +857,7 @@ class SimController(Controller):
         # producer's payloads: everyone else already received them (or
         # has them in flight).  Each edge comes back through _send.
         self._kernel.route(
-            tid, outputs, proc, self._send,
+            tid, self._returned[tid], proc, self._send,
             self._replay_targets.pop(tid, None) if self._replay_targets else None,
         )
         self._pump(proc)
@@ -755,19 +871,19 @@ class SimController(Controller):
     # ------------------------------------------------------------------ #
 
     def _send(
-        self, sproc: int, producer: TaskId, dst: TaskId, slot: int, payload: Payload
+        self, sproc: int, producer: TaskId, dst: TaskId, slot: int, nbytes: int
     ) -> None:
         dproc = self._proc[dst]
         if sproc == dproc and self._local_free:
             ser = 0.0
         else:
-            ser = self._send_fixed + payload.nbytes / self._bandwidth
+            ser = self._send_fixed + nbytes / self._bandwidth
         if ser > 0.0:
             self._cat_time[self.comm_category] += ser
             # Serialization occupies a sender core before injection.
             start, end = self._cluster.compute(
                 sproc, ser, self._inject, sproc, dproc, producer, dst, slot,
-                payload,
+                nbytes,
             )
             obs = self._obs
             if obs is not None:
@@ -781,7 +897,7 @@ class SimController(Controller):
                     )
                 )
         else:
-            self._inject(sproc, dproc, producer, dst, slot, payload)
+            self._inject(sproc, dproc, producer, dst, slot, nbytes)
 
     def _inject(
         self,
@@ -790,21 +906,21 @@ class SimController(Controller):
         producer: TaskId,
         dst: TaskId,
         slot: int,
-        payload: Payload,
+        nbytes: int,
     ) -> None:
         # No explicit label: Cluster derives "t{producer}->t{dst}" lazily
         # from src_task/dst_task, and only when a sink is attached.
         self._cluster.send(
             sproc,
             dproc,
-            payload.nbytes,
+            nbytes,
             self._receive,
             sproc,
             dproc,
             producer,
             dst,
             slot,
-            payload,
+            nbytes,
             src_task=producer,
             dst_task=dst,
         )
@@ -816,26 +932,26 @@ class SimController(Controller):
         producer: TaskId,
         dst: TaskId,
         slot: int,
-        payload: Payload,
+        nbytes: int,
     ) -> None:
         if self._dead_procs and dproc in self._dead_procs:
             return  # delivered to a dead rank; the payload is lost
         if sproc == dproc and self._local_free:
             deser = self._recv_local
         else:
-            deser = self._recv_fixed + payload.nbytes / self._bandwidth
+            deser = self._recv_fixed + nbytes / self._bandwidth
         if deser > 0.0:
             self._cat_time[self.comm_category] += deser
             if self._inflight is None:
                 start, end = self._cluster.compute(
-                    dproc, deser, self._deposit, dst, slot, payload, producer
+                    dproc, deser, self._deposit, dst, slot, nbytes, producer
                 )
             else:
                 # Rank deaths are planned: the deposit at the end of the
                 # deserialization must re-check that the proc is alive.
                 start, end = self._cluster.compute(
                     dproc, deser, self._deposit_recv, dproc, dst, slot,
-                    payload, producer,
+                    nbytes, producer,
                 )
             obs = self._obs
             if obs is not None:
@@ -850,16 +966,16 @@ class SimController(Controller):
                         label=f"deser t{producer}->t{dst}",
                     )
                 )
-        elif self._kernel_deposit(dst, slot, payload, producer):
+        elif self._kernel_deposit(dst, slot, nbytes, producer):
             self._on_ready(dst)
 
     def _deposit_recv(
-        self, dproc: int, dst: TaskId, slot: int, payload: Payload, producer: TaskId
+        self, dproc: int, dst: TaskId, slot: int, nbytes: int, producer: TaskId
     ) -> None:
         """Post-deserialization deposit that tolerates a mid-flight death."""
         if dproc in self._dead_procs:
             return
-        self._deposit(dst, slot, payload, producer)
+        self._deposit(dst, slot, nbytes, producer)
 
     # ------------------------------------------------------------------ #
     # Rank-death recovery
@@ -969,7 +1085,9 @@ class SimController(Controller):
         """Fresh physical task plus the lineage replay that refills it.
 
         Whatever inputs were buffered on the dead rank are lost; producers
-        that already completed re-execute (idempotence), producers still
+        that already completed are replayed: they occupy a core for their
+        recorded time again and re-send their outputs' sizes, without
+        running their callbacks again (idempotence).  Producers still
         pending will feed the rebuilt task through the normal routing
         path when they finish.  A producer *already marked replaying* (a
         second failure can arrive while an earlier recovery is in flight)
@@ -977,16 +1095,13 @@ class SimController(Controller):
         replayed outputs would route only to the first failure's victims.
         """
         task = self._kernel.reset(tid)
-        self._stash.pop(tid, None)
         base = self._kernel.tables.slot_start[tid]
         for producer in dict.fromkeys(task.incoming):
             if producer == EXTERNAL:
                 if self._initial_deposited:
-                    for slot, payload in zip(
-                        task.external_inputs(),
-                        self._initial_inputs.get(tid, ()),
-                    ):
-                        self._deposit(tid, base + slot, payload, EXTERNAL)
+                    for slot in task.external_inputs():
+                        slot += base
+                        self._deposit(tid, slot, self._sizes[slot], EXTERNAL)
             elif producer in self._done or producer in self._replaying:
                 self._require_replay(producer, tid)
         if task.n_inputs == 0:
