@@ -29,8 +29,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.obs.telemetry.sketch import DEFAULT_REL_ERR, QuantileSketch
+from repro.util.frozen import FrozenDict, freeze, thaw
 
 
 class Counter:
@@ -208,17 +210,23 @@ class TimeSeries:
         return {"t": list(self.times), "v": list(self.values)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricsSnapshot:
-    """Frozen copy of a registry, attached to a finished run's result."""
+    """Read-only copy of a registry, attached to a finished run's result.
 
-    counters: dict[str, float] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
-    histograms: dict[str, dict] = field(default_factory=dict)
-    timeseries: dict[str, dict] = field(default_factory=dict)
+    Every family is a :class:`~repro.util.frozen.FrozenDict` all the way
+    down (a series' samples are tuples), so one snapshot is shared by
+    every holder of the run's result; :meth:`to_dict` hands out plain
+    dicts.
+    """
+
+    counters: Mapping[str, float] = field(default_factory=FrozenDict)
+    gauges: Mapping[str, float] = field(default_factory=FrozenDict)
+    histograms: Mapping[str, Mapping] = field(default_factory=FrozenDict)
+    timeseries: Mapping[str, Mapping] = field(default_factory=FrozenDict)
     #: Serialized quantile sketches (:meth:`QuantileSketch.to_dict`),
     #: present only on telemetry-enabled runs.
-    sketches: dict[str, dict] = field(default_factory=dict)
+    sketches: Mapping[str, Mapping] = field(default_factory=FrozenDict)
 
     def counter(self, name: str, default: float = 0) -> float:
         return self.counters.get(name, default)
@@ -271,8 +279,8 @@ class MetricsSnapshot:
         return {
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
-            "histograms": dict(self.histograms),
-            "sketches": dict(self.sketches),
+            "histograms": thaw(self.histograms),
+            "sketches": thaw(self.sketches),
         }
 
 
@@ -330,15 +338,11 @@ class MetricsRegistry:
         return sk
 
     def snapshot(self) -> MetricsSnapshot:
-        """Copy every instrument into a plain :class:`MetricsSnapshot`."""
+        """Copy every instrument into a read-only :class:`MetricsSnapshot`."""
         return MetricsSnapshot(
-            counters={k: c.value for k, c in self._counters.items()},
-            gauges={k: g.value for k, g in self._gauges.items()},
-            histograms={k: h.snapshot() for k, h in self._histograms.items()},
-            timeseries={
-                k: ts.to_dict() for k, ts in self._timeseries.items()
-            },
-            sketches={
-                k: sk.to_dict() for k, sk in self._sketches.items()
-            },
+            FrozenDict((k, c.value) for k, c in self._counters.items()),
+            FrozenDict((k, g.value) for k, g in self._gauges.items()),
+            freeze({k: h.snapshot() for k, h in self._histograms.items()}),
+            freeze({k: ts.to_dict() for k, ts in self._timeseries.items()}),
+            freeze({k: sk.to_dict() for k, sk in self._sketches.items()}),
         )

@@ -305,20 +305,21 @@ def run_stats(events: list[Event]) -> Stats:
     and an overhead without a category counts as ``overhead``.
     """
     stats = Stats()
+    makespan, tasks, messages, nbytes = 0.0, 0, 0, 0
     for ev in events:
         if ev.type == TASK_FINISHED:
-            stats.tasks_executed += 1
+            tasks += 1
             stats.add("compute", ev.dur)
         elif ev.type == OVERHEAD:
             stats.add(ev.category or "overhead", ev.dur)
         elif ev.type == MESSAGE_SENT:
-            stats.messages += 1
-            stats.bytes_sent += ev.nbytes
+            messages += 1
+            nbytes += ev.nbytes
         elif ev.type == MESSAGE_DELIVERED and ev.dur > 0.0:
             stats.add("network", ev.dur)
         if ev.type in _RUN_END:
-            stats.makespan = max(stats.makespan, ev.t)
-    return stats
+            makespan = max(makespan, ev.t)
+    return stats.frozen(makespan, tasks, messages, nbytes)
 
 
 def run_label(events: list[Event], default: str) -> str:

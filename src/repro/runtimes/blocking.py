@@ -37,19 +37,19 @@ class BlockingMPIController(MPIController):
             ser = 0.0
         else:
             ser = self._send_fixed + nbytes / self._bandwidth
-        self._result.stats.add(self.comm_category, ser)
+        self._stats.add(self.comm_category, ser)
         self._cluster.send_blocking(
             sproc, dproc, nbytes, ser, self.comm_category,
             self._receive, sproc, dproc, producer, dst, slot, nbytes,
             src_task=producer, dst_task=dst,
         )
 
-    def _snapshot_metrics(self):
+    def _finish(self):
         # The cluster owns the blocked wire seconds, retransmissions
         # included; a run that sent nothing has no such category.
         if self._cluster.messages_sent:
-            self._result.stats.add("blocked_send", self._cluster.blocked_time)
-        return super()._snapshot_metrics()
+            self._stats.add("blocked_send", self._cluster.blocked_time)
+        return super()._finish()
 
     def _prepare_run(self) -> None:
         super()._prepare_run()

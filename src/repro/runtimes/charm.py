@@ -64,7 +64,7 @@ class CharmController(SimController):
         # same per-chare cost the load balancer pays.
         super()._replace_task(tid, new_proc)
         self._migrations += 1
-        self._result.stats.add("migrate", self.costs.charm_migration_cost)
+        self._stats.add("migrate", self.costs.charm_migration_cost)
 
     def _wire(self) -> tuple[bool, float, float, float, float]:
         # Every delivery is an entry-method invocation: the receiver pays
@@ -81,39 +81,15 @@ class CharmController(SimController):
     # ------------------------------------------------------------------ #
 
     def _migrate_queued(self, tid: TaskId, src: int, dst: int) -> None:
-        """Move a queued chare (inputs already buffered) to another PE."""
-        self._kernel.dequeued(tid)
-        self._proc[tid] = dst
+        """Move a queued chare (inputs already buffered) to another PE,
+        paying the per-chare migration cost."""
         self._migrations += 1
-        self._lb_migrations += 1
-        # (A retry waits with its inputs already released: nothing moves.)
-        nbytes = sum(s for s in self._kernel.inputs(tid) if s is not None)
-        self._result.stats.add("migrate", self.costs.charm_migration_cost)
-        if self._obs:
-            self._obs.emit(
-                Event(
-                    MIGRATION,
-                    self._engine.now,
-                    proc=src,
-                    dst_proc=dst,
-                    task=tid,
-                    nbytes=nbytes,
-                    label=f"migrate t{tid}",
-                )
-            )
-        # The chare state travels as one message; it re-enters the run
-        # queue at the destination on arrival.  The label is only used
-        # by the message events, so build it only when a sink exists.
-        self._cluster.send(
-            src,
-            dst,
-            nbytes,
-            self._arrive_migrated,
-            dst,
-            tid,
-            label=f"migrate t{tid}" if self._obs else "",
-            src_task=tid,
-        )
+        self._stats.add("migrate", self.costs.charm_migration_cost)
+        self._ship_queued(tid, src, dst, MIGRATION, self._arrive_migrated)
+
+    def _migration_labels(self, tid: TaskId, dst: int) -> tuple[str, str]:
+        label = f"migrate t{tid}"
+        return label, label
 
     def _arrive_migrated(self, dst: int, tid: TaskId) -> None:
         if self._dead_procs and dst in self._dead_procs:
@@ -136,13 +112,13 @@ class CharmController(SimController):
             self.costs.charm_migration_cost, self._enqueue, dst, tid
         )
 
-    def _snapshot_metrics(self):
+    def _finish(self):
         self._metrics.counter("migrations").inc(self._migrations)
         if self._balancer_builtin:
             # Historical counter shape; an explicit balancer= reports
             # through the generic scheduler counters instead.
             self._metrics.counter("lb_rounds").inc(self.lb_rounds)
-        return super()._snapshot_metrics()
+        return super()._finish()
 
     @property
     def migrations(self) -> int:

@@ -37,6 +37,8 @@ from repro.runtimes.result import RunResult
 #: common one-external-slot case) or one payload per EXTERNAL slot.
 InitialInput = Payload | Sequence[Payload]
 
+_ONLY_PAYLOADS = {Payload}
+
 
 class Controller(ABC):
     """Common initialize / register / run protocol of every backend."""
@@ -194,9 +196,18 @@ class Controller(ABC):
     ) -> dict[TaskId, list[Payload]]:
         """Validate and normalize to one payload list per source task,
         in the tables' (ascending) source order."""
+        sources, ext_start = tables.sources, tables.ext_start
+        if (
+            # every source has one EXTERNAL slot and one input, a Payload
+            len(initial_inputs) == len(sources) == ext_start[-1]
+            and set(map(type, initial_inputs.values())) == _ONLY_PAYLOADS
+        ):
+            try:
+                return {tid: [initial_inputs[tid]] for tid in sources}
+            except KeyError:
+                pass  # an input for the wrong task: the loop says which
         out: dict[TaskId, list[Payload]] = {}
-        ext_start = tables.ext_start
-        for j, tid in enumerate(tables.sources):
+        for j, tid in enumerate(sources):
             n_ext = ext_start[j + 1] - ext_start[j]
             if tid not in initial_inputs:
                 raise ControllerError(

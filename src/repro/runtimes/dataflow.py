@@ -30,6 +30,7 @@ of its own as the oracle the kernel is tested against.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Mapping, Sequence
 
 from repro.core.errors import FaultError
@@ -55,7 +56,8 @@ from repro.obs.events import (
 from repro.obs.hub import ObsHub
 from repro.obs.live import attach_live
 from repro.obs.metrics import MetricsRegistry
-from repro.runtimes.result import RunResult
+from repro.runtimes.result import RunResult, freeze_outputs
+from repro.sim.trace import Stats
 
 
 def _task_label(tid: TaskId, suffix: str = "") -> str:
@@ -86,14 +88,18 @@ class RunScaffold:
     """
 
     __slots__ = (
-        "name", "result", "metrics", "live", "hub", "obs", "ctx",
+        "name", "outputs", "stats", "metrics", "live", "hub", "obs", "ctx",
         "t_task", "t_queue", "t_msg", "m_task_seconds", "m_message_bytes",
     )
 
     def __init__(self, controller, graph: TaskGraph, n_ranks: int | None = None):
         self.name = type(controller).__name__
         sinks = list(controller._sinks)
-        self.result = RunResult()
+        #: the payloads the run returns to the caller, by task then
+        #: channel, and the time it charges (a ``Stats`` tally); both
+        #: frozen into the result by :meth:`result`.
+        self.outputs: dict[TaskId, dict[int, Payload]] = {}
+        self.stats = Stats()
         metrics = self.metrics = MetricsRegistry()
         if controller.telemetry:
             self.t_task = metrics.sketch("task_seconds")
@@ -194,15 +200,16 @@ class RunScaffold:
 
     def finish(
         self,
+        stats: Stats,
         retries: int,
         queue_peaks: "list[int]",
         utilization: "list[float]",
         task_map=None,
     ) -> None:
         """``run_finished`` plus the counters and load gauges every
-        backend reports, read off ``result.stats``.  ``utilization`` is
-        the busy fraction per rank, empty when the run took no time."""
-        stats = self.result.stats
+        backend reports, read off the run's final ``stats``.
+        ``utilization`` is the busy fraction per rank, empty when the run
+        took no time."""
         if self.obs is not None:
             self.obs.emit(
                 Event(
@@ -231,6 +238,14 @@ class RunScaffold:
             m.gauge("utilization_min").set(min(utilization))
             if mean > 0:
                 m.gauge("imbalance").set(max(utilization) / mean)
+
+    def result(self, stats: Stats) -> RunResult:
+        """The run's read-only result, frozen once as it returns: its
+        returned payloads, ``stats`` and the metric registry's snapshot
+        (take it after the last counter)."""
+        return RunResult(
+            freeze_outputs(self.outputs), stats, self.metrics.snapshot()
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -265,9 +280,11 @@ class DataflowKernel:
         fault_plan: its transient task faults are materialized into a
             fresh per-run budget (running twice injects them twice).
         policy: retry budget and backoff of failed attempts.
-        sizes / overflow: make a *sized* kernel, whose slots and edges
-            carry ``nbytes`` instead of payloads: the size in each flat
-            input slot, and of each edge with no slot left (by edge).
+        sizes / overflow: make a *sized* kernel, which holds no
+            payload: a slot only records that it is filled, and edges
+            carry ``nbytes`` read from these two arrays — the size in
+            each flat input slot, and of each edge with no slot left (by
+            edge).  Its driver deposits ``1``.
     """
 
     __slots__ = (
@@ -287,9 +304,13 @@ class DataflowKernel:
         overflow: "Mapping[int, int] | None" = None,
     ) -> None:
         tables = self.tables = graph.tables()
-        #: every input slot of the graph (payload or size), laid out as
-        #: ``tables.slot_start``.
-        self.slots: list[Payload | int | None] = [None] * tables.n_slots
+        #: every input slot of the graph, laid out as
+        #: ``tables.slot_start``; an empty slot is falsy.  Its payload, or
+        #: on a sized kernel one byte (1 once filled).
+        self.slots: "list[Payload | None] | bytearray" = (
+            [None] * tables.n_slots if sizes is None
+            else bytearray(tables.n_slots)
+        )
         #: per task id: its empty slots, then 0 (ready), queued, done.
         self.remaining = tables.n_inputs.copy()
         #: failed attempts so far, of the tasks that had any.
@@ -308,7 +329,7 @@ class DataflowKernel:
         self.retries = 0
         self._sizes = sizes
         self._overflow = overflow
-        self._outputs = run.result.outputs
+        self._outputs = run.outputs
         self._observe_bytes = run.m_message_bytes.observe
         self._error = error
         self._obs = run.obs
@@ -317,21 +338,36 @@ class DataflowKernel:
 
     # -- per-task state ------------------------------------------------ #
 
-    def inputs(self, tid: TaskId, release: bool = False) -> list:
-        """What was deposited on ``tid`` (payloads, or sizes on a sized
-        kernel), in slot order; ``release`` empties the slots (the caller
-        keeps what a retry needs)."""
+    def inputs(self, tid: TaskId, release: bool = False) -> Sequence:
+        """What was deposited on ``tid``, in slot order: its payloads,
+        ``release`` emptying the slots (the driver keeps what a retry
+        needs).  A sized kernel returns every slot's size and keeps its
+        slots filled until :meth:`reset`: a dispatched task takes no
+        deposit either way, its count being past zero."""
         a = self.tables.slot_start[tid]
         b = a + self.tables.n_inputs[tid]
+        if self._sizes is not None:
+            return self._sizes[a:b]
         inputs = self.slots[a:b]
         if release:
             self.slots[a:b] = [None] * (b - a)
-        return inputs  # type: ignore[return-value]
+        return inputs
+
+    def buffered(self, tid: TaskId) -> int:
+        """Bytes buffered on ``tid`` (a sized kernel): the sizes of its
+        filled slots, none once an attempt consumed them."""
+        if tid in self.attempts:
+            return 0
+        a = self.tables.slot_start[tid]
+        b = a + self.tables.n_inputs[tid]
+        return sum(compress(self._sizes[a:b], self.slots[a:b]))
 
     def reset(self, tid: TaskId) -> Task:
         """Forget everything ``tid`` had buffered or booked (its rank
         died, or it replays): all its slots are empty again."""
-        self.inputs(tid, release=True)
+        a = self.tables.slot_start[tid]
+        b = a + self.tables.n_inputs[tid]
+        self.slots[a:b] = [None] * (b - a) if self._sizes is None else bytes(b - a)
         self.remaining[tid] = self.tables.n_inputs[tid]
         self.attempts.pop(tid, None)
         self.arrived.pop(tid, None)
@@ -348,7 +384,7 @@ class DataflowKernel:
         True when that was the last empty one (the task is ready)."""
         left = self.remaining[tid]
         slots = self.slots
-        if left <= 0 or slot < 0 or slots[slot] is not None:
+        if left <= 0 or slot < 0 or slots[slot]:
             if left == _DONE:
                 raise self._error(
                     f"task {tid} received a message from {producer} after "

@@ -81,7 +81,7 @@ class LegionIndexController(LegionController):
     def _spawn(self, tid: TaskId, label: str) -> None:
         """The parent prepares one subtask; it may run once that is done."""
         spawn = self.costs.legion_spawn_overhead
-        self._result.stats.add("spawn", spawn)
+        self._stats.add("spawn", spawn)
         start, end = self._parent.submit(spawn, self._spawn_done, tid)
         if self._obs:
             self._obs.emit(

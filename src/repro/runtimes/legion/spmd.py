@@ -69,12 +69,12 @@ class LegionSPMDController(LegionController):
                         label=f"must-epoch shard {s}",
                     )
                 )
-        self._result.stats.add("spawn", per_shard * self.n_procs)
+        self._stats.add("spawn", per_shard * self.n_procs)
 
     def _on_ready(self, tid: TaskId) -> None:
         proc = self._proc[tid]
         launch = self.costs.legion_single_launch_overhead
-        self._result.stats.add("launch", launch)
+        self._stats.add("launch", launch)
         start, end = self._launchers[proc].submit(
             launch, self._enqueue, proc, tid
         )

@@ -100,6 +100,7 @@ from repro.obs.live import LiveConfig
 from repro.runtimes.controller import Controller
 from repro.runtimes.dataflow import DataflowKernel, RunScaffold
 from repro.runtimes.result import RunResult
+from repro.sim.trace import Stats
 
 #: Execution modes, cheapest-to-debug first.
 MODES = ("inline", "thread", "process")
@@ -535,7 +536,7 @@ class LocalPoolController(Controller):
             with _terminate_to_exception(run.hub.sinks):
                 if blob is not None:
                     self._install_table(pools, reused, blob)
-                self._run_pools(
+                stats = self._run_pools(
                     graph, registry, inputs, pools, n_slots, group_of, run
                 )
         except BaseException as exc:
@@ -546,10 +547,10 @@ class LocalPoolController(Controller):
             self._release(pools)
         else:
             self._shutdown_pools(pools, graceful=True)
-        run.result.metrics = run.metrics.snapshot()
+        result = run.result(stats)
         if run.live is not None:
             run.live.close("finished")
-        return run.result
+        return result
 
     def _shutdown_pools(self, pools: list, *, graceful: bool) -> None:
         """Tear the executors down without ever hanging the coordinator.
@@ -575,11 +576,12 @@ class LocalPoolController(Controller):
         n_slots: int,
         group_of,
         run: RunScaffold,
-    ) -> None:
+    ) -> Stats:
+        """Drive the run on the pools; its frozen ``Stats``."""
         self.retries = 0
         inline = self.mode == "inline"
         process = self.mode == "process"
-        obs, ctx, live, result = run.obs, run.ctx, run.live, run.result
+        obs, ctx, live, stats = run.obs, run.ctx, run.live, run.stats
         t_task, t_queue, t_msg = run.t_task, run.t_queue, run.t_msg
         # Event rank of a task before it has a slot: its pinned group, or
         # -1 when any free slot may take it.
@@ -599,7 +601,7 @@ class LocalPoolController(Controller):
         free = list(range(n_slots))  # free worker slots, lowest-first
         heapq.heapify(free)
         seq = 0
-        executed = 0
+        executed = messages = sent_bytes = 0
         queue_peak = 0
         busy = [0.0] * n_slots  # per-slot compute seconds (utilization)
         compute_total = 0.0
@@ -625,6 +627,7 @@ class LocalPoolController(Controller):
         ) -> None:
             """Coordinator handoff: the payload is available to the
             consumer the instant it is routed."""
+            nonlocal messages, sent_bytes
             if obs:
                 tnow = now()
                 edge = dict(
@@ -637,8 +640,8 @@ class LocalPoolController(Controller):
                 enqueue(dst)
             if t_msg is not None:
                 t_msg.observe(0.0)
-            result.stats.messages += 1
-            result.stats.bytes_sent += payload.nbytes
+            messages += 1
+            sent_bytes += payload.nbytes
 
         def submit(tid: TaskId, slot: int) -> None:
             nonlocal seq
@@ -792,7 +795,7 @@ class LocalPoolController(Controller):
                     continue
                 executed += 1
                 compute_total += elapsed
-                result.stats.add_callback(tasks[tid].callback, elapsed)
+                stats.add_callback(tasks[tid].callback, elapsed)
                 if obs:
                     run.emit_attempt(
                         slot, tid, start, tc, elapsed, arrived=arrived
@@ -800,13 +803,13 @@ class LocalPoolController(Controller):
                 kernel.route(tid, outputs, slot, deliver)
 
         makespan = now()
-        result.stats.tasks_executed = executed
-        result.stats.makespan = makespan
-        result.stats.add("compute", compute_total)
+        stats.add("compute", compute_total)
         if wasted_total:
-            result.stats.add("wasted", wasted_total)
+            stats.add("wasted", wasted_total)
+        final = stats.frozen(makespan, executed, messages, sent_bytes)
         self.retries = kernel.retries
         run.finish(
+            final,
             kernel.retries,
             [queue_peak],
             [b / makespan for b in busy] if makespan > 0 else [],
@@ -815,3 +818,4 @@ class LocalPoolController(Controller):
         if self._fault_plan is not None or self._retry_exceptions:
             run.metrics.counter("faults_injected").inc(kernel.retries)
         run.metrics.gauge("pool_workers").set(float(self.n_workers))
+        return final

@@ -3,16 +3,25 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.core.ids import TaskId
 from repro.core.payload import Payload
 from repro.obs.metrics import MetricsSnapshot
 from repro.sim.trace import Stats
+from repro.util.frozen import FrozenDict
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult:
-    """Everything a controller run produced.
+    """Everything a controller run produced: a read-only value.
+
+    Every backend returns it frozen — :func:`freeze_outputs` over the
+    returned payloads, a :meth:`~repro.sim.trace.Stats.frozen` ``Stats``
+    and a read-only metrics snapshot — so one result is safely shared,
+    e.g. by every waiter of a coalesced service request.  To derive a
+    changed result, ``dataclasses.replace`` it; to edit a mapping, copy
+    it first (``dict(result.outputs)``).
 
     Attributes:
         outputs: payloads returned to the caller, keyed by task id then
@@ -24,7 +33,9 @@ class RunResult:
             every backend at the end of the run.
     """
 
-    outputs: dict[TaskId, dict[int, Payload]] = field(default_factory=dict)
+    outputs: Mapping[TaskId, Mapping[int, Payload]] = field(
+        default_factory=FrozenDict
+    )
     stats: Stats = field(default_factory=Stats)
     metrics: MetricsSnapshot | None = None
 
@@ -55,3 +66,11 @@ class RunResult:
     def makespan(self) -> float:
         """Virtual seconds from start to completion."""
         return self.stats.makespan
+
+
+def freeze_outputs(
+    outputs: Mapping[TaskId, Mapping[int, Payload]],
+) -> FrozenDict:
+    """A run's returned payloads (task id -> channel -> payload) as a
+    read-only mapping of read-only mappings, in the same order."""
+    return FrozenDict((tid, FrozenDict(chs)) for tid, chs in outputs.items())

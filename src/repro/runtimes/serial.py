@@ -90,7 +90,8 @@ class SerialController(Controller):
         queue_peak = 0
         enq_at: dict[TaskId, float] = {}
 
-        result = run.result
+        stats = run.stats
+        messages = sent_bytes = 0
         slots: dict[TaskId, list[Payload | None]] = {}
         remaining: dict[TaskId, int] = {}
         ready: deque[TaskId] = deque()
@@ -157,7 +158,7 @@ class SerialController(Controller):
                     t_queue.observe(
                         max(0.0, t_start - enq_at.pop(tid, t_start))
                     )
-                result.stats.add_callback(task.callback, elapsed)
+                stats.add_callback(task.callback, elapsed)
                 executed += 1
                 if obs:
                     run.emit_attempt(
@@ -168,7 +169,7 @@ class SerialController(Controller):
                     zip(task.outgoing, outputs)
                 ):
                     if not channel or TNULL in channel:
-                        result.outputs.setdefault(tid, {})[ch] = payload
+                        run.outputs.setdefault(tid, {})[ch] = payload
                     for dst in channel:
                         if not is_real_task(dst):
                             continue
@@ -204,8 +205,8 @@ class SerialController(Controller):
                             # In-process handoff: zero-latency delivery,
                             # kept so serial sketch sets match simulated.
                             t_msg.observe(0.0)
-                        result.stats.messages += 1
-                        result.stats.bytes_sent += payload.nbytes
+                        messages += 1
+                        sent_bytes += payload.nbytes
         if executed != graph.size():
             stuck = [t for t, r in remaining.items() if r > 0][:8]
             err = ControllerError(
@@ -214,9 +215,7 @@ class SerialController(Controller):
             )
             run.abort(err)
             raise err
-        result.stats.tasks_executed = executed
-        result.stats.makespan = wall_total
-        result.stats.add("compute", wall_total)
-        run.finish(0, [queue_peak], [1.0] if wall_total > 0 else [])
-        result.metrics = run.metrics.snapshot()
-        return result
+        stats.add("compute", wall_total)
+        final = stats.frozen(wall_total, executed, messages, sent_bytes)
+        run.finish(final, 0, [queue_peak], [1.0] if wall_total > 0 else [])
+        return run.result(final)

@@ -68,6 +68,7 @@ from repro.runtimes.result import RunResult
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine
 from repro.sim.machine import SHAHEEN_II, MachineSpec
+from repro.sim.trace import Stats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.sched imports us)
     from repro.sched.balance import Balancer
@@ -104,10 +105,11 @@ def run_callbacks(
     :class:`Payload` items of the task's arity passes inline, anything
     else goes through :func:`validate_outputs`.  A task's input slots are
     emptied as it runs.  Wall time is measured only for a cost model that
-    reads it.  Never raises an :class:`Exception`: a task's first one —
-    from its callback, the output check or the cost model — goes to
-    ``errors`` and every task downstream of it is skipped; the timing
-    pass raises it when that task dispatches.
+    reads it, and a :class:`NullCost` is never called: its durations are
+    the zeros they start as.  Never raises an :class:`Exception`: a
+    task's first one — from its callback, the output check or the cost
+    model — goes to ``errors`` and every task downstream of it is
+    skipped; the timing pass raises it when that task dispatches.
     """
     tasks, slot_start, n_inputs = tables.tasks, tables.slot_start, tables.n_inputs
     n_outputs, edge_start, n_edges = tables.n_outputs, tables.edge_start, tables.n_edges
@@ -117,15 +119,21 @@ def run_callbacks(
     nbytes = array("q", [0]) * tables.n_slots
     durations = tables.by_id(array("d", [0.0]) * n)
     returned = tables.by_id([None] * n)
-    ext_start, ext_slot = tables.ext_start, tables.ext_slot
-    for j, tid in enumerate(tables.sources):
-        x = ext_start[j]
-        for payload in inputs[tid]:
-            s = ext_slot[x]
+    sources, ext_start, ext_slot = tables.sources, tables.ext_start, tables.ext_slot
+    if len(ext_slot) == len(sources):  # one EXTERNAL slot per source
+        for s, (payload,) in zip(ext_slot, map(inputs.__getitem__, sources)):
             slots[s] = payload
             nbytes[s] = payload.nbytes
-            x += 1
-    duration, wall = cost_model.duration, cost_model.needs_wall_time
+    else:
+        for j, tid in enumerate(sources):
+            x = ext_start[j]
+            for payload in inputs[tid]:
+                s = ext_slot[x]
+                slots[s] = payload
+                nbytes[s] = payload.nbytes
+                x += 1
+    duration = None if type(cost_model) is NullCost else cost_model.duration
+    wall = cost_model.needs_wall_time
     clock = time.perf_counter
     fns: dict = {}
     overflow: dict[int, int] = {}
@@ -165,7 +173,8 @@ def run_callbacks(
                     if type(p) is not Payload:
                         outs = validate_outputs(cid, outs, tid, k)
                         break
-            durations[tid] = duration(task, ins, seconds)
+            if duration is not None:
+                durations[tid] = duration(task, ins, seconds)
         except Exception as exc:
             errors[tid] = exc
             while e < end:
@@ -319,7 +328,7 @@ class SimController(Controller):
         # Per-run state; created in _execute.
         self._engine: Engine
         self._cluster: Cluster
-        self._result: RunResult
+        self._stats: Stats
         self._graph_run: TaskGraph
         self._run: RunScaffold
         self._kernel: DataflowKernel
@@ -490,7 +499,8 @@ class SimController(Controller):
             retry=self.retry_policy,
             latency_sketch=run.t_msg,
         )
-        self._result = run.result
+        # The run's time tally, frozen into its result by _finish.
+        self._stats = run.stats
         # Per-run hot-path caches: the wire tuple is constant for a run,
         # and binding the stats dicts once turns each accounting call
         # into a plain ``dict[k] += v``.
@@ -498,12 +508,12 @@ class SimController(Controller):
             self._local_free, self._send_fixed, self._recv_fixed,
             self._recv_local, self._bandwidth,
         ) = self._wire()
-        self._cat_time = self._result.stats.category_time
-        self._cb_time = self._result.stats.callback_time
+        self._cat_time = run.stats.category_time
+        self._cb_time = run.stats.callback_time
         self._graph_run = graph
-        #: the callback pass's arrays, read by every attempt.
+        #: the callback pass's durations (its sizes are the kernel's),
+        #: read by every attempt.
         self._durations = calls.durations
-        self._sizes = calls.nbytes
         self._returned = calls.returned
         self._errors = calls.errors
         kernel = self._kernel = DataflowKernel(
@@ -577,26 +587,27 @@ class SimController(Controller):
             raise
         finally:
             self.retries = kernel.retries
-        stats = self._result.stats
-        stats.makespan = self._finish_time
-        stats.tasks_executed = self._executed
-        stats.messages = self._cluster.messages_sent
-        stats.bytes_sent = self._cluster.bytes_sent
-        self._result.metrics = self._snapshot_metrics()
+        result = self._finish()
         if key is not None and not self.retries:
             from repro.sched.compile import record_timing
 
-            record_timing(cplan, key, calls, self._result)
+            record_timing(cplan, key, calls, result)
         if run.live is not None:
             # After the metric snapshot, so the terminal status file
             # carries the finalized counters/gauges.
             run.live.close("finished")
-        return self._result
+        return result
 
-    def _snapshot_metrics(self):
-        """Finalize counters/gauges and freeze the registry."""
+    def _finish(self) -> RunResult:
+        """Finalize counters/gauges and freeze the run's result (backends
+        charge their last stats and counters, then call this)."""
         makespan = self._finish_time
+        cluster = self._cluster
+        stats = self._stats.frozen(
+            makespan, self._executed, cluster.messages_sent, cluster.bytes_sent
+        )
         self._run.finish(
+            stats,
             self.retries,
             self._queue_peak,
             [
@@ -635,7 +646,7 @@ class SimController(Controller):
                 m.gauge("recovery_tail_seconds").set(
                     max(0.0, makespan - first)
                 )
-        return m.snapshot()
+        return self._run.result(stats)
 
     # ------------------------------------------------------------------ #
     # Input deposit
@@ -646,15 +657,16 @@ class SimController(Controller):
         # whether its external inputs were already delivered (and lost)
         # or are still on their way in this very batch.
         self._initial_deposited = True
-        deposit, on_ready, sizes = self._kernel_deposit, self._on_ready, self._sizes
+        deposit, on_ready = self._kernel_deposit, self._on_ready
         tables = self._kernel.tables
         for j, tid in enumerate(tables.sources):
             for slot in tables.ext_slot[tables.ext_start[j]:tables.ext_start[j + 1]]:
-                if deposit(tid, slot, sizes[slot], EXTERNAL):
+                if deposit(tid, slot, 1, EXTERNAL):
                     on_ready(tid)
 
-    def _deposit(self, tid: TaskId, slot: int, nbytes: int, producer: TaskId) -> None:
-        if self._kernel_deposit(tid, slot, nbytes, producer):
+    def _deposit(self, tid: TaskId, slot: int, producer: TaskId) -> None:
+        # The sized kernel records only that the slot filled.
+        if self._kernel_deposit(tid, slot, 1, producer):
             self._on_ready(tid)
 
     # ------------------------------------------------------------------ #
@@ -697,36 +709,46 @@ class SimController(Controller):
         The caller (a :class:`~repro.sched.balance.Balancer`) already
         removed ``tid`` from ``src``'s ready queue.  The buffered input
         payloads travel as one message and the task re-enters the run
-        queue at the destination on arrival.  Backends with richer
-        migration semantics (Charm++'s chare migration) override this.
+        queue at the destination on arrival.  Charm++ charges its chare
+        migration on top and narrates it with its own event.
         """
+        self._ship_queued(tid, src, dst, SCHED_MIGRATED, self._arrive_balanced)
+
+    def _ship_queued(self, tid: TaskId, src: int, dst: int, kind: str, arrive) -> None:
+        """What every migration of a queued task does: dequeue it, re-pin
+        it on ``dst``, announce a ``kind`` event and send its buffered
+        input bytes there as one message, on whose arrival
+        ``arrive(dst, tid)`` runs."""
         self._kernel.dequeued(tid)
         self._proc[tid] = dst
         self._lb_migrations += 1
         # (A retry waits with its inputs already released: nothing moves.)
-        nbytes = sum(s for s in self._kernel.inputs(tid) if s is not None)
+        nbytes = self._kernel.buffered(tid)
         obs = self._obs
+        label = ""
         if obs is not None:
+            event_label, label = self._migration_labels(tid, dst)
             obs.emit(
                 Event(
-                    SCHED_MIGRATED,
+                    kind,
                     self._engine._now,
                     proc=src,
                     dst_proc=dst,
                     task=tid,
                     nbytes=nbytes,
-                    label=dataflow._task_label(tid, f" -> p{dst}"),
+                    label=event_label,
                 )
             )
         self._cluster.send(
-            src,
-            dst,
-            nbytes,
-            self._arrive_balanced,
-            dst,
-            tid,
-            label=dataflow._task_label(tid, " balance") if obs else "",
-            src_task=tid,
+            src, dst, nbytes, arrive, dst, tid, label=label, src_task=tid
+        )
+
+    def _migration_labels(self, tid: TaskId, dst: int) -> tuple[str, str]:
+        """The labels of a migration's event and of its message; built
+        on observed runs only."""
+        return (
+            dataflow._task_label(tid, f" -> p{dst}"),
+            dataflow._task_label(tid, " balance"),
         )
 
     def _arrive_balanced(self, dst: int, tid: TaskId) -> None:
@@ -749,13 +771,10 @@ class SimController(Controller):
             # the failing task's dispatch, as if its callback ran here.
             raise errors[tid]
         task = kernel.tables.tasks[tid]
-        # Inputs are released at the *first* dispatch, failed or not; a
-        # retry is charged from the callback pass's arrays again (tasks
-        # are idempotent by contract).
-        sizes = kernel.inputs(tid, release=True)
-        if kernel.attempts and tid in kernel.attempts:
-            a = kernel.tables.slot_start[tid]
-            sizes = self._sizes[a:a + len(sizes)]
+        # Every attempt, a retry included, is charged from the callback
+        # pass's arrays (tasks are idempotent by contract); the first one
+        # consumes the buffered inputs (see DataflowKernel.buffered).
+        sizes = kernel.inputs(tid)
         compute = self._durations[tid]
         overhead = self._pre_compute_overhead(proc, task, sizes)
         cat_time = self._cat_time
@@ -944,14 +963,14 @@ class SimController(Controller):
             self._cat_time[self.comm_category] += deser
             if self._inflight is None:
                 start, end = self._cluster.compute(
-                    dproc, deser, self._deposit, dst, slot, nbytes, producer
+                    dproc, deser, self._deposit, dst, slot, producer
                 )
             else:
                 # Rank deaths are planned: the deposit at the end of the
                 # deserialization must re-check that the proc is alive.
                 start, end = self._cluster.compute(
                     dproc, deser, self._deposit_recv, dproc, dst, slot,
-                    nbytes, producer,
+                    producer,
                 )
             obs = self._obs
             if obs is not None:
@@ -966,16 +985,16 @@ class SimController(Controller):
                         label=f"deser t{producer}->t{dst}",
                     )
                 )
-        elif self._kernel_deposit(dst, slot, nbytes, producer):
+        elif self._kernel_deposit(dst, slot, 1, producer):
             self._on_ready(dst)
 
     def _deposit_recv(
-        self, dproc: int, dst: TaskId, slot: int, nbytes: int, producer: TaskId
+        self, dproc: int, dst: TaskId, slot: int, producer: TaskId
     ) -> None:
         """Post-deserialization deposit that tolerates a mid-flight death."""
         if dproc in self._dead_procs:
             return
-        self._deposit(dst, slot, nbytes, producer)
+        self._deposit(dst, slot, producer)
 
     # ------------------------------------------------------------------ #
     # Rank-death recovery
@@ -1100,8 +1119,7 @@ class SimController(Controller):
             if producer == EXTERNAL:
                 if self._initial_deposited:
                     for slot in task.external_inputs():
-                        slot += base
-                        self._deposit(tid, slot, self._sizes[slot], EXTERNAL)
+                        self._deposit(tid, base + slot, EXTERNAL)
             elif producer in self._done or producer in self._replaying:
                 self._require_replay(producer, tid)
         if task.n_inputs == 0:

@@ -141,7 +141,7 @@ class PeriodicGreedyBalancer(Balancer):
         self._executed_at_last = ctl._executed
         self.lb_rounds += 1
         lb_cost = self._round_cost * ctl.n_procs
-        ctl._result.stats.add("lb", lb_cost)
+        ctl._stats.add("lb", lb_cost)
         if ctl._obs:
             # The LB strategy runs centrally; bill it as one overhead
             # interval starting at the measurement instant.

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from array import array
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from dataclasses import astuple
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -51,6 +51,7 @@ from repro.runtimes.costs import RuntimeCosts
 from repro.runtimes.result import RunResult
 from repro.sim.machine import MachineSpec
 from repro.sim.trace import Stats
+from repro.util.frozen import FrozenDict
 
 if TYPE_CHECKING:
     from repro.sched.estimate import CostEstimate
@@ -269,7 +270,7 @@ class Timing(NamedTuple):
     ``durations`` (the cost model's seconds per task) and ``nbytes`` (the
     size of each input payload, per flat slot).  ``sinks`` lists the ids
     of the tasks that returned payloads, in result order; ``stats`` and
-    ``metrics`` are the run's, copied out.  Never mutated.
+    ``metrics`` are the run's own, read-only.  Never mutated.
     """
 
     key: tuple
@@ -322,11 +323,12 @@ def compile_plan(graph: TaskGraph, task_map: TaskMap) -> CompiledPlan:
 def replay_timing(plan: CompiledPlan, key: tuple, calls) -> RunResult | None:
     """The run whose callback pass is ``calls`` (a
     :class:`~repro.runtimes.simbase.Callbacks`), from ``plan``'s record
-    alone: the returned payloads with fresh copies of the recorded stats
-    and metrics.  ``None`` unless the record is under ``key``, its two
-    arrays equal ``calls``' (two C-level comparisons) and no task raised
-    or over-delivered; the caller then runs the timing pass, which raises
-    or stalls exactly as it would have, and records again.
+    alone: the returned payloads with the record's own read-only stats
+    and metrics, shared by every result it serves.  ``None`` unless the
+    record is under ``key``, its two arrays equal ``calls``' (two C-level
+    comparisons) and no task raised or over-delivered; the caller then
+    runs the timing pass, which raises or stalls exactly as it would
+    have, and records again.
     """
     timing = plan.timing
     if (
@@ -340,46 +342,21 @@ def replay_timing(plan: CompiledPlan, key: tuple, calls) -> RunResult | None:
         return None
     returned = calls.returned
     return RunResult(
-        {tid: returned[tid] for tid in timing.sinks},
-        _fresh_stats(timing.stats),
-        _fresh_metrics(timing.metrics),
+        FrozenDict((tid, FrozenDict(returned[tid])) for tid in timing.sinks),
+        timing.stats,
+        timing.metrics,
     )
 
 
 def record_timing(plan: CompiledPlan, key: tuple, calls, result: RunResult) -> None:
     """Make ``result``, a timing pass over ``calls`` that retried
-    nothing, ``plan``'s record under ``key``."""
+    nothing, ``plan``'s record under ``key``: its stats and metrics are
+    read-only, so the record keeps them as they are."""
     plan.timing = Timing(
         key,
         calls.durations,
         calls.nbytes,
         tuple(result.outputs),
-        _fresh_stats(result.stats),
-        _fresh_metrics(result.metrics),
+        result.stats,
+        result.metrics,
     )
-
-
-def _fresh_stats(stats: Stats) -> Stats:
-    return Stats(
-        stats.makespan,
-        defaultdict(float, stats.category_time),
-        defaultdict(float, stats.callback_time),
-        stats.tasks_executed,
-        stats.messages,
-        stats.bytes_sent,
-    )
-
-
-def _fresh_metrics(m: MetricsSnapshot) -> MetricsSnapshot:
-    return MetricsSnapshot(
-        *map(_fresh, (m.counters, m.gauges, m.histograms, m.timeseries, m.sketches))
-    )
-
-
-def _fresh(obj):
-    """``obj``'s nested dicts and lists copied; only leaves are shared."""
-    if isinstance(obj, dict):
-        return {k: _fresh(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_fresh(v) for v in obj]
-    return obj

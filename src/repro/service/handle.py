@@ -4,9 +4,8 @@
 execution happens on a controller slot.  Handles are thread-safe: many
 threads may call ``result()`` on the same handle, and several handles
 may resolve from one coalesced execution — each waiter gets the *same*
-:class:`~repro.runtimes.result.RunResult`
-object, which is what makes dedup fan-back bit-identical by
-construction.
+read-only :class:`~repro.runtimes.result.RunResult`, which is what
+makes dedup fan-back bit-identical by construction.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ coalescible: a second tenant's sink must not silently observe nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from repro.core.graph import TaskGraph
@@ -28,7 +29,7 @@ from repro.runtimes.controller import Controller
 from repro.runtimes.registry import make_controller
 from repro.service.options import RunOptions
 
-__all__ = ["RunRequest", "request_key"]
+__all__ = ["HashedKey", "RunRequest", "request_key"]
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,32 @@ def _runtime_token(runtime) -> tuple:
     return ("class", f"{runtime.__module__}.{runtime.__qualname__}")
 
 
+class HashedKey:
+    """A key that hashes once.
+
+    The in-flight table probes, inserts and deletes a request's key up
+    to four times; hashing what a key holds per input payload is the
+    expensive part of each probe.  Equal exactly when the wrapped keys
+    are.
+    """
+
+    __slots__ = ("key", "hash")
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        self.hash = hash(key)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, HashedKey)
+            and self.hash == other.hash
+            and self.key == other.key
+        )
+
+
 def _payload_token(p: Payload) -> tuple:
     data = p.data
     try:
@@ -117,15 +144,48 @@ def _payload_token(p: Payload) -> tuple:
     return ("val", type(data).__name__, data, p.nbytes)
 
 
-def _inputs_token(inputs: Mapping) -> tuple:
+_data, _nbytes = attrgetter("data"), attrgetter("nbytes")
+
+
+def _type_names(datas: tuple) -> tuple:
+    """``type(d).__name__`` of each of ``datas``, reading each distinct
+    type's name once (usually there is one)."""
+    types = tuple(map(type, datas))
+    kinds = set(types)
+    if len(kinds) == 1:
+        return (types[0].__name__,) * len(types)
+    return tuple(map({k: k.__name__ for k in kinds}.__getitem__, types))
+
+
+def _inputs_token(inputs: Mapping) -> HashedKey:
+    """The inputs' value-or-identity token, hashed once.
+
+    The common shape — one payload per task, all data hashable — is
+    three columns (the data, their type names and the payloads'
+    ``nbytes``), built and hashed at C level in one pass.  Any other
+    shape (a multi-slot list, unhashable data) takes a token per payload
+    (:func:`_payload_token`).  Either way two tokens are equal exactly
+    when every task's payloads have equal data of the same type name and
+    equal ``nbytes``, or are the same unhashable payloads.
+    """
+    tids = tuple(sorted(inputs))
+    values = tuple(map(inputs.__getitem__, tids))
+    if all(issubclass(t, Payload) for t in set(map(type, values))):
+        datas = tuple(map(_data, values))
+        try:
+            return HashedKey((
+                "cols", tids, datas, _type_names(datas),
+                tuple(map(_nbytes, values)),
+            ))
+        except TypeError:
+            pass  # unhashable data somewhere: a token per payload
     parts = []
-    for tid in sorted(inputs):
-        value = inputs[tid]
+    for tid, value in zip(tids, values):
         if isinstance(value, Payload):
             parts.append((tid, _payload_token(value)))
         else:
             parts.append((tid, tuple(_payload_token(p) for p in value)))
-    return tuple(parts)
+    return HashedKey(("rows", tuple(parts)))
 
 
 def _callbacks_token(callbacks: Mapping) -> tuple:

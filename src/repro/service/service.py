@@ -13,7 +13,7 @@ PRs built:
 * **Batching/dedup** — identical in-flight submissions (equal
   :func:`~repro.service.request.request_key`) coalesce into one
   execution fanned back to every waiter; all handles resolve with the
-  same :class:`~repro.runtimes.result.RunResult` object.
+  same read-only :class:`~repro.runtimes.result.RunResult`.
 * **Fair-share admission** — per-tenant quotas and round-robin
   dispatch (:mod:`repro.service.admission`), with a reject-with-reason
   path (:class:`~repro.service.handle.AdmissionError`) when saturated.
@@ -55,7 +55,7 @@ from repro.service.handle import (
     RunHandle,
     ServiceClosed,
 )
-from repro.service.request import RunRequest, request_key
+from repro.service.request import HashedKey, RunRequest, request_key
 
 __all__ = ["RunService", "DEFAULT_WORKERS", "eval_spec", "service_status_path"]
 
@@ -124,31 +124,6 @@ def eval_spec(metrics: dict[str, float], spec: dict) -> list[str]:
             op = ">" if is_max else "<"
             violations.append(f"{key}: {name} = {value:g} {op} {bound:g}")
     return violations
-
-
-class _HashedKey:
-    """A request key that hashes once.
-
-    The in-flight table probes, inserts and deletes a request's key up
-    to four times; the key holds a token per input payload, so hashing
-    it is the expensive part of each probe.
-    """
-
-    __slots__ = ("key", "hash")
-
-    def __init__(self, key: tuple) -> None:
-        self.key = key
-        self.hash = hash(key)
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, _HashedKey)
-            and self.hash == other.hash
-            and self.key == other.key
-        )
 
 
 class _Entry:
@@ -269,10 +244,10 @@ class RunService:
                 f"submit() takes a RunRequest, got {type(request).__name__}"
             )
         handle = RunHandle(request, self)
-        # Off the lock: a token per input payload, the costliest step.
+        # Off the lock: the inputs' token, the costliest step.
         key = request_key(request)
         if key is not None:
-            key = _HashedKey(key)
+            key = HashedKey(key)
         with self._lock:
             if self._closed:
                 raise ServiceClosed("submit() on a closed RunService")
@@ -420,6 +395,10 @@ class RunService:
                     and self._inflight.get(entry.key) is entry
                 ):
                     del self._inflight[entry.key]
+                # As in _execute: the cancelled handle keeps its entry,
+                # neither the key nor the request's inputs.
+                entry.key = None
+                entry.request = None
                 self._gauge_queue()
         handle._mark_cancelled()
         return True

@@ -2,7 +2,9 @@
 
 Controllers charge what happened on the simulated cluster — compute,
 messages, runtime overheads — to a :class:`Stats`, which is always
-collected.  The full record of a run is its event stream
+collected: during a run its two mappings are the controller's tally,
+and when the run returns :meth:`Stats.frozen` makes it a read-only
+value.  The full record of a run is its event stream
 (:mod:`repro.obs.events`): a :class:`~repro.obs.events.ListSink` keeps
 that stream, and :mod:`repro.obs.timeline` /
 :mod:`repro.obs.critical_path` read it.
@@ -12,11 +14,20 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Mapping
+
+from repro.util.frozen import FrozenDict
 
 
-@dataclass
+@dataclass(frozen=True)
 class Stats:
     """Aggregate timing statistics of one controller run.
+
+    A fresh ``Stats()`` is a tally: :meth:`add` and :meth:`add_callback`
+    charge time to its mappings.  A finished run's ``Stats`` is
+    :meth:`frozen`: no field and no mapping can change, so one instance
+    is shared by every holder of the run's result (copy a mapping, or
+    ``dataclasses.replace`` the instance, to derive another).
 
     Attributes:
         makespan: virtual seconds from start to the last event.
@@ -31,10 +42,10 @@ class Stats:
     """
 
     makespan: float = 0.0
-    category_time: dict[str, float] = field(
+    category_time: Mapping[str, float] = field(
         default_factory=lambda: defaultdict(float)
     )
-    callback_time: dict[int, float] = field(
+    callback_time: Mapping[int, float] = field(
         default_factory=lambda: defaultdict(float)
     )
     tasks_executed: int = 0
@@ -48,6 +59,21 @@ class Stats:
     def add_callback(self, cid: int, duration: float) -> None:
         """Accumulate compute ``duration`` under callback id ``cid``."""
         self.callback_time[cid] += duration
+
+    def frozen(
+        self, makespan: float, tasks_executed: int, messages: int, bytes_sent: int
+    ) -> "Stats":
+        """The finished run's read-only value: the time charged so far,
+        copied once into :class:`~repro.util.frozen.FrozenDict` mappings,
+        with these totals."""
+        return Stats(
+            makespan,
+            FrozenDict(self.category_time),
+            FrozenDict(self.callback_time),
+            tasks_executed,
+            messages,
+            bytes_sent,
+        )
 
     def get(self, category: str) -> float:
         """Summed seconds for ``category`` (0 when absent)."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -241,17 +242,23 @@ def test_lowered_runs_match_interpreted(name: str, engine_runs) -> None:
     for run in lowered:
         _same(run, interpreted)
         assert run["plan_cache_hit"] is True
-    # No two results share a mutable stats or metrics object.
+    # Every result shares the record's one stats and metrics, uncopied,
+    # and none of them can be changed through any holder.
     results = [r["result"] for r in (recording, *lowered)]
     for attr in ("stats", "metrics"):
-        objs = [getattr(r, attr) for r in results]
-        assert len({id(o) for o in objs}) == len(objs)
+        assert len({id(getattr(r, attr)) for r in results}) == 1
+    shared = results[-1]
+    with pytest.raises(FrozenInstanceError):
+        shared.stats.makespan = 0.0
     for field in ("category_time", "callback_time"):
-        objs = [getattr(r.stats, field) for r in results]
-        assert len({id(o) for o in objs}) == len(objs)
+        with pytest.raises(TypeError):
+            getattr(shared.stats, field)[0] = 0.0
     for field in ("counters", "gauges", "histograms"):
-        objs = [getattr(r.metrics, field) for r in results]
-        assert len({id(o) for o in objs}) == len(objs)
+        with pytest.raises(TypeError):
+            getattr(shared.metrics, field)["x"] = 0
+    with pytest.raises(TypeError):
+        shared.metrics.histograms["task_compute_seconds"]["count"] = 0
+    _same(_unobserved(name, True), interpreted)
 
 
 #: Blind to payload sizes, so only the size guard can see ``pad``.

@@ -31,12 +31,14 @@ from repro.sched.compile import PLAN_CACHE
 #: three read 56.9 / 55.0 / 69.7 (from 60.9 / 61.0 / 73.7); with each
 #: callback resolved once per run and the arity checked without a call
 #: per output, 48.2 / 46.2 / 61.0; with the callbacks in a pass of their
-#: own ahead of the event loop, 44.7 / 42.8 / 52.7.  ``mpi-lowered`` is
-#: the third ``compile=True`` run, which executes the callbacks alone:
+#: own ahead of the event loop, 44.7 / 42.8 / 52.7; without a call of
+#: ``NullCost.duration`` per task, 43.8 / 41.8 / 51.8.  ``mpi-lowered``
+#: is the third ``compile=True`` run, which executes the callbacks alone:
 #: 17.9 while every task went through ``CallbackRegistry.invoke``, 5.7
-#: with the step table, 5.7 with the callback pass.  Landed + 10 %.
+#: with the step table, 5.7 with the callback pass, 4.6 without the cost
+#: model's call and the per-source input checks.  Landed + 10 %.
 CALLS_PER_TASK_CEILING = {
-    "mpi": 49.2, "charm": 47.0, "legion-spmd": 58.0, "mpi-lowered": 6.3,
+    "mpi": 48.2, "charm": 46.0, "legion-spmd": 57.0, "mpi-lowered": 5.1,
 }
 
 

@@ -78,7 +78,7 @@ def run_bare(graph, fn, inputs, **kw):
         kernel.route(tid, fn(kernel.inputs(tid, release=True), tid), 0, deliver)
     if len(kernel.done) != kernel.total:
         raise kernel.stalled()
-    return run.result.outputs, kernel
+    return run.outputs, kernel
 
 
 def tag(ins, tid):
